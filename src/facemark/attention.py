@@ -7,7 +7,10 @@ parameter gradients keyed like the local parameter dict, so callers can
 re-prefix them into the flat model gradient buffer.
 
 Shapes: queries are (N, C); the memory is (M, C) with a PyramidLayout; the
-value tensor of level l is viewed as (h_l, w_l, heads, head_dim).
+value tensor of level l is viewed as (h_l, w_l, heads, head_dim).  The
+deformable read and its scatter-back are `geometry.bilinear_sample_many` and
+its backward, called per level with each sampling point's head index; this
+module keeps the per-level loop and the attention-weight contractions.
 """
 
 from __future__ import annotations
@@ -18,7 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import PyramidLayout
+from .geometry import (
+    PyramidLayout,
+    bilinear_sample_many,
+    bilinear_sample_many_backward,
+)
 
 
 @dataclass(frozen=True)
@@ -247,6 +254,13 @@ def sampling_fields_bwd(doffsets, dweights, cache: FieldCache):
 CoreCache = namedtuple("CoreCache", "value_levels locs weights sampled")
 
 
+def _head_index(r, heads, n_points):
+    """Head of each row of a level's (R * heads * points) sampling points."""
+    return np.broadcast_to(
+        np.arange(heads)[None, :, None], (r, heads, n_points)
+    ).ravel()
+
+
 def deform_core_fwd(value_levels, locs, weights):
     """Weighted sum of bilinear reads from the per-level value tensors.
 
@@ -258,30 +272,10 @@ def deform_core_fwd(value_levels, locs, weights):
     r, heads, n_levels, n_points, _ = locs.shape
     d = value_levels[0].shape[3]
     sampled = np.zeros((r, heads, n_levels, n_points, d))
-    head_idx = np.broadcast_to(
-        np.arange(heads)[None, :, None], (r, heads, n_points)
-    ).ravel()
+    head_idx = _head_index(r, heads, n_points)
     for l, lev in enumerate(value_levels):
-        h, w = lev.shape[:2]
         pts = locs[:, :, l, :, :].reshape(-1, 2)
-        gx = pts[:, 0] * w - 0.5
-        gy = pts[:, 1] * h - 0.5
-        x0 = np.floor(gx).astype(np.int64)
-        y0 = np.floor(gy).astype(np.int64)
-        tx = gx - x0
-        ty = gy - y0
-        acc = np.zeros((pts.shape[0], d))
-        for dy, dx, wgt in (
-            (0, 0, (1 - ty) * (1 - tx)),
-            (0, 1, (1 - ty) * tx),
-            (1, 0, ty * (1 - tx)),
-            (1, 1, ty * tx),
-        ):
-            yy = y0 + dy
-            xx = x0 + dx
-            ok = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-            if np.any(ok):
-                acc[ok] += wgt[ok, None] * lev[yy[ok], xx[ok], head_idx[ok], :]
+        acc = bilinear_sample_many(lev, pts, head_idx)
         sampled[:, :, l, :, :] = acc.reshape(r, heads, n_points, d)
     out = np.einsum("rhlp,rhlpd->rhd", weights, sampled)
     return out.reshape(r, heads * d), CoreCache(value_levels, locs, weights, sampled)
@@ -294,46 +288,15 @@ def deform_core_bwd(dout, cache: CoreCache):
     dout_h = dout.reshape(r, heads, d)
     dweights = np.einsum("rhd,rhlpd->rhlp", dout_h, sampled)
     dsampled = np.einsum("rhlp,rhd->rhlpd", weights, dout_h)
-    dlevels = [np.zeros_like(lev) for lev in value_levels]
+    dlevels = []
     dlocs = np.zeros_like(locs)
-    head_idx = np.broadcast_to(
-        np.arange(heads)[None, :, None], (r, heads, n_points)
-    ).ravel()
+    head_idx = _head_index(r, heads, n_points)
     for l, lev in enumerate(value_levels):
-        h, w = lev.shape[:2]
         pts = locs[:, :, l, :, :].reshape(-1, 2)
         dsamp = dsampled[:, :, l, :, :].reshape(-1, d)
-        gx = pts[:, 0] * w - 0.5
-        gy = pts[:, 1] * h - 0.5
-        x0 = np.floor(gx).astype(np.int64)
-        y0 = np.floor(gy).astype(np.int64)
-        tx = gx - x0
-        ty = gy - y0
-        dgx = np.zeros(pts.shape[0])
-        dgy = np.zeros(pts.shape[0])
-        for dy, dx, wgt, dw_dtx, dw_dty in (
-            (0, 0, (1 - ty) * (1 - tx), -(1 - ty), -(1 - tx)),
-            (0, 1, (1 - ty) * tx, (1 - ty), -tx),
-            (1, 0, ty * (1 - tx), -ty, (1 - tx)),
-            (1, 1, ty * tx, ty, tx),
-        ):
-            yy = y0 + dy
-            xx = x0 + dx
-            ok = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-            if not np.any(ok):
-                continue
-            np.add.at(
-                dlevels[l],
-                (yy[ok], xx[ok], head_idx[ok]),
-                wgt[ok, None] * dsamp[ok],
-            )
-            contrib = np.einsum(
-                "sd,sd->s", lev[yy[ok], xx[ok], head_idx[ok], :], dsamp[ok]
-            )
-            dgx[ok] += dw_dtx[ok] * contrib
-            dgy[ok] += dw_dty[ok] * contrib
-        dlocs[:, :, l, :, 0] = (dgx * w).reshape(r, heads, n_points)
-        dlocs[:, :, l, :, 1] = (dgy * h).reshape(r, heads, n_points)
+        dlev, dpts = bilinear_sample_many_backward(lev, pts, dsamp, head_idx)
+        dlevels.append(dlev)
+        dlocs[:, :, l, :, :] = dpts.reshape(r, heads, n_points, 2)
     return dlevels, dlocs, dweights
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .attention import relu_fwd
 from .errors import ConfigError
 from .geometry import PyramidLayout
 from .params import Params, glorot
@@ -127,10 +128,10 @@ def extract_memory(image, params: Params, cfg: BackboneConfig):
     for i in range(cfg.num_levels):
         pre = f"backbone.s{i + 1}"
         h1, ca = conv2d_fwd(x, params[f"{pre}.conva.w"], params[f"{pre}.conva.b"], 2)
-        a1, ma = relu_fwd_map(h1)
+        a1, ma = relu_fwd(h1)
         sb = 2 if i == 0 else 1
         h2, cb = conv2d_fwd(a1, params[f"{pre}.convb.w"], params[f"{pre}.convb.b"], sb)
-        x, mb = relu_fwd_map(h2)
+        x, mb = relu_fwd(h2)
         stages.append(StageCache(ca, ma, cb, mb))
         feats.append(x)
     blocks = []
@@ -143,10 +144,6 @@ def extract_memory(image, params: Params, cfg: BackboneConfig):
         projections.append((flat, (ch, h, w)))
     data = np.concatenate(blocks, axis=0)
     return MemoryFeature(data, layout), BackboneCache(stages, projections, cfg, layout)
-
-
-def relu_fwd_map(x):
-    return np.maximum(x, 0.0), (x > 0.0)
 
 
 def extract_memory_bwd(ddata, params: Params, cache: BackboneCache):

@@ -50,7 +50,6 @@ from .errors import ConfigError
 from .geometry import (
     PyramidLayout,
     build_pixel_positions,
-    inverse_sigmoid,
     level_of_row,
     pixel_centers,
     sigmoid,
@@ -208,20 +207,6 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> Params:
         p[f"{pre}.head.w3"] = np.zeros((c, 2))
         p[f"{pre}.head.b3"] = np.zeros(2)
     return p
-
-
-# ---------------------------------------------------------------------------
-# Coordinate refinement
-# ---------------------------------------------------------------------------
-
-def refine(prev, delta):
-    """One cascade step: sigmoid(delta + inverse_sigmoid(prev)).
-
-    The decoder forward keeps the logits from the previous step instead of
-    re-deriving them, which is the same map without the clamp at the ends of
-    (0, 1).
-    """
-    return sigmoid(delta + inverse_sigmoid(prev))
 
 
 # ---------------------------------------------------------------------------

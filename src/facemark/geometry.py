@@ -1,10 +1,15 @@
 """Coordinate transforms, bilinear sampling, and positional encodings.
 
+`bilinear_sample_many` and its backward are the package's only bilinear
+gather/scatter kernel: rotation augmentation and multi-scale deformable
+attention both read through them.
+
 Conventions used by every module in this package:
 
 * Normalized points are (x, y) pairs in [0, 1]^2, x = column fraction,
   y = row fraction.
-* Feature maps are (height, width, channels) float64 arrays.
+* Feature maps are (height, width, channels) float64 arrays; deformable
+  attention's value levels are (height, width, heads, head_dim).
 * Pixel centers sit at ((j + 0.5) / width, (i + 0.5) / height) in
   normalized coordinates (align-corners-false); reads outside the map
   use zero padding.
@@ -56,11 +61,6 @@ def inverse_sigmoid(p, eps: float = DEFAULT_EPS):
     clamped = np.clip(np.atleast_1d(arr), eps, 1.0 - eps)
     out = np.log(clamped) - np.log1p(-clamped)
     return float(out[0]) if scalar else out
-
-
-def sigmoid_grad_from_output(y):
-    """d sigmoid / dx expressed through the output y = sigmoid(x)."""
-    return y * (1.0 - y)
 
 
 # ---------------------------------------------------------------------------
@@ -137,89 +137,70 @@ def level_of_row(layout: PyramidLayout) -> np.ndarray:
 # Bilinear sampling
 # ---------------------------------------------------------------------------
 
-def bilinear_sample(fmap: np.ndarray, uv) -> np.ndarray:
-    """Sample a (h, w, C) map at one normalized point, zero padding outside.
+def _corners(fmap, uvs, head_idx):
+    """Yield (index, ok, wy, wx, dy, dx) for each bilinear corner that any
+    point reads in bounds.
 
-    The point may lie outside [0, 1]^2; out-of-range reads contribute zero.
-    Returns a (C,) vector.
+    `index` picks the corner's map entries for the points where `ok` holds;
+    the corner weight is wy * wx over the full point set.  Corners come in
+    the order (0, 0), (0, 1), (1, 0), (1, 1), which fixes the summation
+    order of every caller.
     """
-    return bilinear_sample_many(fmap, np.asarray(uv, dtype=np.float64).reshape(1, 2))[0]
-
-
-def bilinear_sample_many(fmap: np.ndarray, uvs: np.ndarray) -> np.ndarray:
-    """Sample a (h, w, C) map at P normalized points at once; returns (P, C)."""
-    h, w, _ = fmap.shape
-    uvs = np.asarray(uvs, dtype=np.float64)
+    h, w = fmap.shape[:2]
     gx = uvs[:, 0] * w - 0.5
     gy = uvs[:, 1] * h - 0.5
     x0 = np.floor(gx).astype(np.int64)
     y0 = np.floor(gy).astype(np.int64)
     tx = gx - x0
     ty = gy - y0
+    wys = (1 - ty, ty)
+    wxs = (1 - tx, tx)
+    for dy in (0, 1):
+        for dx in (0, 1):
+            yy = y0 + dy
+            xx = x0 + dx
+            ok = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+            if not np.any(ok):
+                continue
+            index = (yy[ok], xx[ok]) if head_idx is None else (yy[ok], xx[ok], head_idx[ok])
+            yield index, ok, wys[dy], wxs[dx], dy, dx
 
-    out = np.zeros((uvs.shape[0], fmap.shape[2]), dtype=np.float64)
-    for dy, dx, wgt in (
-        (0, 0, (1 - ty) * (1 - tx)),
-        (0, 1, (1 - ty) * tx),
-        (1, 0, ty * (1 - tx)),
-        (1, 1, ty * tx),
-    ):
-        yy = y0 + dy
-        xx = x0 + dx
-        ok = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        if np.any(ok):
-            out[ok] += wgt[ok, None] * fmap[yy[ok], xx[ok], :]
+
+def bilinear_sample_many(fmap: np.ndarray, uvs: np.ndarray, head_idx=None) -> np.ndarray:
+    """Sample a map at P normalized points, zero padding outside.
+
+    `fmap` is (h, w, C), or (h, w, heads, d) with `head_idx` a (P,) int array
+    naming the head each point reads.  Points may lie outside [0, 1]^2;
+    out-of-range corners contribute zero.  Returns (P, C) or (P, d).
+    """
+    uvs = np.asarray(uvs, dtype=np.float64)
+    out = np.zeros((uvs.shape[0], fmap.shape[-1]), dtype=np.float64)
+    for index, ok, wy, wx, _, _ in _corners(fmap, uvs, head_idx):
+        out[ok] += (wy * wx)[ok, None] * fmap[index]
     return out
 
 
 def bilinear_sample_many_backward(
-    fmap: np.ndarray, uvs: np.ndarray, dout: np.ndarray
+    fmap: np.ndarray, uvs: np.ndarray, dout: np.ndarray, head_idx=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of `bilinear_sample_many` w.r.t. the map and the points.
 
-    Returns (dmap (h, w, C), duvs (P, 2)).  The interpolant has kinks on
-    cell boundaries; gradients there follow the floor-based cell choice.
+    Returns (dmap shaped like fmap, duvs (P, 2)).  The interpolant has kinks
+    on cell boundaries; gradients there follow the floor-based cell choice.
     """
-    h, w, _ = fmap.shape
+    h, w = fmap.shape[:2]
     uvs = np.asarray(uvs, dtype=np.float64)
-    gx = uvs[:, 0] * w - 0.5
-    gy = uvs[:, 1] * h - 0.5
-    x0 = np.floor(gx).astype(np.int64)
-    y0 = np.floor(gy).astype(np.int64)
-    tx = gx - x0
-    ty = gy - y0
-
     dmap = np.zeros_like(fmap)
     dgx = np.zeros(uvs.shape[0], dtype=np.float64)
     dgy = np.zeros(uvs.shape[0], dtype=np.float64)
-    # weight, d(weight)/dtx, d(weight)/dty per corner
-    corners = (
-        (0, 0, (1 - ty) * (1 - tx), -(1 - ty), -(1 - tx)),
-        (0, 1, (1 - ty) * tx, (1 - ty), -tx),
-        (1, 0, ty * (1 - tx), -ty, (1 - tx)),
-        (1, 1, ty * tx, ty, tx),
-    )
-    for dy, dx, wgt, dw_dtx, dw_dty in corners:
-        yy = y0 + dy
-        xx = x0 + dx
-        ok = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        if not np.any(ok):
-            continue
-        vals = fmap[yy[ok], xx[ok], :]
-        np.add.at(dmap, (yy[ok], xx[ok]), wgt[ok, None] * dout[ok])
-        contrib = np.einsum("pc,pc->p", vals, dout[ok])
-        dgx[ok] += dw_dtx[ok] * contrib
-        dgy[ok] += dw_dty[ok] * contrib
+    for index, ok, wy, wx, dy, dx in _corners(fmap, uvs, head_idx):
+        np.add.at(dmap, index, (wy * wx)[ok, None] * dout[ok])
+        contrib = np.einsum("pc,pc->p", fmap[index], dout[ok])
+        # d(wy * wx)/dtx = +-wy and d(wy * wx)/dty = +-wx; the sign is exact
+        dgx[ok] += (2 * dx - 1) * wy[ok] * contrib
+        dgy[ok] += (2 * dy - 1) * wx[ok] * contrib
     duvs = np.stack([dgx * w, dgy * h], axis=1)
     return dmap, duvs
-
-
-def bilinear_sample_grads(fmap: np.ndarray, uv, dout: np.ndarray):
-    """Single-point convenience wrapper around the batched backward."""
-    dmap, duvs = bilinear_sample_many_backward(
-        fmap, np.asarray(uv, dtype=np.float64).reshape(1, 2), np.asarray(dout).reshape(1, -1)
-    )
-    return dmap, duvs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -185,12 +185,14 @@ def _rotate_image(img, theta):
 
 
 def _box_blur(img):
-    k = np.ones(3) / 3.0
-    out = img
-    for axis in (1, 2):
-        padded = np.pad(out, [(0, 0)] + [(1, 1) if a == axis else (0, 0) for a in (1, 2)], mode="edge")
-        out = np.apply_along_axis(lambda m: np.convolve(m, k, mode="valid"), axis, padded)
-    return out
+    # 3-tap mean along the height axis, then the width axis, with edge
+    # padding.  The sum runs in np.convolve's order, so the result matches
+    # it bit for bit.
+    k = 1.0 / 3.0
+    p = np.pad(img, ((0, 0), (1, 1), (0, 0)), mode="edge")
+    out = p[:, :-2] * k + p[:, 1:-1] * k + p[:, 2:] * k
+    p = np.pad(out, ((0, 0), (0, 0), (1, 1)), mode="edge")
+    return p[:, :, :-2] * k + p[:, :, 1:-1] * k + p[:, :, 2:] * k
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +312,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr < 0:
             raise ConfigError("learning rate must be >= 0")
+        if self.steps < 1:
+            raise ConfigError(f"train.steps must be >= 1, got {self.steps}")
+        if self.lr_drop_step < 0:
+            raise ConfigError(f"train.lr_drop_step must be >= 0, got {self.lr_drop_step}")
         if self.lr_drop_step > self.steps:
             raise ConfigError("lr_drop_step past the end of the schedule")
         if self.batch_size < 1:

@@ -106,6 +106,16 @@ def test_landmark_count_mismatch_rejected(tmp_path, capsys):
     assert "landmarks" in capsys.readouterr().err
 
 
+def test_bad_train_schedule_is_a_config_error(tmp_path, capsys):
+    for override, key in ((["--set", "train.steps=0", "--set", "train.lr_drop_step=0"],
+                           "train.steps"),
+                          (["--set", "train.lr_drop_step=-1"], "train.lr_drop_step")):
+        rc = main(["train", "--data", str(tmp_path / "ds"),
+                   "--out", str(tmp_path / "m.ckpt"), *TINY_MODEL, *override])
+        assert rc == 1
+        assert key in capsys.readouterr().err
+
+
 def test_bad_override_is_a_config_error(capsys):
     rc = main(["params", "--set", "model.dim=big"])
     assert rc == 1

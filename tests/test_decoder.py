@@ -11,7 +11,6 @@ from facemark.decoder import (
     backward,
     forward,
     init_params,
-    refine,
 )
 from facemark.errors import ConfigError
 from facemark.geometry import inverse_sigmoid, sigmoid
@@ -112,29 +111,37 @@ def test_head_output_layer_starts_at_zero():
 
 
 # ---------------------------------------------------------------------------
-# refine
+# cascade refinement: with head.w3 at zero, stage t adds head.b3 to the logits
 # ---------------------------------------------------------------------------
 
-def test_refine_zero_delta_is_identity():
-    y = np.array([[0.25, 0.5], [0.75, 0.9]])
-    npt.assert_allclose(refine(y, np.zeros_like(y)), y, atol=1e-12)
+def _stages_with_head_biases(state, image, deltas):
+    params = dict(state.params)
+    for t, delta in enumerate(deltas):
+        params[f"layers.{t}.head.b3"] = np.asarray(delta, dtype=np.float64)
+    return DecoderState(state.config, params).predict(image)
 
 
-def test_refine_composes_in_logit_space():
+def test_refine_zero_delta_is_identity(tiny_state, tiny_batch):
+    # a zero stage after a moving one passes its input through bit for bit
+    deltas = [[0.4, -0.2], [0.0, 0.0]]
+    ys = _stages_with_head_biases(tiny_state, tiny_batch[0].image, deltas)
+    assert not np.array_equal(ys[1], ys[0])
+    npt.assert_array_equal(ys[2], ys[1])
+
+
+def test_refine_composes_in_logit_space(tiny_state, tiny_batch):
     rng = np.random.default_rng(0)
-    y = rng.uniform(0.1, 0.9, (4, 2))
-    d1 = rng.normal(size=(4, 2))
-    d2 = rng.normal(size=(4, 2))
-    two_steps = refine(refine(y, d1), d2)
-    one_step = refine(y, d1 + d2)
-    npt.assert_allclose(two_steps, one_step, atol=1e-9)
+    deltas = rng.normal(size=(TINY.num_layers, 2))
+    ys = _stages_with_head_biases(tiny_state, tiny_batch[0].image, deltas)
+    one_step = sigmoid(inverse_sigmoid(ys[0]) + deltas.sum(axis=0))
+    npt.assert_allclose(ys[-1], one_step, atol=1e-9)
 
 
-def test_refine_moves_toward_delta_sign():
-    y = np.full((3, 2), 0.5)
-    up = refine(y, np.full((3, 2), 0.3))
-    down = refine(y, np.full((3, 2), -0.3))
-    assert (up > y).all() and (down < y).all()
+def test_refine_moves_toward_delta_sign(tiny_state, tiny_batch):
+    deltas = np.array([[0.3, -0.3], [-0.3, 0.3]])
+    ys = _stages_with_head_biases(tiny_state, tiny_batch[0].image, deltas)
+    for t, delta in enumerate(deltas):
+        assert (np.sign(ys[t + 1] - ys[t]) == np.sign(delta)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,6 @@ import pytest
 from facemark.errors import ConfigError
 from facemark.geometry import (
     PyramidLayout,
-    bilinear_sample,
-    bilinear_sample_grads,
     bilinear_sample_many,
     bilinear_sample_many_backward,
     build_pixel_positions,
@@ -16,7 +14,6 @@ from facemark.geometry import (
     level_of_row,
     pixel_centers,
     sigmoid,
-    sigmoid_grad_from_output,
     sinusoid_embed,
 )
 
@@ -72,13 +69,6 @@ def test_inverse_sigmoid_rejects_non_finite():
         inverse_sigmoid(np.array([np.nan]))
 
 
-def test_sigmoid_grad_matches_finite_difference():
-    x = np.linspace(-3, 3, 13)
-    h = 1e-6
-    fd = (sigmoid(x + h) - sigmoid(x - h)) / (2 * h)
-    npt.assert_allclose(sigmoid_grad_from_output(sigmoid(x)), fd, atol=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # PyramidLayout
 # ---------------------------------------------------------------------------
@@ -125,6 +115,10 @@ def test_level_of_row_counts():
 # bilinear sampling
 # ---------------------------------------------------------------------------
 
+def _sample_one(fmap, uv):
+    return bilinear_sample_many(fmap, np.reshape(uv, (1, 2)))[0]
+
+
 def _hand_map():
     # 2x2 single-channel map with distinct values
     return np.array([[[1.0], [2.0]], [[3.0], [4.0]]])
@@ -133,23 +127,23 @@ def _hand_map():
 def test_bilinear_at_pixel_centers_exact():
     fmap = _hand_map()
     # pixel (0,0) center is (0.25, 0.25) in normalized coords of a 2x2 grid
-    npt.assert_allclose(bilinear_sample(fmap, np.array([0.25, 0.25])), [1.0])
-    npt.assert_allclose(bilinear_sample(fmap, np.array([0.75, 0.25])), [2.0])
-    npt.assert_allclose(bilinear_sample(fmap, np.array([0.25, 0.75])), [3.0])
+    npt.assert_allclose(_sample_one(fmap, [0.25, 0.25]), [1.0])
+    npt.assert_allclose(_sample_one(fmap, [0.75, 0.25]), [2.0])
+    npt.assert_allclose(_sample_one(fmap, [0.25, 0.75]), [3.0])
 
 
 def test_bilinear_midpoint_averages():
     fmap = _hand_map()
-    npt.assert_allclose(bilinear_sample(fmap, np.array([0.5, 0.5])), [2.5])
-    npt.assert_allclose(bilinear_sample(fmap, np.array([0.5, 0.25])), [1.5])
+    npt.assert_allclose(_sample_one(fmap, [0.5, 0.5]), [2.5])
+    npt.assert_allclose(_sample_one(fmap, [0.5, 0.25]), [1.5])
 
 
 def test_bilinear_outside_zero_padded():
     fmap = _hand_map()
-    npt.assert_allclose(bilinear_sample(fmap, np.array([-0.5, 0.5])), [0.0])
-    npt.assert_allclose(bilinear_sample(fmap, np.array([0.5, 1.6])), [0.0])
+    npt.assert_allclose(_sample_one(fmap, [-0.5, 0.5]), [0.0])
+    npt.assert_allclose(_sample_one(fmap, [0.5, 1.6]), [0.0])
     # at the very edge only the inside corner contributes
-    npt.assert_allclose(bilinear_sample(fmap, np.array([0.0, 0.25])), [0.5])
+    npt.assert_allclose(_sample_one(fmap, [0.0, 0.25]), [0.5])
 
 
 def test_bilinear_many_matches_single():
@@ -158,7 +152,7 @@ def test_bilinear_many_matches_single():
     uvs = rng.uniform(-0.3, 1.3, (40, 2))
     batched = bilinear_sample_many(fmap, uvs)
     for i, uv in enumerate(uvs):
-        npt.assert_allclose(batched[i], bilinear_sample(fmap, uv), atol=1e-14)
+        npt.assert_allclose(batched[i], _sample_one(fmap, uv), atol=1e-14)
 
 
 def test_bilinear_backward_matches_fd():
@@ -184,15 +178,20 @@ def test_bilinear_backward_matches_fd():
         npt.assert_allclose(duvs[i, j], fd, rtol=1e-6, atol=1e-9)
 
 
-def test_bilinear_single_grads_match_batched():
-    rng = np.random.default_rng(5)
-    fmap = rng.normal(size=(3, 3, 2))
-    uv = np.array([0.4, 0.6])
-    dout = rng.normal(size=2)
-    dmap_s, duv_s = bilinear_sample_grads(fmap, uv, dout)
-    dmap_b, duv_b = bilinear_sample_many_backward(fmap, uv[None], dout[None])
-    npt.assert_allclose(dmap_s, dmap_b, atol=1e-15)
-    npt.assert_allclose(duv_s, duv_b[0], atol=1e-15)
+def test_bilinear_head_index_reads_that_heads_slice():
+    rng = np.random.default_rng(6)
+    fmap = rng.normal(size=(4, 5, 3, 2))  # (h, w, heads, d)
+    uvs = rng.uniform(-0.3, 1.3, (30, 2))
+    heads = rng.integers(0, 3, 30)
+    dout = rng.normal(size=(30, 2))
+    out = bilinear_sample_many(fmap, uvs, heads)
+    dmap, duvs = bilinear_sample_many_backward(fmap, uvs, dout, heads)
+    for k in range(3):
+        sel = heads == k
+        npt.assert_array_equal(out[sel], bilinear_sample_many(fmap[:, :, k], uvs[sel]))
+        dmap_k, duvs_k = bilinear_sample_many_backward(fmap[:, :, k], uvs[sel], dout[sel])
+        npt.assert_array_equal(dmap[:, :, k], dmap_k)
+        npt.assert_array_equal(duvs[sel], duvs_k)
 
 
 # ---------------------------------------------------------------------------

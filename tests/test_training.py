@@ -125,6 +125,10 @@ def test_train_config_validation():
         TrainConfig(steps=10, lr_drop_step=20)
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ConfigError, match="train.steps"):
+        TrainConfig(steps=0, lr_drop_step=0)
+    with pytest.raises(ConfigError, match="train.lr_drop_step"):
+        TrainConfig(lr_drop_step=-1)
 
 
 def test_train_rejects_empty_dataset(tiny_state):
@@ -296,6 +300,19 @@ def test_blur_smooths_but_keeps_labels():
 def test_box_blur_preserves_constant_image():
     img = np.full((3, 6, 6), 0.37)
     npt.assert_allclose(_box_blur(img), img, atol=1e-12)
+
+
+def test_box_blur_matches_convolve_bit_for_bit():
+    img = np.random.default_rng(0).uniform(size=(3, 64, 64))
+    k = np.ones(3) / 3.0
+    ref = img
+    for axis in (1, 2):
+        pad = [(0, 0)] * 3
+        pad[axis] = (1, 1)
+        ref = np.apply_along_axis(
+            lambda m: np.convolve(m, k, mode="valid"), axis, np.pad(ref, pad, mode="edge")
+        )
+    assert np.array_equal(_box_blur(img), ref)
 
 
 # ---------------------------------------------------------------------------
