@@ -9,8 +9,8 @@ re-prefix them into the flat model gradient buffer.
 Shapes: queries are (N, C); the memory is (M, C) with a PyramidLayout; the
 value tensor of level l is viewed as (h_l, w_l, heads, head_dim).  The
 deformable read and its scatter-back are `geometry.bilinear_sample_many` and
-its backward, called per level with each sampling point's head index; this
-module keeps the per-level loop and the attention-weight contractions.
+its backward, each called once per pass with the list of value levels; this
+module keeps the attention-weight contractions around them.
 """
 
 from __future__ import annotations
@@ -254,13 +254,6 @@ def sampling_fields_bwd(doffsets, dweights, cache: FieldCache):
 CoreCache = namedtuple("CoreCache", "value_levels locs weights sampled")
 
 
-def _head_index(r, heads, n_points):
-    """Head of each row of a level's (R * heads * points) sampling points."""
-    return np.broadcast_to(
-        np.arange(heads)[None, :, None], (r, heads, n_points)
-    ).ravel()
-
-
 def deform_core_fwd(value_levels, locs, weights):
     """Weighted sum of bilinear reads from the per-level value tensors.
 
@@ -269,34 +262,18 @@ def deform_core_fwd(value_levels, locs, weights):
     weights:      (R, heads, levels, points), already softmaxed
     Returns (R, heads * head_dim).
     """
-    r, heads, n_levels, n_points, _ = locs.shape
-    d = value_levels[0].shape[3]
-    sampled = np.zeros((r, heads, n_levels, n_points, d))
-    head_idx = _head_index(r, heads, n_points)
-    for l, lev in enumerate(value_levels):
-        pts = locs[:, :, l, :, :].reshape(-1, 2)
-        acc = bilinear_sample_many(lev, pts, head_idx)
-        sampled[:, :, l, :, :] = acc.reshape(r, heads, n_points, d)
+    sampled = bilinear_sample_many(value_levels, locs)
     out = np.einsum("rhlp,rhlpd->rhd", weights, sampled)
-    return out.reshape(r, heads * d), CoreCache(value_levels, locs, weights, sampled)
+    return out.reshape(locs.shape[0], -1), CoreCache(value_levels, locs, weights, sampled)
 
 
 def deform_core_bwd(dout, cache: CoreCache):
     value_levels, locs, weights, sampled = cache
-    r, heads, n_levels, n_points, _ = locs.shape
-    d = value_levels[0].shape[3]
-    dout_h = dout.reshape(r, heads, d)
+    r, heads = locs.shape[:2]
+    dout_h = dout.reshape(r, heads, -1)
     dweights = np.einsum("rhd,rhlpd->rhlp", dout_h, sampled)
     dsampled = np.einsum("rhlp,rhd->rhlpd", weights, dout_h)
-    dlevels = []
-    dlocs = np.zeros_like(locs)
-    head_idx = _head_index(r, heads, n_points)
-    for l, lev in enumerate(value_levels):
-        pts = locs[:, :, l, :, :].reshape(-1, 2)
-        dsamp = dsampled[:, :, l, :, :].reshape(-1, d)
-        dlev, dpts = bilinear_sample_many_backward(lev, pts, dsamp, head_idx)
-        dlevels.append(dlev)
-        dlocs[:, :, l, :, :] = dpts.reshape(r, heads, n_points, 2)
+    dlevels, dlocs = bilinear_sample_many_backward(value_levels, locs, dsampled)
     return dlevels, dlocs, dweights
 
 

@@ -149,8 +149,28 @@ TINY = ModelConfig(
 # Parameter initialization
 # ---------------------------------------------------------------------------
 
+class _NoDraws:
+    """Stand-in for the generator `init_params` draws from that draws
+    nothing: every draw is a read-only broadcast zero of the asked size."""
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return np.broadcast_to(0.0, size)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return np.broadcast_to(0.0, size)
+
+
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter `init_params` creates for `cfg`,
+    without drawing a random number."""
+    return {k: v.shape for k, v in _build_params(cfg, _NoDraws()).items()}
+
+
 def init_params(cfg: ModelConfig, seed: int = 0) -> Params:
-    rng = np.random.default_rng(seed)
+    return _build_params(cfg, np.random.default_rng(seed))
+
+
+def _build_params(cfg: ModelConfig, rng) -> Params:
     p = init_backbone_params(rng, cfg.backbone_config)
     layout = cfg.layout
     n, c = cfg.num_landmarks, cfg.dim
@@ -304,7 +324,7 @@ def _parallel_layer_fwd(q, refs, mem_state, aux, params, t, cfg):
     return q_out, mem_new, ParallelCache(c_sa, c_v, c_p, c_li, c_lq, c_f, n_mem)
 
 
-def _parallel_layer_bwd(dq_out, dmem_next, grads, lv_idx, t, cache):
+def _parallel_layer_bwd(dq_out, dmem_next, grads, layout, t, cache):
     n_mem = cache.n_mem
     dzq, dffn = ffn_bwd(dq_out, cache.ffn)
     accumulate(grads, f"layers.{t}.ffn.", dffn)
@@ -317,8 +337,7 @@ def _parallel_layer_bwd(dq_out, dmem_next, grads, lv_idx, t, cache):
     dmem_value, dvp = project_value_bwd(dlevels, cache.value)
     accumulate(grads, f"layers.{t}.deform.", {**dp, **dvp})
     dmem = dsum_img + dmem_value + drows[:n_mem]
-    dlevel = np.zeros((lv_idx.max() + 1, drows.shape[1]))
-    np.add.at(dlevel, lv_idx, drows[:n_mem])
+    dlevel = np.stack([drows[sl].sum(axis=0) for sl in layout.block_slices()])
     accumulate(grads, "", {"level_emb": dlevel})
     dq = dsum_q + drows[n_mem:]
     drefs = drefs_all[n_mem:]
@@ -335,7 +354,7 @@ def _parallel_layer_bwd(dq_out, dmem_next, grads, lv_idx, t, cache):
 
 ForwardCache = namedtuple(
     "ForwardCache",
-    "backbone mem init_lin q0_source layer_caches ys aux lv_idx",
+    "backbone mem init_lin q0_source layer_caches ys aux",
 )
 
 
@@ -363,7 +382,6 @@ def forward(params: Params, image, cfg: ModelConfig):
     logits, c_init = linear_fwd(q, params["landmark_init.w"], params["landmark_init.b"])
     ys = [sigmoid(logits)]
     aux = None
-    lv_idx = None
     mem_state = mem.data
     if cfg.parallel:
         lv_idx = level_of_row(layout)
@@ -383,7 +401,7 @@ def forward(params: Params, image, cfg: ModelConfig):
         logits = logits + delta
         ys.append(sigmoid(logits))
         layer_caches.append((c_layer, c_head))
-    return ys, ForwardCache(c_bb, mem, c_init, q0_source, layer_caches, ys, aux, lv_idx)
+    return ys, ForwardCache(c_bb, mem, c_init, q0_source, layer_caches, ys, aux)
 
 
 def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache):
@@ -409,7 +427,7 @@ def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache):
         dq_total = dq + dq_head
         if cfg.parallel:
             dq, drefs, dmem = _parallel_layer_bwd(
-                dq_total, dmem, grads, cache.lv_idx, t, c_layer
+                dq_total, dmem, grads, cache.mem.layout, t, c_layer
             )
         else:
             dq, drefs, dmem_t = _basic_layer_bwd(dq_total, grads, t, c_layer)
@@ -466,6 +484,26 @@ class DecoderState:
     @classmethod
     def load(cls, path) -> tuple["DecoderState", dict[str, str]]:
         params, meta = load_checkpoint(path)
-        config = ModelConfig.from_meta(meta)
+        try:
+            config = ModelConfig.from_meta(meta)
+        except (ConfigError, ValueError) as e:
+            raise ConfigError(f"{path}: {e}") from None
+        _check_param_shapes(path, params, param_shapes(config))
         extra = {k: v for k, v in meta.items() if k not in config.to_meta()}
         return cls(config, params), extra
+
+
+def _check_param_shapes(path, params: Params, expected: dict[str, tuple[int, ...]]):
+    """Raise ConfigError naming the first parameter, in sorted order, that
+    the checkpoint's config does not expect, lacks, or expects in another
+    shape."""
+    for name in sorted(expected.keys() | params.keys()):
+        if name not in params:
+            raise ConfigError(f"{path}: parameter {name} missing for the checkpoint's config")
+        if name not in expected:
+            raise ConfigError(f"{path}: parameter {name} not expected by the checkpoint's config")
+        if params[name].shape != expected[name]:
+            raise ConfigError(
+                f"{path}: parameter {name} has shape {params[name].shape}, "
+                f"the checkpoint's config expects {expected[name]}"
+            )

@@ -2,7 +2,14 @@
 
 `bilinear_sample_many` and its backward are the package's only bilinear
 gather/scatter kernel: rotation augmentation and multi-scale deformable
-attention both read through them.
+attention both read through them.  They take a list of (h, w, heads, d)
+levels and (R, heads, levels, points, 2) locations, so one call covers a
+whole deformable pass.  A corner table built once per call gives every
+corner its row and weight; out-of-bounds corners read a clamped row with
+weight zero instead of being masked out, and the backward scatters with
+one `np.bincount` per channel in corner order.  Both keep the summation
+order of a masked kernel with a corner-by-corner scatter-add, so their
+bits match it.
 
 Conventions used by every module in this package:
 
@@ -137,70 +144,135 @@ def level_of_row(layout: PyramidLayout) -> np.ndarray:
 # Bilinear sampling
 # ---------------------------------------------------------------------------
 
-def _corners(fmap, uvs, head_idx):
-    """Yield (index, ok, wy, wx, dy, dx) for each bilinear corner that any
-    point reads in bounds.
+def _corner_table(levels, locs):
+    """Row, axis weights and in-bounds flags of every bilinear corner read.
 
-    `index` picks the corner's map entries for the points where `ok` holds;
-    the corner weight is wy * wx over the full point set.  Corners come in
-    the order (0, 0), (0, 1), (1, 0), (1, 1), which fixes the summation
-    order of every caller.
+    `locs` is (R, heads, L, points, 2); point (r, k, l, p) reads head k of
+    level l.  Returns, for all levels in one step:
+
+    * rows (4, R, heads, L, points) int64: corner (dy, dx) at index
+      2 * dy + dx, as a row of its level's (h * w * heads, d) view, clamped
+      into the level so that every row is a valid read;
+    * wy, wx (2, R, heads, L, points): the row and column weight of corner
+      offset 0 and 1, zero where that row or column lies outside the level;
+    * oky, okx (2, R, heads, L, points) bool: whether it lies inside.
+
+    A corner's weight is wy[dy] * wx[dx], which is exactly zero for a
+    clamped read, so the read adds a zero term and changes no sum.
     """
-    h, w = fmap.shape[:2]
-    gx = uvs[:, 0] * w - 0.5
-    gy = uvs[:, 1] * h - 0.5
-    x0 = np.floor(gx).astype(np.int64)
-    y0 = np.floor(gy).astype(np.int64)
+    heads = locs.shape[1]
+    hw = np.array([lev.shape[:2] for lev in levels], dtype=np.int64)
+    h, w = hw[:, :1], hw[:, 1:]  # (L, 1), broadcast over (L, points)
+    gx = locs[..., 0] * w - 0.5
+    gy = locs[..., 1] * h - 0.5
+    x0 = np.floor(gx)
+    y0 = np.floor(gy)
     tx = gx - x0
     ty = gy - y0
-    wys = (1 - ty, ty)
-    wxs = (1 - tx, tx)
-    for dy in (0, 1):
-        for dx in (0, 1):
-            yy = y0 + dy
-            xx = x0 + dx
-            ok = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-            if not np.any(ok):
-                continue
-            index = (yy[ok], xx[ok]) if head_idx is None else (yy[ok], xx[ok], head_idx[ok])
-            yield index, ok, wys[dy], wxs[dx], dy, dx
+    step = np.arange(2).reshape(2, 1, 1, 1, 1)
+    xs = x0.astype(np.int64) + step
+    ys = y0.astype(np.int64) + step
+    okx = (xs >= 0) & (xs < w)
+    oky = (ys >= 0) & (ys < h)
+    wx = np.where(okx, np.stack([1 - tx, tx]), 0.0)
+    wy = np.where(oky, np.stack([1 - ty, ty]), 0.0)
+    xs = np.clip(xs, 0, w - 1)
+    ys = np.clip(ys, 0, h - 1)
+    rows = ys[:, None] * w + xs[None]
+    rows *= heads
+    rows += np.arange(heads)[:, None, None]
+    rows = rows.reshape((4,) + gx.shape)
+    return rows, wy, wx, oky, okx
 
 
-def bilinear_sample_many(fmap: np.ndarray, uvs: np.ndarray, head_idx=None) -> np.ndarray:
-    """Sample a map at P normalized points, zero padding outside.
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-    `fmap` is (h, w, C), or (h, w, heads, d) with `head_idx` a (P,) int array
-    naming the head each point reads.  Points may lie outside [0, 1]^2;
-    out-of-range corners contribute zero.  Returns (P, C) or (P, d).
+# Values per block of query rows (256 KB of float64): the gathers, products
+# and sums of one block stay in the second-level cache.
+_BLOCK = 1 << 15
+
+
+def _row_blocks(locs, d):
+    """Slices over the R axis of `locs` (R, heads, L, points, 2), each
+    covering about _BLOCK values of one level's (R, heads, points, d) read."""
+    r, heads, _, points, _ = locs.shape
+    step = max(1, _BLOCK // (heads * points * d))
+    return [slice(r0, r0 + step) for r0 in range(0, r, step)]
+
+
+def bilinear_sample_many(levels, locs: np.ndarray) -> np.ndarray:
+    """Sample a pyramid of maps at normalized points, zero padding outside.
+
+    `levels` holds L maps (h_l, w_l, heads, d); `locs` is
+    (R, heads, L, points, 2) and point (r, k, l, p) reads head k of level l.
+    Points may lie outside [0, 1]^2; out-of-range corners contribute zero.
+    Returns (R, heads, L, points, d).  Each output is the sum of its four
+    corner terms in corner order, starting from +0.0.
     """
-    uvs = np.asarray(uvs, dtype=np.float64)
-    out = np.zeros((uvs.shape[0], fmap.shape[-1]), dtype=np.float64)
-    for index, ok, wy, wx, _, _ in _corners(fmap, uvs, head_idx):
-        out[ok] += (wy * wx)[ok, None] * fmap[index]
+    locs = np.asarray(locs, dtype=np.float64)
+    d = levels[0].shape[-1]
+    out = np.empty(locs.shape[:-1] + (d,))
+    rows, wy, wx, _, _ = _corner_table(levels, locs)
+    blocks = _row_blocks(locs, d)
+    for l, lev in enumerate(levels):
+        flat = lev.reshape(-1, d)
+        for b in blocks:
+            acc = np.zeros(rows[0, b, :, l].shape + (d,))
+            for k, (dy, dx) in enumerate(_CORNERS):
+                vals = np.take(flat, rows[k, b, :, l], axis=0)
+                vals *= (wy[dy, b, :, l] * wx[dx, b, :, l])[..., None]
+                acc += vals
+            out[b, :, l] = acc
     return out
 
 
-def bilinear_sample_many_backward(
-    fmap: np.ndarray, uvs: np.ndarray, dout: np.ndarray, head_idx=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of `bilinear_sample_many` w.r.t. the map and the points.
+def bilinear_sample_many_backward(levels, locs: np.ndarray, dout: np.ndarray):
+    """Gradients of `bilinear_sample_many` w.r.t. the maps and the points.
 
-    Returns (dmap shaped like fmap, duvs (P, 2)).  The interpolant has kinks
-    on cell boundaries; gradients there follow the floor-based cell choice.
+    `dout` is shaped like the forward's output.  Returns (dlevels, one array
+    per level shaped like it; dlocs shaped like `locs`).  The interpolant has
+    kinks on cell boundaries; gradients there follow the floor-based cell
+    choice.
+
+    Each level's map gradient is one `np.bincount` per channel over that
+    level's corner rows, concatenated in corner order.  `bincount` adds its
+    weights in input order, so every map entry receives its terms in the
+    same order as an unbuffered scatter-add (`ufunc.at`) run corner by
+    corner would.
     """
-    h, w = fmap.shape[:2]
-    uvs = np.asarray(uvs, dtype=np.float64)
-    dmap = np.zeros_like(fmap)
-    dgx = np.zeros(uvs.shape[0], dtype=np.float64)
-    dgy = np.zeros(uvs.shape[0], dtype=np.float64)
-    for index, ok, wy, wx, dy, dx in _corners(fmap, uvs, head_idx):
-        np.add.at(dmap, index, (wy * wx)[ok, None] * dout[ok])
-        contrib = np.einsum("pc,pc->p", fmap[index], dout[ok])
+    locs = np.asarray(locs, dtype=np.float64)
+    rows, wy, wx, oky, okx = _corner_table(levels, locs)
+    wt = (wy[:, None] * wx[None]).reshape(rows.shape)
+    d = dout.shape[-1]
+    contrib = np.empty(rows.shape)
+    dout_t = np.empty((d,) + rows.shape[1:3] + rows.shape[4:])
+    dlevels = []
+    for l, lev in enumerate(levels):
+        flat = lev.reshape(-1, d)
+        for b in _row_blocks(locs, d):
+            # contiguous rows, so the einsum dot product sums in the same
+            # order as on any other contiguous (points, d) read
+            dl = np.ascontiguousarray(dout[b, :, l])
+            for k in range(4):
+                vals = np.take(flat, rows[k, b, :, l], axis=0)
+                contrib[k, b, :, l] = np.einsum("rhpc,rhpc->rhp", vals, dl)
+            dout_t[:, b] = dl.transpose(3, 0, 1, 2)
+        # one bincount per channel, each writing a contiguous row of dflat
+        idx = rows[:, :, :, l].ravel()
+        wl = wt[:, :, :, l].reshape(4, -1)
+        dflat = np.empty((d, flat.shape[0]))
+        for c in range(d):
+            dflat[c] = np.bincount(idx, (wl * dout_t[c].reshape(-1)).ravel(), flat.shape[0])
+        dlevels.append(dflat.T.reshape(lev.shape))
+    dgx = np.zeros(locs.shape[:-1])
+    dgy = np.zeros(locs.shape[:-1])
+    for k, (dy, dx) in enumerate(_CORNERS):
         # d(wy * wx)/dtx = +-wy and d(wy * wx)/dty = +-wx; the sign is exact
-        dgx[ok] += (2 * dx - 1) * wy[ok] * contrib
-        dgy[ok] += (2 * dy - 1) * wx[ok] * contrib
-    duvs = np.stack([dgx * w, dgy * h], axis=1)
-    return dmap, duvs
+        dgx += (2 * dx - 1) * wy[dy] * okx[dx] * contrib[k]
+        dgy += (2 * dy - 1) * wx[dx] * oky[dy] * contrib[k]
+    hw = np.array([lev.shape[:2] for lev in levels], dtype=np.float64)
+    dlocs = np.stack([dgx * hw[:, 1:], dgy * hw[:, :1]], axis=-1)
+    return dlevels, dlocs
 
 
 # ---------------------------------------------------------------------------

@@ -179,8 +179,8 @@ def _rotate_image(img, theta):
     v = (ii.ravel() + 0.5) / h - 0.5
     c, s = np.cos(-theta), np.sin(-theta)
     src = np.stack([c * u - s * v + 0.5, s * u + c * v + 0.5], axis=1)
-    fmap = img.transpose(1, 2, 0)  # (h, w, 3)
-    out = bilinear_sample_many(fmap, src)
+    fmap = img.transpose(1, 2, 0)[:, :, None, :]  # one level, one head
+    out = bilinear_sample_many([fmap], src[:, None, None, None, :])
     return out.reshape(h, w, img.shape[0]).transpose(2, 0, 1)
 
 

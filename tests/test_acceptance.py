@@ -2,7 +2,9 @@
 
 Each test prints a single ``ACCEPTANCE #k`` verdict line (run with ``-s``
 to see them live; pytest shows them for failing tests regardless).  The
-slow criteria share one overfit training run via a module fixture.
+slow criteria share one overfit training run via a module fixture.  Every
+test here carries the ``acceptance`` marker, so ``pytest -m "not
+acceptance"`` runs the rest of the suite in seconds.
 """
 
 import dataclasses
@@ -33,6 +35,8 @@ from facemark.training import (
 from conftest import TINY_SPEC, jitter_params
 from test_attention import _random_instance, _scalar_deform
 from test_metrics import _auc_ref, _fr_ref, _nme_ref
+
+pytestmark = pytest.mark.acceptance
 
 OVERFIT_RECIPE = TrainConfig(
     lr=1e-3, steps=2000, lr_drop_step=1600, batch_size=8, seed=0

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import facemark
 from facemark.cli import main
 from facemark.config import ENV_CONFIG
-from facemark.io import read_landmarks, read_ppm
+from facemark.decoder import TINY, DecoderState
+from facemark.io import read_landmarks, read_ppm, write_ppm
 
 TINY_MODEL = [
     "--set", "model.num_landmarks=5",
@@ -114,6 +120,31 @@ def test_bad_train_schedule_is_a_config_error(tmp_path, capsys):
                    "--out", str(tmp_path / "m.ckpt"), *TINY_MODEL, *override])
         assert rc == 1
         assert key in capsys.readouterr().err
+
+
+def test_checkpoint_disagreeing_with_its_meta_is_a_config_error(tmp_path):
+    # run the real entry point, so an uncaught exception would show as a
+    # traceback on stderr
+    image = tmp_path / "face.ppm"
+    write_ppm(image, np.zeros((3, 32, 32)))
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(facemark.__file__))}
+    env.pop(ENV_CONFIG, None)
+    for key, old, new, named in (("parallel", 0, 1, "layers.0.ln_img.b"),
+                                 ("dim", 16, 32, "landmark_init.w")):
+        ckpt = tmp_path / f"{key}.ckpt"
+        DecoderState.init(TINY).save(ckpt)
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob.replace(f"meta {key} {old}\n".encode(),
+                                      f"meta {key} {new}\n".encode()))
+        proc = subprocess.run(
+            [sys.executable, "-m", "facemark", "predict", "--ckpt", str(ckpt),
+             "--image", str(image), "--out", str(tmp_path / "pred")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert str(ckpt) in proc.stderr and named in proc.stderr
 
 
 def test_bad_override_is_a_config_error(capsys):

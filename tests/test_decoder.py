@@ -11,6 +11,7 @@ from facemark.decoder import (
     backward,
     forward,
     init_params,
+    param_shapes,
 )
 from facemark.errors import ConfigError
 from facemark.geometry import inverse_sigmoid, sigmoid
@@ -277,6 +278,60 @@ def test_state_round_trip(tmp_path, tiny_state, tiny_batch):
 def test_state_meta_collision_rejected(tmp_path, tiny_state):
     with pytest.raises(ConfigError):
         tiny_state.save(tmp_path / "x.ckpt", extra_meta={"dim": "999"})
+
+
+def _edit_meta(path, key, old, new):
+    blob = path.read_bytes()
+    line = f"meta {key} {old}\n".encode()
+    assert line in blob
+    path.write_bytes(blob.replace(line, f"meta {key} {new}\n".encode()))
+
+
+def test_load_rejects_params_missing_for_the_meta_flavor(tmp_path, tiny_state):
+    path = tmp_path / "model.ckpt"
+    tiny_state.save(path)
+    _edit_meta(path, "parallel", 0, 1)
+    with pytest.raises(ConfigError, match="layers.0.ln_img.b missing") as err:
+        DecoderState.load(path)
+    assert str(path) in str(err.value)
+
+
+def test_load_rejects_params_misshapen_for_the_meta_dim(tmp_path, tiny_state):
+    path = tmp_path / "model.ckpt"
+    tiny_state.save(path)
+    _edit_meta(path, "dim", 16, 32)
+    with pytest.raises(ConfigError, match=r"landmark_init\.w has shape \(16, 2\).*expects \(32, 2\)") as err:
+        DecoderState.load(path)
+    assert str(path) in str(err.value)
+
+
+def test_load_rejects_extra_params(tmp_path, tiny_state):
+    path = tmp_path / "model.ckpt"
+    params = {**tiny_state.params, "layers.9.head.b3": np.zeros(2)}
+    DecoderState(tiny_state.config, params).save(path)
+    with pytest.raises(ConfigError, match="layers.9.head.b3 not expected") as err:
+        DecoderState.load(path)
+    assert str(path) in str(err.value)
+
+
+def test_load_names_the_file_when_the_meta_is_invalid(tmp_path, tiny_state):
+    for key, old, new in (("dim", 16, "abc"), ("heads", 2, 3)):
+        path = tmp_path / f"{key}.ckpt"
+        tiny_state.save(path)
+        _edit_meta(path, key, old, new)
+        with pytest.raises(ConfigError) as err:
+            DecoderState.load(path)
+        assert str(path) in str(err.value)
+
+
+def test_param_shapes_match_init_for_every_flavor():
+    for flags in [{}, {"parallel": True}, {"self_attention": False},
+                  {"learned_query_init": False}]:
+        cfg = dataclasses.replace(TINY, **flags)
+        params = init_params(cfg, seed=3)
+        shapes = param_shapes(cfg)
+        assert list(shapes) == list(params)
+        assert all(shapes[k] == params[k].shape for k in params)
 
 
 def test_loaded_state_preserves_flavor(tmp_path, tiny_batch):
