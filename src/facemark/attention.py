@@ -38,10 +38,11 @@ class AttentionConfig:
     points: int  # sampling points per head per level
 
     def __post_init__(self):
+        for name in ("dim", "heads", "levels", "points"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if min(self.heads, self.levels, self.points) < 1:
-            raise ConfigError("heads, levels and points must all be >= 1")
 
     @property
     def head_dim(self) -> int:

@@ -30,6 +30,8 @@ class BackboneConfig:
     def __post_init__(self):
         if len(self.stage_channels) < 1:
             raise ConfigError("backbone needs at least one stage")
+        if min(self.stage_channels) < 1:
+            raise ConfigError(f"stage_channels must all be >= 1, got {self.stage_channels}")
 
     @property
     def num_levels(self) -> int:

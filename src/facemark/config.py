@@ -1,14 +1,19 @@
-"""Run configuration: a small INI schema covering model, training, data,
-and evaluation settings, plus command-line overrides and a content hash
-stamped into every output artifact.
+"""Run configuration: an INI file with [model], [train], [data] and [eval]
+sections, plus command-line overrides and a content hash stamped into
+every output artifact.
 
-Unknown sections or keys are rejected with the valid choices listed, so a
-typo fails loudly instead of silently using a default.
+A key is declared once, as a field of a config dataclass: its name, type
+annotation and default.  The schema, the defaults, the builder and the
+hashed text are derived from those fields at import, and the field's type
+picks its parser (`params.field_parsers`).  Unknown sections or keys are
+rejected with the valid choices listed, so a typo fails loudly instead of
+silently using a default.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 import os
 from dataclasses import dataclass
@@ -16,76 +21,66 @@ from dataclasses import dataclass
 from .decoder import ModelConfig
 from .errors import ConfigError
 from .metrics import NORMALIZERS
+from .params import field_parsers, field_text
 from .training import AugmentConfig, SyntheticFaceSpec, TrainConfig
 
 ENV_CONFIG = "FACEMARK_CONFIG"
 
 
-def _bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
+@dataclass(frozen=True)
+class _ModelKeys:
+    """[model] keys that ModelConfig does not hold."""
+
+    seed: int = 0  # parameter init seed
 
 
-def _csv_int(s: str):
-    s = s.strip()
-    if not s:
-        return None
-    return tuple(int(v) for v in s.split(","))
+@dataclass(frozen=True)
+class _DataKeys:
+    """[data] keys that SyntheticFaceSpec does not hold."""
+
+    count: int = 8
+    seed: int = 7
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ConfigError("data.count must be >= 1")
 
 
-SCHEMA = {
-    "model": {
-        "num_landmarks": int, "dim": int, "heads": int, "levels": int,
-        "points": int, "num_layers": int, "image_side": int,
-        "stage_channels": _csv_int, "parallel": _bool,
-        "self_attention": _bool, "learned_query_init": _bool, "seed": int,
-    },
-    "train": {
-        "lr": float, "lr_backbone_scale": float, "steps": int,
-        "lr_drop_step": int, "batch_size": int, "seed": int,
-        "translate": _bool, "max_shift": int, "flip": _bool,
-        "flip_table": _csv_int, "rotate": _bool, "max_degrees": float,
-        "occlude": _bool, "max_occlusion": float, "blur": _bool,
-    },
-    "data": {
-        "count": int, "seed": int, "scale_jitter": float,
-        "rotation_jitter": float, "translation_jitter": float,
-        "blob_sigma": float, "blob_intensity": float, "noise_level": float,
-        "bbox_enlarge": float,
-    },
-    "eval": {
-        "normalizer": str, "left_eye": int, "right_eye": int,
-    },
+@dataclass(frozen=True)
+class _EvalKeys:
+    normalizer: str = "image_size"
+    left_eye: int = 0
+    right_eye: int = 1
+
+    def __post_init__(self):
+        if self.normalizer not in NORMALIZERS:
+            raise ConfigError(f"unknown normalizer {self.normalizer!r}; "
+                              f"choose from {', '.join(NORMALIZERS)}")
+
+
+# Section -> the dataclasses whose fields are its keys.  A field that holds
+# a dataclass (TrainConfig.augment) has no parser and is no key; the
+# fields of its dataclass are.
+_SECTIONS = {
+    "model": (ModelConfig, _ModelKeys),
+    "train": (TrainConfig, AugmentConfig),
+    "data": (_DataKeys, SyntheticFaceSpec),
+    "eval": (_EvalKeys,),
 }
+# Fields filled from [model]: faces are drawn at the model's size.
+_INHERITED = {SyntheticFaceSpec: ("num_landmarks", "image_side")}
 
-DEFAULTS = {
-    "model": {
-        "num_landmarks": 68, "dim": 256, "heads": 8, "levels": 4,
-        "points": 4, "num_layers": 3, "image_side": 256,
-        "stage_channels": (16, 32, 64, 128), "parallel": False,
-        "self_attention": True, "learned_query_init": True, "seed": 0,
-    },
-    "train": {
-        "lr": 1e-4, "lr_backbone_scale": 0.1, "steps": 2000,
-        "lr_drop_step": 1600, "batch_size": 8, "seed": 0,
-        "translate": False, "max_shift": 3, "flip": False,
-        "flip_table": None, "rotate": False, "max_degrees": 10.0,
-        "occlude": False, "max_occlusion": 0.25, "blur": False,
-    },
-    "data": {
-        "count": 8, "seed": 7, "scale_jitter": 0.08,
-        "rotation_jitter": 12.0, "translation_jitter": 0.06,
-        "blob_sigma": 0.04, "blob_intensity": 0.8, "noise_level": 0.1,
-        "bbox_enlarge": 0.1,
-    },
-    "eval": {
-        "normalizer": "image_size", "left_eye": 0, "right_eye": 1,
-    },
+_SECTION_OF = {cls: s for s, classes in _SECTIONS.items() for cls in classes}
+# dataclass -> {key: parser} over the fields that are keys
+_KEYS = {
+    cls: {k: p for k, p in field_parsers(cls).items() if k not in _INHERITED.get(cls, ())}
+    for cls in _SECTION_OF
 }
+SCHEMA = {s: {k: p for c in classes for k, p in _KEYS[c].items()}
+          for s, classes in _SECTIONS.items()}
+DEFAULTS = {(s, f.name): f.default for s, classes in _SECTIONS.items()
+            for c in classes for f in dataclasses.fields(c) if f.name in _KEYS[c]}
+_HASH_ORDER = sorted(DEFAULTS)
 
 
 @dataclass
@@ -102,31 +97,15 @@ class RunConfig:
     hash: str
 
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return ""
-    if isinstance(v, tuple):
-        return ",".join(str(x) for x in v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def config_hash(values: dict) -> str:
-    canon = "".join(
-        f"{s}.{k} = {_format_value(values[(s, k)])}\n"
-        for s in sorted(SCHEMA)
-        for k in sorted(SCHEMA[s])
-    )
+    canon = "".join(f"{s}.{k} = {field_text(values[(s, k)])}\n" for s, k in _HASH_ORDER)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
 def load_run_config(path: str | None = None, overrides=()) -> RunConfig:
     """Build the effective configuration from defaults, an optional INI
     file (falling back to $FACEMARK_CONFIG), and --set overrides."""
-    values = {(s, k): v for s, d in DEFAULTS.items() for k, v in d.items()}
+    values = dict(DEFAULTS)
     if path is None:
         path = os.environ.get(ENV_CONFIG)
     if path:
@@ -172,70 +151,28 @@ def _apply(values, section, key, raw, origin):
         raise ConfigError(f"bad value for {section}.{key}: {e}") from None
 
 
-def _build(values) -> RunConfig:
-    def v(section, key):
-        return values[(section, key)]
+def _make(cls, values, **given):
+    """An instance of `cls` from its keys' values plus the given fields."""
+    section = _SECTION_OF[cls]
+    return cls(**given, **{k: values[(section, k)] for k in _KEYS[cls]})
 
-    model = ModelConfig(
-        num_landmarks=v("model", "num_landmarks"),
-        dim=v("model", "dim"),
-        heads=v("model", "heads"),
-        levels=v("model", "levels"),
-        points=v("model", "points"),
-        num_layers=v("model", "num_layers"),
-        image_side=v("model", "image_side"),
-        stage_channels=tuple(v("model", "stage_channels")),
-        parallel=v("model", "parallel"),
-        self_attention=v("model", "self_attention"),
-        learned_query_init=v("model", "learned_query_init"),
-    )
-    aug = AugmentConfig(
-        translate=v("train", "translate"),
-        max_shift=v("train", "max_shift"),
-        flip=v("train", "flip"),
-        flip_table=v("train", "flip_table"),
-        rotate=v("train", "rotate"),
-        max_degrees=v("train", "max_degrees"),
-        occlude=v("train", "occlude"),
-        max_occlusion=v("train", "max_occlusion"),
-        blur=v("train", "blur"),
-    )
-    train = TrainConfig(
-        lr=v("train", "lr"),
-        lr_backbone_scale=v("train", "lr_backbone_scale"),
-        steps=v("train", "steps"),
-        lr_drop_step=v("train", "lr_drop_step"),
-        batch_size=v("train", "batch_size"),
-        seed=v("train", "seed"),
-        augment=aug,
-    )
-    spec = SyntheticFaceSpec(
-        num_landmarks=model.num_landmarks,
-        image_side=model.image_side,
-        scale_jitter=v("data", "scale_jitter"),
-        rotation_jitter=v("data", "rotation_jitter"),
-        translation_jitter=v("data", "translation_jitter"),
-        blob_sigma=v("data", "blob_sigma"),
-        blob_intensity=v("data", "blob_intensity"),
-        noise_level=v("data", "noise_level"),
-        bbox_enlarge=v("data", "bbox_enlarge"),
-    )
-    normalizer = v("eval", "normalizer")
-    if normalizer not in NORMALIZERS:
-        raise ConfigError(
-            f"unknown normalizer {normalizer!r}; choose from {', '.join(NORMALIZERS)}"
-        )
-    if v("data", "count") < 1:
-        raise ConfigError("data.count must be >= 1")
+
+def _build(values) -> RunConfig:
+    model = _make(ModelConfig, values)
+    train = _make(TrainConfig, values, augment=_make(AugmentConfig, values))
+    spec = _make(SyntheticFaceSpec, values,
+                 num_landmarks=model.num_landmarks, image_side=model.image_side)
+    ev = _make(_EvalKeys, values)
+    data = _make(_DataKeys, values)
     return RunConfig(
         model=model,
-        model_seed=v("model", "seed"),
+        model_seed=_make(_ModelKeys, values).seed,
         train=train,
-        data_count=v("data", "count"),
-        data_seed=v("data", "seed"),
+        data_count=data.count,
+        data_seed=data.seed,
         face_spec=spec,
-        eval_normalizer=normalizer,
-        eye_indices=(v("eval", "left_eye"), v("eval", "right_eye")),
+        eval_normalizer=ev.normalizer,
+        eye_indices=(ev.left_eye, ev.right_eye),
         values=values,
         hash=config_hash(values),
     )

@@ -12,6 +12,9 @@ same deformable pass and rewrites the memory each layer.  Both branches of
 that pass read the pre-update memory, so queries and memory update
 simultaneously.  The only parameters the parallel flavor adds are the
 per-layer norm over the refreshed memory rows.
+
+`ModelConfig`'s fields are the [model] config keys and, as text read by
+the config file's parsers, a checkpoint's metadata.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ from .geometry import (
     pixel_centers,
     sigmoid,
 )
-from .params import Params, glorot, subdict, accumulate, load_checkpoint, save_checkpoint
+from .params import (Params, accumulate, field_parsers, field_text, glorot,
+                     load_checkpoint, save_checkpoint, subdict)
 
 
 @dataclass(frozen=True)
@@ -103,40 +107,24 @@ class ModelConfig:
         return PyramidLayout.for_image(self.image_side, self.levels)
 
     def to_meta(self) -> dict[str, str]:
-        return {
-            "num_landmarks": str(self.num_landmarks),
-            "dim": str(self.dim),
-            "heads": str(self.heads),
-            "levels": str(self.levels),
-            "points": str(self.points),
-            "num_layers": str(self.num_layers),
-            "image_side": str(self.image_side),
-            "stage_channels": ",".join(str(c) for c in self.stage_channels),
-            "parallel": "1" if self.parallel else "0",
-            "self_attention": "1" if self.self_attention else "0",
-            "learned_query_init": "1" if self.learned_query_init else "0",
-        }
+        """Every field as checkpoint metadata text: bools 1/0, tuples comma-joined."""
+        return {k: field_text(getattr(self, k), bools=("0", "1")) for k in _META_PARSERS}
 
     @classmethod
     def from_meta(cls, meta: dict[str, str]) -> "ModelConfig":
-        try:
-            return cls(
-                num_landmarks=int(meta["num_landmarks"]),
-                dim=int(meta["dim"]),
-                heads=int(meta["heads"]),
-                levels=int(meta["levels"]),
-                points=int(meta["points"]),
-                num_layers=int(meta["num_layers"]),
-                image_side=int(meta["image_side"]),
-                stage_channels=tuple(
-                    int(c) for c in meta["stage_channels"].split(",")
-                ),
-                parallel=meta["parallel"] == "1",
-                self_attention=meta["self_attention"] == "1",
-                learned_query_init=meta["learned_query_init"] == "1",
-            )
-        except KeyError as e:
-            raise ConfigError(f"checkpoint metadata missing {e}") from None
+        """Inverse of `to_meta`; each field is read by its type's text parser."""
+        fields = {}
+        for k, parse in _META_PARSERS.items():
+            if k not in meta:
+                raise ConfigError(f"checkpoint metadata missing {k!r}")
+            try:
+                fields[k] = parse(meta[k])
+            except ValueError as e:
+                raise ConfigError(f"bad checkpoint metadata {k}: {e}") from None
+        return cls(**fields)
+
+
+_META_PARSERS = field_parsers(ModelConfig)
 
 
 TINY = ModelConfig(
@@ -489,7 +477,7 @@ class DecoderState:
         except (ConfigError, ValueError) as e:
             raise ConfigError(f"{path}: {e}") from None
         _check_param_shapes(path, params, param_shapes(config))
-        extra = {k: v for k, v in meta.items() if k not in config.to_meta()}
+        extra = {k: v for k, v in meta.items() if k not in _META_PARSERS}
         return cls(config, params), extra
 
 

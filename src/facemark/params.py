@@ -1,4 +1,5 @@
-"""Flat parameter store keyed by stable path strings, plus checkpoint I/O.
+"""Flat parameter store keyed by stable path strings, plus checkpoint I/O
+and the text parsers that config files and checkpoint metadata share.
 
 Parameters live in a plain dict mapping path -> float64 ndarray.  Gradients
 use a second dict with the same keys; `accumulate` adds into it so a caller
@@ -7,7 +8,10 @@ can own one gradient buffer across a whole batch.
 
 from __future__ import annotations
 
+import dataclasses
 import io
+import math
+import typing
 
 import numpy as np
 
@@ -53,15 +57,6 @@ def zero_grads_like(params: Params) -> Grads:
 def scale_grads(grads: Grads, factor: float) -> None:
     for v in grads.values():
         v *= factor
-
-
-def add_grads(total: Grads, part: Grads) -> Grads:
-    for k, v in part.items():
-        if k in total:
-            total[k] += v
-        else:
-            total[k] = np.array(v, dtype=np.float64)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -144,3 +139,53 @@ def load_checkpoint(path: str) -> tuple[Params, dict[str, str]]:
         params[name] = arr.astype(np.float64)  # writable copy
         offset += n * 8
     return params, meta
+
+
+# ---------------------------------------------------------------------------
+# Dataclass fields as text
+# ---------------------------------------------------------------------------
+# Config files and checkpoint metadata share these; each raises ValueError.
+
+def _bool(s: str) -> bool:
+    low = s.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {s!r}")
+
+
+def _finite(s: str) -> float:
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {s!r}")
+    return v
+
+
+def _ints(s: str) -> tuple[int, ...]:
+    if not s.strip():
+        raise ValueError("empty list")
+    return tuple(int(v) for v in s.split(","))
+
+
+_PARSERS = {
+    int: int, float: _finite, bool: _bool, str: str, tuple[int, ...]: _ints,
+    tuple[int, ...] | None: lambda s: _ints(s) if s.strip() else None,
+}
+
+
+def field_parsers(cls) -> dict[str, typing.Callable[[str], typing.Any]]:
+    """Name -> text parser of each field of dataclass `cls`, picked by its
+    type annotation.  A field that holds a dataclass has none."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: _PARSERS[hints[f.name]] for f in dataclasses.fields(cls)
+            if not dataclasses.is_dataclass(hints[f.name])}
+
+
+def field_text(v, bools=("false", "true")) -> str:
+    """Text that the field's parser reads back as `v`; a bool is bools[v]."""
+    if isinstance(v, bool):
+        return bools[v]
+    if isinstance(v, (tuple, list)):
+        return ",".join(str(x) for x in v)
+    return "" if v is None else str(v)

@@ -10,6 +10,7 @@ optimizer steps (a step over the full batch stands in for an epoch).
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ import numpy as np
 from .decoder import DecoderState, ModelConfig, backward, forward
 from .errors import ConfigError, NumericError
 from .geometry import bilinear_sample_many
-from .params import Params, add_grads, scale_grads, zero_grads_like
+from .params import Params, accumulate, scale_grads, zero_grads_like
 
 Sample = namedtuple("Sample", "image landmarks bbox")
 
@@ -49,13 +50,12 @@ def batch_loss_and_grads(params: Params, cfg: ModelConfig, images, targets):
     """Mean loss and mean parameter gradients over a batch."""
     n = len(images)
     total = 0.0
-    acc = None
+    acc = {}
     for img, tgt in zip(images, targets):
         ys, cache = forward(params, img, cfg)
         li, dys = landmark_loss(ys, tgt)
-        gi = backward(dys, params, cfg, cache)
         total += li
-        acc = gi if acc is None else add_grads(acc, gi)
+        accumulate(acc, "", backward(dys, params, cfg, cache))
     scale_grads(acc, 1.0 / n)
     return total / n, acc
 
@@ -116,6 +116,10 @@ class AugmentConfig:
     max_occlusion: float = 0.25  # fraction of the image side
     blur: bool = False
 
+    def __post_init__(self):
+        if self.max_shift < 0:
+            raise ConfigError(f"train.max_shift must be >= 0, got {self.max_shift}")
+
     def any_enabled(self) -> bool:
         return self.translate or self.flip or self.rotate or self.occlude or self.blur
 
@@ -130,6 +134,8 @@ def augment(image, landmarks, rng, cfg: AugmentConfig):
     img = np.array(image)
     side = img.shape[1]
     if cfg.translate:
+        if cfg.max_shift > side:
+            raise ConfigError(f"train.max_shift {cfg.max_shift} exceeds the image side {side}")
         dx, dy = rng.integers(-cfg.max_shift, cfg.max_shift + 1, 2)
         img = _shift_image(img, int(dx), int(dy))
         lm = lm + np.array([dx / side, dy / side])
@@ -310,8 +316,11 @@ class TrainConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigError("learning rate must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"train.lr must be finite and >= 0, got {self.lr}")
+        scale = self.lr_backbone_scale
+        if not (math.isfinite(scale) and scale >= 0):
+            raise ConfigError(f"train.lr_backbone_scale must be finite and >= 0, got {scale}")
         if self.steps < 1:
             raise ConfigError(f"train.steps must be >= 1, got {self.steps}")
         if self.lr_drop_step < 0:

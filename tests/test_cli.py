@@ -40,6 +40,19 @@ MICRO_MODEL = [
 
 SHORT_TRAIN = ["--set", "train.steps=3", "--set", "train.lr_drop_step=0"]
 
+TINY_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "configs", "tiny.cfg")
+
+
+def _run_facemark(*args):
+    """Run the real entry point in a subprocess, so an uncaught exception
+    shows as a traceback on stderr."""
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(facemark.__file__))}
+    env.pop(ENV_CONFIG, None)
+    return subprocess.run([sys.executable, "-m", "facemark", *args],
+                          capture_output=True, text=True, env=env)
+
 
 @pytest.fixture(autouse=True)
 def _isolate_env(monkeypatch):
@@ -123,13 +136,8 @@ def test_bad_train_schedule_is_a_config_error(tmp_path, capsys):
 
 
 def test_checkpoint_disagreeing_with_its_meta_is_a_config_error(tmp_path):
-    # run the real entry point, so an uncaught exception would show as a
-    # traceback on stderr
     image = tmp_path / "face.ppm"
     write_ppm(image, np.zeros((3, 32, 32)))
-    env = {**os.environ,
-           "PYTHONPATH": os.path.dirname(os.path.dirname(facemark.__file__))}
-    env.pop(ENV_CONFIG, None)
     for key, old, new, named in (("parallel", 0, 1, "layers.0.ln_img.b"),
                                  ("dim", 16, 32, "landmark_init.w")):
         ckpt = tmp_path / f"{key}.ckpt"
@@ -137,14 +145,40 @@ def test_checkpoint_disagreeing_with_its_meta_is_a_config_error(tmp_path):
         blob = ckpt.read_bytes()
         ckpt.write_bytes(blob.replace(f"meta {key} {old}\n".encode(),
                                       f"meta {key} {new}\n".encode()))
-        proc = subprocess.run(
-            [sys.executable, "-m", "facemark", "predict", "--ckpt", str(ckpt),
-             "--image", str(image), "--out", str(tmp_path / "pred")],
-            capture_output=True, text=True, env=env,
-        )
+        proc = _run_facemark("predict", "--ckpt", str(ckpt), "--image", str(image),
+                             "--out", str(tmp_path / "pred"))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert str(ckpt) in proc.stderr and named in proc.stderr
+
+
+@pytest.mark.parametrize("override, named", [
+    ("model.heads=0", "heads"),
+    ("model.dim=0", "dim"),
+    ("model.dim=-16", "dim"),
+    ("model.stage_channels=8,0", "stage_channels"),
+    ("model.stage_channels=", "model.stage_channels"),
+])
+def test_bad_model_shape_is_a_config_error(override, named):
+    proc = _run_facemark("params", "--config", TINY_CFG, "--set", override)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert named in proc.stderr
+
+
+def test_bad_learning_rate_writes_no_checkpoint(tmp_path, capsys):
+    data = str(tmp_path / "ds")
+    assert main(["gen-data", "--out", data, "--config", TINY_CFG, "--set", "data.count=1"]) == 0
+    ckpt = tmp_path / "m.ckpt"
+    for override, key in (("train.lr=nan", "train.lr"),
+                          ("train.lr_backbone_scale=-5", "train.lr_backbone_scale")):
+        capsys.readouterr()
+        rc = main(["train", "--data", data, "--out", str(ckpt), "--config", TINY_CFG,
+                   "--set", "train.steps=1", "--set", "train.lr_drop_step=1",
+                   "--set", override])
+        assert rc == 1
+        assert key in capsys.readouterr().err
+        assert not ckpt.exists()
 
 
 def test_bad_override_is_a_config_error(capsys):

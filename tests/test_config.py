@@ -1,9 +1,13 @@
+import dataclasses
 import os
+import re
 
 import pytest
 
-from facemark.config import ENV_CONFIG, config_hash, load_run_config
+from facemark.config import DEFAULTS, ENV_CONFIG, SCHEMA, config_hash, load_run_config
+from facemark.decoder import ModelConfig
 from facemark.errors import ConfigError
+from facemark.training import AugmentConfig, SyntheticFaceSpec, TrainConfig
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -69,8 +73,10 @@ def test_unknown_section_rejected(tmp_path):
 
 
 def test_bad_value_and_bad_override_shape():
-    with pytest.raises(ConfigError, match="bad value"):
-        load_run_config(overrides=("model.dim=huge",))
+    for bad in ("model.dim=huge", "train.lr=nan", "data.blob_sigma=-inf",
+                "model.stage_channels=", "model.parallel=2"):
+        with pytest.raises(ConfigError, match=f"bad value for {bad.split('=')[0]}"):
+            load_run_config(overrides=(bad,))
     with pytest.raises(ConfigError, match="section.key=value"):
         load_run_config(overrides=("dim=16",))
 
@@ -111,3 +117,53 @@ def test_repo_configs_parse():
     assert tiny.model.dim == 16
     big = load_run_config(os.path.join(REPO, "configs", "default.cfg"))
     assert big.model.dim == 256
+
+
+def test_hashes_are_pinned():
+    # artifacts and checkpoints carry these; a change here breaks comparisons
+    # with every earlier run
+    def cfg(name):
+        return os.path.join(REPO, "configs", name)
+
+    assert load_run_config().hash == "2b93d6c108a3"
+    assert load_run_config(cfg("tiny.cfg")).hash == "1ef0982f9df7"
+    assert load_run_config(cfg("default.cfg")).hash == "9becb85db7d8"
+    parallel_64 = ("model.parallel=true", "model.image_side=64", "train.batch_size=4",
+                   "train.translate=true", "train.rotate=true", "train.occlude=true",
+                   "train.blur=true")
+    assert load_run_config(cfg("default.cfg"), parallel_64).hash == "dfe4ce4c82ca"
+
+
+def test_keys_and_defaults_derive_from_the_dataclasses():
+    assert set(SCHEMA["model"]) == {f.name for f in dataclasses.fields(ModelConfig)} | {"seed"}
+    assert {(s, k) for s in SCHEMA for k in SCHEMA[s]} == set(DEFAULTS)
+    assert len(DEFAULTS) == 39
+    sections = {ModelConfig: "model", TrainConfig: "train", AugmentConfig: "train",
+                SyntheticFaceSpec: "data"}
+    for cls, section in sections.items():
+        for f in dataclasses.fields(cls):
+            if (section, f.name) in DEFAULTS:
+                assert DEFAULTS[(section, f.name)] == f.default, f.name
+    assert [f.name for f in dataclasses.fields(SyntheticFaceSpec)
+            if ("data", f.name) not in DEFAULTS] == ["num_landmarks", "image_side"]
+
+
+def _readme_tables():
+    """(section, key) -> default text from the README's configuration tables."""
+    with open(os.path.join(REPO, "README.md")) as fh:
+        text = fh.read()
+    text = text[text.index("## Configuration"):]
+    text = text[:text.index("\n## ", 1)]
+    listed = {}
+    for section, body in re.findall(r"### `\[(\w+)\]`\n(.*?)(?=\n###|\Z)", text, re.S):
+        for key, default in re.findall(r"^\| `(\w+)` \| [^|]+ \| ([^|]+) \|", body, re.M):
+            listed[(section, key)] = default.strip()
+    return listed
+
+
+def test_readme_tables_match_the_schema():
+    listed = _readme_tables()
+    assert set(listed) == set(DEFAULTS)
+    for (section, key), text in listed.items():
+        value = None if text == "(none)" else SCHEMA[section][key](text)
+        assert value == DEFAULTS[(section, key)], f"{section}.{key}"

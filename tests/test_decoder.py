@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import numpy.testing as npt
@@ -40,10 +41,20 @@ def test_config_rejects_bad_head_split():
 
 
 def test_config_meta_round_trip():
-    for cfg in (TINY, dataclasses.replace(TINY, parallel=True),
-                dataclasses.replace(TINY, self_attention=False,
-                                    learned_query_init=False)):
+    for parallel, self_attention, learned_query_init in itertools.product((False, True), repeat=3):
+        cfg = dataclasses.replace(TINY, parallel=parallel, self_attention=self_attention,
+                                  learned_query_init=learned_query_init)
         assert ModelConfig.from_meta(cfg.to_meta()) == cfg
+
+
+def test_config_meta_text_is_pinned():
+    # checkpoints written by earlier versions store exactly this text
+    assert TINY.to_meta() == {
+        "num_landmarks": "5", "dim": "16", "heads": "2", "levels": "2",
+        "points": "2", "num_layers": "2", "image_side": "32",
+        "stage_channels": "8,16", "parallel": "0", "self_attention": "1",
+        "learned_query_init": "1",
+    }
 
 
 def test_config_meta_missing_key():
@@ -315,13 +326,14 @@ def test_load_rejects_extra_params(tmp_path, tiny_state):
 
 
 def test_load_names_the_file_when_the_meta_is_invalid(tmp_path, tiny_state):
-    for key, old, new in (("dim", 16, "abc"), ("heads", 2, 3)):
+    # a bool reads as the config file reads it, so `parallel 2` is no basic model
+    for key, old, new in (("dim", 16, "abc"), ("heads", 2, 3), ("parallel", 0, 2)):
         path = tmp_path / f"{key}.ckpt"
         tiny_state.save(path)
         _edit_meta(path, key, old, new)
         with pytest.raises(ConfigError) as err:
             DecoderState.load(path)
-        assert str(path) in str(err.value)
+        assert str(path) in str(err.value) and key in str(err.value)
 
 
 def test_param_shapes_match_init_for_every_flavor():

@@ -5,7 +5,6 @@ import pytest
 from facemark.errors import ConfigError
 from facemark.params import (
     accumulate,
-    add_grads,
     count_parameters,
     glorot,
     load_checkpoint,
@@ -44,10 +43,16 @@ def test_grad_buffer_helpers():
     p = {"w": np.ones((2, 2)), "b": np.ones(3)}
     z = zero_grads_like(p)
     assert all((v == 0).all() for v in z.values())
-    total = add_grads(z, {"w": np.full((2, 2), 2.0), "b": np.ones(3)})
-    assert total is z
-    scale_grads(total, 0.5)
-    npt.assert_array_equal(total["w"], np.ones((2, 2)))
+    accumulate(z, "", {"w": np.full((2, 2), 2.0), "b": np.ones(3)})
+    scale_grads(z, 0.5)
+    npt.assert_array_equal(z["w"], np.ones((2, 2)))
+    # an empty buffer takes a copy of the first part
+    part = {"w": np.full((2, 2), 2.0)}
+    total = {}
+    accumulate(total, "", part)
+    accumulate(total, "", part)
+    npt.assert_array_equal(total["w"], np.full((2, 2), 4.0))
+    npt.assert_array_equal(part["w"], np.full((2, 2), 2.0))
 
 
 def test_count_parameters_hand_case():

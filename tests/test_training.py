@@ -129,6 +129,11 @@ def test_train_config_validation():
         TrainConfig(steps=0, lr_drop_step=0)
     with pytest.raises(ConfigError, match="train.lr_drop_step"):
         TrainConfig(lr_drop_step=-1)
+    for bad in (float("nan"), float("inf"), -1e-9):
+        with pytest.raises(ConfigError, match="train.lr "):
+            TrainConfig(lr=bad)
+        with pytest.raises(ConfigError, match="train.lr_backbone_scale"):
+            TrainConfig(lr_backbone_scale=bad)
 
 
 def test_train_rejects_empty_dataset(tiny_state):
@@ -231,6 +236,19 @@ def test_translate_keeps_blob_under_label():
         npt.assert_allclose(shift_px, np.round(shift_px), atol=1e-12)
         want = _peak(img) + shift_px
         npt.assert_allclose(_peak(out), want, atol=0.5)
+
+
+def test_negative_max_shift_rejected():
+    with pytest.raises(ConfigError, match="train.max_shift"):
+        AugmentConfig(translate=True, max_shift=-1)
+
+
+def test_max_shift_past_the_image_side_rejected():
+    img, lm = _one_blob(side=32)
+    # a shift of the whole side is the largest the image can take
+    augment(img, lm, np.random.default_rng(0), AugmentConfig(translate=True, max_shift=32))
+    with pytest.raises(ConfigError, match="train.max_shift"):
+        augment(img, lm, np.random.default_rng(0), AugmentConfig(translate=True, max_shift=100))
 
 
 def test_flip_mirrors_labels_exactly():
