@@ -8,9 +8,11 @@ re-prefix them into the flat model gradient buffer.
 
 Shapes: queries are (N, C); the memory is (M, C) with a PyramidLayout; the
 value tensor of level l is viewed as (h_l, w_l, heads, head_dim).  The
-deformable read and its scatter-back are `geometry.bilinear_sample_many` and
-its backward, each called once per pass with the list of value levels; this
-module keeps the attention-weight contractions around them.
+deformable core (bilinear reads weighted by the softmaxed attention weights,
+summed per head) is the fused `geometry.bilinear_sample_many` and its
+backward, each called once per pass with the list of value levels;
+`deform_core_fwd`/`_bwd` only reshape around them, and the core's cache
+holds the kernel's corner table rather than any per-point read.
 """
 
 from __future__ import annotations
@@ -252,7 +254,7 @@ def sampling_fields_bwd(doffsets, dweights, cache: FieldCache):
     return dx_o + dx_w, dparams
 
 
-CoreCache = namedtuple("CoreCache", "value_levels locs weights sampled")
+CoreCache = namedtuple("CoreCache", "value_levels locs weights table")
 
 
 def deform_core_fwd(value_levels, locs, weights):
@@ -263,19 +265,15 @@ def deform_core_fwd(value_levels, locs, weights):
     weights:      (R, heads, levels, points), already softmaxed
     Returns (R, heads * head_dim).
     """
-    sampled = bilinear_sample_many(value_levels, locs)
-    out = np.einsum("rhlp,rhlpd->rhd", weights, sampled)
-    return out.reshape(locs.shape[0], -1), CoreCache(value_levels, locs, weights, sampled)
+    out, table = bilinear_sample_many(value_levels, locs, weights)
+    return out.reshape(locs.shape[0], -1), CoreCache(value_levels, locs, weights, table)
 
 
 def deform_core_bwd(dout, cache: CoreCache):
-    value_levels, locs, weights, sampled = cache
-    r, heads = locs.shape[:2]
-    dout_h = dout.reshape(r, heads, -1)
-    dweights = np.einsum("rhd,rhlpd->rhlp", dout_h, sampled)
-    dsampled = np.einsum("rhlp,rhd->rhlpd", weights, dout_h)
-    dlevels, dlocs = bilinear_sample_many_backward(value_levels, locs, dsampled)
-    return dlevels, dlocs, dweights
+    r, heads = cache.locs.shape[:2]
+    return bilinear_sample_many_backward(
+        cache.value_levels, cache.weights, cache.table, dout.reshape(r, heads, -1)
+    )
 
 
 DeformCache = namedtuple("DeformCache", "fields core cout nrows")

@@ -160,6 +160,8 @@ def _make(cls, values, **given):
 def _build(values) -> RunConfig:
     model = _make(ModelConfig, values)
     train = _make(TrainConfig, values, augment=_make(AugmentConfig, values))
+    if train.augment.flip:
+        train.augment.flip_permutation(model.num_landmarks)
     spec = _make(SyntheticFaceSpec, values,
                  num_landmarks=model.num_landmarks, image_side=model.image_side)
     ev = _make(_EvalKeys, values)

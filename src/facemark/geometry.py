@@ -3,13 +3,16 @@
 `bilinear_sample_many` and its backward are the package's only bilinear
 gather/scatter kernel: rotation augmentation and multi-scale deformable
 attention both read through them.  They take a list of (h, w, heads, d)
-levels and (R, heads, levels, points, 2) locations, so one call covers a
-whole deformable pass.  A corner table built once per call gives every
-corner its row and weight; out-of-bounds corners read a clamped row with
+levels, (R, heads, levels, points, 2) locations and (R, heads, levels,
+points) point weights, so one call covers a whole deformable pass.  The
+kernel is fused: it returns the weighted sum (R, heads, d) and never
+stores a per-point read.  The forward builds a corner table that gives
+every corner its row and weight, and the backward takes that table back
+instead of rebuilding it.  Out-of-bounds corners read a clamped row with
 weight zero instead of being masked out, and the backward scatters with
-one `np.bincount` per channel in corner order.  Both keep the summation
-order of a masked kernel with a corner-by-corner scatter-add, so their
-bits match it.
+one `np.bincount` per channel in corner order.  With one point of weight
+1 per row (rotation), both keep the summation order of a masked kernel
+with a corner-by-corner scatter-add, so their bits match it.
 
 Conventions used by every module in this package:
 
@@ -27,6 +30,7 @@ immutable inputs.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,11 +148,14 @@ def level_of_row(layout: PyramidLayout) -> np.ndarray:
 # Bilinear sampling
 # ---------------------------------------------------------------------------
 
+CornerTable = namedtuple("CornerTable", "rows wy wx oky okx")
+
+
 def _corner_table(levels, locs):
     """Row, axis weights and in-bounds flags of every bilinear corner read.
 
     `locs` is (R, heads, L, points, 2); point (r, k, l, p) reads head k of
-    level l.  Returns, for all levels in one step:
+    level l.  Returns, for all levels in one step, a CornerTable of
 
     * rows (4, R, heads, L, points) int64: corner (dy, dx) at index
       2 * dy + dx, as a row of its level's (h * w * heads, d) view, clamped
@@ -182,7 +189,7 @@ def _corner_table(levels, locs):
     rows *= heads
     rows += np.arange(heads)[:, None, None]
     rows = rows.reshape((4,) + gx.shape)
-    return rows, wy, wx, oky, okx
+    return CornerTable(rows, wy, wx, oky, okx)
 
 
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -192,87 +199,108 @@ _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _BLOCK = 1 << 15
 
 
-def _row_blocks(locs, d):
-    """Slices over the R axis of `locs` (R, heads, L, points, 2), each
+def _row_blocks(shape, d):
+    """Slices over the R axis of a (R, heads, L, points) point grid, each
     covering about _BLOCK values of one level's (R, heads, points, d) read."""
-    r, heads, _, points, _ = locs.shape
+    r, heads, _, points = shape
     step = max(1, _BLOCK // (heads * points * d))
     return [slice(r0, r0 + step) for r0 in range(0, r, step)]
 
 
-def bilinear_sample_many(levels, locs: np.ndarray) -> np.ndarray:
-    """Sample a pyramid of maps at normalized points, zero padding outside.
+def _corner_weights(table, weights):
+    """Bilinear weight wy * wx of every corner, (4, R, heads, L, points), and
+    the same times the point's weight: one product per corner and point."""
+    wt = (table.wy[:, None] * table.wx[None]).reshape(table.rows.shape)
+    return wt, wt * weights
+
+
+def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray):
+    """Weighted sum of bilinear reads from a pyramid of maps, zero padding
+    outside.
 
     `levels` holds L maps (h_l, w_l, heads, d); `locs` is
-    (R, heads, L, points, 2) and point (r, k, l, p) reads head k of level l.
-    Points may lie outside [0, 1]^2; out-of-range corners contribute zero.
-    Returns (R, heads, L, points, d).  Each output is the sum of its four
-    corner terms in corner order, starting from +0.0.
+    (R, heads, L, points, 2) and point (r, k, l, p) reads head k of level
+    l; `weights` (R, heads, L, points) scales each point's read.  Points may
+    lie outside [0, 1]^2; out-of-range corners contribute zero.  Returns
+    (out, table): out (R, heads, d) is the sum over levels, points and
+    corners of corner weight * point weight * corner row, starting from
+    +0.0 and adding corners in corner order; table is the corner table the
+    backward takes.  No per-point read is kept.
     """
     locs = np.asarray(locs, dtype=np.float64)
     d = levels[0].shape[-1]
-    out = np.empty(locs.shape[:-1] + (d,))
-    rows, wy, wx, _, _ = _corner_table(levels, locs)
-    blocks = _row_blocks(locs, d)
+    table = _corner_table(levels, locs)
+    _, cw = _corner_weights(table, weights)
+    out = np.zeros(locs.shape[:2] + (d,))
+    blocks = _row_blocks(weights.shape, d)
     for l, lev in enumerate(levels):
         flat = lev.reshape(-1, d)
         for b in blocks:
-            acc = np.zeros(rows[0, b, :, l].shape + (d,))
-            for k, (dy, dx) in enumerate(_CORNERS):
-                vals = np.take(flat, rows[k, b, :, l], axis=0)
-                vals *= (wy[dy, b, :, l] * wx[dx, b, :, l])[..., None]
-                acc += vals
-            out[b, :, l] = acc
-    return out
+            for k in range(4):
+                vals = np.take(flat, table.rows[k, b, :, l], axis=0)
+                out[b] += np.einsum("rhpc,rhp->rhc", vals, cw[k, b, :, l])
+    return out, table
 
 
-def bilinear_sample_many_backward(levels, locs: np.ndarray, dout: np.ndarray):
-    """Gradients of `bilinear_sample_many` w.r.t. the maps and the points.
+def bilinear_sample_many_backward(levels, weights, table: CornerTable, dout):
+    """Gradients of `bilinear_sample_many` w.r.t. the maps, the points and
+    the point weights.
 
-    `dout` is shaped like the forward's output.  Returns (dlevels, one array
-    per level shaped like it; dlocs shaped like `locs`).  The interpolant has
-    kinks on cell boundaries; gradients there follow the floor-based cell
-    choice.
+    `weights` and `table` are the forward's weights and returned corner
+    table; `dout` is (R, heads, d), shaped like the forward's output.
+    Returns (dlevels, one array per level shaped like it; dlocs
+    (R, heads, L, points, 2); dweights shaped like `weights`).  The
+    interpolant has kinks on cell boundaries; gradients there follow the
+    floor-based cell choice.
 
+    One gather per corner gives that corner's row dotted with the point's
+    upstream gradient, from which both dweights (summed over corners with
+    the corner weights) and dlocs (scaled by the point weight) follow.
     Each level's map gradient is one `np.bincount` per channel over that
-    level's corner rows, concatenated in corner order.  `bincount` adds its
-    weights in input order, so every map entry receives its terms in the
-    same order as an unbuffered scatter-add (`ufunc.at`) run corner by
-    corner would.
+    level's corner rows, concatenated in corner order, with weights
+    corner weight * point weight * dout[c].  `bincount` adds its weights in
+    input order, so every map entry receives its terms in the same order as
+    an unbuffered scatter-add (`ufunc.at`) run corner by corner would.
     """
-    locs = np.asarray(locs, dtype=np.float64)
-    rows, wy, wx, oky, okx = _corner_table(levels, locs)
-    wt = (wy[:, None] * wx[None]).reshape(rows.shape)
+    rows, wy, wx, oky, okx = table
+    wt, cw = _corner_weights(table, weights)
     d = dout.shape[-1]
-    contrib = np.empty(rows.shape)
-    dout_t = np.empty((d,) + rows.shape[1:3] + rows.shape[4:])
+    dout = np.ascontiguousarray(dout)
+    dout_t = np.ascontiguousarray(dout.transpose(2, 0, 1)).reshape(d, -1)
+    contrib = np.empty(rows.shape)  # v . dout of every corner read
+    blocks = _row_blocks(weights.shape, d)
     dlevels = []
     for l, lev in enumerate(levels):
         flat = lev.reshape(-1, d)
-        for b in _row_blocks(locs, d):
-            # contiguous rows, so the einsum dot product sums in the same
-            # order as on any other contiguous (points, d) read
-            dl = np.ascontiguousarray(dout[b, :, l])
+        for b in blocks:
             for k in range(4):
                 vals = np.take(flat, rows[k, b, :, l], axis=0)
-                contrib[k, b, :, l] = np.einsum("rhpc,rhpc->rhp", vals, dl)
-            dout_t[:, b] = dl.transpose(3, 0, 1, 2)
-        # one bincount per channel, each writing a contiguous row of dflat
-        idx = rows[:, :, :, l].ravel()
-        wl = wt[:, :, :, l].reshape(4, -1)
+                # both operands have contiguous channel rows, so the dot
+                # product sums in the same order as on one (points, d) read
+                contrib[k, b, :, l] = np.einsum("rhpc,rhc->rhp", vals, dout[b])
+        # corners in (corner, point, row, head) order, so that each channel's
+        # bincount weights are a contiguous product with dout_t[c]
+        idx = rows[:, :, :, l].transpose(0, 3, 1, 2).ravel()
+        cl = np.ascontiguousarray(cw[:, :, :, l].transpose(0, 3, 1, 2))
+        cl = cl.reshape(4, -1, dout_t.shape[1])
         dflat = np.empty((d, flat.shape[0]))
         for c in range(d):
-            dflat[c] = np.bincount(idx, (wl * dout_t[c].reshape(-1)).ravel(), flat.shape[0])
+            # one bincount per channel, each writing a contiguous row of dflat
+            dflat[c] = np.bincount(idx, (cl * dout_t[c]).ravel(), flat.shape[0])
         dlevels.append(dflat.T.reshape(lev.shape))
-    dgx = np.zeros(locs.shape[:-1])
-    dgy = np.zeros(locs.shape[:-1])
+    dweights = np.zeros(weights.shape)
+    for k in range(4):
+        dweights += wt[k] * contrib[k]
+    contrib *= weights  # now point weight * v . dout, the dlocs terms
+    dgx = np.zeros(weights.shape)
+    dgy = np.zeros(weights.shape)
     for k, (dy, dx) in enumerate(_CORNERS):
         # d(wy * wx)/dtx = +-wy and d(wy * wx)/dty = +-wx; the sign is exact
         dgx += (2 * dx - 1) * wy[dy] * okx[dx] * contrib[k]
         dgy += (2 * dy - 1) * wx[dx] * oky[dy] * contrib[k]
     hw = np.array([lev.shape[:2] for lev in levels], dtype=np.float64)
     dlocs = np.stack([dgx * hw[:, 1:], dgy * hw[:, :1]], axis=-1)
-    return dlevels, dlocs
+    return dlevels, dlocs, dweights
 
 
 # ---------------------------------------------------------------------------

@@ -119,9 +119,22 @@ class AugmentConfig:
     def __post_init__(self):
         if self.max_shift < 0:
             raise ConfigError(f"train.max_shift must be >= 0, got {self.max_shift}")
+        if not 0.0 <= self.max_degrees <= 180.0:
+            raise ConfigError(f"train.max_degrees must lie in [0, 180], got {self.max_degrees}")
 
     def any_enabled(self) -> bool:
         return self.translate or self.flip or self.rotate or self.occlude or self.blur
+
+    def flip_permutation(self, num_landmarks: int):
+        """The flip table as an index array; it must permute the landmarks."""
+        if self.flip_table is None:
+            raise ConfigError("train.flip is on but train.flip_table is not set")
+        if sorted(self.flip_table) != list(range(num_landmarks)):
+            raise ConfigError(
+                f"train.flip_table must be a permutation of 0..{num_landmarks - 1}, "
+                f"got {','.join(map(str, self.flip_table))}"
+            )
+        return np.asarray(self.flip_table)
 
 
 def augment(image, landmarks, rng, cfg: AugmentConfig):
@@ -140,11 +153,7 @@ def augment(image, landmarks, rng, cfg: AugmentConfig):
         img = _shift_image(img, int(dx), int(dy))
         lm = lm + np.array([dx / side, dy / side])
     if cfg.flip:
-        if cfg.flip_table is None:
-            raise ConfigError("horizontal flip enabled without a flip table")
-        table = np.asarray(cfg.flip_table)
-        if sorted(table.tolist()) != list(range(lm.shape[0])):
-            raise ConfigError("flip table is not a permutation of the landmarks")
+        table = cfg.flip_permutation(lm.shape[0])
         img = img[:, :, ::-1].copy()
         lm = np.stack([1.0 - lm[:, 0], lm[:, 1]], axis=1)[table]
     if cfg.rotate:
@@ -186,7 +195,8 @@ def _rotate_image(img, theta):
     c, s = np.cos(-theta), np.sin(-theta)
     src = np.stack([c * u - s * v + 0.5, s * u + c * v + 0.5], axis=1)
     fmap = img.transpose(1, 2, 0)[:, :, None, :]  # one level, one head
-    out = bilinear_sample_many([fmap], src[:, None, None, None, :])
+    locs = src[:, None, None, None, :]  # one point of weight 1 per pixel
+    out, _ = bilinear_sample_many([fmap], locs, np.ones(locs.shape[:-1]))
     return out.reshape(h, w, img.shape[0]).transpose(2, 0, 1)
 
 
@@ -222,6 +232,10 @@ class SyntheticFaceSpec:
             raise ConfigError("need at least one landmark")
         if self.image_side < 4:
             raise ConfigError("image side too small")
+        if not self.blob_sigma > 0.0:
+            raise ConfigError(f"data.blob_sigma must be > 0, got {self.blob_sigma}")
+        if not self.noise_level >= 0.0:
+            raise ConfigError(f"data.noise_level must be >= 0, got {self.noise_level}")
 
 
 def canonical_layout(n: int):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -311,6 +312,44 @@ def test_deform_core_backward_matches_fd():
              ("locs", locs), ("weights", weights)]
     analytic = [dlevels[0], dlevels[1], dlocs, dweights]
     _fd_check(names, analytic, loss)
+
+
+def _arrays(obj):
+    """Every numpy array inside nested tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+
+
+def test_deform_core_keeps_no_per_point_samples():
+    # default width at 64 px, parallel decoder: 340 memory rows + 68 queries
+    rng = np.random.default_rng(10)
+    heads, d, n_levels, n_points, r = 8, 32, 4, 4, 408
+    layout = PyramidLayout.for_image(64, n_levels)
+    value_levels = [rng.normal(size=(h, w, heads, d)) for h, w, _ in layout.levels]
+    locs = rng.uniform(-0.1, 1.1, (r, heads, n_levels, n_points, 2))
+    weights = rng.dirichlet(np.ones(n_levels * n_points), (r, heads)).reshape(
+        r, heads, n_levels, n_points
+    )
+    dout = rng.normal(size=(r, heads * d))
+    per_point = r * heads * n_levels * n_points * d
+    tracemalloc.start()
+    try:
+        _, cache = deform_core_fwd(value_levels, locs, weights)
+        _, fwd_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        live, _ = tracemalloc.get_traced_memory()
+        deform_core_bwd(dout, cache)
+        _, bwd_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not [a.shape for a in _arrays(cache) if a.size == per_point]
+    # an array of per_point float64 values, cached or temporary, would
+    # alone lift either pass's peak past this
+    assert fwd_peak < per_point * 8
+    assert bwd_peak - live < per_point * 8
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,19 @@ def test_bad_learning_rate_writes_no_checkpoint(tmp_path, capsys):
         assert not ckpt.exists()
 
 
+def test_huge_max_degrees_is_a_config_error(tmp_path):
+    data = str(tmp_path / "ds")
+    assert main(["gen-data", "--out", data, "--config", TINY_CFG, "--set", "data.count=1"]) == 0
+    ckpt = tmp_path / "m.ckpt"
+    proc = _run_facemark("train", "--data", data, "--out", str(ckpt), "--config", TINY_CFG,
+                         "--set", "train.steps=1", "--set", "train.lr_drop_step=1",
+                         "--set", "train.rotate=true", "--set", "train.max_degrees=1e308")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "train.max_degrees" in proc.stderr
+    assert not ckpt.exists()
+
+
 def test_bad_override_is_a_config_error(capsys):
     rc = main(["params", "--set", "model.dim=big"])
     assert rc == 1

@@ -81,6 +81,29 @@ def test_bad_value_and_bad_override_shape():
         load_run_config(overrides=("dim=16",))
 
 
+@pytest.mark.parametrize("override, key", [
+    ("data.blob_sigma=0", "data.blob_sigma"),
+    ("data.noise_level=-3", "data.noise_level"),
+])
+def test_face_spec_values_checked_at_load(override, key):
+    with pytest.raises(ConfigError, match=key):
+        load_run_config(overrides=(override,))
+
+
+def test_flip_without_table_rejected_at_load():
+    with pytest.raises(ConfigError, match="train.flip_table"):
+        load_run_config(overrides=("train.flip=true",))
+
+
+def test_flip_table_not_a_permutation_rejected_at_load():
+    base = ("model.num_landmarks=5", "train.flip=true")
+    for table in ("0,0,1,2,3", "1,0,2", "1,0,2,3,4,5"):
+        with pytest.raises(ConfigError, match="train.flip_table"):
+            load_run_config(overrides=base + (f"train.flip_table={table}",))
+    rc = load_run_config(overrides=base + ("train.flip_table=1,0,2,4,3",))
+    assert rc.train.augment.flip_table == (1, 0, 2, 4, 3)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError, match="config not found"):
         load_run_config(str(tmp_path / "gone.cfg"))

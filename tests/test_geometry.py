@@ -125,13 +125,22 @@ def _as_locs(uvs):
     return np.reshape(uvs, (-1, 1, 1, 1, 2))
 
 
+def _unit_weights(locs):
+    return np.ones(np.shape(locs)[:-1])
+
+
 def _sample(fmap, uvs):
-    return bilinear_sample_many(_one_level(fmap), _as_locs(uvs))[:, 0, 0, 0]
+    """Single-point reads: one level, one head, one point of weight 1."""
+    locs = _as_locs(uvs)
+    return bilinear_sample_many(_one_level(fmap), locs, _unit_weights(locs))[0][:, 0]
 
 
 def _sample_backward(fmap, uvs, dout):
-    dlevels, dlocs = bilinear_sample_many_backward(
-        _one_level(fmap), _as_locs(uvs), dout[:, None, None, None, :]
+    levels, locs = _one_level(fmap), _as_locs(uvs)
+    weights = _unit_weights(locs)
+    _, table = bilinear_sample_many(levels, locs, weights)
+    dlevels, dlocs, _ = bilinear_sample_many_backward(
+        levels, weights, table, dout[:, None, :]
     )
     return dlevels[0][:, :, 0, :], dlocs[:, 0, 0, 0]
 
@@ -202,14 +211,15 @@ def test_bilinear_backward_matches_fd():
 def test_bilinear_head_index_reads_that_heads_slice():
     rng = np.random.default_rng(6)
     fmap = rng.normal(size=(4, 5, 3, 2))  # (h, w, heads, d)
-    locs = rng.uniform(-0.3, 1.3, (10, 3, 1, 2, 2))
-    dout = rng.normal(size=(10, 3, 1, 2, 2))
-    out = bilinear_sample_many([fmap], locs)
-    dlevels, dlocs = bilinear_sample_many_backward([fmap], locs, dout)
+    locs = rng.uniform(-0.3, 1.3, (20, 3, 1, 1, 2))
+    weights = _unit_weights(locs)
+    dout = rng.normal(size=(20, 3, 2))
+    out, table = bilinear_sample_many([fmap], locs, weights)
+    dlevels, dlocs, _ = bilinear_sample_many_backward([fmap], weights, table, dout)
     for k in range(3):
         uvs = locs[:, k].reshape(-1, 2)
-        g = dout[:, k].reshape(-1, 2)
-        npt.assert_array_equal(out[:, k].reshape(-1, 2), _sample(fmap[:, :, k], uvs))
+        g = dout[:, k]
+        npt.assert_array_equal(out[:, k], _sample(fmap[:, :, k], uvs))
         dmap_k, duvs_k = _sample_backward(fmap[:, :, k], uvs, g)
         npt.assert_array_equal(dlevels[0][:, :, k], dmap_k)
         npt.assert_array_equal(dlocs[:, k].reshape(-1, 2), duvs_k)
@@ -330,21 +340,79 @@ def test_bilinear_matches_masked_add_at_kernel_bit_for_bit():
         assert duvs.tobytes() == ref_duvs.tobytes()
 
 
+def _fused(levels, locs, weights, dout):
+    out, table = bilinear_sample_many(levels, locs, weights)
+    return (out,) + bilinear_sample_many_backward(levels, weights, table, dout)
+
+
 def test_bilinear_multi_level_call_equals_per_level_calls():
+    # a multi-level call is the sum of per-level calls; each level's
+    # gradients see only that level, so they match bit for bit
     rng = np.random.default_rng(13)
     heads, d, n_points, r = 3, 4, 2, 5
     levels = [rng.normal(size=(h, w, heads, d)) for h, w in [(6, 5), (3, 3), (1, 2)]]
     locs = rng.uniform(-0.3, 1.3, (r, heads, len(levels), n_points, 2))
     locs[0, 0, :, 0] = [-1e3, 1.0]  # far outside and on an edge, on every level
-    dout = rng.normal(size=(r, heads, len(levels), n_points, d))
-    out = bilinear_sample_many(levels, locs)
-    dlevels, dlocs = bilinear_sample_many_backward(levels, locs, dout)
+    weights = rng.uniform(0.1, 1.0, (r, heads, len(levels), n_points))
+    dout = rng.normal(size=(r, heads, d))
+    out, dlevels, dlocs, dweights = _fused(levels, locs, weights, dout)
+    total = np.zeros_like(out)
     for l, lev in enumerate(levels):
         sl = slice(l, l + 1)
-        npt.assert_array_equal(out[:, :, sl], bilinear_sample_many([lev], locs[:, :, sl]))
-        dlev, dloc = bilinear_sample_many_backward([lev], locs[:, :, sl], dout[:, :, sl])
+        out_l, dlev, dloc, dwgt = _fused([lev], locs[:, :, sl], weights[:, :, sl], dout)
+        total += out_l
         npt.assert_array_equal(dlevels[l], dlev[0])
         npt.assert_array_equal(dlocs[:, :, sl], dloc)
+        npt.assert_array_equal(dweights[:, :, sl], dwgt)
+    assert np.abs(out - total).max() <= 1e-12 * np.abs(total).max()
+
+
+def _unfused_reference(levels, locs, weights, dout):
+    """The per-point path the fused kernel replaces: read every point into
+    `sampled` (R, heads, L, points, d), contract it with the weights, and
+    scatter `dsampled` = weight * dout back point by point, with the masked
+    `np.add.at` kernel above for each head of each level."""
+    r, heads, n_levels, n_points, _ = locs.shape
+    d = levels[0].shape[-1]
+    sampled = np.empty((r, heads, n_levels, n_points, d))
+    dsampled = weights[..., None] * dout[:, :, None, None, :]
+    dlevels = [np.zeros_like(lev) for lev in levels]
+    dlocs = np.empty(locs.shape)
+    for l, lev in enumerate(levels):
+        for k in range(heads):
+            uvs = locs[:, k, l].reshape(-1, 2)
+            g = dsampled[:, k, l].reshape(-1, d)
+            out, dmap, duvs = _masked_reference(lev[:, :, k], uvs, g)
+            sampled[:, k, l] = out.reshape(r, n_points, d)
+            dlevels[l][:, :, k] = dmap
+            dlocs[:, k, l] = duvs.reshape(r, n_points, 2)
+    out = np.einsum("rhlp,rhlpd->rhd", weights, sampled)
+    dweights = np.einsum("rhd,rhlpd->rhlp", dout, sampled)
+    return out, dlevels, dlocs, dweights
+
+
+@pytest.mark.parametrize("side,n_levels,heads,d,n_points,r", [
+    (32, 2, 2, 8, 2, 5),      # TINY, basic decoder
+    (64, 4, 8, 32, 4, 408),   # default width at 64 px, parallel decoder
+])
+def test_fused_core_matches_unfused_reference(side, n_levels, heads, d, n_points, r):
+    rng = np.random.default_rng(side)
+    layout = PyramidLayout.for_image(side, n_levels)
+    levels = [rng.normal(size=(h, w, heads, d)) for h, w, _ in layout.levels]
+    locs = rng.uniform(-0.2, 1.2, (r, heads, n_levels, n_points, 2))
+    # far outside, on the edges and on cell boundaries of the finest level
+    awkward = _awkward_points(*layout.levels[0][:2])[: r * heads * n_levels * n_points]
+    locs.reshape(-1, 2)[: len(awkward)] = awkward
+    logits = rng.normal(size=(r, heads, n_levels * n_points))
+    weights = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+    weights = weights.reshape(r, heads, n_levels, n_points)
+    dout = rng.normal(size=(r, heads, d))
+    fused = _fused(levels, locs, weights, dout)
+    ref = _unfused_reference(levels, locs, weights, dout)
+    pairs = [(fused[0], ref[0]), *zip(fused[1], ref[1]), (fused[2], ref[2]), (fused[3], ref[3])]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +14,7 @@ from facemark.training import (
     SyntheticFaceSpec,
     TrainConfig,
     _box_blur,
+    _rotate_image,
     _shift_image,
     augment,
     batch_loss,
@@ -251,6 +253,13 @@ def test_max_shift_past_the_image_side_rejected():
         augment(img, lm, np.random.default_rng(0), AugmentConfig(translate=True, max_shift=100))
 
 
+def test_max_degrees_outside_half_turn_rejected():
+    for bad in (-1.0, 180.5, 1e308):
+        with pytest.raises(ConfigError, match="train.max_degrees"):
+            AugmentConfig(rotate=True, max_degrees=bad)
+    assert AugmentConfig(rotate=True, max_degrees=180.0).max_degrees == 180.0
+
+
 def test_flip_mirrors_labels_exactly():
     img, _ = _one_blob()
     lm = np.array([[0.3, 0.4], [0.7, 0.4], [0.5, 0.6]])
@@ -293,6 +302,22 @@ def test_rotate_keeps_blob_under_label():
         side = img.shape[1]
         want = lm2[0] * side - 0.5
         npt.assert_allclose(_peak(out), want, atol=1.0)
+
+
+def test_rotate_output_is_pinned():
+    # digests of the rotated bytes; a change to the bilinear kernel that
+    # moves a single bit of the rotation shows here
+    img = np.random.default_rng(21).uniform(0.0, 1.0, (3, 24, 20))
+    digests = {
+        0.0: "21e0a4f20afc09e6",
+        0.3: "53ff1b86c2addb6c",
+        -1.1: "2e61aad4e33f0693",
+        np.pi / 2: "577aebbf479ab495",
+        2.5: "e8d8ae0c7dc105a1",
+    }
+    for theta, digest in digests.items():
+        out = _rotate_image(img, theta)
+        assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == digest, theta
 
 
 def test_occlude_paints_rectangle_and_keeps_labels():
