@@ -6,11 +6,25 @@ consuming (dout, cache).  Backwards return input gradients plus a dict of
 parameter gradients keyed like the local parameter dict, so callers can
 re-prefix them into the flat model gradient buffer.
 
-Shapes: queries are (N, C); the memory is (M, C) with a PyramidLayout; the
-value tensor of level l is viewed as (h_l, w_l, heads, head_dim).  The
-deformable core (bilinear reads weighted by the softmaxed attention weights,
-summed per head) is the fused `geometry.bilinear_sample_many` and its
-backward, each called once per pass with the list of value levels;
+Shapes: B images run together.  Queries are (N, B, C), query row n of
+image b; the memory of all B images is one (M * B, C) matrix with a
+PyramidLayout, memory row m of image b at row m * B + b.  Linear maps,
+layer norms and the FFN act on the last axis.  On an (R, B, C) stack a
+linear map is one batched matmul holding one (R, C) product per image,
+and every parameter gradient sums each image's rows first and then the
+images in order.  So each image sees exactly the arithmetic it would see
+alone, and a chunk of B images gives the bits of B single-image calls and
+of their gradient sum.  (One GEMM over all B * R rows would not: BLAS may
+sum a row in another order when the row count changes.)  Self-attention
+mixes the N queries of each image only.
+
+The value tensor of level l is viewed, without a copy, as
+(h_l, w_l, B * heads, head_dim): the images fold into the head axis, so
+image b's head k is head b * heads + k, and the sampling locations
+(R, B * heads, levels, points, 2) follow the same fold.  The deformable
+core (bilinear reads weighted by the softmaxed attention weights, summed
+per head) is the fused `geometry.bilinear_sample_many` and its backward,
+each called once per pass with the list of value levels;
 `deform_core_fwd`/`_bwd` only reshape around them, and the core's cache
 holds the kernel's corner table rather than any per-point read.
 """
@@ -60,13 +74,28 @@ class AttentionConfig:
 # Primitives
 # ---------------------------------------------------------------------------
 
+def _sum_rows(a):
+    """Sum an (R, C) array over its rows, or an (R, B, C) stack over each
+    image's rows and then over the images in order."""
+    a = a.sum(axis=0)
+    return a.sum(axis=0) if a.ndim == 2 else a
+
+
 def linear_fwd(x, w, b):
-    return x @ w + b, (x, w)
+    """x @ w + b over the last axis of (R, C) rows or an (R, B, C) stack,
+    as one matmul call holding one (R, C) @ (C, K) product per image."""
+    x3 = x.reshape(x.shape[0], -1, x.shape[-1])
+    y = np.empty(x3.shape[:2] + w.shape[1:])
+    np.add(np.matmul(x3.transpose(1, 0, 2), w), b, out=y.transpose(1, 0, 2))
+    return y.reshape(x.shape[:-1] + w.shape[1:]), (x3, w)
 
 
 def linear_bwd(dout, cache):
-    x, w = cache
-    return dout @ w.T, {"w": x.T @ dout, "b": dout.sum(axis=0)}
+    x3, w = cache
+    dout_b = dout.reshape(x3.shape[:2] + w.shape[1:]).transpose(1, 0, 2)
+    dx = np.matmul(dout_b, w.T).transpose(1, 0, 2)
+    dw = np.matmul(x3.transpose(1, 2, 0), dout_b).sum(axis=0)
+    return dx.reshape(dout.shape[:-1] + w.shape[:1]), {"w": dw, "b": _sum_rows(dout)}
 
 
 def relu_fwd(x):
@@ -94,7 +123,7 @@ def layer_norm_bwd(dout, cache):
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
     dx = inv * (dxhat - m1 - xhat * m2)
-    return dx, {"g": (dout * xhat).sum(axis=0), "b": dout.sum(axis=0)}
+    return dx, {"g": _sum_rows(dout * xhat), "b": _sum_rows(dout)}
 
 
 def softmax(z):
@@ -143,11 +172,26 @@ SelfAttnCache = namedtuple(
 )
 
 
+def _split_heads(x, heads):
+    """(N, B, C) -> (B, heads, N, head_dim), a view."""
+    n, b, dim = x.shape
+    return x.reshape(n, b, heads, dim // heads).transpose(1, 2, 0, 3)
+
+
+def _merge_heads(x_h):
+    """(B, heads, N, head_dim) -> (N, B, C)."""
+    b, heads, n, d = x_h.shape
+    return x_h.transpose(2, 0, 1, 3).reshape(n, b, heads * d)
+
+
 def self_attention_fwd(q_in, query_pos, p, heads):
     """Scaled-dot-product multi-head attention with query = key = Q + P and
     value = Q, followed by residual addition and layer normalization.
+
+    q_in is (N, B, C): each image's N queries attend to each other only.
+    query_pos broadcasts against it, e.g. (N, 1, C).
     """
-    n, dim = q_in.shape
+    n, _, dim = q_in.shape
     if n == 0:
         raise ValueError("self_attention: empty query matrix")
     d = dim // heads
@@ -155,32 +199,30 @@ def self_attention_fwd(q_in, query_pos, p, heads):
     q, cq = linear_fwd(qk_in, p["wq"], p["bq"])
     k, ck = linear_fwd(qk_in, p["wk"], p["bk"])
     v, cv = linear_fwd(q_in, p["wv"], p["bv"])
-    # (N, C) -> (heads, N, head_dim)
-    q_h = q.reshape(n, heads, d).transpose(1, 0, 2)
-    k_h = k.reshape(n, heads, d).transpose(1, 0, 2)
-    v_h = v.reshape(n, heads, d).transpose(1, 0, 2)
-    scores = q_h @ k_h.transpose(0, 2, 1) / np.sqrt(d)
+    q_h = _split_heads(q, heads)
+    k_h = _split_heads(k, heads)
+    v_h = _split_heads(v, heads)
+    scores = q_h @ k_h.swapaxes(-1, -2) / np.sqrt(d)
     attn = softmax(scores)
-    merged = (attn @ v_h).transpose(1, 0, 2).reshape(n, dim)
+    merged = _merge_heads(attn @ v_h)
     y, co = linear_fwd(merged, p["wo"], p["bo"])
     out, cln = layer_norm_fwd(q_in + y, p["ln_g"], p["ln_b"])
     return out, SelfAttnCache(cq, ck, cv, co, attn, v_h, q_h, k_h, heads, d, cln)
 
 
 def self_attention_bwd(dout, cache):
+    """Returns (dq_in, dpos, dparams); dpos is (N, B, C), the gradient of the
+    query_pos term per image, for the caller to reduce to its shape."""
     heads, d = cache.heads, cache.head_dim
     dsum, dln = layer_norm_bwd(dout, cache.ln)
     dmerged, do = linear_bwd(dsum, cache.co)
-    n, dim = dmerged.shape
-    dmerged_h = dmerged.reshape(n, heads, d).transpose(1, 0, 2)
-    dattn = dmerged_h @ cache.v_h.transpose(0, 2, 1)
-    dv_h = cache.attn.transpose(0, 2, 1) @ dmerged_h
+    dmerged_h = _split_heads(dmerged, heads)
+    dattn = dmerged_h @ cache.v_h.swapaxes(-1, -2)
+    dv_h = cache.attn.swapaxes(-1, -2) @ dmerged_h
     dscores = softmax_bwd(dattn, cache.attn) / np.sqrt(d)
-    dq_h = dscores @ cache.k_h
-    dk_h = dscores.transpose(0, 2, 1) @ cache.q_h
-    dq = dq_h.transpose(1, 0, 2).reshape(n, dim)
-    dk = dk_h.transpose(1, 0, 2).reshape(n, dim)
-    dv = dv_h.transpose(1, 0, 2).reshape(n, dim)
+    dq = _merge_heads(dscores @ cache.k_h)
+    dk = _merge_heads(dscores.swapaxes(-1, -2) @ cache.q_h)
+    dv = _merge_heads(dv_h)
     dqk1, dq_p = linear_bwd(dq, cache.cq)
     dqk2, dk_p = linear_bwd(dk, cache.ck)
     dvin, dv_p = linear_bwd(dv, cache.cv)
@@ -199,54 +241,59 @@ def self_attention_bwd(dout, cache):
 # Multi-scale deformable attention
 # ---------------------------------------------------------------------------
 
-ValueCache = namedtuple("ValueCache", "lin layout shapes")
+ValueCache = namedtuple("ValueCache", "lin slices")
 
 
 def project_value(memory_data, layout: PyramidLayout, p, cfg: AttentionConfig):
-    """Project the memory rows and view each level as (h, w, heads, head_dim)."""
-    value, lin = linear_fwd(memory_data, p["w_val"], p["b_val"])
-    levels = []
-    shapes = []
-    for (h, w, _), sl in zip(layout.levels, layout.block_slices()):
-        levels.append(value[sl].reshape(h, w, cfg.heads, cfg.head_dim))
-        shapes.append((h, w))
-    return levels, ValueCache(lin, layout, shapes)
+    """Project the (M * B, C) memory rows of B images and view each level,
+    without a copy, as (h, w, B * heads, head_dim)."""
+    bsz = memory_data.shape[0] // layout.total_len
+    rows = memory_data.reshape(layout.total_len, bsz, -1)
+    value, lin = linear_fwd(rows, p["w_val"], p["b_val"])
+    value = value.reshape(memory_data.shape[0], -1)
+    slices = layout.block_slices(bsz)
+    levels = [value[sl].reshape(h, w, -1, cfg.head_dim)
+              for (h, w, _), sl in zip(layout.levels, slices)]
+    return levels, ValueCache(lin, slices)
 
 
 def project_value_bwd(dlevels, cache: ValueCache):
-    m = cache.lin[0].shape[0]
-    dvalue = np.empty((m, dlevels[0].shape[2] * dlevels[0].shape[3]))
-    for dlev, (h, w), sl in zip(dlevels, cache.shapes, cache.layout.block_slices()):
-        dvalue[sl] = dlev.reshape(h * w, -1)
+    rows, w = cache.lin
+    dvalue = np.empty(rows.shape[:2] + w.shape[1:])
+    flat = dvalue.reshape(-1, w.shape[1])
+    for dlev, sl in zip(dlevels, cache.slices):
+        flat[sl] = dlev.reshape(-1, w.shape[1])
     dmemory, dp = linear_bwd(dvalue, cache.lin)
+    dmemory = dmemory.reshape(flat.shape[0], -1)
     return dmemory, {"w_val": dp["w"], "b_val": dp["b"]}
 
 
-FieldCache = namedtuple("FieldCache", "coff cwgt beta shape")
+FieldCache = namedtuple("FieldCache", "coff cwgt beta lead")
 
 
 def sampling_fields(x, p, cfg: AttentionConfig):
     """Predict per-row sampling offsets and softmaxed attention weights.
 
-    Offsets are normalized-image-coordinate displacements shared across the
-    levels' common frame; weights are softmaxed per head over its
-    levels*points slots.
+    x is (..., C); offsets come out (..., heads, levels, points, 2) and
+    weights (..., heads, levels, points).  Offsets are
+    normalized-image-coordinate displacements shared across the levels'
+    common frame; weights are softmaxed per head over its levels*points
+    slots.
     """
-    r = x.shape[0]
+    lead = x.shape[:-1]
     off_flat, coff = linear_fwd(x, p["w_off"], p["b_off"])
-    offsets = off_flat.reshape(r, cfg.heads, cfg.levels, cfg.points, 2)
+    offsets = off_flat.reshape(lead + (cfg.heads, cfg.levels, cfg.points, 2))
     wgt_flat, cwgt = linear_fwd(x, p["w_wgt"], p["b_wgt"])
-    beta = softmax(wgt_flat.reshape(r, cfg.heads, cfg.levels * cfg.points))
-    weights = beta.reshape(r, cfg.heads, cfg.levels, cfg.points)
-    return offsets, weights, FieldCache(coff, cwgt, beta, (r, cfg))
+    beta = softmax(wgt_flat.reshape(lead + (cfg.heads, cfg.levels * cfg.points)))
+    weights = beta.reshape(lead + (cfg.heads, cfg.levels, cfg.points))
+    return offsets, weights, FieldCache(coff, cwgt, beta, lead)
 
 
 def sampling_fields_bwd(doffsets, dweights, cache: FieldCache):
-    r, cfg = cache.shape
-    dbeta = dweights.reshape(r, cfg.heads, cfg.levels * cfg.points)
-    dwgt_flat = softmax_bwd(dbeta, cache.beta).reshape(r, -1)
+    dbeta = dweights.reshape(cache.beta.shape)
+    dwgt_flat = softmax_bwd(dbeta, cache.beta).reshape(cache.lead + (-1,))
     dx_w, dwp = linear_bwd(dwgt_flat, cache.cwgt)
-    dx_o, dop = linear_bwd(doffsets.reshape(r, -1), cache.coff)
+    dx_o, dop = linear_bwd(doffsets.reshape(cache.lead + (-1,)), cache.coff)
     dparams = {
         "w_off": dop["w"], "b_off": dop["b"],
         "w_wgt": dwp["w"], "b_wgt": dwp["b"],
@@ -276,29 +323,37 @@ def deform_core_bwd(dout, cache: CoreCache):
     )
 
 
-DeformCache = namedtuple("DeformCache", "fields core cout nrows")
+DeformCache = namedtuple("DeformCache", "fields core cout")
 
 
 def deform_project_fwd(x_rows, refs_rows, value_levels, p, cfg: AttentionConfig):
     """Sampling-field prediction + deformable read + head merge + output
     projection for an arbitrary set of query rows (pre-residual output).
+
+    x_rows (R, B, C) and refs_rows (R, B, 2) read the (h, w, B * heads,
+    head_dim) value levels of `project_value`; (R, C) and (R, 2) read
+    single-image levels.
     """
-    if x_rows.shape[0] != refs_rows.shape[0]:
+    if x_rows.shape[:-1] != refs_rows.shape[:-1]:
         raise ValueError(
-            f"deformable attention: {x_rows.shape[0]} query rows but "
-            f"{refs_rows.shape[0]} reference points"
+            f"deformable attention: {x_rows.shape[:-1]} query rows but "
+            f"{refs_rows.shape[:-1]} reference points"
         )
     offsets, weights, cf = sampling_fields(x_rows, p, cfg)
-    locs = refs_rows[:, None, None, None, :] + offsets
-    merged, cc = deform_core_fwd(value_levels, locs, weights)
-    y, co = linear_fwd(merged, p["w_out"], p["b_out"])
-    return y, DeformCache(cf, cc, co, x_rows.shape[0])
+    r = x_rows.shape[0]
+    # fold the images into the head axis: a reshape of a fresh array
+    locs = (refs_rows[..., None, None, None, :] + offsets).reshape(
+        (r, -1) + offsets.shape[-3:])
+    merged, cc = deform_core_fwd(value_levels, locs, weights.reshape(locs.shape[:-1]))
+    y, co = linear_fwd(merged.reshape(x_rows.shape), p["w_out"], p["b_out"])
+    return y, DeformCache(cf, cc, co)
 
 
 def deform_project_bwd(dout, cache: DeformCache):
     dmerged, dop = linear_bwd(dout, cache.cout)
     dlevels, dlocs, dweights = deform_core_bwd(dmerged, cache.core)
-    drefs = dlocs.sum(axis=(1, 2, 3))
+    dlocs = dlocs.reshape(cache.fields.lead + (-1,) + dlocs.shape[2:])
+    drefs = dlocs.sum(axis=(-4, -3, -2))
     dx, dfp = sampling_fields_bwd(dlocs, dweights, cache.fields)
     dparams = {"w_out": dop["w"], "b_out": dop["b"], **dfp}
     return dx, drefs, dlevels, dparams

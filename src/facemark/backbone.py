@@ -2,9 +2,11 @@
 plus the per-level 1x1 projections that flatten the pyramid into the memory
 matrix consumed by the attention layers.
 
-Images are channel-first float arrays (3, side, side) with values in [0, 1].
-Stage i halves the grid once (the first stage twice), so level strides run
-4, 8, 16, ... and the finest level sits first in the flattened memory.
+Images come as a channel-first float stack (B, 3, side, side) with values
+in [0, 1].  Stage i halves the grid once (the first stage twice), so level
+strides run 4, 8, 16, ... and the finest level sits first in the flattened
+memory.  The memory of the B images is one (M * B, dim) matrix whose row
+m * B + b is memory row m of image b.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .attention import relu_fwd
+from .attention import linear_bwd, linear_fwd, relu_fwd
 from .errors import ConfigError
 from .geometry import PyramidLayout
 from .params import Params, glorot
@@ -72,31 +74,37 @@ ConvCache = namedtuple("ConvCache", "cols w stride in_shape out_hw")
 
 
 def conv2d_fwd(x, w, b, stride):
-    cin, hi, wi = x.shape
+    """Convolve a (B, cin, h, w) stack: one pad, one im2col and one batched
+    matmul holding each image's GEMM.  Returns (B, cout, ho, wo), laid out
+    channels-last in memory."""
+    bsz, cin, hi, wi = x.shape
     cout = w.shape[0]
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    win = sliding_window_view(xp, (3, 3), axis=(1, 2))[:, ::stride, ::stride]
-    ho, wo = win.shape[1], win.shape[2]
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(ho * wo, cin * 9)
-    out = cols @ w.reshape(cout, -1).T + b
-    out = out.T.reshape(cout, ho, wo)
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = win.shape[2], win.shape[3]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(bsz, ho * wo, cin * 9)
+    out = np.matmul(cols, w.reshape(cout, -1).T) + b
+    out = out.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2)
     return out, ConvCache(cols, w, stride, x.shape, (ho, wo))
 
 
 def conv2d_bwd(dout, cache: ConvCache):
-    cols, w, stride, (cin, hi, wi), (ho, wo) = cache
+    """Input and parameter gradients; the parameter gradients sum each
+    image's positions, then the images in order."""
+    cols, w, stride, (bsz, cin, hi, wi), (ho, wo) = cache
     cout = w.shape[0]
-    dout2 = dout.reshape(cout, ho * wo).T
-    dw = (dout2.T @ cols).reshape(w.shape)
-    db = dout2.sum(axis=0)
-    dcols = (dout2 @ w.reshape(cout, -1)).reshape(ho, wo, cin, 3, 3)
-    dxp = np.zeros((cin, hi + 2, wi + 2))
+    dout3 = dout.reshape(bsz, cout, ho * wo)
+    dw = np.matmul(dout3, cols).sum(axis=0).reshape(w.shape)
+    db = dout3.sum(axis=2).sum(axis=0)
+    dcols = np.matmul(dout3.transpose(0, 2, 1), w.reshape(cout, -1))
+    dcols = dcols.reshape(bsz, ho, wo, cin, 3, 3)
+    dxp = np.zeros((bsz, cin, hi + 2, wi + 2))
     for ky in range(3):
         for kx in range(3):
-            dxp[:, ky:ky + ho * stride:stride, kx:kx + wo * stride:stride] += (
-                dcols[:, :, :, ky, kx].transpose(2, 0, 1)
+            dxp[:, :, ky:ky + ho * stride:stride, kx:kx + wo * stride:stride] += (
+                dcols[..., ky, kx].transpose(0, 3, 1, 2)
             )
-    return dxp[:, 1:-1, 1:-1], {"w": dw, "b": db}
+    return dxp[:, :, 1:-1, 1:-1], {"w": dw, "b": db}
 
 
 # ---------------------------------------------------------------------------
@@ -104,16 +112,21 @@ def conv2d_bwd(dout, cache: ConvCache):
 # ---------------------------------------------------------------------------
 
 StageCache = namedtuple("StageCache", "ca ma cb mb")
-BackboneCache = namedtuple("BackboneCache", "stages projections cfg layout")
+BackboneCache = namedtuple("BackboneCache", "stages projections cfg layout batch")
 
 
-def extract_memory(image, params: Params, cfg: BackboneConfig):
-    """Run the backbone and projections; return (MemoryFeature, cache).
+def extract_memory(images, params: Params, cfg: BackboneConfig):
+    """Run the backbone and projections on a (B, 3, side, side) stack;
+    return (MemoryFeature, cache).  The feature's data is (M * B, dim).
 
     `params` is the full flat parameter dict; backbone entries live under
     the "backbone." and "project." prefixes.
     """
-    c, hi, wi = image.shape
+    if images.ndim != 4:
+        raise ConfigError(
+            f"expected a (batch, channels, side, side) image stack, got shape {images.shape}"
+        )
+    bsz, c, hi, wi = images.shape
     if c != cfg.in_channels:
         raise ConfigError(f"expected {cfg.in_channels}-channel image, got {c}")
     if hi != wi:
@@ -126,7 +139,7 @@ def extract_memory(image, params: Params, cfg: BackboneConfig):
     layout = PyramidLayout.for_image(hi, cfg.num_levels)
     stages = []
     feats = []
-    x = image
+    x = images
     for i in range(cfg.num_levels):
         pre = f"backbone.s{i + 1}"
         h1, ca = conv2d_fwd(x, params[f"{pre}.conva.w"], params[f"{pre}.conva.b"], 2)
@@ -139,30 +152,32 @@ def extract_memory(image, params: Params, cfg: BackboneConfig):
     blocks = []
     projections = []
     for i, feat in enumerate(feats):
-        ch, h, w = feat.shape
-        flat = feat.reshape(ch, h * w).T  # row-major over (row, col)
-        out = flat @ params[f"project.l{i + 1}.w"] + params[f"project.l{i + 1}.b"]
-        blocks.append(out)
-        projections.append((flat, (ch, h, w)))
+        _, ch, h, w = feat.shape
+        # rows in (row, col, image) order: memory row m of image b at m * B + b
+        rows = feat.transpose(2, 3, 0, 1).reshape(h * w, bsz, ch)
+        out, lin = linear_fwd(rows, params[f"project.l{i + 1}.w"],
+                              params[f"project.l{i + 1}.b"])
+        blocks.append(out.reshape(h * w * bsz, -1))
+        projections.append((lin, (h, w)))
     data = np.concatenate(blocks, axis=0)
-    return MemoryFeature(data, layout), BackboneCache(stages, projections, cfg, layout)
+    return (MemoryFeature(data, layout),
+            BackboneCache(stages, projections, cfg, layout, bsz))
 
 
-def extract_memory_bwd(ddata, params: Params, cache: BackboneCache):
-    """Backward through projections and stages.  Returns (dimage, grads)
-    with grads keyed by full parameter paths.
+def extract_memory_bwd(ddata, cache: BackboneCache):
+    """Backward through projections and stages.  Returns (dimages, grads)
+    with grads keyed by full parameter paths and summed over the batch.
     """
     grads: Params = {}
     dfeats = []
-    for i, ((flat, (ch, h, w)), sl) in enumerate(
-        zip(cache.projections, cache.layout.block_slices())
+    bsz = cache.batch
+    for i, ((lin, (h, w)), sl) in enumerate(
+        zip(cache.projections, cache.layout.block_slices(bsz))
     ):
-        dblock = ddata[sl]
-        w_p = params[f"project.l{i + 1}.w"]
-        grads[f"project.l{i + 1}.w"] = flat.T @ dblock
-        grads[f"project.l{i + 1}.b"] = dblock.sum(axis=0)
-        dflat = dblock @ w_p.T
-        dfeats.append(dflat.T.reshape(ch, h, w))
+        drows, g = linear_bwd(ddata[sl].reshape(h * w, bsz, -1), lin)
+        grads[f"project.l{i + 1}.w"] = g["w"]
+        grads[f"project.l{i + 1}.b"] = g["b"]
+        dfeats.append(drows.reshape(h, w, bsz, -1).transpose(2, 3, 0, 1))
     dx = None
     for i in range(cache.cfg.num_levels - 1, -1, -1):
         pre = f"backbone.s{i + 1}"

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io as fio
 from .config import ENV_CONFIG, load_run_config
-from .decoder import DecoderState, forward
+from .decoder import DecoderState
 from .errors import ConfigError, NumericError
 from .metrics import evaluate, nme, report_machine, report_text, resolve_normalizer
 from .params import count_parameters
@@ -137,12 +137,11 @@ def cmd_predict(args):
             f"checkpoint expects {side}x{side} images, got "
             f"{image.shape[1]}x{image.shape[2]}"
         )
-    ys, _ = forward(state.params, image, state.config)
-    pred = ys[-1]
-    fio.write_landmarks(args.out + ".txt", pred * side)
     gt = None
     if args.gt:
         gt = fio.read_landmarks(args.gt) / side
+    pred = state.predict(image[None])[-1][0]
+    fio.write_landmarks(args.out + ".txt", pred * side)
     tag = extra.get("config_hash", "unhashed")
     fio.write_overlay(args.out + ".ppm", image, pred, gt, comment=f"config {tag}")
     print(f"wrote {args.out}.txt and {args.out}.ppm")

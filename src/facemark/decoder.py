@@ -13,6 +13,14 @@ that pass read the pre-update memory, so queries and memory update
 simultaneously.  The only parameters the parallel flavor adds are the
 per-layer norm over the refreshed memory rows.
 
+`forward` and `backward` run a chunk of B images at once: queries are
+(N, B, C) and the memory (M * B, C), laid out as `attention` describes.
+Every image of a chunk gets the arithmetic it would get alone, and the
+parameter gradients add the images in order, so a chunk gives the bits of
+a loop over its images.  Callers split a larger stack into chunks of
+`images_per_chunk` images, so that a deformable pass holds about
+CHUNK_ROWS query rows.
+
 `ModelConfig`'s fields are the [model] config keys and, as text read by
 the config file's parsers, a checkpoint's metadata.
 """
@@ -58,7 +66,7 @@ from .geometry import (
     sigmoid,
 )
 from .params import (Params, accumulate, field_parsers, field_text, glorot,
-                     load_checkpoint, save_checkpoint, subdict)
+                     load_checkpoint, save_checkpoint)
 
 
 @dataclass(frozen=True)
@@ -131,6 +139,24 @@ TINY = ModelConfig(
     num_landmarks=5, dim=16, heads=2, levels=2, points=2, num_layers=2,
     image_side=32, stage_channels=(8, 16),
 )
+
+
+# Query rows per image of one deformable pass: the N landmark queries, plus
+# the M memory rows in the parallel flavor.  A chunk holds
+# max(1, CHUNK_ROWS // rows) images, which batches small models and keeps
+# the parallel flavor's forward cache, which grows with B, to one image.
+CHUNK_ROWS = 256
+
+
+def images_per_chunk(cfg: ModelConfig) -> int:
+    rows = cfg.num_landmarks + (cfg.layout.total_len if cfg.parallel else 0)
+    return max(1, CHUNK_ROWS // rows)
+
+
+def chunk_slices(count: int, cfg: ModelConfig) -> list[slice]:
+    """Slices of a stack of `count` images, one per forward/backward call."""
+    k = images_per_chunk(cfg)
+    return [slice(i, i + k) for i in range(0, count, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +275,43 @@ def _head_bwd(ddelta, cache: HeadCache):
 # Decoder layers
 # ---------------------------------------------------------------------------
 
+# Local parameter names of each per-layer group, "layers.{t}.{group}.{name}"
+_LAYER_GROUPS = {
+    "self_attn": ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln_g", "ln_b"),
+    "deform": ("w_off", "b_off", "w_wgt", "b_wgt", "w_val", "b_val",
+               "w_out", "b_out", "ln_g", "ln_b"),
+    "ln_img": ("g", "b"),
+    "ffn": ("w1", "b1", "w2", "b2", "ln_g", "ln_b"),
+    "head": ("w1", "b1", "w2", "b2", "w3", "b3"),
+}
+
+
+def _layer_params(params: Params, t: int):
+    """Layer t's parameters as {group: {local name: array}}, for the groups
+    the model's flavor has."""
+    pre = f"layers.{t}."
+    return {g: {n: params[f"{pre}{g}.{n}"] for n in names}
+            for g, names in _LAYER_GROUPS.items() if f"{pre}{g}.{names[0]}" in params}
+
+
+def _self_attn_bwd(dq, grads, t, c_sa):
+    dq, dpos, sg = self_attention_bwd(dq, c_sa)
+    accumulate(grads, f"layers.{t}.self_attn.", sg)
+    accumulate(grads, "", {"query_pos": dpos})  # per image, (N, B, C)
+    return dq
+
+
 ParallelCache = namedtuple(
     "ParallelCache", "self_attn value proj ln_img ln_q ffn n_mem"
 )
 
 
-def _basic_layer_fwd(q, refs, mem_data, layout, params, t, cfg):
+def _basic_layer_fwd(q, refs, mem_data, layout, lp, pos, cfg):
     c_sa = None
     if cfg.self_attention:
-        q, c_sa = self_attention_fwd(
-            q, params["query_pos"],
-            subdict(params, f"layers.{t}.self_attn."), cfg.heads,
-        )
+        q, c_sa = self_attention_fwd(q, pos, lp["self_attn"], cfg.heads)
     out, c_d = deformable_attention_fwd(
-        q, refs, mem_data, layout,
-        subdict(params, f"layers.{t}.deform."),
-        subdict(params, f"layers.{t}.ffn."),
-        cfg.attention_config,
+        q, refs, mem_data, layout, lp["deform"], lp["ffn"], cfg.attention_config
     )
     return out, (c_sa, c_d)
 
@@ -276,24 +322,23 @@ def _basic_layer_bwd(dout, grads, t, cache):
     accumulate(grads, f"layers.{t}.deform.", dg)
     accumulate(grads, f"layers.{t}.ffn.", dffn)
     if c_sa is not None:
-        dq, dpos, sg = self_attention_bwd(dq, c_sa)
-        accumulate(grads, f"layers.{t}.self_attn.", sg)
-        accumulate(grads, "", {"query_pos": dpos})
+        dq = _self_attn_bwd(dq, grads, t, c_sa)
     return dq, drefs, dmem
 
 
-def _parallel_layer_fwd(q, refs, mem_state, aux, params, t, cfg):
+def _parallel_layer_fwd(q, refs, mem_state, aux, lp, pos, cfg):
     centers, pos_rows = aux
     c_sa = None
     if cfg.self_attention:
-        q, c_sa = self_attention_fwd(
-            q, params["query_pos"],
-            subdict(params, f"layers.{t}.self_attn."), cfg.heads,
-        )
-    deform_p = subdict(params, f"layers.{t}.deform.")
-    n_mem = mem_state.shape[0]
-    rows = np.concatenate([mem_state + pos_rows, q], axis=0)
-    refs_all = np.concatenate([centers, refs], axis=0)
+        q, c_sa = self_attention_fwd(q, pos, lp["self_attn"], cfg.heads)
+    deform_p = lp["deform"]
+    n_mem = pos_rows.shape[0]
+    bsz = q.shape[1]
+    mem3 = mem_state.reshape(n_mem, bsz, cfg.dim)
+    rows = np.concatenate([mem3 + pos_rows[:, None], q], axis=0)
+    refs_all = np.concatenate(
+        [np.broadcast_to(centers[:, None], (n_mem, bsz, 2)), refs], axis=0
+    )
     # both branches sample the pre-update memory
     value_levels, c_v = project_value(
         mem_state, cfg.layout, deform_p, cfg.attention_config
@@ -302,37 +347,37 @@ def _parallel_layer_fwd(q, refs, mem_state, aux, params, t, cfg):
         rows, refs_all, value_levels, deform_p, cfg.attention_config
     )
     mem_new, c_li = layer_norm_fwd(
-        mem_state + attn[:n_mem],
-        params[f"layers.{t}.ln_img.g"], params[f"layers.{t}.ln_img.b"],
+        mem3 + attn[:n_mem], lp["ln_img"]["g"], lp["ln_img"]["b"]
     )
     zq, c_lq = layer_norm_fwd(
         q + attn[n_mem:], deform_p["ln_g"], deform_p["ln_b"]
     )
-    q_out, c_f = ffn_fwd(zq, subdict(params, f"layers.{t}.ffn."))
-    return q_out, mem_new, ParallelCache(c_sa, c_v, c_p, c_li, c_lq, c_f, n_mem)
+    q_out, c_f = ffn_fwd(zq, lp["ffn"])
+    return (q_out, mem_new.reshape(mem_state.shape),
+            ParallelCache(c_sa, c_v, c_p, c_li, c_lq, c_f, n_mem))
 
 
 def _parallel_layer_bwd(dq_out, dmem_next, grads, layout, t, cache):
     n_mem = cache.n_mem
+    dim = dq_out.shape[-1]
     dzq, dffn = ffn_bwd(dq_out, cache.ffn)
     accumulate(grads, f"layers.{t}.ffn.", dffn)
     dsum_q, g_lq = layer_norm_bwd(dzq, cache.ln_q)
-    dsum_img, g_li = layer_norm_bwd(dmem_next, cache.ln_img)
+    dsum_img, g_li = layer_norm_bwd(dmem_next.reshape(n_mem, -1, dim), cache.ln_img)
     accumulate(grads, f"layers.{t}.deform.", {"ln_g": g_lq["g"], "ln_b": g_lq["b"]})
     accumulate(grads, f"layers.{t}.ln_img.", g_li)
     dattn = np.concatenate([dsum_img, dsum_q], axis=0)
     drows, drefs_all, dlevels, dp = deform_project_bwd(dattn, cache.proj)
     dmem_value, dvp = project_value_bwd(dlevels, cache.value)
     accumulate(grads, f"layers.{t}.deform.", {**dp, **dvp})
-    dmem = dsum_img + dmem_value + drows[:n_mem]
+    dmem = dsum_img.reshape(dmem_value.shape) + dmem_value
+    dmem += drows[:n_mem].reshape(dmem.shape)
     dlevel = np.stack([drows[sl].sum(axis=0) for sl in layout.block_slices()])
-    accumulate(grads, "", {"level_emb": dlevel})
+    accumulate(grads, "", {"level_emb": dlevel})  # per image, (levels, B, C)
     dq = dsum_q + drows[n_mem:]
     drefs = drefs_all[n_mem:]
     if cache.self_attn is not None:
-        dq, dpos, sg = self_attention_bwd(dq, cache.self_attn)
-        accumulate(grads, f"layers.{t}.self_attn.", sg)
-        accumulate(grads, "", {"query_pos": dpos})
+        dq = _self_attn_bwd(dq, grads, t, cache.self_attn)
     return dq, drefs, dmem
 
 
@@ -346,29 +391,38 @@ ForwardCache = namedtuple(
 )
 
 
-def forward(params: Params, image, cfg: ModelConfig):
-    """Run the whole model on one image.
+def forward(params: Params, images, cfg: ModelConfig, keep_cache=True):
+    """Run the whole model on a chunk of images, a (B, 3, side, side) stack.
 
-    Returns (ys, cache) where ys is the list [Y_0, ..., Y_T] of (N, 2)
+    Returns (ys, cache) where ys is the list [Y_0, ..., Y_T] of (B, N, 2)
     landmark estimates in normalized [0, 1] image coordinates, one entry per
-    supervision stage.
+    supervision stage.  With keep_cache=False (inference) each stage's
+    cache is dropped as soon as the stage is done and the returned cache is
+    None, so memory does not grow with the layers.
     """
-    if image.shape[1] != cfg.image_side or image.shape[2] != cfg.image_side:
+    if images.ndim != 4 or images.shape[2:] != (cfg.image_side, cfg.image_side):
         raise ConfigError(
-            f"model expects {cfg.image_side}x{cfg.image_side} images, got "
-            f"{image.shape[1]}x{image.shape[2]}"
+            f"model expects a stack of {cfg.image_side}x{cfg.image_side} images, "
+            f"got shape {images.shape}"
         )
-    mem, c_bb = extract_memory(image, params, cfg.backbone_config)
+    bsz = images.shape[0]
+    mem, c_bb = extract_memory(images, params, cfg.backbone_config)
+    if not keep_cache:
+        c_bb = None
     layout = mem.layout
     if cfg.learned_query_init:
-        m_last = mem.data[layout.block_slices()[-1]]
-        q = params["query_init.w"].T @ m_last + params["query_init.b"][:, None]
+        # one (N, M_last) @ (M_last, C) product per image
+        m_last = mem.data[layout.block_slices(bsz)[-1]].reshape(-1, bsz, cfg.dim)
+        q = np.matmul(params["query_init.w"].T, m_last.transpose(1, 0, 2))
+        q = (q + params["query_init.b"][:, None]).transpose(1, 0, 2)
         q0_source = m_last
     else:
-        q = params["query_embed"]
+        q = np.broadcast_to(params["query_embed"][:, None],
+                            (cfg.num_landmarks, bsz, cfg.dim))
         q0_source = None
+    pos = params["query_pos"][:, None] if cfg.self_attention else None
     logits, c_init = linear_fwd(q, params["landmark_init.w"], params["landmark_init.b"])
-    ys = [sigmoid(logits)]
+    ys = [sigmoid(logits)]  # each (N, B, 2)
     aux = None
     mem_state = mem.data
     if cfg.parallel:
@@ -377,32 +431,38 @@ def forward(params: Params, image, cfg: ModelConfig):
         aux = (pixel_centers(layout), pos_rows)
     layer_caches = []
     for t in range(cfg.num_layers):
+        lp = _layer_params(params, t)
         if cfg.parallel:
             q, mem_state, c_layer = _parallel_layer_fwd(
-                q, ys[-1], mem_state, aux, params, t, cfg
+                q, ys[-1], mem_state, aux, lp, pos, cfg
             )
         else:
             q, c_layer = _basic_layer_fwd(
-                q, ys[-1], mem_state, layout, params, t, cfg
+                q, ys[-1], mem_state, layout, lp, pos, cfg
             )
-        delta, c_head = _head_fwd(q, subdict(params, f"layers.{t}.head."))
+        delta, c_head = _head_fwd(q, lp["head"])
         logits = logits + delta
         ys.append(sigmoid(logits))
-        layer_caches.append((c_layer, c_head))
-    return ys, ForwardCache(c_bb, mem, c_init, q0_source, layer_caches, ys, aux)
+        if keep_cache:
+            layer_caches.append((c_layer, c_head))
+        del c_layer, c_head  # else freed here, not when the next layer rebinds them
+    cache = ForwardCache(c_bb, mem, c_init, q0_source, layer_caches, ys, aux)
+    return [y.transpose(1, 0, 2) for y in ys], cache if keep_cache else None
 
 
 def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache):
     """Backpropagate per-stage landmark gradients dys (same layout as ys).
 
-    Returns a grads dict covering every parameter path, zeros included.
+    Returns a grads dict covering every parameter path, zeros included,
+    summed over the chunk's images.
     """
     ys = cache.ys
+    dys = [dy.transpose(1, 0, 2) for dy in dys]
     n_layers = cfg.num_layers
     grads: Params = {}
     extra_dy = [np.zeros_like(ys[0]) for _ in range(n_layers + 1)]
     dlogits = np.zeros_like(ys[0])
-    dq = np.zeros((cfg.num_landmarks, cfg.dim))
+    dq = np.zeros(ys[0].shape[:2] + (cfg.dim,))
     mem_rows = cache.mem.data.shape[0]
     dmem = np.zeros((mem_rows, cfg.dim))
     for t in range(n_layers - 1, -1, -1):
@@ -425,15 +485,23 @@ def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache):
     dlogits = dlogits + dy0 * ys[0] * (1.0 - ys[0])
     dq0_init, g_init = linear_bwd(dlogits, cache.init_lin)
     accumulate(grads, "landmark_init.", {"w": g_init["w"], "b": g_init["b"]})
-    dq0 = dq + dq0_init
+    # (B, N, C): sums over axis 0 add the images in order
+    dq0 = np.ascontiguousarray((dq + dq0_init).transpose(1, 0, 2))
     if cfg.learned_query_init:
-        grads["query_init.w"] = cache.q0_source @ dq0.T
-        grads["query_init.b"] = dq0.sum(axis=1)
-        last_slice = cache.mem.layout.block_slices()[-1]
-        dmem[last_slice] += params["query_init.w"] @ dq0
+        m_last = cache.q0_source
+        grads["query_init.w"] = np.matmul(
+            m_last.transpose(1, 0, 2), dq0.transpose(0, 2, 1)).sum(axis=0)
+        grads["query_init.b"] = dq0.sum(axis=2).sum(axis=0)
+        last_slice = cache.mem.layout.block_slices(dq0.shape[0])[-1]
+        dlast = dmem[last_slice].reshape(m_last.shape)  # a view into dmem
+        dlast += np.matmul(params["query_init.w"], dq0).transpose(1, 0, 2)
     else:
-        grads["query_embed"] = dq0
-    _, bb_grads = extract_memory_bwd(dmem, params, cache.backbone)
+        grads["query_embed"] = dq0.sum(axis=0)
+    # query_pos and level_emb were summed over the layers per image
+    for k in ("query_pos", "level_emb"):
+        if k in grads:
+            grads[k] = grads[k].sum(axis=1)
+    _, bb_grads = extract_memory_bwd(dmem, cache.backbone)
     grads.update(bb_grads)
     for k, v in params.items():
         if k not in grads:
@@ -456,9 +524,12 @@ class DecoderState:
     def init(cls, config: ModelConfig, seed: int = 0) -> "DecoderState":
         return cls(config, init_params(config, seed))
 
-    def predict(self, image):
-        ys, _ = forward(self.params, image, self.config)
-        return ys
+    def predict(self, images):
+        """Stage estimates [Y_0, ..., Y_T], each (B, N, 2), for a
+        (B, 3, side, side) stack, run one chunk at a time."""
+        parts = [forward(self.params, images[sl], self.config, keep_cache=False)[0]
+                 for sl in chunk_slices(len(images), self.config)]
+        return [np.concatenate(stage) for stage in zip(*parts)]
 
     def save(self, path, extra_meta: dict[str, str] | None = None):
         meta = self.config.to_meta()

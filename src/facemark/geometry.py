@@ -107,12 +107,13 @@ class PyramidLayout:
     def total_len(self) -> int:
         return sum(h * w for (h, w, _) in self.levels)
 
-    def block_slices(self) -> list[slice]:
-        """Row slice of each level inside the flattened memory."""
+    def block_slices(self, batch: int = 1) -> list[slice]:
+        """Row slice of each level inside the flattened memory of `batch`
+        images, whose row m of image b is row m * batch + b."""
         out, start = [], 0
         for h, w, _ in self.levels:
-            out.append(slice(start, start + h * w))
-            start += h * w
+            out.append(slice(start, start + h * w * batch))
+            start += h * w * batch
         return out
 
     @classmethod

@@ -5,10 +5,12 @@ Everything here is byte-deterministic.  Images live on disk as 8-bit P6
 pixmaps and in memory as float64 (3, h, w) arrays in [0, 1].  Landmark
 files carry pixel coordinates (x = u * side); the model works in
 normalized coordinates, so readers and writers scale by the image side.
+Every reader turns a malformed file into a ConfigError naming the file.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -65,7 +67,9 @@ def read_ppm(path):
                 j += 1
             tokens.append(blob[i:j])
             i = j
-    w, h, maxval = (int(t) for t in tokens)
+    w, h, maxval = _numbers(tokens, int, path, "pixmap header")
+    if w < 1 or h < 1:
+        raise ConfigError(f"invalid pixmap size {w}x{h}: {path}")
     if maxval != 255:
         raise ConfigError(f"unsupported pixmap depth {maxval}: {path}")
     i += 1  # single whitespace after maxval
@@ -91,20 +95,40 @@ def write_landmarks(path, points_px):
         f.write("\n".join(lines) + "\n")
 
 
+def _read_text(path):
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        return blob.decode()
+    except UnicodeDecodeError:
+        raise ConfigError(f"not a text file: {path}") from None
+
+
+def _numbers(tokens, kind, path, what):
+    """Tokens parsed by `kind` (int or float); finite, or ConfigError."""
+    try:
+        vals = [kind(t) for t in tokens]
+    except ValueError:
+        raise ConfigError(f"non-numeric {what} in {path}") from None
+    if kind is float and not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"non-finite {what} in {path}")
+    return vals
+
+
 def read_landmarks(path):
-    with open(path) as f:
-        lines = f.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0] != LANDMARK_VERSION:
         raise ConfigError(f"unsupported landmark file: {path}")
-    if len(lines) < 2 or not lines[1].startswith("n_points "):
+    count = lines[1].split() if len(lines) > 1 else []
+    if len(count) != 2 or count[0] != "n_points":
         raise ConfigError(f"missing point count: {path}")
-    n = int(lines[1].split()[1])
+    (n,) = _numbers(count[1:], int, path, "point count")
     if len(lines) < 2 + n:
         raise ConfigError(f"landmark file lists {n} points but has fewer lines: {path}")
-    pts = np.array([[float(v) for v in lines[2 + i].split()] for i in range(n)])
-    if pts.shape != (n, 2):
+    rows = [line.split() for line in lines[2:2 + n]]
+    if n < 0 or any(len(r) != 2 for r in rows):
         raise ConfigError(f"malformed landmark rows: {path}")
-    return pts
+    return np.array([_numbers(r, float, path, "landmark coordinate") for r in rows]).reshape(n, 2)
 
 
 def write_bbox(path, bbox):
@@ -113,11 +137,10 @@ def write_bbox(path, bbox):
 
 
 def read_bbox(path):
-    with open(path) as f:
-        vals = [float(v) for v in f.read().split()]
-    if len(vals) != 4:
-        raise ConfigError(f"expected 4 box values in {path}, got {len(vals)}")
-    return np.array(vals)
+    tokens = _read_text(path).split()
+    if len(tokens) != 4:
+        raise ConfigError(f"expected 4 box values in {path}, got {len(tokens)}")
+    return np.array(_numbers(tokens, float, path, "box value"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 failure rate, AUC of the cumulative error curve, and report assembly.
 
 Predictions and ground truth are (N, 2) arrays in normalized [0, 1] image
-coordinates; they are scaled to pixels before measuring, so the normalizer
-D is always a pixel distance.
+coordinates, or stacks (..., N, 2) of them; they are scaled to pixels
+before measuring, so the normalizer D is always a pixel distance.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import DecoderState, forward
+from .decoder import DecoderState
 from .errors import ConfigError
 
 FR_THRESHOLDS = (0.08, 0.10)
@@ -21,17 +21,24 @@ AUC_CUTOFF = 0.07
 NORMALIZERS = ("inter_ocular", "image_size", "bbox_geometric_mean")
 
 
+def _scalar(v):
+    return float(v) if np.ndim(v) == 0 else v
+
+
 def nme(pred, gt, d, pixel_scale):
-    """Mean Euclidean pixel distance over landmarks, divided by d."""
+    """Mean Euclidean pixel distance over landmarks, divided by d.
+
+    For stacks (..., N, 2) the result is one error per sample, and d
+    broadcasts against the leading axes."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"prediction shape {pred.shape} != truth {gt.shape}")
-    if d <= 0:
+    if np.any(np.asarray(d) <= 0):
         raise ValueError(f"normalizer must be positive, got {d}")
     w, h = pixel_scale
     diff = (pred - gt) * np.array([w, h])
-    return float(np.sqrt((diff ** 2).sum(axis=1)).mean() / d)
+    return _scalar(np.sqrt((diff ** 2).sum(axis=-1)).mean(axis=-1) / d)
 
 
 def failure_rate(nmes, threshold):
@@ -66,21 +73,23 @@ def resolve_normalizer(kind, gt=None, pixel_scale=None, bbox=None,
 
     inter_ocular: pixel distance between two configured ground-truth
     landmarks; image_size: the image side; bbox_geometric_mean:
-    sqrt(width * height) of the ground-truth box.
+    sqrt(width * height) of the ground-truth box.  Stacks of ground truth
+    (..., N, 2) or boxes (..., 4) give one distance per sample.
     """
     if kind == "inter_ocular":
         if gt is None or pixel_scale is None:
             raise ConfigError("inter-ocular normalizer needs ground truth and image size")
+        gt = np.asarray(gt)
         li, ri = eye_indices
-        n = np.asarray(gt).shape[0]
+        n = gt.shape[-2]
         if not (0 <= li < n and 0 <= ri < n):
             raise ConfigError(f"eye indices {eye_indices} out of range for {n} landmarks")
         w, h = pixel_scale
-        diff = (np.asarray(gt)[li] - np.asarray(gt)[ri]) * np.array([w, h])
-        d = float(np.sqrt((diff ** 2).sum()))
-        if d == 0.0:
+        diff = (gt[..., li, :] - gt[..., ri, :]) * np.array([w, h])
+        d = np.sqrt((diff ** 2).sum(axis=-1))
+        if np.any(d == 0.0):
             raise ValueError("eye landmarks coincide; inter-ocular distance is zero")
-        return d
+        return _scalar(d)
     if kind == "image_size":
         if pixel_scale is None:
             raise ConfigError("image-size normalizer needs the image size")
@@ -91,11 +100,11 @@ def resolve_normalizer(kind, gt=None, pixel_scale=None, bbox=None,
     if kind == "bbox_geometric_mean":
         if bbox is None:
             raise ConfigError("bbox normalizer needs a ground-truth box")
-        x0, y0, x1, y1 = bbox
-        area = (x1 - x0) * (y1 - y0)
-        if area <= 0:
+        box = np.asarray(bbox, dtype=float)
+        area = (box[..., 2] - box[..., 0]) * (box[..., 3] - box[..., 1])
+        if np.any(area <= 0):
             raise ValueError(f"degenerate box {bbox}")
-        return float(np.sqrt(area))
+        return _scalar(np.sqrt(area))
     raise ConfigError(f"unknown normalizer: {kind} (choose from {NORMALIZERS})")
 
 
@@ -128,21 +137,19 @@ def evaluate(state: DecoderState, dataset, normalizer="image_size",
         raise ConfigError("evaluation dataset is empty")
     side = state.config.image_side
     scale = (side, side)
-    stage_sums = None
-    last = []
-    for s in dataset:
-        ys, _ = forward(state.params, s.image, state.config)
-        d = resolve_normalizer(
-            normalizer, gt=s.landmarks, pixel_scale=scale, bbox=s.bbox,
-            eye_indices=eye_indices,
-        )
-        errs = [nme(y, s.landmarks, d, scale) for y in ys]
-        if stage_sums is None:
-            stage_sums = np.zeros(len(ys))
-        stage_sums += errs
-        last.append(errs[-1])
-    per_sample = np.array(last)
-    per_stage = stage_sums / len(dataset)
+    gt = np.stack([s.landmarks for s in dataset])
+    boxes = None
+    if normalizer == "bbox_geometric_mean" and all(s.bbox is not None for s in dataset):
+        boxes = np.stack([s.bbox for s in dataset])
+    d = resolve_normalizer(
+        normalizer, gt=gt, pixel_scale=scale, bbox=boxes, eye_indices=eye_indices,
+    )
+    pred = np.stack(state.predict(np.stack([s.image for s in dataset])), axis=1)
+    # (samples, stages): summing over axis 0 adds the samples in order
+    errs = nme(pred, np.broadcast_to(gt[:, None], pred.shape),
+               np.reshape(d, (-1, 1)), scale)
+    per_sample = errs[:, -1]
+    per_stage = errs.sum(axis=0) / len(dataset)
     return EvalResult(
         normalizer,
         per_sample,

@@ -35,11 +35,6 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> n
     return rng.uniform(-limit, limit, size=shape)
 
 
-def subdict(params: Params, prefix: str) -> dict[str, np.ndarray]:
-    """View of all entries under `prefix` with the prefix stripped."""
-    return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
-
-
 def accumulate(grads: Grads, prefix: str, local: dict[str, np.ndarray]) -> None:
     """Add local gradients into the flat buffer under `prefix`."""
     for k, v in local.items():
@@ -52,11 +47,6 @@ def accumulate(grads: Grads, prefix: str, local: dict[str, np.ndarray]) -> None:
 
 def zero_grads_like(params: Params) -> Grads:
     return {k: np.zeros_like(v) for k, v in params.items()}
-
-
-def scale_grads(grads: Grads, factor: float) -> None:
-    for v in grads.values():
-        v *= factor
 
 
 # ---------------------------------------------------------------------------
@@ -103,30 +93,48 @@ def save_checkpoint(path: str, params: Params, meta: dict[str, str] | None = Non
         fh.write(buf.getvalue())
 
 
+def _parse_header(lines: list[str]):
+    """(meta, [(path, shape)]) from the header lines after the magic line.
+    Raises ValueError naming the first malformed line."""
+    meta: dict[str, str] = {}
+    i = 0
+    while i < len(lines) and lines[i].startswith("meta "):
+        parts = lines[i].split(" ", 2)
+        if len(parts) != 3:
+            raise ValueError(f"meta line {lines[i]!r} has no value")
+        meta[parts[1]] = parts[2]
+        i += 1
+    if i == len(lines) or not lines[i].startswith("params "):
+        raise ValueError("no 'params <count>' line after the meta lines")
+    count = int(lines[i][len("params "):])
+    body = lines[i + 1:]
+    if count != len(body):
+        raise ValueError(f"params line promises {count} entries, the header lists {len(body)}")
+    entries = []
+    for line in body:
+        name, _, dims = line.rpartition(" ")
+        shape = () if dims == "scalar" else tuple(int(d) for d in dims.split(","))
+        if not name or min(shape, default=0) < 0:
+            raise ValueError(f"entry {line!r} is not '<path> <dim0,dim1,...>'")
+        entries.append((name, shape))
+    return meta, entries
+
+
 def load_checkpoint(path: str) -> tuple[Params, dict[str, str]]:
     with open(path, "rb") as fh:
         blob = fh.read()
     head, sep, rest = blob.partition(b"\ndata\n")
     if not sep:
         raise ConfigError(f"not a checkpoint file: {path}")
-    lines = head.decode().split("\n")
-    if lines[0] != CHECKPOINT_MAGIC:
-        raise ConfigError(f"unsupported checkpoint header in {path}: {lines[0]!r}")
-    meta: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and lines[i].startswith("meta "):
-        _, key, value = lines[i].split(" ", 2)
-        meta[key] = value
-        i += 1
-    if not lines[i].startswith("params "):
-        raise ConfigError(f"malformed checkpoint header in {path}")
-    count = int(lines[i].split(" ", 1)[1])
-    entries = []
-    for line in lines[i + 1 : i + 1 + count]:
-        name, dims = line.rsplit(" ", 1)
-        shape = () if dims == "scalar" else tuple(int(d) for d in dims.split(","))
-        entries.append((name, shape))
-    sizes = [int(np.prod(shape)) if shape else 1 for _, shape in entries]
+    magic, _, header = head.partition(b"\n")
+    if magic != CHECKPOINT_MAGIC.encode():
+        magic = magic.decode(errors="replace")
+        raise ConfigError(f"unsupported checkpoint header in {path}: {magic!r}")
+    try:
+        meta, entries = _parse_header(header.decode().split("\n"))
+    except ValueError as e:  # UnicodeDecodeError included
+        raise ConfigError(f"malformed checkpoint header in {path}: {e}") from None
+    sizes = [math.prod(shape) for _, shape in entries]
     if sum(sizes) * 8 != len(rest):
         raise ConfigError(
             f"checkpoint payload size mismatch in {path}: header promises "

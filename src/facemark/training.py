@@ -4,7 +4,9 @@ gradient-check harness, and the self-training loop.
 
 Sizes here are desk scale: datasets are lists of Sample tuples held in
 memory, batches are plain index lists, and the schedule is counted in
-optimizer steps (a step over the full batch stands in for an epoch).
+optimizer steps (a step over the full batch stands in for an epoch).  A
+batch runs through the model one chunk of images at a time
+(`decoder.chunk_slices`), one forward and one backward per chunk.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoder import DecoderState, ModelConfig, backward, forward
+from .decoder import DecoderState, ModelConfig, backward, chunk_slices, forward
 from .errors import ConfigError, NumericError
 from .geometry import bilinear_sample_many
-from .params import Params, accumulate, scale_grads, zero_grads_like
+from .params import Params, accumulate, zero_grads_like
 
 Sample = namedtuple("Sample", "image landmarks bbox")
 
@@ -31,8 +33,9 @@ Sample = namedtuple("Sample", "image landmarks bbox")
 def landmark_loss(outputs, gt):
     """Sum over every supervision stage of the L1 distance to ground truth.
 
-    Returns (loss, per-stage gradients).  Batch averaging is the caller's
-    job; a single sample contributes sum_t ||Y_t - gt||_1.
+    Returns (loss, per-stage gradients).  Outputs and gt may carry a
+    leading image axis, which the loss sums over; batch averaging is the
+    caller's job.  A single sample contributes sum_t ||Y_t - gt||_1.
     """
     gt = np.asarray(gt)
     loss = 0.0
@@ -47,25 +50,30 @@ def landmark_loss(outputs, gt):
 
 
 def batch_loss_and_grads(params: Params, cfg: ModelConfig, images, targets):
-    """Mean loss and mean parameter gradients over a batch."""
-    n = len(images)
+    """Mean loss and mean parameter gradients over a batch of images
+    (B, 3, side, side) and targets (B, N, 2)."""
+    images, targets = np.asarray(images), np.asarray(targets)
+    scale = 1.0 / len(images)
     total = 0.0
-    acc = {}
-    for img, tgt in zip(images, targets):
-        ys, cache = forward(params, img, cfg)
-        li, dys = landmark_loss(ys, tgt)
-        total += li
-        accumulate(acc, "", backward(dys, params, cfg, cache))
-    scale_grads(acc, 1.0 / n)
-    return total / n, acc
+    grads = None
+    for sl in chunk_slices(len(images), cfg):
+        ys, cache = forward(params, images[sl], cfg)
+        loss, dys = landmark_loss(ys, targets[sl])
+        total += loss
+        dys = [dy * scale for dy in dys]
+        if grads is None:
+            grads = backward(dys, params, cfg, cache)
+        else:
+            accumulate(grads, "", backward(dys, params, cfg, cache))
+    return total / len(images), grads
 
 
 def batch_loss(params: Params, cfg: ModelConfig, images, targets):
+    images, targets = np.asarray(images), np.asarray(targets)
     total = 0.0
-    for img, tgt in zip(images, targets):
-        ys, _ = forward(params, img, cfg)
-        li, _ = landmark_loss(ys, tgt)
-        total += li
+    for sl in chunk_slices(len(images), cfg):
+        ys, _ = forward(params, images[sl], cfg, keep_cache=False)
+        total += landmark_loss(ys, targets[sl])[0]
     return total / len(images)
 
 
@@ -278,18 +286,16 @@ def render_face(landmarks, side, rng, spec: SyntheticFaceSpec):
 
 
 def tight_bbox(landmarks, side, enlarge=0.0):
-    """Tight pixel box around the landmarks, sides scaled by (1 + enlarge),
-    clamped to the image."""
+    """Tight pixel box (x0, y0, x1, y1) around (..., N, 2) landmarks, sides
+    scaled by (1 + enlarge), clamped to the image; (..., 4)."""
     px = landmarks * side
-    x0, y0 = px.min(axis=0)
-    x1, y1 = px.max(axis=0)
-    cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-    hw = (x1 - x0) * (1.0 + enlarge) / 2.0
-    hh = (y1 - y0) * (1.0 + enlarge) / 2.0
-    return np.array([
-        max(cx - hw, 0.0), max(cy - hh, 0.0),
-        min(cx + hw, side), min(cy + hh, side),
-    ])
+    lo = px.min(axis=-2)
+    hi = px.max(axis=-2)
+    center = (lo + hi) / 2.0
+    half = (hi - lo) * (1.0 + enlarge) / 2.0
+    return np.concatenate(
+        [np.maximum(center - half, 0.0), np.minimum(center + half, side)], axis=-1
+    )
 
 
 def gen_synthetic(spec: SyntheticFaceSpec, count: int, seed: int):
@@ -349,7 +355,7 @@ def train(state: DecoderState, dataset, cfg: TrainConfig, log=None):
     """Adam loop over the dataset.  Returns (new state, per-step mean loss).
 
     Backbone parameters run at lr * lr_backbone_scale; everything drops to
-    a tenth after lr_drop_step.  Aborts on a non-finite loss.
+    a tenth after lr_drop_step.  Aborts on a non-finite loss or gradient.
     """
     if len(dataset) == 0:
         raise ConfigError("training dataset is empty")
@@ -378,6 +384,12 @@ def train(state: DecoderState, dataset, cfg: TrainConfig, log=None):
         loss, grads = batch_loss_and_grads(params, mcfg, images, targets)
         if not np.isfinite(loss):
             raise NumericError(f"training diverged at step {step}: loss={loss}")
+        # one check over every entry: a sum is finite iff all its terms are,
+        # unless finite terms overflow, which is divergence too
+        if not math.isfinite(sum(g.sum() for g in grads.values())):
+            bad = next((k for k in sorted(grads) if not np.isfinite(grads[k]).all()),
+                       "the sum over all parameters")
+            raise NumericError(f"training diverged at step {step}: non-finite gradient in {bad}")
         lr = cfg.lr * (0.1 if step > cfg.lr_drop_step else 1.0)
         opt.step(params, grads, lr, lr_factor)
         losses.append(loss)
@@ -510,13 +522,11 @@ def self_train(state: DecoderState, labeled, unlabeled_images, rounds,
     history = []
     if eval_fn is not None:
         history.append({"round": 0, "loss": float("nan"), "eval": eval_fn(state)})
+    pool = np.asarray(unlabeled_images)
     for r in range(1, rounds + 1):
-        pseudo = []
-        for img in unlabeled_images:
-            ys = state.predict(img)
-            lm = ys[-1].copy()
-            pseudo.append(Sample(img, lm, tight_bbox(lm, img.shape[1])))
-        union = list(labeled) + pseudo
+        labels = state.predict(pool)[-1]
+        boxes = tight_bbox(labels, pool.shape[-1])
+        union = list(labeled) + list(map(Sample, unlabeled_images, labels, boxes))
         round_cfg = dataclasses.replace(cfg, seed=cfg.seed + r)
         state, losses = train(state, union, round_cfg, log=log)
         entry = {"round": r, "loss": losses[-1]}

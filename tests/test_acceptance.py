@@ -116,7 +116,7 @@ def test_04_zero_initialized_heads_are_an_identity_cascade(tiny_batch):
     for cfg in flavors:
         state = DecoderState.init(cfg, seed=4)
         for img in inputs:
-            ys = state.predict(img)
+            ys = state.predict(img[None])
             ok = ok and all(np.array_equal(y, ys[0]) for y in ys[1:])
     assert _verdict(
         4, "identity at initialization", ok,

@@ -177,21 +177,33 @@ def test_self_attention_weights_are_distributions():
     rng = np.random.default_rng(5)
     dim, n, heads = 8, 5, 2
     p = _self_attn_params(rng, dim)
-    q = rng.normal(size=(n, dim))
-    pos = rng.normal(size=(n, dim))
+    q = rng.normal(size=(n, 3, dim))
+    pos = rng.normal(size=(n, 1, dim))
     out, cache = self_attention_fwd(q, pos, p, heads)
-    assert out.shape == (n, dim)
-    attn = cache.attn  # (heads, n, n)
-    assert attn.shape == (heads, n, n)
+    assert out.shape == (n, 3, dim)
+    attn = cache.attn  # (images, heads, n, n)
+    assert attn.shape == (3, heads, n, n)
     npt.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_self_attention_keeps_images_apart():
+    rng = np.random.default_rng(14)
+    dim, n, heads = 8, 5, 2
+    p = _self_attn_params(rng, dim)
+    q = rng.normal(size=(n, 3, dim))
+    pos = rng.normal(size=(n, 1, dim))
+    out, _ = self_attention_fwd(q, pos, p, heads)
+    for b in range(3):
+        one, _ = self_attention_fwd(q[:, b:b + 1], pos, p, heads)
+        npt.assert_array_equal(out[:, b:b + 1], one)
 
 
 def test_self_attention_permutation_equivariant():
     rng = np.random.default_rng(6)
     dim, n, heads = 8, 5, 2
     p = _self_attn_params(rng, dim)
-    q = rng.normal(size=(n, dim))
-    pos = rng.normal(size=(n, dim))
+    q = rng.normal(size=(n, 2, dim))
+    pos = rng.normal(size=(n, 2, dim))
     perm = np.array([3, 1, 4, 0, 2])
     out, _ = self_attention_fwd(q, pos, p, heads)
     out_p, _ = self_attention_fwd(q[perm], pos[perm], p, heads)
@@ -202,16 +214,16 @@ def test_self_attention_rejects_empty():
     rng = np.random.default_rng(7)
     p = _self_attn_params(rng, 4)
     with pytest.raises(ValueError):
-        self_attention_fwd(np.zeros((0, 4)), np.zeros((0, 4)), p, 2)
+        self_attention_fwd(np.zeros((0, 1, 4)), np.zeros((0, 1, 4)), p, 2)
 
 
 def test_self_attention_backward_matches_fd():
     rng = np.random.default_rng(8)
     dim, n, heads = 8, 4, 2
     p = _self_attn_params(rng, dim)
-    q = rng.normal(size=(n, dim))
-    pos = rng.normal(size=(n, dim))
-    mix = rng.normal(size=(n, dim))
+    q = rng.normal(size=(n, 2, dim))
+    pos = rng.normal(size=(n, 2, dim))
+    mix = rng.normal(size=(n, 2, dim))
     out, cache = self_attention_fwd(q, pos, p, heads)
     dq, dpos, grads = self_attention_bwd(mix, cache)
     assert set(grads) == set(p)
@@ -398,9 +410,9 @@ def test_sampling_fields_zero_projection_uniform():
     npt.assert_allclose(weights, 1.0 / 4.0)
 
 
-def _memory_fixture(rng, cfg):
+def _memory_fixture(rng, cfg, batch=1):
     layout = PyramidLayout.for_image(32, cfg.levels)
-    memory = rng.normal(size=(layout.total_len, cfg.dim))
+    memory = rng.normal(size=(layout.total_len * batch, cfg.dim))
     return layout, memory
 
 
@@ -416,12 +428,13 @@ def test_full_deformable_block_backward_matches_fd():
         "ln_g": 1.0 + 0.1 * rng.normal(size=8),
         "ln_b": 0.1 * rng.normal(size=8),
     }
-    layout, memory = _memory_fixture(rng, cfg)
-    x = rng.normal(size=(4, 8))
-    refs = rng.uniform(0.2, 0.8, (4, 2))
-    mix = rng.normal(size=(4, 8))
+    # two images: (rows, B, C) queries against their (M * B, C) memory
+    layout, memory = _memory_fixture(rng, cfg, batch=2)
+    x = rng.normal(size=(4, 2, 8))
+    refs = rng.uniform(0.2, 0.8, (4, 2, 2))
+    mix = rng.normal(size=(4, 2, 8))
     out, cache = deformable_attention_fwd(x, refs, memory, layout, p, ffn_p, cfg)
-    assert out.shape == (4, 8)
+    assert out.shape == (4, 2, 8)
     dx, drefs, dmem, dp, dffn = deformable_attention_bwd(mix, cache)
     assert set(dp) == set(p)
     assert set(dffn) == set(ffn_p)
@@ -464,3 +477,19 @@ def test_project_value_round_trip_gradient():
     dvalue = np.concatenate([d.reshape(-1, 8) for d in dlevels], axis=0)
     npt.assert_allclose(dmem, dvalue @ p["w_val"].T, atol=1e-12)
     npt.assert_allclose(grads["w_val"], memory.T @ dvalue, atol=1e-12)
+
+
+def test_value_levels_fold_images_into_heads():
+    # memory row m of image b is row m * B + b; image b's head k is head
+    # b * heads + k of the level view, and the view is no copy
+    rng = np.random.default_rng(15)
+    cfg = AttentionConfig(8, 2, 2, 2)
+    p = _deform_params(rng, cfg)
+    layout, memory = _memory_fixture(rng, cfg, batch=3)
+    levels, _ = project_value(memory, layout, p, cfg)
+    assert [lev.shape for lev in levels] == [(8, 8, 6, 4), (4, 4, 6, 4)]
+    assert all(lev.base is not None for lev in levels)
+    for b in range(3):
+        one, _ = project_value(memory[b::3], layout, p, cfg)
+        for lev, lev_b in zip(levels, one):
+            npt.assert_array_equal(lev[:, :, 2 * b:2 * b + 2], lev_b)

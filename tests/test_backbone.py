@@ -14,25 +14,26 @@ from facemark.errors import ConfigError
 
 
 def _conv_reference(x, w, b, stride):
-    """Scalar loop oracle: 3x3 convolution, padding 1."""
-    cin, hi, wi = x.shape
+    """Scalar loop oracle: 3x3 convolution, padding 1, image by image."""
+    bsz, cin, hi, wi = x.shape
     cout = w.shape[0]
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     ho = (hi + 2 - 3) // stride + 1
     wo = (wi + 2 - 3) // stride + 1
-    out = np.zeros((cout, ho, wo))
-    for co in range(cout):
-        for i in range(ho):
-            for j in range(wo):
-                patch = xp[:, i * stride:i * stride + 3, j * stride:j * stride + 3]
-                out[co, i, j] = (patch * w[co]).sum() + b[co]
+    out = np.zeros((bsz, cout, ho, wo))
+    for n in range(bsz):
+        for co in range(cout):
+            for i in range(ho):
+                for j in range(wo):
+                    patch = xp[n, :, i * stride:i * stride + 3, j * stride:j * stride + 3]
+                    out[n, co, i, j] = (patch * w[co]).sum() + b[co]
     return out
 
 
 def test_conv_matches_scalar_reference():
     rng = np.random.default_rng(0)
     for stride in (1, 2):
-        x = rng.normal(size=(2, 6, 6))
+        x = rng.normal(size=(3, 2, 6, 6))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
         out, _ = conv2d_fwd(x, w, b, stride)
@@ -41,7 +42,7 @@ def test_conv_matches_scalar_reference():
 
 def test_conv_identity_kernel():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(1, 5, 5))
+    x = rng.normal(size=(2, 1, 5, 5))
     w = np.zeros((1, 1, 3, 3))
     w[0, 0, 1, 1] = 1.0  # centered delta passes the input through at stride 1
     out, _ = conv2d_fwd(x, w, np.zeros(1), 1)
@@ -49,19 +50,19 @@ def test_conv_identity_kernel():
 
 
 def test_conv_output_sizes():
-    x = np.zeros((1, 8, 8))
+    x = np.zeros((2, 1, 8, 8))
     w = np.zeros((4, 1, 3, 3))
     b = np.zeros(4)
-    assert conv2d_fwd(x, w, b, 1)[0].shape == (4, 8, 8)
-    assert conv2d_fwd(x, w, b, 2)[0].shape == (4, 4, 4)
+    assert conv2d_fwd(x, w, b, 1)[0].shape == (2, 4, 8, 8)
+    assert conv2d_fwd(x, w, b, 2)[0].shape == (2, 4, 4, 4)
 
 
 def test_conv_backward_matches_fd():
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(2, 4, 4))
+    x = rng.normal(size=(2, 2, 4, 4))
     w = rng.normal(size=(2, 2, 3, 3))
     b = rng.normal(size=2)
-    mix = rng.normal(size=(2, 2, 2))
+    mix = rng.normal(size=(2, 2, 2, 2))
     out, cache = conv2d_fwd(x, w, b, 2)
     dx, grads = conv2d_bwd(mix, cache)
     h = 1e-6
@@ -91,16 +92,16 @@ def test_conv_backward_matches_fd():
 def test_memory_shape_tiny():
     cfg = BackboneConfig((8, 16), 16)
     params = init_backbone_params(np.random.default_rng(0), cfg)
-    img = np.random.default_rng(1).uniform(0, 1, (3, 32, 32))
+    img = np.random.default_rng(1).uniform(0, 1, (2, 3, 32, 32))
     mem, _ = extract_memory(img, params, cfg)
-    assert mem.data.shape == (8 * 8 + 4 * 4, 16)
+    assert mem.data.shape == ((8 * 8 + 4 * 4) * 2, 16)
     assert mem.layout.levels == ((8, 8, 4), (4, 4, 8))
 
 
 def test_memory_shape_full_scale():
     cfg = BackboneConfig((16, 32, 64, 128), 256)
     params = init_backbone_params(np.random.default_rng(0), cfg)
-    img = np.random.default_rng(1).uniform(0, 1, (3, 256, 256))
+    img = np.random.default_rng(1).uniform(0, 1, (1, 3, 256, 256))
     mem, _ = extract_memory(img, params, cfg)
     assert mem.data.shape == (5440, 256)
 
@@ -109,11 +110,13 @@ def test_memory_input_validation():
     cfg = BackboneConfig((8, 16), 16)
     params = init_backbone_params(np.random.default_rng(0), cfg)
     with pytest.raises(ConfigError):
-        extract_memory(np.zeros((1, 32, 32)), params, cfg)  # channels
+        extract_memory(np.zeros((1, 1, 32, 32)), params, cfg)  # channels
     with pytest.raises(ConfigError):
-        extract_memory(np.zeros((3, 32, 16)), params, cfg)  # not square
+        extract_memory(np.zeros((1, 3, 32, 16)), params, cfg)  # not square
     with pytest.raises(ConfigError):
-        extract_memory(np.zeros((3, 36, 36)), params, cfg)  # not divisible
+        extract_memory(np.zeros((1, 3, 36, 36)), params, cfg)  # not divisible
+    with pytest.raises(ConfigError):
+        extract_memory(np.zeros((3, 32, 32)), params, cfg)  # no batch axis
 
 
 def test_memory_backward_matches_fd():
@@ -122,10 +125,10 @@ def test_memory_backward_matches_fd():
     params = init_backbone_params(rng, cfg)
     for v in params.values():
         v += rng.normal(0, 0.05, v.shape)
-    img = rng.uniform(0, 1, (3, 16, 16))
-    mix = rng.normal(size=(4 * 4 + 2 * 2, 8))
+    img = rng.uniform(0, 1, (2, 3, 16, 16))
+    mix = rng.normal(size=((4 * 4 + 2 * 2) * 2, 8))
     mem, cache = extract_memory(img, params, cfg)
-    _, grads = extract_memory_bwd(mix, params, cache)
+    _, grads = extract_memory_bwd(mix, cache)
     assert set(grads) == set(params)
     h = 1e-6
     rng_pick = np.random.default_rng(11)
@@ -146,7 +149,19 @@ def test_memory_backward_matches_fd():
 def test_memory_deterministic():
     cfg = BackboneConfig((8, 16), 16)
     params = init_backbone_params(np.random.default_rng(0), cfg)
-    img = np.random.default_rng(1).uniform(0, 1, (3, 32, 32))
+    img = np.random.default_rng(1).uniform(0, 1, (1, 3, 32, 32))
     a, _ = extract_memory(img, params, cfg)
     b, _ = extract_memory(img, params, cfg)
     npt.assert_array_equal(a.data, b.data)
+
+
+def test_memory_rows_interleave_the_images():
+    # row m of image b sits at m * B + b, and each image's rows equal a
+    # single-image call's rows bit for bit
+    cfg = BackboneConfig((8, 16), 16)
+    params = init_backbone_params(np.random.default_rng(0), cfg)
+    imgs = np.random.default_rng(1).uniform(0, 1, (3, 3, 32, 32))
+    batch, _ = extract_memory(imgs, params, cfg)
+    for b in range(3):
+        one, _ = extract_memory(imgs[b:b + 1], params, cfg)
+        npt.assert_array_equal(batch.data[b::3], one.data)

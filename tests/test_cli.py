@@ -152,6 +152,28 @@ def test_checkpoint_disagreeing_with_its_meta_is_a_config_error(tmp_path):
         assert str(ckpt) in proc.stderr and named in proc.stderr
 
 
+def test_predict_on_malformed_inputs_names_the_file(tmp_path):
+    # a checkpoint header with no params line, and a landmark file whose
+    # count line has a trailing space but no count: both once ended in an
+    # IndexError traceback
+    image = tmp_path / "face.ppm"
+    write_ppm(image, np.zeros((3, 32, 32)))
+    bad_ckpt = tmp_path / "a.ckpt"
+    bad_ckpt.write_bytes(b"facemark-ckpt v1\ndata\n")
+    good_ckpt = tmp_path / "good.ckpt"
+    DecoderState.init(TINY).save(good_ckpt)
+    bad_gt = tmp_path / "gt.txt"
+    bad_gt.write_text("version 1\nn_points \n1 2\n")
+    for ckpt, extra, named in ((bad_ckpt, [], bad_ckpt),
+                               (good_ckpt, ["--gt", str(bad_gt)], bad_gt)):
+        proc = _run_facemark("predict", "--ckpt", str(ckpt), "--image", str(image),
+                             "--out", str(tmp_path / "pred"), *extra)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert str(named) in proc.stderr
+    assert not (tmp_path / "pred.txt").exists()
+
+
 @pytest.mark.parametrize("override, named", [
     ("model.heads=0", "heads"),
     ("model.dim=0", "dim"),

@@ -10,15 +10,18 @@ from facemark.decoder import (
     DecoderState,
     ModelConfig,
     backward,
+    chunk_slices,
     forward,
+    images_per_chunk,
     init_params,
     param_shapes,
 )
 from facemark.errors import ConfigError
 from facemark.geometry import inverse_sigmoid, sigmoid
 from facemark.params import count_parameters
+from facemark.training import gen_synthetic
 
-from conftest import jitter_params
+from conftest import TINY_SPEC, jitter_params
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +133,7 @@ def _stages_with_head_biases(state, image, deltas):
     params = dict(state.params)
     for t, delta in enumerate(deltas):
         params[f"layers.{t}.head.b3"] = np.asarray(delta, dtype=np.float64)
-    return DecoderState(state.config, params).predict(image)
+    return DecoderState(state.config, params).predict(image[None])
 
 
 def test_refine_zero_delta_is_identity(tiny_state, tiny_batch):
@@ -161,16 +164,18 @@ def test_refine_moves_toward_delta_sign(tiny_state, tiny_batch):
 # ---------------------------------------------------------------------------
 
 def test_forward_emits_one_estimate_per_stage(tiny_state, tiny_batch):
-    ys = tiny_state.predict(tiny_batch[0].image)
+    ys = tiny_state.predict(tiny_batch[0].image[None])
     assert len(ys) == TINY.num_layers + 1
     for y in ys:
-        assert y.shape == (TINY.num_landmarks, 2)
+        assert y.shape == (1, TINY.num_landmarks, 2)
         assert (y > 0).all() and (y < 1).all()
 
 
 def test_forward_rejects_wrong_image_size(tiny_state):
     with pytest.raises(ConfigError):
-        tiny_state.predict(np.zeros((3, 64, 64)))
+        tiny_state.predict(np.zeros((1, 3, 64, 64)))
+    with pytest.raises(ConfigError):
+        tiny_state.predict(np.zeros((3, 32, 32)))  # no batch axis
 
 
 def test_zero_heads_pass_coordinates_through_unchanged(tiny_batch):
@@ -183,36 +188,36 @@ def test_zero_heads_pass_coordinates_through_unchanged(tiny_batch):
         dataclasses.replace(TINY, learned_query_init=False),
     ):
         state = DecoderState.init(flavor, seed=3)
-        ys = state.predict(tiny_batch[0].image)
+        ys = state.predict(tiny_batch[0].image[None])
         for y in ys[1:]:
             npt.assert_array_equal(y, ys[0])
 
 
 def test_stages_differ_once_heads_are_nonzero(tiny_state, tiny_batch):
     state = jitter_params(tiny_state, seed=5)
-    ys = state.predict(tiny_batch[0].image)
+    ys = state.predict(tiny_batch[0].image[None])
     assert not np.array_equal(ys[0], ys[1])
     assert not np.array_equal(ys[1], ys[2])
 
 
 def test_learned_init_reads_the_image(tiny_batch):
     state = DecoderState.init(TINY, seed=1)
-    y0_a = state.predict(tiny_batch[0].image)[0]
-    y0_b = state.predict(tiny_batch[1].image)[0]
+    y0_a = state.predict(tiny_batch[0].image[None])[0]
+    y0_b = state.predict(tiny_batch[1].image[None])[0]
     assert not np.array_equal(y0_a, y0_b)
 
 
 def test_embed_init_ignores_the_image(tiny_batch):
     cfg = dataclasses.replace(TINY, learned_query_init=False)
     state = DecoderState.init(cfg, seed=1)
-    y0_a = state.predict(tiny_batch[0].image)[0]
-    y0_b = state.predict(tiny_batch[1].image)[0]
+    y0_a = state.predict(tiny_batch[0].image[None])[0]
+    y0_b = state.predict(tiny_batch[1].image[None])[0]
     npt.assert_array_equal(y0_a, y0_b)
 
 
 def test_forward_deterministic(tiny_state, tiny_batch):
-    a = tiny_state.predict(tiny_batch[0].image)
-    b = tiny_state.predict(tiny_batch[0].image)
+    a = tiny_state.predict(tiny_batch[0].image[None])
+    b = tiny_state.predict(tiny_batch[0].image[None])
     for ya, yb in zip(a, b):
         npt.assert_array_equal(ya, yb)
 
@@ -229,7 +234,7 @@ def _fake_dys(ys, seed=0):
 def test_backward_covers_every_path(tiny_batch):
     for flavor in (TINY, dataclasses.replace(TINY, parallel=True)):
         state = jitter_params(DecoderState.init(flavor, seed=2))
-        ys, cache = forward(state.params, tiny_batch[0].image, flavor)
+        ys, cache = forward(state.params, tiny_batch[0].image[None], flavor)
         grads = backward(_fake_dys(ys), state.params, flavor, cache)
         assert set(grads) == set(state.params)
         for k, g in grads.items():
@@ -238,7 +243,7 @@ def test_backward_covers_every_path(tiny_batch):
 
 def test_basic_mode_leaves_level_embedding_untouched(tiny_batch):
     state = jitter_params(DecoderState.init(TINY, seed=2))
-    ys, cache = forward(state.params, tiny_batch[0].image, TINY)
+    ys, cache = forward(state.params, tiny_batch[0].image[None], TINY)
     grads = backward(_fake_dys(ys), state.params, TINY, cache)
     npt.assert_array_equal(grads["level_emb"], 0.0)
     # while the backbone, attention and head paths all carry signal
@@ -249,7 +254,7 @@ def test_basic_mode_leaves_level_embedding_untouched(tiny_batch):
 def test_parallel_mode_trains_level_embedding(tiny_batch):
     cfg = dataclasses.replace(TINY, parallel=True)
     state = jitter_params(DecoderState.init(cfg, seed=2))
-    ys, cache = forward(state.params, tiny_batch[0].image, cfg)
+    ys, cache = forward(state.params, tiny_batch[0].image[None], cfg)
     grads = backward(_fake_dys(ys), state.params, cfg, cache)
     assert np.abs(grads["level_emb"]).max() > 0
     assert np.abs(grads["layers.0.ln_img.g"]).max() > 0
@@ -259,13 +264,75 @@ def test_stage_gradients_reach_earlier_layers_only(tiny_batch):
     # supervision on stage 1 cannot influence layer 1 (it runs later),
     # but must reach layer 0 and the backbone
     state = jitter_params(DecoderState.init(TINY, seed=4))
-    ys, cache = forward(state.params, tiny_batch[0].image, TINY)
+    ys, cache = forward(state.params, tiny_batch[0].image[None], TINY)
     dys = [np.zeros_like(y) for y in ys]
     dys[1] = np.ones_like(ys[1])
     grads = backward(dys, state.params, TINY, cache)
     npt.assert_array_equal(grads["layers.1.head.w3"], 0.0)
     assert np.abs(grads["layers.0.head.w3"]).max() > 0
     assert np.abs(grads["backbone.s1.conva.w"]).max() > 0
+
+
+# ---------------------------------------------------------------------------
+# batch axis
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_chunk_of_three_equals_three_single_image_calls(parallel):
+    # every GEMM runs per image and every gradient sums each image's rows,
+    # then the images in order: the chunk reproduces a per-image loop that
+    # adds its gradients image by image, bit for bit
+    cfg = dataclasses.replace(TINY, parallel=parallel)
+    assert images_per_chunk(cfg) >= 3
+    state = jitter_params(DecoderState.init(cfg, seed=2))
+    images = np.stack([s.image for s in gen_synthetic(TINY_SPEC, 3, 11)])
+    ys, cache = forward(state.params, images, cfg)
+    dys = _fake_dys(ys)
+    grads = backward(dys, state.params, cfg, cache)
+    summed = None
+    for b in range(3):
+        ys_b, cache_b = forward(state.params, images[b:b + 1], cfg)
+        for y, y_b in zip(ys, ys_b):
+            npt.assert_array_equal(y[b:b + 1], y_b)
+        g_b = backward([dy[b:b + 1] for dy in dys], state.params, cfg, cache_b)
+        summed = g_b if summed is None else {k: summed[k] + g_b[k] for k in summed}
+    assert set(grads) == set(summed)
+    for k in grads:
+        npt.assert_array_equal(grads[k], summed[k], err_msg=k)
+
+
+def test_inference_forward_keeps_no_cache(tiny_batch):
+    for flavor in (TINY, dataclasses.replace(TINY, parallel=True)):
+        state = jitter_params(DecoderState.init(flavor, seed=2))
+        images = np.stack([s.image for s in tiny_batch])
+        ys, cache = forward(state.params, images, flavor)
+        ys_inf, none = forward(state.params, images, flavor, keep_cache=False)
+        assert cache is not None and none is None
+        for y, y_inf in zip(ys, ys_inf):
+            npt.assert_array_equal(y, y_inf)
+
+
+def test_chunk_rule():
+    # TINY: 5 query rows per image, so a batch of 8 is one chunk
+    assert images_per_chunk(TINY) == 51
+    assert chunk_slices(8, TINY) == [slice(0, 51)]
+    # default basic: 68 rows, three images per chunk
+    assert images_per_chunk(ModelConfig()) == 3
+    assert chunk_slices(7, ModelConfig()) == [slice(0, 3), slice(3, 6), slice(6, 9)]
+    # parallel at 64 px: 340 memory rows + 68 queries, one image per chunk
+    assert images_per_chunk(ModelConfig(parallel=True, image_side=64)) == 1
+
+
+def test_predict_stitches_its_chunks(tiny_batch):
+    # 80 memory rows + 200 queries: one image per chunk
+    cfg = dataclasses.replace(TINY, parallel=True, num_landmarks=200)
+    assert images_per_chunk(cfg) == 1
+    state = jitter_params(DecoderState.init(cfg))
+    images = np.stack([s.image for s in tiny_batch])
+    ys = state.predict(images)
+    assert ys[-1].shape == (2, 200, 2)
+    for b in range(2):
+        npt.assert_array_equal(ys[-1][b], state.predict(images[b:b + 1])[-1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +348,8 @@ def test_state_round_trip(tmp_path, tiny_state, tiny_batch):
     assert set(loaded.params) == set(tiny_state.params)
     for k in tiny_state.params:
         npt.assert_array_equal(loaded.params[k], tiny_state.params[k])
-    for ya, yb in zip(tiny_state.predict(tiny_batch[0].image),
-                      loaded.predict(tiny_batch[0].image)):
+    for ya, yb in zip(tiny_state.predict(tiny_batch[0].image[None]),
+                      loaded.predict(tiny_batch[0].image[None])):
         npt.assert_array_equal(ya, yb)
 
 

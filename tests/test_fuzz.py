@@ -1,0 +1,96 @@
+"""Seeded byte-mutation fuzzing of the file readers.
+
+Each case flips, replaces, deletes or truncates a few bytes of a valid
+file, mostly inside its text header, and reads the result back.  A reader
+may return or raise ConfigError, which names the file; any other exception
+is a bug, because the command line would show it as a traceback.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from facemark.decoder import TINY, DecoderState
+from facemark.errors import ConfigError
+from facemark.io import read_bbox, read_landmarks, read_ppm, write_bbox, write_landmarks, write_ppm
+from facemark.params import load_checkpoint
+
+CASES = 300
+# bytes that make a mutated token still look like a number or a separator
+TOKEN_BYTES = b"0123456789-+.,eE \n\tnax#\xff"
+
+# smallest model that writes every kind of header line
+MICRO = dataclasses.replace(
+    TINY, num_landmarks=2, dim=8, points=1, num_layers=1, image_side=16,
+    stage_channels=(4, 8),
+)
+
+
+def _mutate(blob, hot, rng):
+    """A copy of `blob` with one to three edits, each inside its first `hot`
+    bytes with probability 0.9."""
+    data = bytearray(blob)
+    for _ in range(int(rng.integers(1, 4))):
+        if not data:
+            break
+        span = min(hot, len(data)) if rng.random() < 0.9 else len(data)
+        i = int(rng.integers(span))
+        op = int(rng.integers(4))
+        if op == 0:
+            data[i] ^= 1 << int(rng.integers(8))
+        elif op == 1:
+            data[i] = TOKEN_BYTES[int(rng.integers(len(TOKEN_BYTES)))]
+        elif op == 2:
+            del data[i]
+        else:
+            del data[i:]
+    return bytes(data)
+
+
+def _valid_files(tmp_path):
+    """(reader, path of a valid file, length of its text header)."""
+    rng = np.random.default_rng(0)
+    ppm = tmp_path / "img.ppm"
+    write_ppm(ppm, rng.uniform(0, 1, (3, 4, 4)), comment="config abc")
+    lmk = tmp_path / "img.txt"
+    write_landmarks(lmk, rng.uniform(0, 32, (3, 2)))
+    box = tmp_path / "img.bbox"
+    write_bbox(box, (1.5, 2.0, 30.25, 28.0))
+    ckpt = tmp_path / "model.ckpt"
+    DecoderState.init(MICRO, seed=0).save(ckpt, extra_meta={"config_hash": "abc"})
+    header = ckpt.read_bytes().index(b"\ndata\n") + 6
+    return [
+        (read_ppm, ppm, ppm.read_bytes().index(b"255\n") + 4),
+        (read_landmarks, lmk, lmk.stat().st_size),
+        (read_bbox, box, box.stat().st_size),
+        (load_checkpoint, ckpt, header),
+        (DecoderState.load, ckpt, header),
+    ]
+
+
+READERS = ["read_ppm", "read_landmarks", "read_bbox", "load_checkpoint",
+           "DecoderState.load"]
+
+
+@pytest.mark.parametrize("which", READERS)
+def test_mutated_files_raise_only_config_errors(tmp_path, which):
+    files = {fn.__qualname__: (fn, path, hot) for fn, path, hot in _valid_files(tmp_path)}
+    reader, path, hot = files[which]
+    blob = path.read_bytes()
+    reader(path)  # the unmutated file reads
+    rng = np.random.default_rng(READERS.index(which))
+    target = tmp_path / ("mutated" + path.suffix)
+    rejected = 0
+    for case in range(CASES):
+        mutated = _mutate(blob, hot, rng)
+        target.write_bytes(mutated)
+        try:
+            reader(target)
+        except ConfigError as e:
+            assert str(target) in str(e), (case, mutated[:hot], e)
+            rejected += 1
+        except Exception as e:  # noqa: BLE001 - the point of the test
+            pytest.fail(f"case {case}: {type(e).__name__}: {e}\n{mutated[:hot]!r}")
+    # the mutations reach the parsers' error paths, not just the payload
+    assert rejected > CASES // 4

@@ -118,6 +118,41 @@ def test_landmark_reader_rejects_bad_files(tmp_path):
         read_landmarks(no_count)
 
 
+@pytest.mark.parametrize("text", [
+    "version 1\nn_points \n1 2\n",          # count missing after the key
+    "version 1\nn_points x\n1 2\n",         # non-numeric count
+    "version 1\nn_points -1\n",              # negative count
+    "version 1\nn_points 2\n1 2\n3\n",      # ragged row
+    "version 1\nn_points 1\n1 y\n",         # non-numeric coordinate
+    "version 1\nn_points 1\n1 nan\n",       # non-finite coordinate
+])
+def test_landmark_reader_names_the_file(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="bad.txt"):
+        read_landmarks(path)
+
+
+@pytest.mark.parametrize("blob", [
+    b"P6\n4 x\n255\n" + bytes(48),           # non-numeric height
+    b"P6\n0 4\n255\n",                       # no pixels
+    b"P6\n\xff 4\n255\n" + bytes(48),        # not a digit at all
+])
+def test_ppm_reader_names_the_file(tmp_path, blob):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(blob)
+    with pytest.raises(ConfigError, match="bad.ppm"):
+        read_ppm(path)
+
+
+@pytest.mark.parametrize("blob", [b"1 2 3 x\n", b"1 2 3 inf\n", b"\xff\xfe 1 2 3\n"])
+def test_bbox_reader_names_the_file(tmp_path, blob):
+    path = tmp_path / "bad.bbox"
+    path.write_bytes(blob)
+    with pytest.raises(ConfigError, match="bad.bbox"):
+        read_bbox(path)
+
+
 def test_bbox_round_trip(tmp_path):
     path = tmp_path / "b.bbox"
     write_bbox(path, (1.5, 2.0, 30.25, 28.0))

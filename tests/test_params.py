@@ -9,8 +9,6 @@ from facemark.params import (
     glorot,
     load_checkpoint,
     save_checkpoint,
-    scale_grads,
-    subdict,
     zero_grads_like,
 )
 
@@ -25,13 +23,6 @@ def test_glorot_bounds_and_shape():
     assert w2.shape == (1, 3, 3)
 
 
-def test_subdict_strips_prefix():
-    p = {"a.x": np.ones(2), "a.y": np.zeros(3), "b.x": np.ones(1)}
-    sub = subdict(p, "a.")
-    assert set(sub) == {"x", "y"}
-    assert sub["x"] is p["a.x"]  # views, not copies
-
-
 def test_accumulate_adds_and_creates():
     g = {}
     accumulate(g, "m.", {"w": np.ones(2)})
@@ -44,8 +35,7 @@ def test_grad_buffer_helpers():
     z = zero_grads_like(p)
     assert all((v == 0).all() for v in z.values())
     accumulate(z, "", {"w": np.full((2, 2), 2.0), "b": np.ones(3)})
-    scale_grads(z, 0.5)
-    npt.assert_array_equal(z["w"], np.ones((2, 2)))
+    npt.assert_array_equal(z["w"], np.full((2, 2), 2.0))
     # an empty buffer takes a copy of the first part
     part = {"w": np.full((2, 2), 2.0)}
     total = {}
@@ -117,4 +107,21 @@ def test_checkpoint_rejects_truncated(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-16])
     with pytest.raises(ConfigError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header", [
+    b"facemark-ckpt v1",                                # no params line
+    b"facemark-ckpt v1\nmeta key",                      # meta without a value
+    b"facemark-ckpt v1\nparams x",                      # non-integer count
+    b"facemark-ckpt v1\nparams 2\nw 1",                 # fewer entries than promised
+    b"facemark-ckpt v1\nparams 1\nfoo",                 # entry without a shape
+    b"facemark-ckpt v1\nparams 1\nw 2,x",               # non-integer dim
+    b"facemark-ckpt v1\nparams 1\nw -1,-1",             # negative dims
+    b"facemark-ckpt v1\nmeta k \xff\nparams 0",         # not UTF-8
+])
+def test_checkpoint_header_errors_name_the_file(tmp_path, header):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(header + b"\ndata\n" + bytes(8))
+    with pytest.raises(ConfigError, match="bad.ckpt"):
         load_checkpoint(path)

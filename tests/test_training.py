@@ -120,6 +120,32 @@ def test_adam_lr_factor_routes_per_path():
 # training loop
 # ---------------------------------------------------------------------------
 
+def test_train_aborts_on_a_non_finite_gradient(tiny_state, tiny_batch, monkeypatch):
+    import facemark.training as training
+
+    def finite_loss_inf_grad(params, cfg, images, targets):
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
+        grads["layers.1.ffn.w2"][3, 1] = np.inf
+        return 0.5, grads
+
+    monkeypatch.setattr(training, "batch_loss_and_grads", finite_loss_inf_grad)
+    with pytest.raises(NumericError, match=r"step 1\b.*layers\.1\.ffn\.w2"):
+        train(tiny_state, tiny_batch, TrainConfig(steps=3, lr_drop_step=0))
+
+
+def test_batch_loss_and_grads_is_the_mean_over_images(tiny_state):
+    # scaling dys by 1/n before backward gives the mean gradient: two copies
+    # of one image give that image's gradient
+    state = jitter_params(tiny_state)
+    faces = gen_synthetic(TINY_SPEC, 1, 3)
+    one_img, one_tgt = [faces[0].image], [faces[0].landmarks]
+    loss1, g1 = batch_loss_and_grads(state.params, TINY, one_img, one_tgt)
+    loss2, g2 = batch_loss_and_grads(state.params, TINY, one_img * 2, one_tgt * 2)
+    npt.assert_allclose(loss2, loss1, rtol=1e-12)
+    for k in g1:
+        npt.assert_allclose(g2[k], g1[k], rtol=1e-9, atol=1e-15, err_msg=k)
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(lr=-1.0)
