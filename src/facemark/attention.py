@@ -18,15 +18,18 @@ of their gradient sum.  (One GEMM over all B * R rows would not: BLAS may
 sum a row in another order when the row count changes.)  Self-attention
 mixes the N queries of each image only.
 
-The value tensor of level l is viewed, without a copy, as
-(h_l, w_l, B * heads, head_dim): the images fold into the head axis, so
-image b's head k is head b * heads + k, and the sampling locations
-(R, B * heads, levels, points, 2) follow the same fold.  The deformable
-core (bilinear reads weighted by the softmaxed attention weights, summed
-per head) is the fused `geometry.bilinear_sample_many` and its backward,
-each called once per pass with the list of value levels;
-`deform_core_fwd`/`_bwd` only reshape around them, and the core's cache
-holds the kernel's corner table rather than any per-point read.
+The deformable core (bilinear reads weighted by the softmaxed attention
+weights, summed per head) is the fused `geometry.bilinear_sample_many` and
+its backward, each called once per pass; `deform_core_fwd`/`_bwd` only
+reshape around them, and the core's cache holds the kernel's corner table
+rather than any per-point read.  The images fold into the kernel's head
+axis.  The parallel decoder projects every memory row first
+(`project_value`) and views the value tensor of level l, without a copy,
+as (h_l, w_l, B * heads, head_dim): image b's head k is head
+b * heads + k, and the sampling locations (R, B * heads, levels, points, 2)
+follow the same fold.  The basic decoder's block
+(`deformable_attention_fwd`) reads raw memory rows and projects only what
+its queries read; see the comment above `_bias_mass`.
 """
 
 from __future__ import annotations
@@ -323,6 +326,24 @@ def deform_core_bwd(dout, cache: CoreCache):
     )
 
 
+def _sampling_points(x_rows, refs_rows, p, cfg: AttentionConfig):
+    """Sampling locations refs + offsets, (..., heads, levels, points, 2),
+    and softmaxed weights of the query rows."""
+    if x_rows.shape[:-1] != refs_rows.shape[:-1]:
+        raise ValueError(
+            f"deformable attention: {x_rows.shape[:-1]} query rows but "
+            f"{refs_rows.shape[:-1]} reference points"
+        )
+    offsets, weights, cf = sampling_fields(x_rows, p, cfg)
+    return refs_rows[..., None, None, None, :] + offsets, weights, cf
+
+
+def _sampling_points_bwd(dlocs, dweights, cache: FieldCache):
+    drefs = dlocs.sum(axis=(-4, -3, -2))
+    dx, dparams = sampling_fields_bwd(dlocs, dweights, cache)
+    return dx, drefs, dparams
+
+
 DeformCache = namedtuple("DeformCache", "fields core cout")
 
 
@@ -334,16 +355,9 @@ def deform_project_fwd(x_rows, refs_rows, value_levels, p, cfg: AttentionConfig)
     head_dim) value levels of `project_value`; (R, C) and (R, 2) read
     single-image levels.
     """
-    if x_rows.shape[:-1] != refs_rows.shape[:-1]:
-        raise ValueError(
-            f"deformable attention: {x_rows.shape[:-1]} query rows but "
-            f"{refs_rows.shape[:-1]} reference points"
-        )
-    offsets, weights, cf = sampling_fields(x_rows, p, cfg)
-    r = x_rows.shape[0]
+    locs, weights, cf = _sampling_points(x_rows, refs_rows, p, cfg)
     # fold the images into the head axis: a reshape of a fresh array
-    locs = (refs_rows[..., None, None, None, :] + offsets).reshape(
-        (r, -1) + offsets.shape[-3:])
+    locs = locs.reshape((x_rows.shape[0], -1) + locs.shape[-3:])
     merged, cc = deform_core_fwd(value_levels, locs, weights.reshape(locs.shape[:-1]))
     y, co = linear_fwd(merged.reshape(x_rows.shape), p["w_out"], p["b_out"])
     return y, DeformCache(cf, cc, co)
@@ -353,32 +367,118 @@ def deform_project_bwd(dout, cache: DeformCache):
     dmerged, dop = linear_bwd(dout, cache.cout)
     dlevels, dlocs, dweights = deform_core_bwd(dmerged, cache.core)
     dlocs = dlocs.reshape(cache.fields.lead + (-1,) + dlocs.shape[2:])
-    drefs = dlocs.sum(axis=(-4, -3, -2))
-    dx, dfp = sampling_fields_bwd(dlocs, dweights, cache.fields)
+    dx, drefs, dfp = _sampling_points_bwd(dlocs, dweights, cache.fields)
     dparams = {"w_out": dop["w"], "b_out": dop["b"], **dfp}
     return dx, drefs, dlevels, dparams
 
 
-FullDeformCache = namedtuple("FullDeformCache", "value proj ln ffn")
+# ---------------------------------------------------------------------------
+# The basic decoder's block: sample raw memory rows, then project
+# ---------------------------------------------------------------------------
+# The bilinear reads, the attention weights and the value projection are all
+# linear, so the landmark queries read raw memory rows and project only the
+# sums they read: head k's output is agg_k @ W_val[:, head k's columns] +
+# mass_k * b_val[head k's columns], where agg_k is the weighted sum of the
+# raw rows that head k reads and mass_k the sum of their in-bounds corner
+# weights (zero padding applies to the projected value, bias included).
+# The memory is never projected.  The kernel reads each level of the
+# (M * B, C) memory as (h, w, B, C), without a copy: its head b is image b,
+# and its query rows are the (query, head) pairs, (N * heads, B, ...).
+
+def _bias_mass(table, weights):
+    """Per kernel row and head, the sum over its points of point weight *
+    in-bounds bilinear mass (wy0 + wy1) * (wx0 + wx1)."""
+    sy, sx = table.wy.sum(axis=0), table.wx.sum(axis=0)
+    return (weights * sy * sx).sum(axis=(-2, -1))
+
+
+def _bias_mass_bwd(dmass, cache: CoreCache, dlocs, dweights):
+    """Add the gradient of `_bias_mass` w.r.t. the points and the point
+    weights into dlocs and dweights."""
+    table = cache.table
+    sy, sx = table.wy.sum(axis=0), table.wx.sum(axis=0)
+    g = dmass[..., None, None]
+    dweights += g * sy * sx
+    g = g * cache.weights
+    # d(wy0 + wy1)/dty = oky1 - oky0, and dty/dy = h (dtx/dx = w)
+    h, w = np.array([lev.shape[:2] for lev in cache.value_levels], dtype=np.float64).T
+    dlocs[..., 0] += g * sy * (table.okx[1] * 1.0 - table.okx[0]) * w[:, None]
+    dlocs[..., 1] += g * sx * (table.oky[1] * 1.0 - table.oky[0]) * h[:, None]
+
+
+SampleCache = namedtuple("SampleCache", "fields core agg mass w_h b_h cout")
+
+
+def _sample_project_fwd(x, refs, memory_data, layout: PyramidLayout, p,
+                        cfg: AttentionConfig):
+    """Pre-residual deformable attention of (N, B, C) queries x at (N, B, 2)
+    reference points over the (M * B, C) memory rows of B images."""
+    n, bsz, dim = x.shape
+    locs, weights, cf = _sampling_points(x, refs, p, cfg)
+    # (N, B, heads, ...) -> (N * heads, B, ...)
+    locs = locs.swapaxes(1, 2).reshape((n * cfg.heads, bsz) + locs.shape[3:])
+    weights = weights.swapaxes(1, 2).reshape(locs.shape[:-1])
+    levels = [memory_data[sl].reshape(h, w, bsz, dim)
+              for (h, w, _), sl in zip(layout.levels, layout.block_slices(bsz))]
+    agg, cc = deform_core_fwd(levels, locs, weights)
+    # (B, heads, N, ·) views: one (N, C) @ (C, head_dim) GEMM per image and head
+    agg = agg.reshape(n, cfg.heads, bsz, dim).transpose(2, 1, 0, 3)
+    mass = _bias_mass(cc.table, weights).reshape(n, cfg.heads, bsz).T
+    mass = np.ascontiguousarray(mass)[..., None]
+    w_h = p["w_val"].reshape(dim, cfg.heads, -1).transpose(1, 0, 2)
+    b_h = p["b_val"].reshape(cfg.heads, 1, -1)
+    value = np.matmul(agg, w_h)
+    value += mass * b_h
+    merged = value.transpose(2, 0, 1, 3).reshape(n, bsz, dim)
+    y, co = linear_fwd(merged, p["w_out"], p["b_out"])
+    return y, SampleCache(cf, cc, agg, mass, w_h, b_h, co)
+
+
+def _sample_project_bwd(dout, cache: SampleCache):
+    """Returns (dx, drefs, dmemory, dparams); dmemory is (M * B, C)."""
+    dmerged, dop = linear_bwd(dout, cache.cout)
+    n, bsz, dim = dmerged.shape
+    heads = cache.w_h.shape[0]
+    dvalue = dmerged.reshape(n, bsz, heads, -1).transpose(1, 2, 0, 3)
+    # per image and head, then the images in order
+    dw_h = np.matmul(cache.agg.swapaxes(-1, -2), dvalue).sum(axis=0)
+    db_h = np.matmul(cache.mass.swapaxes(-1, -2), dvalue).sum(axis=0)
+    dagg = np.matmul(dvalue, cache.w_h.swapaxes(-1, -2))
+    dmass = np.matmul(dvalue, cache.b_h.swapaxes(-1, -2))
+    dagg = dagg.transpose(2, 1, 0, 3).reshape(n * heads, bsz * dim)
+    dlevels, dlocs, dweights = deform_core_bwd(dagg, cache.core)
+    dmass = dmass.reshape(bsz, heads, n).T.reshape(n * heads, bsz)
+    _bias_mass_bwd(dmass, cache.core, dlocs, dweights)
+    dmemory = np.concatenate([d.reshape(-1, dim) for d in dlevels])
+    # (N * heads, B, ...) -> (N, B, heads, ...)
+    dlocs = dlocs.reshape((n, heads) + dlocs.shape[1:]).swapaxes(1, 2)
+    dweights = dweights.reshape((n, heads) + dweights.shape[1:]).swapaxes(1, 2)
+    dx, drefs, dfp = _sampling_points_bwd(
+        np.ascontiguousarray(dlocs), np.ascontiguousarray(dweights), cache.fields)
+    dparams = {"w_out": dop["w"], "b_out": dop["b"], **dfp,
+               "w_val": dw_h.transpose(1, 0, 2).reshape(dim, dim),
+               "b_val": db_h.reshape(dim)}
+    return dx, drefs, dmemory, dparams
+
+
+FullDeformCache = namedtuple("FullDeformCache", "proj ln ffn")
 
 
 def deformable_attention_fwd(x, refs, memory_data, layout, p, ffn_p, cfg):
-    """Full deformable-attention block for landmark queries: sampling-field
-    read of the projected memory, residual + layer norm, then the
-    feed-forward block.  Returns the updated query matrix.
+    """Full deformable-attention block for (N, B, C) landmark queries:
+    sample-then-project read of the raw memory rows, residual + layer norm,
+    then the feed-forward block.  Returns the updated query matrix.
     """
-    value_levels, cv = project_value(memory_data, layout, p, cfg)
-    attn, cp = deform_project_fwd(x, refs, value_levels, p, cfg)
+    attn, cp = _sample_project_fwd(x, refs, memory_data, layout, p, cfg)
     z, cln = layer_norm_fwd(x + attn, p["ln_g"], p["ln_b"])
     out, cffn = ffn_fwd(z, ffn_p)
-    return out, FullDeformCache(cv, cp, cln, cffn)
+    return out, FullDeformCache(cp, cln, cffn)
 
 
 def deformable_attention_bwd(dout, cache: FullDeformCache):
     dz, dffn_p = ffn_bwd(dout, cache.ffn)
     dsum, dln = layer_norm_bwd(dz, cache.ln)
-    dx_attn, drefs, dlevels, dp = deform_project_bwd(dsum, cache.proj)
-    dmemory, dvp = project_value_bwd(dlevels, cache.value)
+    dx_attn, drefs, dmemory, dp = _sample_project_bwd(dsum, cache.proj)
     dx = dx_attn + dsum
-    dparams = {**dp, **dvp, "ln_g": dln["g"], "ln_b": dln["b"]}
+    dparams = {**dp, "ln_g": dln["g"], "ln_b": dln["b"]}
     return dx, drefs, dmemory, dparams, dffn_p

@@ -48,21 +48,24 @@ MemoryFeature = namedtuple("MemoryFeature", "data layout")
 
 
 def init_backbone_params(rng, cfg: BackboneConfig) -> Params:
+    """Parameters drawn from `rng`; zeros come from its `zeros`, if it has
+    one (see `decoder.param_shapes`)."""
+    zeros = getattr(rng, "zeros", np.zeros)
     p: Params = {}
     cin = cfg.in_channels
     for i, cout in enumerate(cfg.stage_channels):
         p[f"backbone.s{i + 1}.conva.w"] = glorot(
             rng, cin * 9, cout * 9, (cout, cin, 3, 3)
         )
-        p[f"backbone.s{i + 1}.conva.b"] = np.zeros(cout)
+        p[f"backbone.s{i + 1}.conva.b"] = zeros(cout)
         p[f"backbone.s{i + 1}.convb.w"] = glorot(
             rng, cout * 9, cout * 9, (cout, cout, 3, 3)
         )
-        p[f"backbone.s{i + 1}.convb.b"] = np.zeros(cout)
+        p[f"backbone.s{i + 1}.convb.b"] = zeros(cout)
         cin = cout
     for i, c in enumerate(cfg.stage_channels):
         p[f"project.l{i + 1}.w"] = glorot(rng, c, cfg.dim)
-        p[f"project.l{i + 1}.b"] = np.zeros(cfg.dim)
+        p[f"project.l{i + 1}.b"] = zeros(cfg.dim)
     return p
 
 
@@ -88,14 +91,17 @@ def conv2d_fwd(x, w, b, stride):
     return out, ConvCache(cols, w, stride, x.shape, (ho, wo))
 
 
-def conv2d_bwd(dout, cache: ConvCache):
+def conv2d_bwd(dout, cache: ConvCache, input_grad=True):
     """Input and parameter gradients; the parameter gradients sum each
-    image's positions, then the images in order."""
+    image's positions, then the images in order.  With input_grad=False
+    the input gradient is not computed and comes back as None."""
     cols, w, stride, (bsz, cin, hi, wi), (ho, wo) = cache
     cout = w.shape[0]
     dout3 = dout.reshape(bsz, cout, ho * wo)
     dw = np.matmul(dout3, cols).sum(axis=0).reshape(w.shape)
     db = dout3.sum(axis=2).sum(axis=0)
+    if not input_grad:
+        return None, {"w": dw, "b": db}
     dcols = np.matmul(dout3.transpose(0, 2, 1), w.reshape(cout, -1))
     dcols = dcols.reshape(bsz, ho, wo, cin, 3, 3)
     dxp = np.zeros((bsz, cin, hi + 2, wi + 2))
@@ -165,8 +171,9 @@ def extract_memory(images, params: Params, cfg: BackboneConfig):
 
 
 def extract_memory_bwd(ddata, cache: BackboneCache):
-    """Backward through projections and stages.  Returns (dimages, grads)
-    with grads keyed by full parameter paths and summed over the batch.
+    """Backward through projections and stages.  Returns the parameter
+    gradients keyed by full parameter paths and summed over the batch; the
+    image gradient is never computed.
     """
     grads: Params = {}
     dfeats = []
@@ -188,7 +195,7 @@ def extract_memory_bwd(ddata, cache: BackboneCache):
         grads[f"{pre}.convb.w"] = gb["w"]
         grads[f"{pre}.convb.b"] = gb["b"]
         da1 = da1 * st.ma
-        dx, ga = conv2d_bwd(da1, st.ca)
+        dx, ga = conv2d_bwd(da1, st.ca, input_grad=i > 0)
         grads[f"{pre}.conva.w"] = ga["w"]
         grads[f"{pre}.conva.b"] = ga["b"]
-    return dx, grads
+    return grads

@@ -164,8 +164,10 @@ def chunk_slices(count: int, cfg: ModelConfig) -> list[slice]:
 # ---------------------------------------------------------------------------
 
 class _NoDraws:
-    """Stand-in for the generator `init_params` draws from that draws
-    nothing: every draw is a read-only broadcast zero of the asked size."""
+    """Stand-in for the generator `init_params` draws from that draws and
+    allocates nothing: every draw, and every array of zeros or ones that
+    the init asks it for, is a read-only broadcast scalar of the asked
+    size.  So shapes cost no memory, whatever size they claim."""
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return np.broadcast_to(0.0, size)
@@ -173,10 +175,16 @@ class _NoDraws:
     def normal(self, loc=0.0, scale=1.0, size=None):
         return np.broadcast_to(0.0, size)
 
+    def zeros(self, shape):
+        return np.broadcast_to(0.0, shape)
+
+    def ones(self, shape):
+        return np.broadcast_to(1.0, shape)
+
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter `init_params` creates for `cfg`,
-    without drawing a random number."""
+    without drawing a random number or allocating a parameter."""
     return {k: v.shape for k, v in _build_params(cfg, _NoDraws()).items()}
 
 
@@ -185,17 +193,19 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> Params:
 
 
 def _build_params(cfg: ModelConfig, rng) -> Params:
+    zeros = getattr(rng, "zeros", np.zeros)
+    ones = getattr(rng, "ones", np.ones)
     p = init_backbone_params(rng, cfg.backbone_config)
     layout = cfg.layout
     n, c = cfg.num_landmarks, cfg.dim
     h_last, w_last, _ = layout.levels[-1]
     if cfg.learned_query_init:
         p["query_init.w"] = glorot(rng, h_last * w_last, n)
-        p["query_init.b"] = np.zeros(n)
+        p["query_init.b"] = zeros(n)
     else:
         p["query_embed"] = rng.normal(0.0, 0.02, (n, c))
     p["landmark_init.w"] = glorot(rng, c, 2)
-    p["landmark_init.b"] = np.zeros(2)
+    p["landmark_init.b"] = zeros(2)
     if cfg.self_attention:
         p["query_pos"] = rng.normal(0.0, 0.02, (n, c))
     # scale-level embedding added to memory rows acting as queries; allocated
@@ -211,35 +221,35 @@ def _build_params(cfg: ModelConfig, rng) -> Params:
             for name in ("wq", "wk", "wv", "wo"):
                 p[f"{pre}.self_attn.{name}"] = glorot(rng, c, c)
             for name in ("bq", "bk", "bv", "bo"):
-                p[f"{pre}.self_attn.{name}"] = np.zeros(c)
-            p[f"{pre}.self_attn.ln_g"] = np.ones(c)
-            p[f"{pre}.self_attn.ln_b"] = np.zeros(c)
-        p[f"{pre}.deform.w_off"] = np.zeros((c, k * 2))
+                p[f"{pre}.self_attn.{name}"] = zeros(c)
+            p[f"{pre}.self_attn.ln_g"] = ones(c)
+            p[f"{pre}.self_attn.ln_b"] = zeros(c)
+        p[f"{pre}.deform.w_off"] = zeros((c, k * 2))
         p[f"{pre}.deform.b_off"] = offset_bias.copy()
-        p[f"{pre}.deform.w_wgt"] = np.zeros((c, k))
-        p[f"{pre}.deform.b_wgt"] = np.zeros(k)
+        p[f"{pre}.deform.w_wgt"] = zeros((c, k))
+        p[f"{pre}.deform.b_wgt"] = zeros(k)
         p[f"{pre}.deform.w_val"] = glorot(rng, c, c)
-        p[f"{pre}.deform.b_val"] = np.zeros(c)
+        p[f"{pre}.deform.b_val"] = zeros(c)
         p[f"{pre}.deform.w_out"] = glorot(rng, c, c)
-        p[f"{pre}.deform.b_out"] = np.zeros(c)
-        p[f"{pre}.deform.ln_g"] = np.ones(c)
-        p[f"{pre}.deform.ln_b"] = np.zeros(c)
+        p[f"{pre}.deform.b_out"] = zeros(c)
+        p[f"{pre}.deform.ln_g"] = ones(c)
+        p[f"{pre}.deform.ln_b"] = zeros(c)
         if cfg.parallel:
-            p[f"{pre}.ln_img.g"] = np.ones(c)
-            p[f"{pre}.ln_img.b"] = np.zeros(c)
+            p[f"{pre}.ln_img.g"] = ones(c)
+            p[f"{pre}.ln_img.b"] = zeros(c)
         p[f"{pre}.ffn.w1"] = glorot(rng, c, 4 * c)
-        p[f"{pre}.ffn.b1"] = np.zeros(4 * c)
+        p[f"{pre}.ffn.b1"] = zeros(4 * c)
         p[f"{pre}.ffn.w2"] = glorot(rng, 4 * c, c)
-        p[f"{pre}.ffn.b2"] = np.zeros(c)
-        p[f"{pre}.ffn.ln_g"] = np.ones(c)
-        p[f"{pre}.ffn.ln_b"] = np.zeros(c)
+        p[f"{pre}.ffn.b2"] = zeros(c)
+        p[f"{pre}.ffn.ln_g"] = ones(c)
+        p[f"{pre}.ffn.ln_b"] = zeros(c)
         p[f"{pre}.head.w1"] = glorot(rng, c, c)
-        p[f"{pre}.head.b1"] = np.zeros(c)
+        p[f"{pre}.head.b1"] = zeros(c)
         p[f"{pre}.head.w2"] = glorot(rng, c, c)
-        p[f"{pre}.head.b2"] = np.zeros(c)
+        p[f"{pre}.head.b2"] = zeros(c)
         # zero start: every layer initially reports the cascade's input
-        p[f"{pre}.head.w3"] = np.zeros((c, 2))
-        p[f"{pre}.head.b3"] = np.zeros(2)
+        p[f"{pre}.head.w3"] = zeros((c, 2))
+        p[f"{pre}.head.b3"] = zeros(2)
     return p
 
 
@@ -501,7 +511,7 @@ def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache):
     for k in ("query_pos", "level_emb"):
         if k in grads:
             grads[k] = grads[k].sum(axis=1)
-    _, bb_grads = extract_memory_bwd(dmem, cache.backbone)
+    bb_grads = extract_memory_bwd(dmem, cache.backbone)
     grads.update(bb_grads)
     for k, v in params.items():
         if k not in grads:

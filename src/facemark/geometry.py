@@ -10,9 +10,9 @@ stores a per-point read.  The forward builds a corner table that gives
 every corner its row and weight, and the backward takes that table back
 instead of rebuilding it.  Out-of-bounds corners read a clamped row with
 weight zero instead of being masked out, and the backward scatters with
-one `np.bincount` per channel in corner order.  With one point of weight
-1 per row (rotation), both keep the summation order of a masked kernel
-with a corner-by-corner scatter-add, so their bits match it.
+one `np.bincount` per block of channels, in corner order.  With one point
+of weight 1 per row (rotation), both keep the summation order of a masked
+kernel with a corner-by-corner scatter-add, so their bits match it.
 
 Conventions used by every module in this package:
 
@@ -257,11 +257,13 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, dout):
     One gather per corner gives that corner's row dotted with the point's
     upstream gradient, from which both dweights (summed over corners with
     the corner weights) and dlocs (scaled by the point weight) follow.
-    Each level's map gradient is one `np.bincount` per channel over that
-    level's corner rows, concatenated in corner order, with weights
-    corner weight * point weight * dout[c].  `bincount` adds its weights in
-    input order, so every map entry receives its terms in the same order as
-    an unbuffered scatter-add (`ufunc.at`) run corner by corner would.
+    Each level's map gradient is a `np.bincount` over that level's corner
+    rows, concatenated in corner order, with weights corner weight * point
+    weight * dout[c].  One call covers a block of channels holding about
+    _BLOCK weights: channel c's rows are offset by c * (rows of the level),
+    so the channels' bins stay apart.  `bincount` adds its weights in input
+    order, so every map entry receives its terms in the same order as an
+    unbuffered scatter-add (`ufunc.at`) run corner by corner would.
     """
     rows, wy, wx, oky, okx = table
     wt, cw = _corner_weights(table, weights)
@@ -284,10 +286,19 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, dout):
         idx = rows[:, :, :, l].transpose(0, 3, 1, 2).ravel()
         cl = np.ascontiguousarray(cw[:, :, :, l].transpose(0, 3, 1, 2))
         cl = cl.reshape(4, -1, dout_t.shape[1])
-        dflat = np.empty((d, flat.shape[0]))
-        for c in range(d):
-            # one bincount per channel, each writing a contiguous row of dflat
-            dflat[c] = np.bincount(idx, (cl * dout_t[c]).ravel(), flat.shape[0])
+        n = flat.shape[0]
+        # one bincount per block of about _BLOCK weights: channel c of a
+        # block adds into bins c * n + row, each bin in corner order.  The
+        # weights go straight in, so that one block's temporary is freed
+        # before the next is allocated.
+        step = min(d, max(1, _BLOCK // idx.size))
+        idx_block = (idx + n * np.arange(step)[:, None]).ravel()
+        dflat = np.empty((d, n))
+        for c0 in range(0, d, step):
+            k = min(step, d - c0)
+            dflat[c0:c0 + k] = np.bincount(
+                idx_block[:k * idx.size],
+                (cl * dout_t[c0:c0 + k, None, None]).ravel(), k * n).reshape(k, n)
         dlevels.append(dflat.T.reshape(lev.shape))
     dweights = np.zeros(weights.shape)
     for k in range(4):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import os
 import typing
 
 import numpy as np
@@ -121,31 +122,41 @@ def _parse_header(lines: list[str]):
 
 
 def load_checkpoint(path: str) -> tuple[Params, dict[str, str]]:
+    """(params, meta) of a checkpoint.  The payload is read once, into one
+    float64 buffer; every parameter is a writable, aligned view of it."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    head, sep, rest = blob.partition(b"\ndata\n")
-    if not sep:
-        raise ConfigError(f"not a checkpoint file: {path}")
-    magic, _, header = head.partition(b"\n")
-    if magic != CHECKPOINT_MAGIC.encode():
-        magic = magic.decode(errors="replace")
-        raise ConfigError(f"unsupported checkpoint header in {path}: {magic!r}")
-    try:
-        meta, entries = _parse_header(header.decode().split("\n"))
-    except ValueError as e:  # UnicodeDecodeError included
-        raise ConfigError(f"malformed checkpoint header in {path}: {e}") from None
-    sizes = [math.prod(shape) for _, shape in entries]
-    if sum(sizes) * 8 != len(rest):
-        raise ConfigError(
-            f"checkpoint payload size mismatch in {path}: header promises "
-            f"{sum(sizes) * 8} bytes, found {len(rest)}"
-        )
+        magic = fh.readline()
+        lines = []
+        for line in iter(fh.readline, b""):
+            if line == b"data\n":
+                break
+            lines.append(line)
+        else:
+            raise ConfigError(f"not a checkpoint file: {path}")
+        magic = magic[:-1]  # the line before the data line ends in "\n"
+        if magic != CHECKPOINT_MAGIC.encode():
+            magic = magic.decode(errors="replace")
+            raise ConfigError(f"unsupported checkpoint header in {path}: {magic!r}")
+        try:
+            header = b"".join(lines)[:-1].decode()
+            meta, entries = _parse_header(header.split("\n"))
+        except ValueError as e:  # UnicodeDecodeError included
+            raise ConfigError(f"malformed checkpoint header in {path}: {e}") from None
+        sizes = [math.prod(shape) for _, shape in entries]
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if sum(sizes) * 8 != found:
+            raise ConfigError(
+                f"checkpoint payload size mismatch in {path}: header promises "
+                f"{sum(sizes) * 8} bytes, found {found}"
+            )
+        buf = np.empty(sum(sizes), dtype="<f8")
+        if fh.readinto(buf) != found:
+            raise ConfigError(f"checkpoint payload of {path} changed while reading")
     params: Params = {}
     offset = 0
     for (name, shape), n in zip(entries, sizes):
-        arr = np.frombuffer(rest, dtype="<f8", count=n, offset=offset).reshape(shape)
-        params[name] = arr.astype(np.float64)  # writable copy
-        offset += n * 8
+        params[name] = buf[offset:offset + n].reshape(shape)
+        offset += n
     return params, meta
 
 

@@ -416,18 +416,22 @@ def _memory_fixture(rng, cfg, batch=1):
     return layout, memory
 
 
+def _ffn_params(rng, dim):
+    return {
+        "w1": rng.normal(size=(dim, 4 * dim)) * 0.3,
+        "b1": rng.normal(size=4 * dim) * 0.1,
+        "w2": rng.normal(size=(4 * dim, dim)) * 0.3,
+        "b2": rng.normal(size=dim) * 0.1,
+        "ln_g": 1.0 + 0.1 * rng.normal(size=dim),
+        "ln_b": 0.1 * rng.normal(size=dim),
+    }
+
+
 def test_full_deformable_block_backward_matches_fd():
     rng = np.random.default_rng(11)
     cfg = AttentionConfig(8, 2, 2, 2)
     p = _deform_params(rng, cfg)
-    ffn_p = {
-        "w1": rng.normal(size=(8, 32)) * 0.3,
-        "b1": rng.normal(size=32) * 0.1,
-        "w2": rng.normal(size=(32, 8)) * 0.3,
-        "b2": rng.normal(size=8) * 0.1,
-        "ln_g": 1.0 + 0.1 * rng.normal(size=8),
-        "ln_b": 0.1 * rng.normal(size=8),
-    }
+    ffn_p = _ffn_params(rng, 8)
     # two images: (rows, B, C) queries against their (M * B, C) memory
     layout, memory = _memory_fixture(rng, cfg, batch=2)
     x = rng.normal(size=(4, 2, 8))
@@ -450,6 +454,85 @@ def test_full_deformable_block_backward_matches_fd():
     analytic += [dp[k] for k in sorted(p)]
     analytic += [dffn[k] for k in sorted(ffn_p)]
     _fd_check(names, analytic, loss, n=4)
+
+
+def _project_first_block(x, refs, memory, layout, p, ffn_p, cfg, dout):
+    """The block with every memory row projected before the read: output
+    and (dx, drefs, dmemory, dparams, dffn)."""
+    levels, cv = project_value(memory, layout, p, cfg)
+    attn, cp = deform_project_fwd(x, refs, levels, p, cfg)
+    z, cln = layer_norm_fwd(x + attn, p["ln_g"], p["ln_b"])
+    out, cffn = ffn_fwd(z, ffn_p)
+    dz, dffn = ffn_bwd(dout, cffn)
+    dsum, dln = layer_norm_bwd(dz, cln)
+    dx, drefs, dlevels, dp = deform_project_bwd(dsum, cp)
+    dmem, dvp = project_value_bwd(dlevels, cv)
+    dp = {**dp, **dvp, "ln_g": dln["g"], "ln_b": dln["b"]}
+    return out, (dx + dsum, drefs, dmem, dp, dffn)
+
+
+def _assert_rel_close(a, b, name):
+    scale = np.abs(b).max()
+    npt.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+
+
+def test_sample_then_project_matches_project_first():
+    # 3 images of 5 queries; reference points inside, on the border and far
+    # outside [0, 1] so that in-bounds corner masses run from 0 to 1
+    rng = np.random.default_rng(16)
+    cfg = AttentionConfig(8, 2, 2, 3)
+    p = _deform_params(rng, cfg)
+    ffn_p = _ffn_params(rng, 8)
+    layout, memory = _memory_fixture(rng, cfg, batch=3)
+    x = rng.normal(size=(5, 3, 8))
+    x[0] *= 0.1  # small offsets around the center
+    refs = rng.uniform(-0.6, 1.6, (5, 3, 2))
+    refs[0] = 0.5
+    refs[1] = [-3.0, 0.5]
+    dout = rng.normal(size=(5, 3, 8))
+    out, cache = deformable_attention_fwd(x, refs, memory, layout, p, ffn_p, cfg)
+    masses = cache.proj.mass
+    assert masses.min() < 1e-12 and masses.max() > 0.99
+    assert ((masses > 0.05) & (masses < 0.95)).any()
+    grads = deformable_attention_bwd(dout, cache)
+    ref_out, ref_grads = _project_first_block(x, refs, memory, layout, p, ffn_p, cfg, dout)
+    _assert_rel_close(out, ref_out, "out")
+    for name, g, ref in zip(("dx", "drefs", "dmemory"), grads[:3], ref_grads[:3]):
+        _assert_rel_close(g, ref, name)
+    for got, want in zip(grads[3:], ref_grads[3:]):
+        assert set(got) == set(want)
+        for k in want:
+            _assert_rel_close(got[k], want[k], k)
+
+
+def test_deformable_block_chunk_of_three_equals_single_images():
+    # one GEMM per image and head, gradients summed per image and then over
+    # the images in order: a chunk gives a per-image loop's bits
+    rng = np.random.default_rng(17)
+    cfg = AttentionConfig(8, 2, 2, 2)
+    p = _deform_params(rng, cfg)
+    ffn_p = _ffn_params(rng, 8)
+    layout, memory = _memory_fixture(rng, cfg, batch=3)
+    x = rng.normal(size=(4, 3, 8))
+    refs = rng.uniform(-0.2, 1.2, (4, 3, 2))
+    dout = rng.normal(size=(4, 3, 8))
+    out, cache = deformable_attention_fwd(x, refs, memory, layout, p, ffn_p, cfg)
+    dx, drefs, dmem, dp, dffn = deformable_attention_bwd(dout, cache)
+    dp_sum = dffn_sum = None
+    for b in range(3):
+        sl = slice(b, b + 1)
+        out_b, cache_b = deformable_attention_fwd(
+            x[:, sl], refs[:, sl], memory[b::3], layout, p, ffn_p, cfg)
+        npt.assert_array_equal(out[:, sl], out_b)
+        dx_b, drefs_b, dmem_b, dp_b, dffn_b = deformable_attention_bwd(dout[:, sl], cache_b)
+        npt.assert_array_equal(dx[:, sl], dx_b)
+        npt.assert_array_equal(drefs[:, sl], drefs_b)
+        npt.assert_array_equal(dmem[b::3], dmem_b)
+        dp_sum = dp_b if dp_sum is None else {k: dp_sum[k] + dp_b[k] for k in dp_b}
+        dffn_sum = dffn_b if dffn_sum is None else {k: dffn_sum[k] + dffn_b[k] for k in dffn_b}
+    for got, want in ((dp, dp_sum), (dffn, dffn_sum)):
+        for k in want:
+            npt.assert_array_equal(got[k], want[k], err_msg=k)
 
 
 def test_deform_project_row_mismatch_raises():

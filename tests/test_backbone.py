@@ -85,6 +85,19 @@ def test_conv_backward_matches_fd():
             npt.assert_allclose(aflat[c], fd, rtol=1e-5, atol=1e-8, err_msg=name)
 
 
+def test_conv_backward_without_input_grad_keeps_param_grads():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(3, 2, 8, 8))
+    w = rng.normal(size=(4, 2, 3, 3))
+    mix = rng.normal(size=(3, 4, 4, 4))
+    _, cache = conv2d_fwd(x, w, rng.normal(size=4), 2)
+    _, full = conv2d_bwd(mix, cache)
+    dx, grads = conv2d_bwd(mix, cache, input_grad=False)
+    assert dx is None
+    for k in ("w", "b"):
+        npt.assert_array_equal(grads[k], full[k])
+
+
 # ---------------------------------------------------------------------------
 # full memory extraction
 # ---------------------------------------------------------------------------
@@ -128,7 +141,7 @@ def test_memory_backward_matches_fd():
     img = rng.uniform(0, 1, (2, 3, 16, 16))
     mix = rng.normal(size=((4 * 4 + 2 * 2) * 2, 8))
     mem, cache = extract_memory(img, params, cfg)
-    _, grads = extract_memory_bwd(mix, cache)
+    grads = extract_memory_bwd(mix, cache)
     assert set(grads) == set(params)
     h = 1e-6
     rng_pick = np.random.default_rng(11)

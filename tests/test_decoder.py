@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -381,6 +382,22 @@ def test_load_rejects_params_misshapen_for_the_meta_dim(tmp_path, tiny_state):
     with pytest.raises(ConfigError, match=r"landmark_init\.w has shape \(16, 2\).*expects \(32, 2\)") as err:
         DecoderState.load(path)
     assert str(path) in str(err.value)
+
+
+def test_load_allocates_nothing_for_a_claimed_dim(tmp_path, tiny_state):
+    # the expected shapes of an 8e6-wide model are broadcasts, not arrays
+    path = tmp_path / "model.ckpt"
+    tiny_state.save(path)
+    _edit_meta(path, "dim", 16, 8000000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as err:
+            DecoderState.load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(err.value)
+    assert peak < 5 * 2**20
 
 
 def test_load_rejects_extra_params(tmp_path, tiny_state):
