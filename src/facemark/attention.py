@@ -23,13 +23,14 @@ weights, summed per head) is the fused `geometry.bilinear_sample_many` and
 its backward, each called once per pass; `deform_core_fwd`/`_bwd` only
 reshape around them, and the core's cache holds the kernel's corner table
 rather than any per-point read.  The images fold into the kernel's head
-axis.  The parallel decoder projects every memory row first
-(`project_value`) and views the value tensor of level l, without a copy,
-as (h_l, w_l, B * heads, head_dim): image b's head k is head
+axis.  The decoder layer's read comes in two orders.  The parallel
+decoder projects every memory row first (`project_value`, then
+`deform_project_fwd`) and views the value tensor of level l, without a
+copy, as (h_l, w_l, B * heads, head_dim): image b's head k is head
 b * heads + k, and the sampling locations (R, B * heads, levels, points, 2)
-follow the same fold.  The basic decoder's block
-(`deformable_attention_fwd`) reads raw memory rows and projects only what
-its queries read; see the comment above `_bias_mass`.
+follow the same fold.  The basic decoder's read (`_sample_project_fwd`)
+samples raw memory rows and projects only what its queries read; see the
+comment above `_bias_mass`.
 """
 
 from __future__ import annotations
@@ -373,7 +374,7 @@ def deform_project_bwd(dout, cache: DeformCache):
 
 
 # ---------------------------------------------------------------------------
-# The basic decoder's block: sample raw memory rows, then project
+# The basic decoder's read: sample raw memory rows, then project
 # ---------------------------------------------------------------------------
 # The bilinear reads, the attention weights and the value projection are all
 # linear, so the landmark queries read raw memory rows and project only the
@@ -460,25 +461,3 @@ def _sample_project_bwd(dout, cache: SampleCache):
                "b_val": db_h.reshape(dim)}
     return dx, drefs, dmemory, dparams
 
-
-FullDeformCache = namedtuple("FullDeformCache", "proj ln ffn")
-
-
-def deformable_attention_fwd(x, refs, memory_data, layout, p, ffn_p, cfg):
-    """Full deformable-attention block for (N, B, C) landmark queries:
-    sample-then-project read of the raw memory rows, residual + layer norm,
-    then the feed-forward block.  Returns the updated query matrix.
-    """
-    attn, cp = _sample_project_fwd(x, refs, memory_data, layout, p, cfg)
-    z, cln = layer_norm_fwd(x + attn, p["ln_g"], p["ln_b"])
-    out, cffn = ffn_fwd(z, ffn_p)
-    return out, FullDeformCache(cp, cln, cffn)
-
-
-def deformable_attention_bwd(dout, cache: FullDeformCache):
-    dz, dffn_p = ffn_bwd(dout, cache.ffn)
-    dsum, dln = layer_norm_bwd(dz, cache.ln)
-    dx_attn, drefs, dmemory, dp = _sample_project_bwd(dsum, cache.proj)
-    dx = dx_attn + dsum
-    dparams = {**dp, "ln_g": dln["g"], "ln_b": dln["b"]}
-    return dx, drefs, dmemory, dparams, dffn_p

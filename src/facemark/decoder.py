@@ -1,17 +1,18 @@
 """Cascaded landmark decoder.
 
 A stack of decoder layers refines landmark coordinates from an initial
-estimate.  Each layer runs self-attention over the landmark queries, a
-deformable read of the pyramid memory anchored at the current landmark
-positions, and a small MLP head that nudges the positions.  Positions are
-carried as logits between layers, so a layer whose head outputs zero leaves
-them bit-for-bit unchanged; sigmoid(logits) is what the model reports.
+estimate.  Each layer runs optional self-attention over the landmark
+queries, a deformable read of the pyramid memory anchored at the current
+landmark positions, a residual layer norm and the FFN, then a small MLP head
+that nudges the positions.  Positions are carried as logits between layers,
+so a zero head leaves them bit-for-bit unchanged; sigmoid(logits) is what
+the model reports.
 
-The parallel flavor additionally treats every memory row as a query of the
-same deformable pass and rewrites the memory each layer.  Both branches of
-that pass read the pre-update memory, so queries and memory update
-simultaneously.  The only parameters the parallel flavor adds are the
-per-layer norm over the refreshed memory rows.
+Both flavors run this one layer; only the read (`_read_fwd`) differs.  The
+parallel read also treats every memory row as a query of the same pass and
+rewrites the memory each layer, both branches reading the pre-update
+memory.  Its only added parameters are the per-layer norm over the
+refreshed memory rows.
 
 `forward` and `backward` run a chunk of B images at once: queries are
 (N, B, C) and the memory (M * B, C), laid out as `attention` describes.
@@ -28,7 +29,7 @@ the config file's parsers, a checkpoint's metadata.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,8 +37,6 @@ from .attention import (
     AttentionConfig,
     deform_project_fwd,
     deform_project_bwd,
-    deformable_attention_fwd,
-    deformable_attention_bwd,
     ffn_fwd,
     ffn_bwd,
     layer_norm_fwd,
@@ -50,6 +49,8 @@ from .attention import (
     relu_bwd,
     self_attention_fwd,
     self_attention_bwd,
+    _sample_project_fwd,
+    _sample_project_bwd,
 )
 from .backbone import (
     BackboneConfig,
@@ -165,9 +166,9 @@ def chunk_slices(count: int, cfg: ModelConfig) -> list[slice]:
 
 class _NoDraws:
     """Stand-in for the generator `init_params` draws from that draws and
-    allocates nothing: every draw, and every array of zeros or ones that
-    the init asks it for, is a read-only broadcast scalar of the asked
-    size.  So shapes cost no memory, whatever size they claim."""
+    allocates nothing: every draw, and every array of zeros or ones or
+    offset ring that the init asks it for, is a read-only broadcast scalar
+    of the asked size.  So shapes cost no memory, whatever size they claim."""
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return np.broadcast_to(0.0, size)
@@ -180,6 +181,15 @@ class _NoDraws:
 
     def ones(self, shape):
         return np.broadcast_to(1.0, shape)
+
+    def offset_ring(self, k):
+        return np.broadcast_to(0.0, (2 * k,))
+
+
+def _offset_ring(k):
+    """Initial offset bias: k sampling points on a small ring, (x, y) flat."""
+    ring = 2.0 * np.pi * np.arange(k) / k
+    return 0.01 * np.stack([np.cos(ring), np.sin(ring)], axis=-1).ravel()
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -195,6 +205,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> Params:
 def _build_params(cfg: ModelConfig, rng) -> Params:
     zeros = getattr(rng, "zeros", np.zeros)
     ones = getattr(rng, "ones", np.ones)
+    offset_ring = getattr(rng, "offset_ring", _offset_ring)
     p = init_backbone_params(rng, cfg.backbone_config)
     layout = cfg.layout
     n, c = cfg.num_landmarks, cfg.dim
@@ -213,8 +224,6 @@ def _build_params(cfg: ModelConfig, rng) -> Params:
     # parallel flavor's extra norms
     p["level_emb"] = rng.normal(0.0, 0.02, (cfg.levels, c))
     k = cfg.attention_config.total_points
-    ring = 2.0 * np.pi * np.arange(k) / k
-    offset_bias = 0.01 * np.stack([np.cos(ring), np.sin(ring)], axis=-1).ravel()
     for t in range(cfg.num_layers):
         pre = f"layers.{t}"
         if cfg.self_attention:
@@ -225,7 +234,7 @@ def _build_params(cfg: ModelConfig, rng) -> Params:
             p[f"{pre}.self_attn.ln_g"] = ones(c)
             p[f"{pre}.self_attn.ln_b"] = zeros(c)
         p[f"{pre}.deform.w_off"] = zeros((c, k * 2))
-        p[f"{pre}.deform.b_off"] = offset_bias.copy()
+        p[f"{pre}.deform.b_off"] = offset_ring(k)
         p[f"{pre}.deform.w_wgt"] = zeros((c, k))
         p[f"{pre}.deform.b_wgt"] = zeros(k)
         p[f"{pre}.deform.w_val"] = glorot(rng, c, c)
@@ -304,90 +313,80 @@ def _layer_params(params: Params, t: int):
             for g, names in _LAYER_GROUPS.items() if f"{pre}{g}.{names[0]}" in params}
 
 
-def _self_attn_bwd(dq, grads, t, c_sa):
-    dq, dpos, sg = self_attention_bwd(dq, c_sa)
-    accumulate(grads, f"layers.{t}.self_attn.", sg)
-    accumulate(grads, "", {"query_pos": dpos})  # per image, (N, B, C)
-    return dq
-
-
-ParallelCache = namedtuple(
-    "ParallelCache", "self_attn value proj ln_img ln_q ffn n_mem"
-)
-
-
-def _basic_layer_fwd(q, refs, mem_data, layout, lp, pos, cfg):
-    c_sa = None
-    if cfg.self_attention:
-        q, c_sa = self_attention_fwd(q, pos, lp["self_attn"], cfg.heads)
-    out, c_d = deformable_attention_fwd(
-        q, refs, mem_data, layout, lp["deform"], lp["ffn"], cfg.attention_config
-    )
-    return out, (c_sa, c_d)
-
-
-def _basic_layer_bwd(dout, grads, t, cache):
-    c_sa, c_d = cache
-    dq, drefs, dmem, dg, dffn = deformable_attention_bwd(dout, c_d)
-    accumulate(grads, f"layers.{t}.deform.", dg)
-    accumulate(grads, f"layers.{t}.ffn.", dffn)
-    if c_sa is not None:
-        dq = _self_attn_bwd(dq, grads, t, c_sa)
-    return dq, drefs, dmem
-
-
-def _parallel_layer_fwd(q, refs, mem_state, aux, lp, pos, cfg):
+def _read_fwd(q, refs, mem_state, aux, lp, cfg):
+    """Deformable read of queries q at reference points refs: (attention
+    output of q, next memory, cache).  The basic read samples raw memory
+    rows and projects what it read; the memory passes through.  The
+    parallel read projects every memory row first, since each row, at its
+    pixel center, is a query too; its outputs refresh the memory."""
+    acfg, deform_p = cfg.attention_config, lp["deform"]
+    if not cfg.parallel:
+        attn, c_r = _sample_project_fwd(q, refs, mem_state, cfg.layout, deform_p, acfg)
+        return attn, mem_state, c_r
     centers, pos_rows = aux
-    c_sa = None
-    if cfg.self_attention:
-        q, c_sa = self_attention_fwd(q, pos, lp["self_attn"], cfg.heads)
-    deform_p = lp["deform"]
-    n_mem = pos_rows.shape[0]
-    bsz = q.shape[1]
+    n_mem, bsz = pos_rows.shape[0], q.shape[1]
     mem3 = mem_state.reshape(n_mem, bsz, cfg.dim)
     rows = np.concatenate([mem3 + pos_rows[:, None], q], axis=0)
     refs_all = np.concatenate(
         [np.broadcast_to(centers[:, None], (n_mem, bsz, 2)), refs], axis=0
     )
-    # both branches sample the pre-update memory
-    value_levels, c_v = project_value(
-        mem_state, cfg.layout, deform_p, cfg.attention_config
-    )
-    attn, c_p = deform_project_fwd(
-        rows, refs_all, value_levels, deform_p, cfg.attention_config
-    )
-    mem_new, c_li = layer_norm_fwd(
-        mem3 + attn[:n_mem], lp["ln_img"]["g"], lp["ln_img"]["b"]
-    )
-    zq, c_lq = layer_norm_fwd(
-        q + attn[n_mem:], deform_p["ln_g"], deform_p["ln_b"]
-    )
-    q_out, c_f = ffn_fwd(zq, lp["ffn"])
-    return (q_out, mem_new.reshape(mem_state.shape),
-            ParallelCache(c_sa, c_v, c_p, c_li, c_lq, c_f, n_mem))
+    value_levels, c_v = project_value(mem_state, cfg.layout, deform_p, acfg)
+    attn, c_p = deform_project_fwd(rows, refs_all, value_levels, deform_p, acfg)
+    mem_new, c_li = layer_norm_fwd(mem3 + attn[:n_mem], lp["ln_img"]["g"], lp["ln_img"]["b"])
+    return attn[n_mem:], mem_new.reshape(mem_state.shape), (c_v, c_p, c_li)
 
 
-def _parallel_layer_bwd(dq_out, dmem_next, grads, layout, t, cache):
-    n_mem = cache.n_mem
-    dim = dq_out.shape[-1]
-    dzq, dffn = ffn_bwd(dq_out, cache.ffn)
-    accumulate(grads, f"layers.{t}.ffn.", dffn)
-    dsum_q, g_lq = layer_norm_bwd(dzq, cache.ln_q)
-    dsum_img, g_li = layer_norm_bwd(dmem_next.reshape(n_mem, -1, dim), cache.ln_img)
-    accumulate(grads, f"layers.{t}.deform.", {"ln_g": g_lq["g"], "ln_b": g_lq["b"]})
+def _read_bwd(dattn, dmem_next, grads, t, cache, cfg):
+    """Returns (dq, drefs, dmem) of the read, given the gradients of its
+    output and of the next memory, which the basic read adds into."""
+    if not cfg.parallel:
+        dq, drefs, dmem_read, dp = _sample_project_bwd(dattn, cache)
+        accumulate(grads, f"layers.{t}.deform.", dp)
+        dmem_next += dmem_read  # the memory passed through; layers add in order
+        return dq, drefs, dmem_next
+    c_v, c_p, c_li = cache
+    n_mem = cfg.layout.total_len
+    dsum_img, g_li = layer_norm_bwd(dmem_next.reshape(n_mem, -1, cfg.dim), c_li)
     accumulate(grads, f"layers.{t}.ln_img.", g_li)
-    dattn = np.concatenate([dsum_img, dsum_q], axis=0)
-    drows, drefs_all, dlevels, dp = deform_project_bwd(dattn, cache.proj)
-    dmem_value, dvp = project_value_bwd(dlevels, cache.value)
+    dattn = np.concatenate([dsum_img, dattn], axis=0)
+    drows, drefs_all, dlevels, dp = deform_project_bwd(dattn, c_p)
+    dmem_value, dvp = project_value_bwd(dlevels, c_v)
     accumulate(grads, f"layers.{t}.deform.", {**dp, **dvp})
     dmem = dsum_img.reshape(dmem_value.shape) + dmem_value
     dmem += drows[:n_mem].reshape(dmem.shape)
-    dlevel = np.stack([drows[sl].sum(axis=0) for sl in layout.block_slices()])
+    dlevel = np.stack([drows[sl].sum(axis=0) for sl in cfg.layout.block_slices()])
     accumulate(grads, "", {"level_emb": dlevel})  # per image, (levels, B, C)
-    dq = dsum_q + drows[n_mem:]
-    drefs = drefs_all[n_mem:]
+    return drows[n_mem:], drefs_all[n_mem:], dmem
+
+
+LayerCache = namedtuple("LayerCache", "self_attn read ln ffn")
+
+
+def _layer_fwd(q, refs, mem_state, aux, lp, pos, cfg):
+    """Optional self-attention, the read, LN(q + attn), then the FFN.
+    Returns (q_out, next memory, cache)."""
+    c_sa = None
+    if cfg.self_attention:
+        q, c_sa = self_attention_fwd(q, pos, lp["self_attn"], cfg.heads)
+    attn, mem_next, c_r = _read_fwd(q, refs, mem_state, aux, lp, cfg)
+    z, c_ln = layer_norm_fwd(q + attn, lp["deform"]["ln_g"], lp["deform"]["ln_b"])
+    out, c_f = ffn_fwd(z, lp["ffn"])
+    return out, mem_next, LayerCache(c_sa, c_r, c_ln, c_f)
+
+
+def _layer_bwd(dout, dmem_next, grads, t, cache: LayerCache, cfg):
+    """Returns (dq, drefs, dmem) for the layer's input queries, reference
+    points and memory."""
+    dz, dffn = ffn_bwd(dout, cache.ffn)
+    accumulate(grads, f"layers.{t}.ffn.", dffn)
+    dsum, dln = layer_norm_bwd(dz, cache.ln)
+    accumulate(grads, f"layers.{t}.deform.", {"ln_g": dln["g"], "ln_b": dln["b"]})
+    dq, drefs, dmem = _read_bwd(dsum, dmem_next, grads, t, cache.read, cfg)
+    dq = dsum + dq
     if cache.self_attn is not None:
-        dq = _self_attn_bwd(dq, grads, t, cache.self_attn)
+        dq, dpos, sg = self_attention_bwd(dq, cache.self_attn)
+        accumulate(grads, f"layers.{t}.self_attn.", sg)
+        accumulate(grads, "", {"query_pos": dpos})  # per image, (N, B, C)
     return dq, drefs, dmem
 
 
@@ -395,10 +394,7 @@ def _parallel_layer_bwd(dq_out, dmem_next, grads, layout, t, cache):
 # Full forward / backward
 # ---------------------------------------------------------------------------
 
-ForwardCache = namedtuple(
-    "ForwardCache",
-    "backbone mem init_lin q0_source layer_caches ys aux",
-)
+ForwardCache = namedtuple("ForwardCache", "backbone mem init_lin q0_source layer_caches ys")
 
 
 def forward(params: Params, images, cfg: ModelConfig, keep_cache=True):
@@ -433,30 +429,22 @@ def forward(params: Params, images, cfg: ModelConfig, keep_cache=True):
     pos = params["query_pos"][:, None] if cfg.self_attention else None
     logits, c_init = linear_fwd(q, params["landmark_init.w"], params["landmark_init.b"])
     ys = [sigmoid(logits)]  # each (N, B, 2)
-    aux = None
-    mem_state = mem.data
+    aux = None  # the parallel read's memory-row reference points and positions
     if cfg.parallel:
-        lv_idx = level_of_row(layout)
-        pos_rows = build_pixel_positions(layout, cfg.dim) + params["level_emb"][lv_idx]
+        level_pos = params["level_emb"][level_of_row(layout)]
+        pos_rows = build_pixel_positions(layout, cfg.dim) + level_pos
         aux = (pixel_centers(layout), pos_rows)
-    layer_caches = []
+    mem_state, layer_caches = mem.data, []
     for t in range(cfg.num_layers):
         lp = _layer_params(params, t)
-        if cfg.parallel:
-            q, mem_state, c_layer = _parallel_layer_fwd(
-                q, ys[-1], mem_state, aux, lp, pos, cfg
-            )
-        else:
-            q, c_layer = _basic_layer_fwd(
-                q, ys[-1], mem_state, layout, lp, pos, cfg
-            )
+        q, mem_state, c_layer = _layer_fwd(q, ys[-1], mem_state, aux, lp, pos, cfg)
         delta, c_head = _head_fwd(q, lp["head"])
         logits = logits + delta
         ys.append(sigmoid(logits))
         if keep_cache:
             layer_caches.append((c_layer, c_head))
         del c_layer, c_head  # else freed here, not when the next layer rebinds them
-    cache = ForwardCache(c_bb, mem, c_init, q0_source, layer_caches, ys, aux)
+    cache = ForwardCache(c_bb, mem, c_init, q0_source, layer_caches, ys)
     return [y.transpose(1, 0, 2) for y in ys], cache if keep_cache else None
 
 
@@ -468,31 +456,20 @@ def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache):
     """
     ys = cache.ys
     dys = [dy.transpose(1, 0, 2) for dy in dys]
-    n_layers = cfg.num_layers
     grads: Params = {}
-    extra_dy = [np.zeros_like(ys[0]) for _ in range(n_layers + 1)]
+    # the reference points of layer t are stage t's estimate
+    drefs = np.zeros_like(ys[0])
     dlogits = np.zeros_like(ys[0])
     dq = np.zeros(ys[0].shape[:2] + (cfg.dim,))
-    mem_rows = cache.mem.data.shape[0]
-    dmem = np.zeros((mem_rows, cfg.dim))
-    for t in range(n_layers - 1, -1, -1):
+    dmem = np.zeros(cache.mem.data.shape)
+    for t in range(cfg.num_layers - 1, -1, -1):
         c_layer, c_head = cache.layer_caches[t]
         y_t1 = ys[t + 1]
-        dy_total = dys[t + 1] + extra_dy[t + 1]
-        dlogits = dlogits + dy_total * y_t1 * (1.0 - y_t1)
+        dlogits = dlogits + (dys[t + 1] + drefs) * y_t1 * (1.0 - y_t1)
         dq_head, hg = _head_bwd(dlogits, c_head)
         accumulate(grads, f"layers.{t}.head.", hg)
-        dq_total = dq + dq_head
-        if cfg.parallel:
-            dq, drefs, dmem = _parallel_layer_bwd(
-                dq_total, dmem, grads, cache.mem.layout, t, c_layer
-            )
-        else:
-            dq, drefs, dmem_t = _basic_layer_bwd(dq_total, grads, t, c_layer)
-            dmem += dmem_t
-        extra_dy[t] += drefs
-    dy0 = dys[0] + extra_dy[0]
-    dlogits = dlogits + dy0 * ys[0] * (1.0 - ys[0])
+        dq, drefs, dmem = _layer_bwd(dq + dq_head, dmem, grads, t, c_layer, cfg)
+    dlogits = dlogits + (dys[0] + drefs) * ys[0] * (1.0 - ys[0])
     dq0_init, g_init = linear_bwd(dlogits, cache.init_lin)
     accumulate(grads, "landmark_init.", {"w": g_init["w"], "b": g_init["b"]})
     # (B, N, C): sums over axis 0 add the images in order
@@ -511,8 +488,7 @@ def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache):
     for k in ("query_pos", "level_emb"):
         if k in grads:
             grads[k] = grads[k].sum(axis=1)
-    bb_grads = extract_memory_bwd(dmem, cache.backbone)
-    grads.update(bb_grads)
+    grads.update(extract_memory_bwd(dmem, cache.backbone))
     for k, v in params.items():
         if k not in grads:
             grads[k] = np.zeros_like(v)
@@ -557,7 +533,12 @@ class DecoderState:
             config = ModelConfig.from_meta(meta)
         except (ConfigError, ValueError) as e:
             raise ConfigError(f"{path}: {e}") from None
-        _check_param_shapes(path, params, param_shapes(config))
+        # shapes up to the first claimed layer the checkpoint lacks: the
+        # work is bounded by the checkpoint, not by its metadata
+        present = {k.split(".")[1] for k in params if k.startswith("layers.")}
+        first_absent = next(t for t in range(len(present) + 1) if str(t) not in present)
+        checked = replace(config, num_layers=min(config.num_layers, first_absent + 1))
+        _check_param_shapes(path, params, param_shapes(checked))
         extra = {k: v for k, v in meta.items() if k not in _META_PARSERS}
         return cls(config, params), extra
 

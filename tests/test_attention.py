@@ -11,8 +11,6 @@ from facemark.attention import (
     deform_core_fwd,
     deform_project_bwd,
     deform_project_fwd,
-    deformable_attention_bwd,
-    deformable_attention_fwd,
     ffn_bwd,
     ffn_fwd,
     layer_norm_bwd,
@@ -27,6 +25,7 @@ from facemark.attention import (
     softmax,
     softmax_bwd,
 )
+from facemark.decoder import ModelConfig, _layer_bwd, _layer_fwd
 from facemark.errors import ConfigError
 from facemark.geometry import PyramidLayout
 
@@ -427,6 +426,38 @@ def _ffn_params(rng, dim):
     }
 
 
+def _block_config(cfg: AttentionConfig) -> ModelConfig:
+    """A basic decoder without self-attention, whose layer is the deformable
+    block: sample-then-project read, residual + layer norm, FFN, over the
+    32 px layout of `_memory_fixture`."""
+    return ModelConfig(dim=cfg.dim, heads=cfg.heads, levels=cfg.levels, points=cfg.points,
+                       image_side=32, stage_channels=(8,) * cfg.levels,
+                       self_attention=False)
+
+
+def _block_fwd(x, refs, memory, layout, p, ffn_p, cfg):
+    """The decoder layer of `_block_config(cfg)` on (N, B, C) queries x at
+    reference points refs: its output and a cache for `_block_bwd`."""
+    block = _block_config(cfg)
+    assert block.layout == layout
+    lp = {"deform": p, "ffn": ffn_p}
+    out, mem_next, cache = _layer_fwd(x, refs, memory, None, lp, None, block)
+    assert mem_next is memory  # the basic read passes the memory through
+    return out, (cache, block, memory.shape)
+
+
+def _block_bwd(dout, cache):
+    """(dx, drefs, dmemory, dparams, dffn) of `_block_fwd`."""
+    layer_cache, block, mem_shape = cache
+    grads = {}
+    dx, drefs, dmem = _layer_bwd(dout, np.zeros(mem_shape), grads, 0, layer_cache, block)
+
+    def group(name):
+        pre = f"layers.0.{name}."
+        return {k[len(pre):]: v for k, v in grads.items() if k.startswith(pre)}
+    return dx, drefs, dmem, group("deform"), group("ffn")
+
+
 def test_full_deformable_block_backward_matches_fd():
     rng = np.random.default_rng(11)
     cfg = AttentionConfig(8, 2, 2, 2)
@@ -437,14 +468,14 @@ def test_full_deformable_block_backward_matches_fd():
     x = rng.normal(size=(4, 2, 8))
     refs = rng.uniform(0.2, 0.8, (4, 2, 2))
     mix = rng.normal(size=(4, 2, 8))
-    out, cache = deformable_attention_fwd(x, refs, memory, layout, p, ffn_p, cfg)
+    out, cache = _block_fwd(x, refs, memory, layout, p, ffn_p, cfg)
     assert out.shape == (4, 2, 8)
-    dx, drefs, dmem, dp, dffn = deformable_attention_bwd(mix, cache)
+    dx, drefs, dmem, dp, dffn = _block_bwd(mix, cache)
     assert set(dp) == set(p)
     assert set(dffn) == set(ffn_p)
 
     def loss():
-        out2, _ = deformable_attention_fwd(x, refs, memory, layout, p, ffn_p, cfg)
+        out2, _ = _block_fwd(x, refs, memory, layout, p, ffn_p, cfg)
         return (out2 * mix).sum()
 
     names = [("x", x), ("refs", refs), ("memory", memory)]
@@ -490,11 +521,11 @@ def test_sample_then_project_matches_project_first():
     refs[0] = 0.5
     refs[1] = [-3.0, 0.5]
     dout = rng.normal(size=(5, 3, 8))
-    out, cache = deformable_attention_fwd(x, refs, memory, layout, p, ffn_p, cfg)
-    masses = cache.proj.mass
+    out, cache = _block_fwd(x, refs, memory, layout, p, ffn_p, cfg)
+    masses = cache[0].read.mass
     assert masses.min() < 1e-12 and masses.max() > 0.99
     assert ((masses > 0.05) & (masses < 0.95)).any()
-    grads = deformable_attention_bwd(dout, cache)
+    grads = _block_bwd(dout, cache)
     ref_out, ref_grads = _project_first_block(x, refs, memory, layout, p, ffn_p, cfg, dout)
     _assert_rel_close(out, ref_out, "out")
     for name, g, ref in zip(("dx", "drefs", "dmemory"), grads[:3], ref_grads[:3]):
@@ -516,15 +547,15 @@ def test_deformable_block_chunk_of_three_equals_single_images():
     x = rng.normal(size=(4, 3, 8))
     refs = rng.uniform(-0.2, 1.2, (4, 3, 2))
     dout = rng.normal(size=(4, 3, 8))
-    out, cache = deformable_attention_fwd(x, refs, memory, layout, p, ffn_p, cfg)
-    dx, drefs, dmem, dp, dffn = deformable_attention_bwd(dout, cache)
+    out, cache = _block_fwd(x, refs, memory, layout, p, ffn_p, cfg)
+    dx, drefs, dmem, dp, dffn = _block_bwd(dout, cache)
     dp_sum = dffn_sum = None
     for b in range(3):
         sl = slice(b, b + 1)
-        out_b, cache_b = deformable_attention_fwd(
+        out_b, cache_b = _block_fwd(
             x[:, sl], refs[:, sl], memory[b::3], layout, p, ffn_p, cfg)
         npt.assert_array_equal(out[:, sl], out_b)
-        dx_b, drefs_b, dmem_b, dp_b, dffn_b = deformable_attention_bwd(dout[:, sl], cache_b)
+        dx_b, drefs_b, dmem_b, dp_b, dffn_b = _block_bwd(dout[:, sl], cache_b)
         npt.assert_array_equal(dx[:, sl], dx_b)
         npt.assert_array_equal(drefs[:, sl], drefs_b)
         npt.assert_array_equal(dmem[b::3], dmem_b)

@@ -1,0 +1,89 @@
+"""Layout guards for the package source.
+
+Every top-level function, class and constant in `src/facemark/` must be
+used by the package itself: a helper that only tests call is dead weight
+that a refactor has to keep in step.  Names the package exports (`__all__`)
+and its console-script entry points are exempt.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "facemark"
+# (module, name) of the console scripts in pyproject.toml's [project.scripts]
+ENTRY_POINTS = {("cli", "main")}
+# Test-only helpers that predate this guard, each an open ROADMAP item.  The
+# list may only shrink: an entry that src/ starts to use must leave it.
+KNOWN_UNUSED = {"geometry.inverse_sigmoid"}
+
+
+def _top_level_names(tree):
+    """(name, node) of every function, class and assigned constant at the
+    top of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id != "__all__":
+                    yield target.id, node
+
+
+def _uses(node):
+    """Count of each identifier read under `node`: names in load context and
+    attribute names."""
+    uses = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            uses[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            uses[sub.attr] += 1
+    return uses
+
+
+def _exempt(trees):
+    names = set(ENTRY_POINTS)
+    for tree in trees.values():
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                names.update(ast.literal_eval(node.value))
+    return names
+
+
+def unused_definitions(src=SRC):
+    """'module.name' of every top-level definition in `src` that no code in
+    `src` reads outside the definition itself."""
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(src.glob("*.py"))}
+    exempt = _exempt(trees)
+    uses = Counter()
+    for tree in trees.values():
+        uses.update(_uses(tree))
+    unused = []
+    for module, tree in trees.items():
+        for name, node in _top_level_names(tree):
+            if name in exempt or (module, name) in exempt:
+                continue
+            if uses[name] - _uses(node)[name] == 0:
+                unused.append(f"{module}.{name}")
+    return unused
+
+
+def test_every_definition_in_src_is_used_by_src():
+    unused = set(unused_definitions())
+    assert sorted(unused - KNOWN_UNUSED) == []
+    assert sorted(KNOWN_UNUSED - unused) == []
+
+
+def test_guard_flags_a_test_only_helper(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "__all__ = ['exported']\n"
+        "LIMIT = 3\n"
+        "def exported():\n    return helper(LIMIT)\n"
+        "def helper(n):\n    return helper(n - 1) if n else 0\n"
+        "def only_tests_call_me():\n    return exported()\n"
+        "class Dead:\n    pass\n"
+    )
+    assert unused_definitions(tmp_path) == ["a.only_tests_call_me", "a.Dead"]
