@@ -139,7 +139,13 @@ def cmd_predict(args):
         )
     gt = None
     if args.gt:
-        gt = fio.read_landmarks(args.gt) / side
+        gt = fio.read_landmarks(args.gt)
+        if len(gt) != state.config.num_landmarks:
+            raise ConfigError(
+                f"{args.gt} lists {len(gt)} points but the checkpoint predicts "
+                f"{state.config.num_landmarks}"
+            )
+        gt = gt / side
     pred = state.predict(image[None])[-1][0]
     fio.write_landmarks(args.out + ".txt", pred * side)
     tag = extra.get("config_hash", "unhashed")

@@ -10,9 +10,10 @@ the model reports.
 
 Both flavors run this one layer; only the read (`_read_fwd`) differs.  The
 parallel read also treats every memory row as a query of the same pass and
-rewrites the memory each layer, both branches reading the pre-update
-memory.  Its only added parameters are the per-layer norm over the
-refreshed memory rows.
+rewrites the memory, both branches reading the pre-update memory.  The
+last layer's read skips the memory rows, since nothing reads the memory
+after it.  The flavor's only added parameters are the per-layer norm over
+the refreshed memory rows; the last layer's pair is kept but inert.
 
 `forward` and `backward` run a chunk of B images at once: queries are
 (N, B, C) and the memory (M * B, C), laid out as `attention` describes.
@@ -317,12 +318,18 @@ def _read_fwd(q, refs, mem_state, aux, lp, cfg):
     """Deformable read of queries q at reference points refs: (attention
     output of q, next memory, cache).  The basic read samples raw memory
     rows and projects what it read; the memory passes through.  The
-    parallel read projects every memory row first, since each row, at its
-    pixel center, is a query too; its outputs refresh the memory."""
+    parallel read projects every memory row first.  Given `aux`, the
+    memory rows' pixel centers and positions, each memory row is a query
+    too and its outputs refresh the memory.  Without it (no later layer
+    reads the memory) q alone reads, and the next memory is None."""
     acfg, deform_p = cfg.attention_config, lp["deform"]
     if not cfg.parallel:
         attn, c_r = _sample_project_fwd(q, refs, mem_state, cfg.layout, deform_p, acfg)
         return attn, mem_state, c_r
+    value_levels, c_v = project_value(mem_state, cfg.layout, deform_p, acfg)
+    if aux is None:
+        attn, c_p = deform_project_fwd(q, refs, value_levels, deform_p, acfg)
+        return attn, None, (c_v, c_p, None)
     centers, pos_rows = aux
     n_mem, bsz = pos_rows.shape[0], q.shape[1]
     mem3 = mem_state.reshape(n_mem, bsz, cfg.dim)
@@ -330,7 +337,6 @@ def _read_fwd(q, refs, mem_state, aux, lp, cfg):
     refs_all = np.concatenate(
         [np.broadcast_to(centers[:, None], (n_mem, bsz, 2)), refs], axis=0
     )
-    value_levels, c_v = project_value(mem_state, cfg.layout, deform_p, acfg)
     attn, c_p = deform_project_fwd(rows, refs_all, value_levels, deform_p, acfg)
     mem_new, c_li = layer_norm_fwd(mem3 + attn[:n_mem], lp["ln_img"]["g"], lp["ln_img"]["b"])
     return attn[n_mem:], mem_new.reshape(mem_state.shape), (c_v, c_p, c_li)
@@ -338,13 +344,19 @@ def _read_fwd(q, refs, mem_state, aux, lp, cfg):
 
 def _read_bwd(dattn, dmem_next, grads, t, cache, cfg):
     """Returns (dq, drefs, dmem) of the read, given the gradients of its
-    output and of the next memory, which the basic read adds into."""
+    output and of the next memory, which the basic read adds into.  A
+    parallel read that refreshed no memory ignores dmem_next."""
     if not cfg.parallel:
         dq, drefs, dmem_read, dp = _sample_project_bwd(dattn, cache)
         accumulate(grads, f"layers.{t}.deform.", dp)
         dmem_next += dmem_read  # the memory passed through; layers add in order
         return dq, drefs, dmem_next
     c_v, c_p, c_li = cache
+    if c_li is None:
+        dq, drefs, dlevels, dp = deform_project_bwd(dattn, c_p)
+        dmem, dvp = project_value_bwd(dlevels, c_v)
+        accumulate(grads, f"layers.{t}.deform.", {**dp, **dvp})
+        return dq, drefs, dmem
     n_mem = cfg.layout.total_len
     dsum_img, g_li = layer_norm_bwd(dmem_next.reshape(n_mem, -1, cfg.dim), c_li)
     accumulate(grads, f"layers.{t}.ln_img.", g_li)
@@ -437,7 +449,9 @@ def forward(params: Params, images, cfg: ModelConfig, keep_cache=True):
     mem_state, layer_caches = mem.data, []
     for t in range(cfg.num_layers):
         lp = _layer_params(params, t)
-        q, mem_state, c_layer = _layer_fwd(q, ys[-1], mem_state, aux, lp, pos, cfg)
+        # the last layer's refreshed memory would be read by nothing
+        aux_t = aux if t < cfg.num_layers - 1 else None
+        q, mem_state, c_layer = _layer_fwd(q, ys[-1], mem_state, aux_t, lp, pos, cfg)
         delta, c_head = _head_fwd(q, lp["head"])
         logits = logits + delta
         ys.append(sigmoid(logits))

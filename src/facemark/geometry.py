@@ -37,8 +37,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-DEFAULT_EPS = 1e-5
-
 
 # ---------------------------------------------------------------------------
 # Logistic squashing
@@ -54,23 +52,6 @@ def sigmoid(x):
     out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
     ex = np.exp(arr[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return float(out[0]) if scalar else out
-
-
-def inverse_sigmoid(p, eps: float = DEFAULT_EPS):
-    """Inverse of the logistic function with clamping near 0 and 1.
-
-    Returns log(p' / (1 - p')) with p' = clamp(p, eps, 1 - eps).  Exact
-    inverse of `sigmoid` on (eps, 1 - eps).
-    """
-    if not 0.0 < eps < 0.5:
-        raise ConfigError(f"eps must lie in (0, 0.5), got {eps}")
-    arr = np.asarray(p, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("inverse_sigmoid: input contains non-finite values")
-    scalar = arr.ndim == 0
-    clamped = np.clip(np.atleast_1d(arr), eps, 1.0 - eps)
-    out = np.log(clamped) - np.log1p(-clamped)
     return float(out[0]) if scalar else out
 
 

@@ -10,7 +10,7 @@ import facemark
 from facemark.cli import main
 from facemark.config import ENV_CONFIG
 from facemark.decoder import TINY, DecoderState
-from facemark.io import read_landmarks, read_ppm, write_ppm
+from facemark.io import read_landmarks, read_ppm, write_landmarks, write_ppm
 
 TINY_MODEL = [
     "--set", "model.num_landmarks=5",
@@ -172,6 +172,22 @@ def test_predict_on_malformed_inputs_names_the_file(tmp_path):
         assert "Traceback" not in proc.stderr
         assert str(named) in proc.stderr
     assert not (tmp_path / "pred.txt").exists()
+
+
+def test_predict_rejects_gt_with_another_point_count(tmp_path, capsys):
+    image = tmp_path / "face.ppm"
+    write_ppm(image, np.zeros((3, 32, 32)))
+    ckpt = tmp_path / "m.ckpt"
+    DecoderState.init(TINY).save(ckpt)
+    gt = tmp_path / "gt.txt"
+    write_landmarks(gt, np.full((3, 2), 16.0))  # TINY predicts 5 points
+    rc = main(["predict", "--ckpt", str(ckpt), "--image", str(image),
+               "--out", str(tmp_path / "pred"), "--gt", str(gt)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(gt) in err and "3 points" in err and "predicts 5" in err
+    assert not (tmp_path / "pred.txt").exists()
+    assert not (tmp_path / "pred.ppm").exists()
 
 
 @pytest.mark.parametrize("override, named", [

@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from facemark import attention
 from facemark.decoder import (
     TINY,
     DecoderState,
@@ -19,7 +20,7 @@ from facemark.decoder import (
     param_shapes,
 )
 from facemark.errors import ConfigError
-from facemark.geometry import inverse_sigmoid, sigmoid
+from facemark.geometry import sigmoid
 from facemark.params import count_parameters
 from facemark.training import gen_synthetic
 
@@ -150,7 +151,8 @@ def test_refine_composes_in_logit_space(tiny_state, tiny_batch):
     rng = np.random.default_rng(0)
     deltas = rng.normal(size=(TINY.num_layers, 2))
     ys = _stages_with_head_biases(tiny_state, tiny_batch[0].image, deltas)
-    one_step = sigmoid(inverse_sigmoid(ys[0]) + deltas.sum(axis=0))
+    logit0 = np.log(ys[0]) - np.log1p(-ys[0])
+    one_step = sigmoid(logit0 + deltas.sum(axis=0))
     npt.assert_allclose(ys[-1], one_step, atol=1e-9)
 
 
@@ -260,6 +262,29 @@ def test_parallel_mode_trains_level_embedding(tiny_batch):
     grads = backward(_fake_dys(ys), state.params, cfg, cache)
     assert np.abs(grads["level_emb"]).max() > 0
     assert np.abs(grads["layers.0.ln_img.g"]).max() > 0
+
+
+def test_parallel_last_layer_reads_for_the_landmark_queries_only(monkeypatch, tiny_batch):
+    # nothing reads the memory after the last layer, so its memory rows are
+    # not queries: layers 0..T-2 read (M + N) rows per image, the last N
+    rows = []
+    core_fwd = attention.deform_core_fwd
+
+    def recording_core_fwd(value_levels, locs, weights):
+        rows.append(locs.shape[0] * locs.shape[1] // TINY.heads)  # images fold into heads
+        return core_fwd(value_levels, locs, weights)
+
+    monkeypatch.setattr(attention, "deform_core_fwd", recording_core_fwd)
+    cfg = dataclasses.replace(TINY, parallel=True)
+    state = jitter_params(DecoderState.init(cfg, seed=2))
+    images = np.stack([s.image for s in tiny_batch])
+    ys, cache = forward(state.params, images, cfg)
+    m, n, b, t = cfg.layout.total_len, cfg.num_landmarks, len(images), cfg.num_layers
+    assert rows == [(m + n) * b] * (t - 1) + [n * b]
+    grads = backward(_fake_dys(ys), state.params, cfg, cache)
+    for name in ("g", "b"):
+        assert np.abs(grads[f"layers.0.ln_img.{name}"]).max() > 0
+        npt.assert_array_equal(grads[f"layers.{t - 1}.ln_img.{name}"], 0.0)
 
 
 def test_stage_gradients_reach_earlier_layers_only(tiny_batch):

@@ -10,7 +10,6 @@ from facemark.geometry import (
     bilinear_sample_many,
     bilinear_sample_many_backward,
     build_pixel_positions,
-    inverse_sigmoid,
     level_of_row,
     pixel_centers,
     sigmoid,
@@ -19,7 +18,7 @@ from facemark.geometry import (
 
 
 # ---------------------------------------------------------------------------
-# sigmoid / inverse_sigmoid
+# sigmoid
 # ---------------------------------------------------------------------------
 
 def test_sigmoid_matches_reference_formula():
@@ -38,35 +37,6 @@ def test_sigmoid_extremes_stable():
 def test_sigmoid_scalar_input():
     assert sigmoid(0.0) == 0.5
     assert math.isclose(float(sigmoid(1.0)), 1.0 / (1.0 + math.exp(-1.0)))
-
-
-def test_inverse_sigmoid_round_trip():
-    p = np.linspace(0.001, 0.999, 41)
-    npt.assert_allclose(sigmoid(inverse_sigmoid(p)), p, atol=1e-12)
-
-
-def test_inverse_sigmoid_center_is_zero():
-    assert inverse_sigmoid(np.array([0.5]))[0] == 0.0
-
-
-def test_inverse_sigmoid_clamps_at_eps():
-    # out-of-range inputs clamp to [eps, 1-eps] before the log
-    eps = 1e-5
-    lo = math.log(eps) - math.log1p(-eps)
-    npt.assert_allclose(inverse_sigmoid(np.array([0.0, -3.0])), [lo, lo])
-    npt.assert_allclose(inverse_sigmoid(np.array([1.0, 7.0])), [-lo, -lo])
-
-
-def test_inverse_sigmoid_eps_validation():
-    with pytest.raises(ConfigError):
-        inverse_sigmoid(np.array([0.5]), eps=0.0)
-    with pytest.raises(ConfigError):
-        inverse_sigmoid(np.array([0.5]), eps=0.6)
-
-
-def test_inverse_sigmoid_rejects_non_finite():
-    with pytest.raises(ValueError):
-        inverse_sigmoid(np.array([np.nan]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "facemark"
 # (module, name) of the console scripts in pyproject.toml's [project.scripts]
 ENTRY_POINTS = {("cli", "main")}
-# Test-only helpers that predate this guard, each an open ROADMAP item.  The
-# list may only shrink: an entry that src/ starts to use must leave it.
-KNOWN_UNUSED = {"geometry.inverse_sigmoid"}
 
 
 def _top_level_names(tree):
@@ -72,9 +69,7 @@ def unused_definitions(src=SRC):
 
 
 def test_every_definition_in_src_is_used_by_src():
-    unused = set(unused_definitions())
-    assert sorted(unused - KNOWN_UNUSED) == []
-    assert sorted(KNOWN_UNUSED - unused) == []
+    assert unused_definitions() == []
 
 
 def test_guard_flags_a_test_only_helper(tmp_path):
