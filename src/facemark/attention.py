@@ -15,8 +15,10 @@ and every parameter gradient sums each image's rows first and then the
 images in order.  So each image sees exactly the arithmetic it would see
 alone, and a chunk of B images gives the bits of B single-image calls and
 of their gradient sum.  (One GEMM over all B * R rows would not: BLAS may
-sum a row in another order when the row count changes.)  Self-attention
-mixes the N queries of each image only.
+sum a row in another order when the row count changes.)  A weight gradient
+over more than _SUM_ROWS rows adds blocks of _SUM_ROWS rows in order, so
+that its bits do not depend on the BLAS thread count either.
+Self-attention mixes the N queries of each image only.
 
 The deformable core (bilinear reads weighted by the softmaxed attention
 weights, summed per head) is the fused `geometry.bilinear_sample_many` and
@@ -28,9 +30,11 @@ decoder projects every memory row first (`project_value`, then
 `deform_project_fwd`) and views the value tensor of level l, without a
 copy, as (h_l, w_l, B * heads, head_dim): image b's head k is head
 b * heads + k, and the sampling locations (R, B * heads, levels, points, 2)
-follow the same fold.  The basic decoder's read (`_sample_project_fwd`)
-samples raw memory rows and projects only what its queries read; see the
-comment above `_bias_mass`.
+follow the same fold.  This read asks the kernel for dense reads of the
+levels of at most DENSE_PIXELS pixels (one GEMM per image and head instead
+of a gather/scatter).  The basic decoder's read (`_sample_project_fwd`)
+keeps the gather on every level; it samples raw memory rows and projects
+only what its queries read; see the comment above `_bias_mass`.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import (
+    DENSE_PIXELS,
     PyramidLayout,
     bilinear_sample_many,
     bilinear_sample_many_backward,
@@ -85,6 +90,23 @@ def _sum_rows(a):
     return a.sum(axis=0) if a.ndim == 2 else a
 
 
+# A product that sums over more rows than this adds blocks of this many
+# rows, in order.  OpenBLAS may split a longer sum another way when the number
+# of threads changes, which moves the last bits (seen for 388-412, 1224 and
+# 5508 rows); blocks of 256 rows give the same bits at 1 and 2 threads.
+# Measured on OpenBLAS's Haswell kernel only; other CPUs' are untested.
+_SUM_ROWS = 256
+
+
+def _matmul_rows(a, b):
+    """a @ b over stacks (..., m, R) and (..., R, k), the sum over R taken in
+    blocks of _SUM_ROWS rows, added in order."""
+    out = np.matmul(a[..., :_SUM_ROWS], b[..., :_SUM_ROWS, :])
+    for r0 in range(_SUM_ROWS, a.shape[-1], _SUM_ROWS):
+        out += np.matmul(a[..., r0:r0 + _SUM_ROWS], b[..., r0:r0 + _SUM_ROWS, :])
+    return out
+
+
 def linear_fwd(x, w, b):
     """x @ w + b over the last axis of (R, C) rows or an (R, B, C) stack,
     as one matmul call holding one (R, C) @ (C, K) product per image."""
@@ -98,7 +120,7 @@ def linear_bwd(dout, cache):
     x3, w = cache
     dout_b = dout.reshape(x3.shape[:2] + w.shape[1:]).transpose(1, 0, 2)
     dx = np.matmul(dout_b, w.T).transpose(1, 0, 2)
-    dw = np.matmul(x3.transpose(1, 2, 0), dout_b).sum(axis=0)
+    dw = _matmul_rows(x3.transpose(1, 2, 0), dout_b).sum(axis=0)
     return dx.reshape(dout.shape[:-1] + w.shape[:1]), {"w": dw, "b": _sum_rows(dout)}
 
 
@@ -305,26 +327,28 @@ def sampling_fields_bwd(doffsets, dweights, cache: FieldCache):
     return dx_o + dx_w, dparams
 
 
-CoreCache = namedtuple("CoreCache", "value_levels locs weights table")
+CoreCache = namedtuple("CoreCache", "value_levels locs weights table dense_pixels")
 
 
-def deform_core_fwd(value_levels, locs, weights):
+def deform_core_fwd(value_levels, locs, weights, dense_pixels=0):
     """Weighted sum of bilinear reads from the per-level value tensors.
 
     value_levels: per level (h, w, heads, head_dim)
     locs:         (R, heads, levels, points, 2) normalized sampling points
     weights:      (R, heads, levels, points), already softmaxed
-    Returns (R, heads * head_dim).
+    Returns (R, heads * head_dim).  Levels of at most `dense_pixels` pixels
+    are read by GEMM (see `bilinear_sample_many`).
     """
-    out, table = bilinear_sample_many(value_levels, locs, weights)
-    return out.reshape(locs.shape[0], -1), CoreCache(value_levels, locs, weights, table)
+    out, table = bilinear_sample_many(value_levels, locs, weights, dense_pixels)
+    return out.reshape(locs.shape[0], -1), CoreCache(
+        value_levels, locs, weights, table, dense_pixels)
 
 
 def deform_core_bwd(dout, cache: CoreCache):
     r, heads = cache.locs.shape[:2]
     return bilinear_sample_many_backward(
-        cache.value_levels, cache.weights, cache.table, dout.reshape(r, heads, -1)
-    )
+        cache.value_levels, cache.weights, cache.table, dout.reshape(r, heads, -1),
+        cache.dense_pixels)
 
 
 def _sampling_points(x_rows, refs_rows, p, cfg: AttentionConfig):
@@ -359,7 +383,8 @@ def deform_project_fwd(x_rows, refs_rows, value_levels, p, cfg: AttentionConfig)
     locs, weights, cf = _sampling_points(x_rows, refs_rows, p, cfg)
     # fold the images into the head axis: a reshape of a fresh array
     locs = locs.reshape((x_rows.shape[0], -1) + locs.shape[-3:])
-    merged, cc = deform_core_fwd(value_levels, locs, weights.reshape(locs.shape[:-1]))
+    merged, cc = deform_core_fwd(value_levels, locs, weights.reshape(locs.shape[:-1]),
+                                 DENSE_PIXELS)
     y, co = linear_fwd(merged.reshape(x_rows.shape), p["w_out"], p["b_out"])
     return y, DeformCache(cf, cc, co)
 

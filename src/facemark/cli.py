@@ -9,6 +9,7 @@ runtime or numeric failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -83,15 +84,32 @@ def cmd_gen_data(args):
     return 0
 
 
+def _check_dataset(path, dataset, cfg, owner):
+    """Raise ConfigError naming the dataset directory when its landmark
+    count or an image's side differs from what `owner` expects."""
+    n = dataset[0].landmarks.shape[0]
+    if n != cfg.num_landmarks:
+        raise ConfigError(
+            f"{path}: dataset has {n} landmarks but the {owner} expects "
+            f"{cfg.num_landmarks}"
+        )
+    side = cfg.image_side
+    for i, sample in enumerate(dataset):
+        if sample.image.shape[1:] != (side, side):
+            h, w = sample.image.shape[1:]
+            raise ConfigError(
+                f"{path}: image {i} is {h}x{w} but the {owner} expects "
+                f"{side}x{side} images"
+            )
+
+
 def cmd_train(args):
     rc = load_run_config(args.config, args.overrides)
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+        raise ConfigError(f"--out {args.out}: {out_dir} is not a writable directory")
     dataset = fio.load_dataset(args.data)
-    n = dataset[0].landmarks.shape[0]
-    if n != rc.model.num_landmarks:
-        raise ConfigError(
-            f"dataset has {n} landmarks but the model expects "
-            f"{rc.model.num_landmarks}"
-        )
+    _check_dataset(args.data, dataset, rc.model, "model")
     state = DecoderState.init(rc.model, rc.model_seed)
     log_path = args.out + ".log"
     log_lines = [f"# config {rc.hash}"]
@@ -108,12 +126,7 @@ def cmd_eval(args):
     rc = load_run_config(args.config, args.overrides)
     state, extra = DecoderState.load(args.ckpt)
     dataset = fio.load_dataset(args.data)
-    n = dataset[0].landmarks.shape[0]
-    if n != state.config.num_landmarks:
-        raise ConfigError(
-            f"dataset has {n} landmarks but the checkpoint expects "
-            f"{state.config.num_landmarks}"
-        )
+    _check_dataset(args.data, dataset, state.config, "checkpoint")
     result = evaluate(
         state, dataset, normalizer=rc.eval_normalizer, eye_indices=rc.eye_indices
     )

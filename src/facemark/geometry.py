@@ -1,18 +1,29 @@
 """Coordinate transforms, bilinear sampling, and positional encodings.
 
 `bilinear_sample_many` and its backward are the package's only bilinear
-gather/scatter kernel: rotation augmentation and multi-scale deformable
-attention both read through them.  They take a list of (h, w, heads, d)
-levels, (R, heads, levels, points, 2) locations and (R, heads, levels,
-points) point weights, so one call covers a whole deformable pass.  The
-kernel is fused: it returns the weighted sum (R, heads, d) and never
-stores a per-point read.  The forward builds a corner table that gives
-every corner its row and weight, and the backward takes that table back
-instead of rebuilding it.  Out-of-bounds corners read a clamped row with
-weight zero instead of being masked out, and the backward scatters with
-one `np.bincount` per block of channels, in corner order.  With one point
-of weight 1 per row (rotation), both keep the summation order of a masked
-kernel with a corner-by-corner scatter-add, so their bits match it.
+kernel: rotation augmentation and multi-scale deformable attention both
+read through them.  They take a list of (h, w, heads, d) levels,
+(R, heads, levels, points, 2) locations and (R, heads, levels, points)
+point weights, so one call covers a whole deformable pass.  The kernel is
+fused: it returns the weighted sum (R, heads, d) and never stores a
+per-point read.  The forward builds a corner table that gives every corner
+its row and weight, and the backward takes that table back instead of
+rebuilding it.  Out-of-bounds corners read a clamped row with weight zero
+instead of being masked out.
+
+Each level is read one of two ways.  By default it is gathered: the
+forward gathers corner rows, and the backward scatters with one
+`np.bincount` per block of channels, in corner order.  With one point of
+weight 1 per row (rotation), both keep the summation order of a masked
+kernel with a corner-by-corner scatter-add, so their bits match it.  A
+level of at most `dense_pixels` pixels, a call argument that only the
+parallel decoder sets (to DENSE_PIXELS = 256), is read by GEMM instead:
+each block of 64 query rows builds its (rows, h * w) interpolation
+matrices from the corner table, the forward adds A @ V and the backward
+adds A^T @ dout block by block, in a fixed order that does not depend on
+the BLAS thread count.  The two ways share the corner table, the corner
+weights and the tail that turns per-corner dot products into location and
+weight gradients, and agree within rounding.
 
 Conventions used by every module in this package:
 
@@ -180,6 +191,23 @@ _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 # and sums of one block stay in the second-level cache.
 _BLOCK = 1 << 15
 
+# A level of at most this many pixels is read by GEMM when the caller asks
+# for dense reads; larger levels are gathered.  Set from crossovers measured
+# at default width (8 heads, head_dim 32, 4 points, 408 query rows, one level
+# per call, forward / backward): 8 x 8 and smaller levels took 1.4-2.1 /
+# 1.5-1.9 ms dense against 2.9-4.0 / 7.1-9.4 ms gathered, 16 x 16 took
+# 2.9-3.1 / 5.6-5.7 against 2.9-3.7 / 7.7-9.2 ms, and 32 x 32 took 11 / 19-20
+# against 3.3-4.3 / 7.9-9.9 ms.  So at 64 px every level of the parallel
+# decoder is dense, and at 256 px the 64 x 64 and 32 x 32 levels are
+# gathered.
+DENSE_PIXELS = 256
+
+# Query rows per block of a dense read.  Each block builds its own
+# interpolation matrices, so no pass holds a level's matrices for all rows,
+# and the map gradient adds the blocks' products in order: each product sums
+# over 64 rows, so its bits do not depend on the number of BLAS threads.
+_DENSE_ROWS = 64
+
 
 def _row_blocks(shape, d):
     """Slices over the R axis of a (R, heads, L, points) point grid, each
@@ -196,7 +224,36 @@ def _corner_weights(table, weights):
     return wt, wt * weights
 
 
-def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray):
+def _dense_blocks(rows, cw, pixels):
+    """Each head's interpolation matrix of one level, a block of _DENSE_ROWS
+    query rows at a time.  `rows` (4, R, heads, points) are the level's
+    table rows, which read pixel * heads + head, and `cw` their corner
+    weights.  Yields (block, A, idx): A (heads, rows of the block, pixels)
+    adds the block's corner weights in corner order, and idx is the flat
+    index of every corner read into A.  All blocks share one buffer, so A is
+    valid until the next block is drawn and the caller may overwrite it.
+    (A fresh array per block, as `np.bincount` returns, measured up to
+    twice as slow in a 16 x 16 level's backward.)"""
+    r, heads = rows.shape[1:3]
+    buf = np.empty(heads * min(r, _DENSE_ROWS) * pixels)
+    for r0 in range(0, r, _DENSE_ROWS):
+        b = slice(r0, min(r, r0 + _DENSE_ROWS))
+        n = b.stop - r0
+        lead = np.arange(heads)[:, None] * n + np.arange(n)[:, None, None]
+        idx = (lead * pixels + rows[:, b] // heads).ravel()
+        a = buf[:heads * n * pixels]
+        a.fill(0.0)
+        np.add.at(a, idx, cw[:, b].ravel())
+        yield b, a.reshape(heads, n, pixels), idx
+
+
+def _heads_first(lev):
+    """(h, w, heads, d) level as a (heads, h * w, d) view."""
+    h, w, heads, d = lev.shape
+    return lev.reshape(h * w, heads, d).transpose(1, 0, 2)
+
+
+def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray, dense_pixels=0):
     """Weighted sum of bilinear reads from a pyramid of maps, zero padding
     outside.
 
@@ -206,8 +263,17 @@ def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray):
     lie outside [0, 1]^2; out-of-range corners contribute zero.  Returns
     (out, table): out (R, heads, d) is the sum over levels, points and
     corners of corner weight * point weight * corner row, starting from
-    +0.0 and adding corners in corner order; table is the corner table the
-    backward takes.  No per-point read is kept.
+    +0.0 and adding levels in order and a gathered level's corners in
+    corner order; table is the corner table the backward takes.  No
+    per-point read is kept.
+
+    A level of at most `dense_pixels` pixels is read densely, a block of
+    _DENSE_ROWS query rows at a time: one `np.add.at` over the block's
+    corners builds each head's (rows, h * w) interpolation matrix A, and the
+    block adds A @ V, one batched matmul holding one GEMM per head.  With
+    the images folded into the head axis each GEMM has one image's shape,
+    so a chunk of images gets each image's bits.  Any other level is
+    gathered, a corner at a time in corner order.
     """
     locs = np.asarray(locs, dtype=np.float64)
     d = levels[0].shape[-1]
@@ -216,6 +282,12 @@ def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray):
     out = np.zeros(locs.shape[:2] + (d,))
     blocks = _row_blocks(weights.shape, d)
     for l, lev in enumerate(levels):
+        pixels = lev.shape[0] * lev.shape[1]
+        if pixels <= dense_pixels:
+            v = _heads_first(lev)
+            for b, a, _ in _dense_blocks(table.rows[:, :, :, l], cw[:, :, :, l], pixels):
+                out[b] += np.matmul(a, v).transpose(1, 0, 2)
+            continue
         flat = lev.reshape(-1, d)
         for b in blocks:
             for k in range(4):
@@ -224,7 +296,8 @@ def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray):
     return out, table
 
 
-def bilinear_sample_many_backward(levels, weights, table: CornerTable, dout):
+def bilinear_sample_many_backward(levels, weights, table: CornerTable, dout,
+                                  dense_pixels=0):
     """Gradients of `bilinear_sample_many` w.r.t. the maps, the points and
     the point weights.
 
@@ -235,18 +308,22 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, dout):
     interpolant has kinks on cell boundaries; gradients there follow the
     floor-based cell choice.
 
-    One gather per corner gives that corner's row dotted with the point's
-    upstream gradient, from which both dweights (summed over corners with
-    the corner weights) and dlocs (scaled by the point weight) follow.
-    Each level's map gradient is a `np.bincount` over that level's corner
-    rows, concatenated in corner order, with weights corner weight * point
-    weight * dout[c].  One call covers a block of channels holding about
-    _BLOCK weights: channel c's rows are offset by c * (rows of the level),
-    so the channels' bins stay apart.  `bincount` adds its weights in input
-    order, so every map entry receives its terms in the same order as an
-    unbuffered scatter-add (`ufunc.at`) run corner by corner would.
+    Both strategies give each corner read's row dotted with the point's
+    upstream gradient (`contrib`), from which `_point_grads` forms dweights
+    and dlocs.  A gathered level takes one gather per corner.  Its map
+    gradient is a `np.bincount` over that level's corner rows, concatenated
+    in corner order, with weights corner weight * point weight * dout[c].
+    One call covers a block of channels holding about _BLOCK weights:
+    channel c's rows are offset by c * (rows of the level), so the channels'
+    bins stay apart.  `bincount` adds its weights in input order, so every
+    map entry receives its terms in the same order as an unbuffered
+    scatter-add (`ufunc.at`) run corner by corner would.  A dense level
+    rebuilds each block's A: dA = dout @ V^T, read at the block's corners,
+    gives `contrib`, and the map gradient adds A^T @ dout block by block.
+    `dense_pixels` takes the forward's value; the other value gives the same
+    gradients up to rounding.
     """
-    rows, wy, wx, oky, okx = table
+    rows = table.rows
     wt, cw = _corner_weights(table, weights)
     d = dout.shape[-1]
     dout = np.ascontiguousarray(dout)
@@ -255,6 +332,17 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, dout):
     blocks = _row_blocks(weights.shape, d)
     dlevels = []
     for l, lev in enumerate(levels):
+        pixels = lev.shape[0] * lev.shape[1]
+        if pixels <= dense_pixels:
+            v = _heads_first(lev)
+            dv = np.zeros(v.shape)
+            for b, a, idx in _dense_blocks(rows[:, :, :, l], cw[:, :, :, l], pixels):
+                dout_h = dout[b].transpose(1, 0, 2)
+                dv += np.matmul(a.transpose(0, 2, 1), dout_h)
+                da = np.matmul(dout_h, v.transpose(0, 2, 1), out=a)  # A is spent
+                contrib[:, b, :, l] = np.take(da, idx).reshape(contrib[:, b, :, l].shape)
+            dlevels.append(dv.transpose(1, 0, 2).reshape(lev.shape))
+            continue
         flat = lev.reshape(-1, d)
         for b in blocks:
             for k in range(4):
@@ -281,6 +369,13 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, dout):
                 idx_block[:k * idx.size],
                 (cl * dout_t[c0:c0 + k, None, None]).ravel(), k * n).reshape(k, n)
         dlevels.append(dflat.T.reshape(lev.shape))
+    dlocs, dweights = _point_grads(levels, table, weights, wt, contrib)
+    return dlevels, dlocs, dweights
+
+
+def _point_grads(levels, table: CornerTable, weights, wt, contrib):
+    """dlocs and dweights from `contrib`, each corner read's row dotted with
+    the point's upstream gradient; `contrib` is overwritten."""
     dweights = np.zeros(weights.shape)
     for k in range(4):
         dweights += wt[k] * contrib[k]
@@ -289,11 +384,10 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, dout):
     dgy = np.zeros(weights.shape)
     for k, (dy, dx) in enumerate(_CORNERS):
         # d(wy * wx)/dtx = +-wy and d(wy * wx)/dty = +-wx; the sign is exact
-        dgx += (2 * dx - 1) * wy[dy] * okx[dx] * contrib[k]
-        dgy += (2 * dy - 1) * wx[dx] * oky[dy] * contrib[k]
+        dgx += (2 * dx - 1) * table.wy[dy] * table.okx[dx] * contrib[k]
+        dgy += (2 * dy - 1) * table.wx[dx] * table.oky[dy] * contrib[k]
     hw = np.array([lev.shape[:2] for lev in levels], dtype=np.float64)
-    dlocs = np.stack([dgx * hw[:, 1:], dgy * hw[:, :1]], axis=-1)
-    return dlevels, dlocs, dweights
+    return np.stack([dgx * hw[:, 1:], dgy * hw[:, :1]], axis=-1), dweights
 
 
 # ---------------------------------------------------------------------------

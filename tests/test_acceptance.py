@@ -33,7 +33,7 @@ from facemark.training import (
 )
 
 from conftest import TINY_SPEC, jitter_params
-from test_attention import _random_instance, _scalar_deform
+from test_attention import DENSE_CHOICES, _random_instance, _scalar_deform
 from test_metrics import _auc_ref, _fr_ref, _nme_ref
 
 pytestmark = pytest.mark.acceptance
@@ -129,13 +129,15 @@ def test_05_batched_kernel_equals_scalar_reference():
     worst = 0.0
     for _ in range(50):
         value_levels, locs, weights = _random_instance(rng)
-        fast, _ = deform_core_fwd(value_levels, locs, weights)
         slow = _scalar_deform(value_levels, locs, weights)
-        worst = max(worst, float(np.abs(fast - slow).max()))
+        # gathered, mixed and dense reads of the same instance
+        for dense_pixels in DENSE_CHOICES:
+            fast, _ = deform_core_fwd(value_levels, locs, weights, dense_pixels)
+            worst = max(worst, float(np.abs(fast - slow).max()))
     ok = worst <= 1e-10
     assert _verdict(
         5, "deformable-attention oracle", ok,
-        f"50 instances, max abs diff {worst:.2e}"
+        f"50 instances x {len(DENSE_CHOICES)} read strategies, max abs diff {worst:.2e}"
     )
 
 

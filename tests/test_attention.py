@@ -27,7 +27,7 @@ from facemark.attention import (
 )
 from facemark.decoder import ModelConfig, _layer_bwd, _layer_fwd
 from facemark.errors import ConfigError
-from facemark.geometry import PyramidLayout
+from facemark.geometry import DENSE_PIXELS, PyramidLayout
 
 
 def _fd_check(arrs, analytic, loss, n=6, h=1e-6, rtol=1e-5, atol=1e-8, seed=0):
@@ -295,34 +295,45 @@ def _random_instance(rng):
     return value_levels, locs, weights
 
 
+# Dense-read thresholds for the kernel tests: every level gathered, levels of
+# up to 12 pixels dense and larger ones gathered (levels of 4 to 36 pixels
+# make most instances mixed), every level dense.
+DENSE_CHOICES = (0, 12, DENSE_PIXELS)
+
+
 def test_deform_core_matches_scalar_reference_50_instances():
     rng = np.random.default_rng(42)
     for _ in range(50):
         value_levels, locs, weights = _random_instance(rng)
-        fast, _ = deform_core_fwd(value_levels, locs, weights)
         slow = _scalar_deform(value_levels, locs, weights)
-        assert np.abs(fast - slow).max() <= 1e-10
+        for dense_pixels in DENSE_CHOICES:
+            fast, _ = deform_core_fwd(value_levels, locs, weights, dense_pixels)
+            assert np.abs(fast - slow).max() <= 1e-10
 
 
 def test_deform_core_backward_matches_fd():
-    rng = np.random.default_rng(9)
-    heads, d, n_levels, n_points, r = 2, 3, 2, 2, 3
-    value_levels = [rng.normal(size=(4, 5, heads, d)) for _ in range(n_levels)]
-    locs = rng.uniform(0.05, 0.95, (r, heads, n_levels, n_points, 2))
-    weights = rng.dirichlet(np.ones(n_levels * n_points), (r, heads)).reshape(
-        r, heads, n_levels, n_points
-    )
-    mix = rng.normal(size=(r, heads * d))
-    out, cache = deform_core_fwd(value_levels, locs, weights)
-    dlevels, dlocs, dweights = deform_core_bwd(mix, cache)
+    # 4 x 5 and 3 x 2 levels: gathered, the second dense (mixed), both dense
+    for shapes, dense_pixels in (([(4, 5), (4, 5)], 0), ([(4, 5), (3, 2)], 6),
+                                 ([(4, 5), (4, 5)], DENSE_PIXELS)):
+        rng = np.random.default_rng(9)
+        heads, d, n_levels, n_points, r = 2, 3, 2, 2, 3
+        value_levels = [rng.normal(size=(h, w, heads, d)) for h, w in shapes]
+        locs = rng.uniform(0.05, 0.95, (r, heads, n_levels, n_points, 2))
+        weights = rng.dirichlet(np.ones(n_levels * n_points), (r, heads)).reshape(
+            r, heads, n_levels, n_points
+        )
+        mix = rng.normal(size=(r, heads * d))
+        out, cache = deform_core_fwd(value_levels, locs, weights, dense_pixels)
+        dlevels, dlocs, dweights = deform_core_bwd(mix, cache)
 
-    def loss():
-        return (deform_core_fwd(value_levels, locs, weights)[0] * mix).sum()
+        def loss():
+            return (deform_core_fwd(value_levels, locs, weights, dense_pixels)[0]
+                    * mix).sum()
 
-    names = [("lev0", value_levels[0]), ("lev1", value_levels[1]),
-             ("locs", locs), ("weights", weights)]
-    analytic = [dlevels[0], dlevels[1], dlocs, dweights]
-    _fd_check(names, analytic, loss)
+        names = [("lev0", value_levels[0]), ("lev1", value_levels[1]),
+                 ("locs", locs), ("weights", weights)]
+        analytic = [dlevels[0], dlevels[1], dlocs, dweights]
+        _fd_check(names, analytic, loss)
 
 
 def _arrays(obj):
@@ -346,21 +357,23 @@ def test_deform_core_keeps_no_per_point_samples():
     )
     dout = rng.normal(size=(r, heads * d))
     per_point = r * heads * n_levels * n_points * d
-    tracemalloc.start()
-    try:
-        _, cache = deform_core_fwd(value_levels, locs, weights)
-        _, fwd_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        live, _ = tracemalloc.get_traced_memory()
-        deform_core_bwd(dout, cache)
-        _, bwd_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert not [a.shape for a in _arrays(cache) if a.size == per_point]
-    # an array of per_point float64 values, cached or temporary, would
-    # alone lift either pass's peak past this
-    assert fwd_peak < per_point * 8
-    assert bwd_peak - live < per_point * 8
+    # every level gathered; 16 x 16 gathered and the rest dense; all dense
+    for dense_pixels in (0, 64, DENSE_PIXELS):
+        tracemalloc.start()
+        try:
+            _, cache = deform_core_fwd(value_levels, locs, weights, dense_pixels)
+            _, fwd_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            live, _ = tracemalloc.get_traced_memory()
+            deform_core_bwd(dout, cache)
+            _, bwd_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not [a.shape for a in _arrays(cache) if a.size == per_point]
+        # an array of per_point float64 values, cached or temporary, would
+        # alone lift either pass's peak past this
+        assert fwd_peak < per_point * 8
+        assert bwd_peak - live < per_point * 8
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import facemark
+from facemark import cli
 from facemark.cli import main
 from facemark.config import ENV_CONFIG
 from facemark.decoder import TINY, DecoderState
@@ -123,6 +124,43 @@ def test_landmark_count_mismatch_rejected(tmp_path, capsys):
                *TINY_MODEL, *SHORT_TRAIN, "--set", "model.num_landmarks=7"])
     assert rc == 1
     assert "landmarks" in capsys.readouterr().err
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("training started")
+
+
+def test_train_into_a_missing_directory_fails_before_training(tmp_path, capsys, monkeypatch):
+    data = str(tmp_path / "ds")
+    main(["gen-data", "--out", data, *TINY_MODEL, "--set", "data.count=1"])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "train", _no_training)
+    out = tmp_path / "missing" / "m.ckpt"
+    rc = main(["train", "--data", data, "--out", str(out), *TINY_MODEL, *SHORT_TRAIN])
+    assert rc == 1
+    assert str(out) in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("verb", ["train", "eval"])
+def test_image_side_mismatch_names_the_dataset(tmp_path, capsys, monkeypatch, verb):
+    # 64 px faces for a 32 px model
+    data = str(tmp_path / "ds")
+    main(["gen-data", "--out", data, *TINY_MODEL, "--set", "data.count=1",
+          "--set", "model.image_side=64"])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "train", _no_training)
+    ckpt = str(tmp_path / "m.ckpt")
+    if verb == "train":
+        rc = main(["train", "--data", data, "--out", ckpt, *TINY_MODEL, *SHORT_TRAIN])
+    else:
+        DecoderState.init(TINY).save(ckpt)
+        rc = main(["eval", "--ckpt", ckpt, "--data", data, "--out", str(tmp_path / "r"),
+                   *TINY_MODEL])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert data in err and "64x64" in err and "32x32" in err
+    assert not (tmp_path / "r.txt").exists()
 
 
 def test_bad_train_schedule_is_a_config_error(tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from facemark import attention
+from facemark import decoder
 from facemark.decoder import (
     TINY,
     DecoderState,
@@ -268,13 +268,13 @@ def test_parallel_last_layer_reads_for_the_landmark_queries_only(monkeypatch, ti
     # nothing reads the memory after the last layer, so its memory rows are
     # not queries: layers 0..T-2 read (M + N) rows per image, the last N
     rows = []
-    core_fwd = attention.deform_core_fwd
+    project_fwd = decoder.deform_project_fwd
 
-    def recording_core_fwd(value_levels, locs, weights):
-        rows.append(locs.shape[0] * locs.shape[1] // TINY.heads)  # images fold into heads
-        return core_fwd(value_levels, locs, weights)
+    def recording_project_fwd(x_rows, refs_rows, value_levels, p, acfg):
+        rows.append(x_rows.shape[0] * x_rows.shape[1])  # (R, B, C) query rows
+        return project_fwd(x_rows, refs_rows, value_levels, p, acfg)
 
-    monkeypatch.setattr(attention, "deform_core_fwd", recording_core_fwd)
+    monkeypatch.setattr(decoder, "deform_project_fwd", recording_project_fwd)
     cfg = dataclasses.replace(TINY, parallel=True)
     state = jitter_params(DecoderState.init(cfg, seed=2))
     images = np.stack([s.image for s in tiny_batch])

@@ -6,6 +6,7 @@ import pytest
 
 from facemark.errors import ConfigError
 from facemark.geometry import (
+    DENSE_PIXELS,
     PyramidLayout,
     bilinear_sample_many,
     bilinear_sample_many_backward,
@@ -99,18 +100,19 @@ def _unit_weights(locs):
     return np.ones(np.shape(locs)[:-1])
 
 
-def _sample(fmap, uvs):
+def _sample(fmap, uvs, dense_pixels=0):
     """Single-point reads: one level, one head, one point of weight 1."""
     locs = _as_locs(uvs)
-    return bilinear_sample_many(_one_level(fmap), locs, _unit_weights(locs))[0][:, 0]
+    return bilinear_sample_many(
+        _one_level(fmap), locs, _unit_weights(locs), dense_pixels)[0][:, 0]
 
 
-def _sample_backward(fmap, uvs, dout):
+def _sample_backward(fmap, uvs, dout, dense_pixels=0):
     levels, locs = _one_level(fmap), _as_locs(uvs)
     weights = _unit_weights(locs)
-    _, table = bilinear_sample_many(levels, locs, weights)
+    _, table = bilinear_sample_many(levels, locs, weights, dense_pixels)
     dlevels, dlocs, _ = bilinear_sample_many_backward(
-        levels, weights, table, dout[:, None, :]
+        levels, weights, table, dout[:, None, :], dense_pixels
     )
     return dlevels[0][:, :, 0, :], dlocs[:, 0, 0, 0]
 
@@ -238,35 +240,38 @@ def _awkward_points(h, w):
 
 
 def test_bilinear_awkward_points_match_scalar_oracle():
-    rng = np.random.default_rng(11)
-    for h, w in [(1, 1), (2, 3), (4, 4)]:
-        fmap = rng.normal(size=(h, w, 3))
-        uvs = _awkward_points(h, w)
-        dout = rng.normal(size=(uvs.shape[0], 3))
-        out = _sample(fmap, uvs)
-        dmap, duvs = _sample_backward(fmap, uvs, dout)
-        dmap_ref = np.zeros_like(fmap)
-        for i, (u, v) in enumerate(uvs):
-            ref, dm, duv = _scalar_oracle(fmap, u, v, dout[i])
-            npt.assert_allclose(out[i], ref, rtol=0, atol=1e-12)
-            npt.assert_allclose(duvs[i], duv, rtol=0, atol=1e-9)
-            dmap_ref += dm
-        npt.assert_allclose(dmap, dmap_ref, rtol=0, atol=1e-12)
+    # gathered and dense reads (every map here has at most DENSE_PIXELS pixels)
+    for dense_pixels in (0, DENSE_PIXELS):
+        rng = np.random.default_rng(11)
+        for h, w in [(1, 1), (2, 3), (4, 4)]:
+            fmap = rng.normal(size=(h, w, 3))
+            uvs = _awkward_points(h, w)
+            dout = rng.normal(size=(uvs.shape[0], 3))
+            out = _sample(fmap, uvs, dense_pixels)
+            dmap, duvs = _sample_backward(fmap, uvs, dout, dense_pixels)
+            dmap_ref = np.zeros_like(fmap)
+            for i, (u, v) in enumerate(uvs):
+                ref, dm, duv = _scalar_oracle(fmap, u, v, dout[i])
+                npt.assert_allclose(out[i], ref, rtol=0, atol=1e-12)
+                npt.assert_allclose(duvs[i], duv, rtol=0, atol=1e-9)
+                dmap_ref += dm
+            npt.assert_allclose(dmap, dmap_ref, rtol=0, atol=1e-12)
 
 
 def test_bilinear_fully_outside_points_read_and_pass_back_exact_zero():
-    rng = np.random.default_rng(12)
-    fmap = rng.normal(size=(3, 4, 2))
-    # every corner of these points lies outside the map
-    uvs = np.array([[-1e3, 0.5], [1e3, 0.5], [0.5, -1e3], [0.5, 1e3],
-                    [-1e3, -1e3], [1e3, 1e3], [-0.2, 0.5], [1.2, 0.5]])
-    dout = rng.normal(size=(uvs.shape[0], 2))
-    out = _sample(fmap, uvs)
-    dmap, duvs = _sample_backward(fmap, uvs, dout)
-    # compare bytes, so a -0.0 would show up as a difference
-    assert out.tobytes() == np.zeros_like(out).tobytes()
-    assert dmap.tobytes() == np.zeros_like(dmap).tobytes()
-    assert duvs.tobytes() == np.zeros_like(duvs).tobytes()
+    for dense_pixels in (0, DENSE_PIXELS):
+        rng = np.random.default_rng(12)
+        fmap = rng.normal(size=(3, 4, 2))
+        # every corner of these points lies outside the map
+        uvs = np.array([[-1e3, 0.5], [1e3, 0.5], [0.5, -1e3], [0.5, 1e3],
+                        [-1e3, -1e3], [1e3, 1e3], [-0.2, 0.5], [1.2, 0.5]])
+        dout = rng.normal(size=(uvs.shape[0], 2))
+        out = _sample(fmap, uvs, dense_pixels)
+        dmap, duvs = _sample_backward(fmap, uvs, dout, dense_pixels)
+        # compare bytes, so a -0.0 would show up as a difference
+        assert out.tobytes() == np.zeros_like(out).tobytes()
+        assert dmap.tobytes() == np.zeros_like(dmap).tobytes()
+        assert duvs.tobytes() == np.zeros_like(duvs).tobytes()
 
 
 def _masked_reference(fmap, uvs, dout):
@@ -310,9 +315,9 @@ def test_bilinear_matches_masked_add_at_kernel_bit_for_bit():
         assert duvs.tobytes() == ref_duvs.tobytes()
 
 
-def _fused(levels, locs, weights, dout):
-    out, table = bilinear_sample_many(levels, locs, weights)
-    return (out,) + bilinear_sample_many_backward(levels, weights, table, dout)
+def _fused(levels, locs, weights, dout, dense_pixels=0):
+    out, table = bilinear_sample_many(levels, locs, weights, dense_pixels)
+    return (out,) + bilinear_sample_many_backward(levels, weights, table, dout, dense_pixels)
 
 
 def test_bilinear_multi_level_call_equals_per_level_calls():
@@ -361,11 +366,9 @@ def _unfused_reference(levels, locs, weights, dout):
     return out, dlevels, dlocs, dweights
 
 
-@pytest.mark.parametrize("side,n_levels,heads,d,n_points,r", [
-    (32, 2, 2, 8, 2, 5),      # TINY, basic decoder
-    (64, 4, 8, 32, 4, 408),   # default width at 64 px, parallel decoder
-])
-def test_fused_core_matches_unfused_reference(side, n_levels, heads, d, n_points, r):
+def _kernel_instance(side, n_levels, heads, d, n_points, r):
+    """Levels of a square image's pyramid, points in and around [0, 1]^2
+    with awkward ones first, softmaxed weights and an upstream gradient."""
     rng = np.random.default_rng(side)
     layout = PyramidLayout.for_image(side, n_levels)
     levels = [rng.normal(size=(h, w, heads, d)) for h, w, _ in layout.levels]
@@ -377,12 +380,53 @@ def test_fused_core_matches_unfused_reference(side, n_levels, heads, d, n_points
     weights = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
     weights = weights.reshape(r, heads, n_levels, n_points)
     dout = rng.normal(size=(r, heads, d))
-    fused = _fused(levels, locs, weights, dout)
-    ref = _unfused_reference(levels, locs, weights, dout)
+    return levels, locs, weights, dout
+
+
+def _assert_matches_reference(fused, ref):
     pairs = [(fused[0], ref[0]), *zip(fused[1], ref[1]), (fused[2], ref[2]), (fused[3], ref[3])]
     for got, want in pairs:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("side,n_levels,heads,d,n_points,r", [
+    (32, 2, 2, 8, 2, 5),      # TINY, basic decoder
+    (64, 4, 8, 32, 4, 408),   # default width at 64 px, parallel decoder
+])
+def test_fused_core_matches_unfused_reference(side, n_levels, heads, d, n_points, r):
+    args = _kernel_instance(side, n_levels, heads, d, n_points, r)
+    ref = _unfused_reference(*args)
+    # every level gathered; the levels of 16 pixels or fewer dense, the rest
+    # gathered; every level dense
+    for dense_pixels in (0, 16, DENSE_PIXELS):
+        _assert_matches_reference(_fused(*args, dense_pixels), ref)
+
+
+def test_dense_and_gathered_levels_in_one_call_match_the_reference():
+    # at 128 px the 32 x 32 level is gathered and the 16 x 16 level and
+    # smaller are dense; 70 rows make a full and a partial block of dense rows
+    args = _kernel_instance(128, 4, 2, 4, 2, 70)
+    assert [lev.shape[0] * lev.shape[1] <= DENSE_PIXELS for lev in args[0]] == [
+        False, True, True, True]
+    _assert_matches_reference(_fused(*args, DENSE_PIXELS), _unfused_reference(*args))
+
+
+def test_a_chunk_of_images_reads_each_images_bits():
+    # images fold into the head axis: a chunk of three must give each image
+    # the bits of its own call, on dense and gathered levels alike
+    heads, d, n_points, r, bsz = 2, 4, 2, 150, 3
+    levels, locs, weights, dout = _kernel_instance(128, 4, heads * bsz, d, n_points, r)
+    chunk = _fused(levels, locs, weights, dout, DENSE_PIXELS)
+    for b in range(bsz):
+        k = slice(b * heads, (b + 1) * heads)
+        one = _fused([lev[:, :, k] for lev in levels], locs[:, k], weights[:, k],
+                     dout[:, k], DENSE_PIXELS)
+        assert chunk[0][:, k].tobytes() == one[0].tobytes()
+        for got, want in zip(chunk[1], one[1]):
+            assert np.ascontiguousarray(got[:, :, k]).tobytes() == want.tobytes()
+        assert chunk[2][:, k].tobytes() == one[2].tobytes()
+        assert chunk[3][:, k].tobytes() == one[3].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import facemark
 from facemark.decoder import TINY, DecoderState
 from facemark.errors import ConfigError, NumericError
 from facemark.training import (
@@ -131,6 +135,43 @@ def test_train_aborts_on_a_non_finite_gradient(tiny_state, tiny_batch, monkeypat
     monkeypatch.setattr(training, "batch_loss_and_grads", finite_loss_inf_grad)
     with pytest.raises(NumericError, match=r"step 1\b.*layers\.1\.ffn\.w2"):
         train(tiny_state, tiny_batch, TrainConfig(steps=3, lr_drop_step=0))
+
+
+# sha256 of every gradient array, in path order, of two 64 px faces through
+# the default-width parallel decoder (jittered parameters)
+_GRADIENT_DIGEST = """
+import hashlib
+import numpy as np
+from facemark.decoder import DecoderState, ModelConfig
+from facemark.training import SyntheticFaceSpec, batch_loss_and_grads, gen_synthetic
+cfg = ModelConfig(image_side=64, parallel=True)
+rng = np.random.default_rng(5)
+params = {k: v + rng.normal(0.0, 0.02, v.shape)
+          for k, v in DecoderState.init(cfg, 0).params.items()}
+faces = gen_synthetic(SyntheticFaceSpec(image_side=64), 2, 3)
+_, grads = batch_loss_and_grads(params, cfg, np.stack([f.image for f in faces]),
+                                np.stack([f.landmarks for f in faces]))
+h = hashlib.sha256()
+for k in sorted(grads):
+    h.update(k.encode() + np.ascontiguousarray(grads[k]).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_parallel_gradients_do_not_depend_on_the_blas_thread_count():
+    # the parallel decoder's reads and weight gradients sum over 408 query
+    # rows at 64 px, where a single BLAS call may sum in another order on
+    # another thread count.  Two threads are the most a 2-core machine
+    # tests; the kernels OpenBLAS picks on other CPUs are untested.
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(facemark.__file__))}
+        run = subprocess.run([sys.executable, "-c", _GRADIENT_DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_batch_loss_and_grads_is_the_mean_over_images(tiny_state):
