@@ -85,22 +85,18 @@ def cmd_gen_data(args):
 
 
 def _check_dataset(path, dataset, cfg, owner):
-    """Raise ConfigError naming the dataset directory when its landmark
-    count or an image's side differs from what `owner` expects."""
-    n = dataset[0].landmarks.shape[0]
-    if n != cfg.num_landmarks:
-        raise ConfigError(
-            f"{path}: dataset has {n} landmarks but the {owner} expects "
-            f"{cfg.num_landmarks}"
-        )
+    """Raise ConfigError naming the dataset directory and the first sample
+    whose landmark count or image side differs from what `owner` expects."""
     side = cfg.image_side
     for i, sample in enumerate(dataset):
+        n = sample.landmarks.shape[0]
+        if n != cfg.num_landmarks:
+            raise ConfigError(f"{path}: sample {i} has {n} landmarks but the {owner} "
+                              f"expects {cfg.num_landmarks}")
         if sample.image.shape[1:] != (side, side):
             h, w = sample.image.shape[1:]
-            raise ConfigError(
-                f"{path}: image {i} is {h}x{w} but the {owner} expects "
-                f"{side}x{side} images"
-            )
+            raise ConfigError(f"{path}: image {i} is {h}x{w} but the {owner} expects "
+                              f"{side}x{side} images")
 
 
 def cmd_train(args):
@@ -146,10 +142,8 @@ def cmd_predict(args):
     image = fio.read_ppm(args.image)
     side = state.config.image_side
     if image.shape[1] != side or image.shape[2] != side:
-        raise ConfigError(
-            f"checkpoint expects {side}x{side} images, got "
-            f"{image.shape[1]}x{image.shape[2]}"
-        )
+        raise ConfigError(f"{args.image}: image is {image.shape[1]}x{image.shape[2]} but "
+                          f"the checkpoint expects {side}x{side} images")
     gt = None
     if args.gt:
         gt = fio.read_landmarks(args.gt)

@@ -342,10 +342,10 @@ def _read_fwd(q, refs, mem_state, aux, lp, cfg):
     return attn[n_mem:], mem_new.reshape(mem_state.shape), (c_v, c_p, c_li)
 
 
-def _read_bwd(dattn, dmem_next, grads, t, cache, cfg):
+def _read_bwd(dattn, dmem_next, dlevel, grads, t, cache, cfg):
     """Returns (dq, drefs, dmem) of the read, given the gradients of its
-    output and of the next memory, which the basic read adds into.  A
-    parallel read that refreshed no memory ignores dmem_next."""
+    output and of the next memory, which the basic read adds into.  A parallel
+    read ignores dmem_next if it refreshed no memory, else adds into dlevel."""
     if not cfg.parallel:
         dq, drefs, dmem_read, dp = _sample_project_bwd(dattn, cache)
         accumulate(grads, f"layers.{t}.deform.", dp)
@@ -366,8 +366,7 @@ def _read_bwd(dattn, dmem_next, grads, t, cache, cfg):
     accumulate(grads, f"layers.{t}.deform.", {**dp, **dvp})
     dmem = dsum_img.reshape(dmem_value.shape) + dmem_value
     dmem += drows[:n_mem].reshape(dmem.shape)
-    dlevel = np.stack([drows[sl].sum(axis=0) for sl in cfg.layout.block_slices()])
-    accumulate(grads, "", {"level_emb": dlevel})  # per image, (levels, B, C)
+    dlevel += np.stack([drows[sl].sum(axis=0) for sl in cfg.layout.block_slices()])
     return drows[n_mem:], drefs_all[n_mem:], dmem
 
 
@@ -386,19 +385,20 @@ def _layer_fwd(q, refs, mem_state, aux, lp, pos, cfg):
     return out, mem_next, LayerCache(c_sa, c_r, c_ln, c_f)
 
 
-def _layer_bwd(dout, dmem_next, grads, t, cache: LayerCache, cfg):
+def _layer_bwd(dout, dmem_next, dpos, dlevel, grads, t, cache: LayerCache, cfg):
     """Returns (dq, drefs, dmem) for the layer's input queries, reference
-    points and memory."""
+    points and memory; adds the per-image query_pos and level_emb gradients
+    into dpos and dlevel."""
     dz, dffn = ffn_bwd(dout, cache.ffn)
     accumulate(grads, f"layers.{t}.ffn.", dffn)
     dsum, dln = layer_norm_bwd(dz, cache.ln)
     accumulate(grads, f"layers.{t}.deform.", {"ln_g": dln["g"], "ln_b": dln["b"]})
-    dq, drefs, dmem = _read_bwd(dsum, dmem_next, grads, t, cache.read, cfg)
+    dq, drefs, dmem = _read_bwd(dsum, dmem_next, dlevel, grads, t, cache.read, cfg)
     dq = dsum + dq
     if cache.self_attn is not None:
-        dq, dpos, sg = self_attention_bwd(dq, cache.self_attn)
+        dq, dpos_t, sg = self_attention_bwd(dq, cache.self_attn)
         accumulate(grads, f"layers.{t}.self_attn.", sg)
-        accumulate(grads, "", {"query_pos": dpos})  # per image, (N, B, C)
+        dpos += dpos_t
     return dq, drefs, dmem
 
 
@@ -462,27 +462,28 @@ def forward(params: Params, images, cfg: ModelConfig, keep_cache=True):
     return [y.transpose(1, 0, 2) for y in ys], cache if keep_cache else None
 
 
-def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache):
+def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache, grads: Params):
     """Backpropagate per-stage landmark gradients dys (same layout as ys).
 
-    Returns a grads dict covering every parameter path, zeros included,
-    summed over the chunk's images.
+    Adds the parameter gradients, summed over the chunk's images, into the
+    caller's buffer `grads`, which holds every parameter path.
     """
     ys = cache.ys
     dys = [dy.transpose(1, 0, 2) for dy in dys]
-    grads: Params = {}
     # the reference points of layer t are stage t's estimate
     drefs = np.zeros_like(ys[0])
     dlogits = np.zeros_like(ys[0])
     dq = np.zeros(ys[0].shape[:2] + (cfg.dim,))
     dmem = np.zeros(cache.mem.data.shape)
+    # query_pos and level_emb gradients per image, summed over the layers
+    dpos, dlevel = np.zeros_like(dq), np.zeros((cfg.levels,) + dq.shape[1:])
     for t in range(cfg.num_layers - 1, -1, -1):
         c_layer, c_head = cache.layer_caches[t]
         y_t1 = ys[t + 1]
         dlogits = dlogits + (dys[t + 1] + drefs) * y_t1 * (1.0 - y_t1)
         dq_head, hg = _head_bwd(dlogits, c_head)
         accumulate(grads, f"layers.{t}.head.", hg)
-        dq, drefs, dmem = _layer_bwd(dq + dq_head, dmem, grads, t, c_layer, cfg)
+        dq, drefs, dmem = _layer_bwd(dq + dq_head, dmem, dpos, dlevel, grads, t, c_layer, cfg)
     dlogits = dlogits + (dys[0] + drefs) * ys[0] * (1.0 - ys[0])
     dq0_init, g_init = linear_bwd(dlogits, cache.init_lin)
     accumulate(grads, "landmark_init.", {"w": g_init["w"], "b": g_init["b"]})
@@ -490,23 +491,18 @@ def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache):
     dq0 = np.ascontiguousarray((dq + dq0_init).transpose(1, 0, 2))
     if cfg.learned_query_init:
         m_last = cache.q0_source
-        grads["query_init.w"] = np.matmul(
+        grads["query_init.w"] += np.matmul(
             m_last.transpose(1, 0, 2), dq0.transpose(0, 2, 1)).sum(axis=0)
-        grads["query_init.b"] = dq0.sum(axis=2).sum(axis=0)
+        grads["query_init.b"] += dq0.sum(axis=2).sum(axis=0)
         last_slice = cache.mem.layout.block_slices(dq0.shape[0])[-1]
         dlast = dmem[last_slice].reshape(m_last.shape)  # a view into dmem
         dlast += np.matmul(params["query_init.w"], dq0).transpose(1, 0, 2)
     else:
-        grads["query_embed"] = dq0.sum(axis=0)
-    # query_pos and level_emb were summed over the layers per image
-    for k in ("query_pos", "level_emb"):
-        if k in grads:
-            grads[k] = grads[k].sum(axis=1)
-    grads.update(extract_memory_bwd(dmem, cache.backbone))
-    for k, v in params.items():
-        if k not in grads:
-            grads[k] = np.zeros_like(v)
-    return grads
+        grads["query_embed"] += dq0.sum(axis=0)
+    if cfg.self_attention:
+        grads["query_pos"] += dpos.sum(axis=1)
+    grads["level_emb"] += dlevel.sum(axis=1)
+    accumulate(grads, "", extract_memory_bwd(dmem, cache.backbone))
 
 
 # ---------------------------------------------------------------------------

@@ -178,17 +178,20 @@ def load_dataset(path):
     if not os.path.isdir(path) or not os.path.exists(manifest):
         raise ConfigError(f"dataset not found: {path}")
     samples = []
-    with open(manifest) as f:
-        for line in f.read().splitlines():
-            if not line.strip():
-                continue
-            img_name, lmk_name = line.split()
-            image = read_ppm(os.path.join(path, img_name))
-            side = image.shape[1]
-            pts = read_landmarks(os.path.join(path, lmk_name)) / side
-            bbox_path = os.path.join(path, os.path.splitext(lmk_name)[0] + ".bbox")
+    for i, line in enumerate(_read_text(manifest).splitlines(), 1):
+        names = line.split()
+        if not names:
+            continue
+        try:
+            if len(names) != 2:
+                raise ValueError(f"expected '<image> <landmarks>', got {len(names)} names")
+            image = read_ppm(os.path.join(path, names[0]))
+            pts = read_landmarks(os.path.join(path, names[1])) / image.shape[1]
+            bbox_path = os.path.join(path, os.path.splitext(names[1])[0] + ".bbox")
             bbox = read_bbox(bbox_path) if os.path.exists(bbox_path) else None
-            samples.append(Sample(image, pts, bbox))
+        except (OSError, ValueError) as e:  # ConfigError included
+            raise ConfigError(f"{manifest} line {i}: {e}") from None
+        samples.append(Sample(image, pts, bbox))
     if not samples:
         raise ConfigError(f"dataset manifest is empty: {manifest}")
     return samples

@@ -1,15 +1,15 @@
-"""Flat parameter store keyed by stable path strings, plus checkpoint I/O
+"""Flat parameter layout keyed by stable path strings, plus checkpoint I/O
 and the text parsers that config files and checkpoint metadata share.
 
-Parameters live in a plain dict mapping path -> float64 ndarray.  Gradients
-use a second dict with the same keys; `accumulate` adds into it so a caller
-can own one gradient buffer across a whole batch.
+Parameters are a dict mapping path -> float64 ndarray.  `flat_views` lays
+out such a dict as named views into one float64 vector in sorted-path
+order: the layout of checkpoints, of training's parameters and gradients
+and of Adam's moments.  `accumulate` adds into a gradient buffer.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
 import math
 import os
 import typing
@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ConfigError
 
 Params = dict[str, np.ndarray]
-Grads = dict[str, np.ndarray]
 
 CHECKPOINT_MAGIC = "facemark-ckpt v1"
 
@@ -36,23 +35,27 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> n
     return rng.uniform(-limit, limit, size=shape)
 
 
-def accumulate(grads: Grads, prefix: str, local: dict[str, np.ndarray]) -> None:
-    """Add local gradients into the flat buffer under `prefix`."""
+def accumulate(grads: Params, prefix: str, local: dict[str, np.ndarray]) -> None:
+    """Add local gradients into the caller's buffer under `prefix`."""
     for k, v in local.items():
-        key = prefix + k
-        if key in grads:
-            grads[key] += v
-        else:
-            grads[key] = np.array(v, dtype=np.float64)
-
-
-def zero_grads_like(params: Params) -> Grads:
-    return {k: np.zeros_like(v) for k, v in params.items()}
+        grads[prefix + k] += v
 
 
 # ---------------------------------------------------------------------------
-# Counting
+# Layout and counting
 # ---------------------------------------------------------------------------
+
+def flat_views(shapes: dict[str, tuple[int, ...]]) -> tuple[np.ndarray, Params]:
+    """An uninitialized little-endian float64 vector and its {path: view}
+    dict: one contiguous view per path, laid out in sorted-path order."""
+    flat = np.empty(sum(math.prod(shape) for shape in shapes.values()), dtype="<f8")
+    views, offset = {}, 0
+    for k in sorted(shapes):
+        n = math.prod(shapes[k])
+        views[k] = flat[offset:offset + n].reshape(shapes[k])
+        offset += n
+    return flat, views
+
 
 def count_parameters(params: Params) -> tuple[dict[str, int], int]:
     """Exact element count per parameter path and the total."""
@@ -75,27 +78,25 @@ def count_parameters(params: Params) -> tuple[dict[str, int], int]:
 # Bit-exact and byte-deterministic by construction.
 
 def save_checkpoint(path: str, params: Params, meta: dict[str, str] | None = None) -> None:
-    buf = io.BytesIO()
-    buf.write(f"{CHECKPOINT_MAGIC}\n".encode())
+    """One text header, then the `flat_views` vector of `params`, one path at a time."""
+    lines = [CHECKPOINT_MAGIC]
     for k, v in sorted((meta or {}).items()):
         if any(c.isspace() for c in k) or "\n" in str(v):
             raise ConfigError(f"invalid checkpoint meta entry: {k!r}")
-        buf.write(f"meta {k} {v}\n".encode())
+        lines.append(f"meta {k} {v}")
     keys = sorted(params)
-    buf.write(f"params {len(keys)}\n".encode())
+    lines.append(f"params {len(keys)}")
     for k in keys:
-        arr = params[k]
-        dims = ",".join(str(d) for d in arr.shape) if arr.ndim else "scalar"
-        buf.write(f"{k} {dims}\n".encode())
-    buf.write(b"data\n")
-    for k in keys:
-        buf.write(np.ascontiguousarray(params[k], dtype="<f8").tobytes())
+        shape = params[k].shape
+        lines.append(f"{k} {','.join(map(str, shape)) if shape else 'scalar'}")
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write("\n".join(lines + ["data\n"]).encode())
+        for k in keys:
+            fh.write(np.ascontiguousarray(params[k], dtype="<f8").tobytes())
 
 
 def _parse_header(lines: list[str]):
-    """(meta, [(path, shape)]) from the header lines after the magic line.
+    """(meta, {path: shape}) from the header lines after the magic line.
     Raises ValueError naming the first malformed line."""
     meta: dict[str, str] = {}
     i = 0
@@ -111,19 +112,21 @@ def _parse_header(lines: list[str]):
     body = lines[i + 1:]
     if count != len(body):
         raise ValueError(f"params line promises {count} entries, the header lists {len(body)}")
-    entries = []
+    shapes: dict[str, tuple[int, ...]] = {}
     for line in body:
         name, _, dims = line.rpartition(" ")
         shape = () if dims == "scalar" else tuple(int(d) for d in dims.split(","))
         if not name or min(shape, default=0) < 0:
             raise ValueError(f"entry {line!r} is not '<path> <dim0,dim1,...>'")
-        entries.append((name, shape))
-    return meta, entries
+        if shapes and name <= next(reversed(shapes)):  # the payload's order
+            raise ValueError(f"entry {name!r} is out of sorted order or repeated")
+        shapes[name] = shape
+    return meta, shapes
 
 
 def load_checkpoint(path: str) -> tuple[Params, dict[str, str]]:
-    """(params, meta) of a checkpoint.  The payload is read once, into one
-    float64 buffer; every parameter is a writable, aligned view of it."""
+    """(params, meta) of a checkpoint.  The payload is read once, into the
+    vector of `flat_views`; every parameter is a writable view of it."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         lines = []
@@ -139,24 +142,19 @@ def load_checkpoint(path: str) -> tuple[Params, dict[str, str]]:
             raise ConfigError(f"unsupported checkpoint header in {path}: {magic!r}")
         try:
             header = b"".join(lines)[:-1].decode()
-            meta, entries = _parse_header(header.split("\n"))
+            meta, shapes = _parse_header(header.split("\n"))
         except ValueError as e:  # UnicodeDecodeError included
             raise ConfigError(f"malformed checkpoint header in {path}: {e}") from None
-        sizes = [math.prod(shape) for _, shape in entries]
+        promised = 8 * sum(math.prod(shape) for shape in shapes.values())
         found = os.fstat(fh.fileno()).st_size - fh.tell()
-        if sum(sizes) * 8 != found:
+        if promised != found:
             raise ConfigError(
                 f"checkpoint payload size mismatch in {path}: header promises "
-                f"{sum(sizes) * 8} bytes, found {found}"
+                f"{promised} bytes, found {found}"
             )
-        buf = np.empty(sum(sizes), dtype="<f8")
+        buf, params = flat_views(shapes)
         if fh.readinto(buf) != found:
             raise ConfigError(f"checkpoint payload of {path} changed while reading")
-    params: Params = {}
-    offset = 0
-    for (name, shape), n in zip(entries, sizes):
-        params[name] = buf[offset:offset + n].reshape(shape)
-        offset += n
     return params, meta
 
 

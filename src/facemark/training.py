@@ -21,7 +21,7 @@ import numpy as np
 from .decoder import DecoderState, ModelConfig, backward, chunk_slices, forward
 from .errors import ConfigError, NumericError
 from .geometry import bilinear_sample_many
-from .params import Params, accumulate, zero_grads_like
+from .params import Params, flat_views
 
 Sample = namedtuple("Sample", "image landmarks bbox")
 
@@ -51,21 +51,19 @@ def landmark_loss(outputs, gt):
 
 def batch_loss_and_grads(params: Params, cfg: ModelConfig, images, targets):
     """Mean loss and mean parameter gradients over a batch of images
-    (B, 3, side, side) and targets (B, N, 2)."""
+    (B, 3, side, side) and targets (B, N, 2): (loss, flat gradient vector,
+    its {path: view} dict), laid out by `flat_views`."""
     images, targets = np.asarray(images), np.asarray(targets)
     scale = 1.0 / len(images)
     total = 0.0
-    grads = None
+    flat, grads = flat_views({k: v.shape for k, v in params.items()})
+    flat.fill(0.0)
     for sl in chunk_slices(len(images), cfg):
         ys, cache = forward(params, images[sl], cfg)
         loss, dys = landmark_loss(ys, targets[sl])
         total += loss
-        dys = [dy * scale for dy in dys]
-        if grads is None:
-            grads = backward(dys, params, cfg, cache)
-        else:
-            accumulate(grads, "", backward(dys, params, cfg, cache))
-    return total / len(images), grads
+        backward([dy * scale for dy in dys], params, cfg, cache, grads)
+    return total / len(images), flat, grads
 
 
 def batch_loss(params: Params, cfg: ModelConfig, images, targets):
@@ -81,31 +79,41 @@ def batch_loss(params: Params, cfg: ModelConfig, images, targets):
 # Optimizer
 # ---------------------------------------------------------------------------
 
-class Adam:
-    """Adam with per-path learning-rate factors (backbone runs slower)."""
+# Elements per Adam update block.  A block's temporaries live in two scratch
+# arrays of this size, which stay in cache; larger blocks measured slower.
+ADAM_BLOCK = 16384
 
-    def __init__(self, params: Params, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.m = zero_grads_like(params)
-        self.v = zero_grads_like(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+
+class Adam:
+    """Adam over one flat parameter vector.  The leading `slow` elements (the
+    backbone's, whose paths sort first) run at lr * slow_scale."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, size: int, slow: int, slow_scale: float):
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self.groups = ((0, slow, slow_scale), (slow, size, 1.0))
         self.t = 0
 
-    def step(self, params: Params, grads: Params, lr: float, lr_factor):
+    def step(self, p: np.ndarray, g: np.ndarray, lr: float):
+        """m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+        p -= (lr scale) (m / c1) / (sqrt(v / c2) + eps), rounded in that order."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
-        for k, p in params.items():
-            g = grads[k]
-            m = self.m[k]
-            v = self.v[k]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= (lr * lr_factor(k)) * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        t1, t2 = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+        for start, stop, scale in self.groups:
+            for i in range(start, stop, ADAM_BLOCK):
+                sl = slice(i, min(i + ADAM_BLOCK, stop))
+                gb, m, v, pb = g[sl], self.m[sl], self.v[sl], p[sl]
+                a, b = t1[:len(gb)], t2[:len(gb)]
+                m *= b1
+                m += np.multiply(1.0 - b1, gb, out=a)
+                v *= b2
+                v += np.multiply(np.multiply(1.0 - b2, gb, out=a), gb, out=a)
+                np.multiply(lr * scale, np.divide(m, c1, out=a), out=a)
+                np.add(np.sqrt(np.divide(v, c2, out=b), out=b), self.eps, out=b)
+                pb -= np.divide(a, b, out=a)
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +367,13 @@ def train(state: DecoderState, dataset, cfg: TrainConfig, log=None):
     """
     if len(dataset) == 0:
         raise ConfigError("training dataset is empty")
-    params = {k: v.copy() for k, v in state.params.items()}
+    flat, params = flat_views({k: v.shape for k, v in state.params.items()})
+    np.concatenate([state.params[k].ravel() for k in params], out=flat)
     mcfg = state.config
-    opt = Adam(params)
+    # every backbone.* path sorts first, so the backbone is a leading slice
+    slow = sum(v.size for k, v in params.items() if k.startswith("backbone."))
+    opt = Adam(flat.size, slow, cfg.lr_backbone_scale)
     rng_batch = np.random.default_rng((cfg.seed, 1))
-
-    def lr_factor(path):
-        return cfg.lr_backbone_scale if path.startswith("backbone.") else 1.0
 
     losses = []
     for step in range(1, cfg.steps + 1):
@@ -381,17 +389,17 @@ def train(state: DecoderState, dataset, cfg: TrainConfig, log=None):
                 img, lm = augment(img, lm, rng_aug, cfg.augment)
             images.append(img)
             targets.append(lm)
-        loss, grads = batch_loss_and_grads(params, mcfg, images, targets)
+        loss, gflat, grads = batch_loss_and_grads(params, mcfg, images, targets)
         if not np.isfinite(loss):
             raise NumericError(f"training diverged at step {step}: loss={loss}")
         # one check over every entry: a sum is finite iff all its terms are,
         # unless finite terms overflow, which is divergence too
-        if not math.isfinite(sum(g.sum() for g in grads.values())):
-            bad = next((k for k in sorted(grads) if not np.isfinite(grads[k]).all()),
+        if not math.isfinite(gflat.sum()):
+            bad = next((k for k, g in grads.items() if not np.isfinite(g).all()),
                        "the sum over all parameters")
             raise NumericError(f"training diverged at step {step}: non-finite gradient in {bad}")
         lr = cfg.lr * (0.1 if step > cfg.lr_drop_step else 1.0)
-        opt.step(params, grads, lr, lr_factor)
+        opt.step(flat, gflat, lr)
         losses.append(loss)
         if log is not None and (step % 100 == 0 or step == 1):
             log(f"step {step:5d}  loss {loss:.6f}  lr {lr:g}")
@@ -491,7 +499,7 @@ def grad_check(state: DecoderState, batch, step=1e-5, threshold=1e-4,
     images = [s.image for s in batch]
     targets = [s.landmarks for s in batch]
     params = {k: v.copy() for k, v in state.params.items()}
-    _, analytic = batch_loss_and_grads(params, state.config, images, targets)
+    _, _, analytic = batch_loss_and_grads(params, state.config, images, targets)
 
     def loss_fn(p):
         return batch_loss(p, state.config, images, targets)

@@ -9,6 +9,7 @@ acceptance"`` runs the rest of the suite in seconds.
 
 import dataclasses
 import filecmp
+import multiprocessing
 import os
 import time
 
@@ -200,22 +201,30 @@ def test_07_metrics_match_independent_reimplementation():
     )
 
 
+def _ablation_run(train_set, held, seed, learned):
+    """One #8 training run: NME of held-out stage 0, held-out final and
+    training final."""
+    cfg = dataclasses.replace(TINY, learned_query_init=learned)
+    recipe = dataclasses.replace(ABLATION_RECIPE, seed=seed)
+    state, _ = train(DecoderState.init(cfg, seed=seed), train_set, recipe)
+    held_eval = evaluate(state, held, normalizer="image_size")
+    fit = evaluate(state, train_set, normalizer="image_size").aggregate
+    return held_eval.per_stage[0], held_eval.aggregate, fit
+
+
 def test_08_learned_query_init_direction():
     spec = TINY_SPEC
     train_set = gen_synthetic(spec, 64, 7)
     held = gen_synthetic(spec, 16, 1007)
+    # the six runs are independent: two worker processes run them, and the
+    # results come back in seed x flavor order
+    jobs = [(train_set, held, seed, learned) for seed in (0, 1, 2) for learned in (True, False)]
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        results = iter(pool.starmap(_ablation_run, jobs))
     wins = 0
     rows = []
     for seed in (0, 1, 2):
-        scores = {}
-        for learned in (True, False):
-            cfg = dataclasses.replace(TINY, learned_query_init=learned)
-            recipe = dataclasses.replace(ABLATION_RECIPE, seed=seed)
-            state, _ = train(DecoderState.init(cfg, seed=seed), train_set, recipe)
-            label = "learned" if learned else "embedding"
-            held_eval = evaluate(state, held, normalizer="image_size")
-            fit = evaluate(state, train_set, normalizer="image_size").aggregate
-            scores[label] = (held_eval.per_stage[0], held_eval.aggregate, fit)
+        scores = {"learned": next(results), "embedding": next(results)}
         won = scores["learned"][1] <= scores["embedding"][1]
         wins += won
         cells = "   ".join(

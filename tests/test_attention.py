@@ -25,9 +25,10 @@ from facemark.attention import (
     softmax,
     softmax_bwd,
 )
-from facemark.decoder import ModelConfig, _layer_bwd, _layer_fwd
+from facemark.decoder import ModelConfig, _layer_bwd, _layer_fwd, param_shapes
 from facemark.errors import ConfigError
 from facemark.geometry import DENSE_PIXELS, PyramidLayout
+from facemark.params import flat_views
 
 
 def _fd_check(arrs, analytic, loss, n=6, h=1e-6, rtol=1e-5, atol=1e-8, seed=0):
@@ -462,8 +463,11 @@ def _block_fwd(x, refs, memory, layout, p, ffn_p, cfg):
 def _block_bwd(dout, cache):
     """(dx, drefs, dmemory, dparams, dffn) of `_block_fwd`."""
     layer_cache, block, mem_shape = cache
-    grads = {}
-    dx, drefs, dmem = _layer_bwd(dout, np.zeros(mem_shape), grads, 0, layer_cache, block)
+    flat, grads = flat_views(param_shapes(block))
+    flat.fill(0.0)
+    # no self-attention and a basic read: no query_pos or level_emb gradient
+    dx, drefs, dmem = _layer_bwd(dout, np.zeros(mem_shape), None, None, grads, 0,
+                                 layer_cache, block)
 
     def group(name):
         pre = f"layers.0.{name}."

@@ -163,6 +163,28 @@ def test_image_side_mismatch_names_the_dataset(tmp_path, capsys, monkeypatch, ve
     assert not (tmp_path / "r.txt").exists()
 
 
+@pytest.mark.parametrize("verb", ["train", "eval"])
+def test_a_later_sample_with_another_landmark_count_names_the_sample(tmp_path, verb):
+    # face_00003.txt lists 4 of the model's 5 points; only the first sample
+    # was once checked, and stacking the batch then failed naming no file
+    data = tmp_path / "ds"
+    main(["gen-data", "--out", str(data), *TINY_MODEL, "--set", "data.count=5"])
+    short = data / "face_00003.txt"
+    write_landmarks(short, read_landmarks(short)[:4])
+    ckpt = str(tmp_path / "m.ckpt")
+    if verb == "train":
+        args = ["train", "--data", str(data), "--out", ckpt, *TINY_MODEL, *SHORT_TRAIN]
+    else:
+        DecoderState.init(TINY).save(ckpt)
+        args = ["eval", "--ckpt", ckpt, "--data", str(data), "--out", str(tmp_path / "r"),
+                *TINY_MODEL]
+    proc = _run_facemark(*args)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"{data}: sample 3 has 4 landmarks" in proc.stderr
+    assert not os.path.exists(ckpt + ".log") and not (tmp_path / "r.txt").exists()
+
+
 def test_bad_train_schedule_is_a_config_error(tmp_path, capsys):
     for override, key in ((["--set", "train.steps=0", "--set", "train.lr_drop_step=0"],
                            "train.steps"),
@@ -226,6 +248,19 @@ def test_predict_rejects_gt_with_another_point_count(tmp_path, capsys):
     assert str(gt) in err and "3 points" in err and "predicts 5" in err
     assert not (tmp_path / "pred.txt").exists()
     assert not (tmp_path / "pred.ppm").exists()
+
+
+def test_predict_names_an_image_of_another_side(tmp_path, capsys):
+    image = tmp_path / "small.ppm"
+    write_ppm(image, np.zeros((3, 16, 16)))
+    ckpt = tmp_path / "m.ckpt"
+    DecoderState.init(TINY).save(ckpt)
+    rc = main(["predict", "--ckpt", str(ckpt), "--image", str(image),
+               "--out", str(tmp_path / "pred")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(image) in err and "16x16" in err and "32x32" in err
+    assert not (tmp_path / "pred.txt").exists()
 
 
 @pytest.mark.parametrize("override, named", [

@@ -21,7 +21,7 @@ from facemark.decoder import (
 )
 from facemark.errors import ConfigError
 from facemark.geometry import sigmoid
-from facemark.params import count_parameters
+from facemark.params import count_parameters, flat_views
 from facemark.training import gen_synthetic
 
 from conftest import TINY_SPEC, jitter_params
@@ -235,20 +235,37 @@ def _fake_dys(ys, seed=0):
     return [rng.normal(size=y.shape) for y in ys]
 
 
+def _backward(dys, params, cfg, cache):
+    """backward's gradients, added into a zeroed buffer."""
+    flat, grads = flat_views({k: v.shape for k, v in params.items()})
+    flat.fill(0.0)
+    backward(dys, params, cfg, cache, grads)
+    return grads
+
+
 def test_backward_covers_every_path(tiny_batch):
+    # every path but the flavor's inert ones gets signal, each in a single
+    # add into the caller's buffer: a chunk's sum reaches a running batch
+    # total as one term per path
+    inert = {False: {"level_emb"}, True: {"layers.1.ln_img.g", "layers.1.ln_img.b"}}
     for flavor in (TINY, dataclasses.replace(TINY, parallel=True)):
         state = jitter_params(DecoderState.init(flavor, seed=2))
         ys, cache = forward(state.params, tiny_batch[0].image[None], flavor)
-        grads = backward(_fake_dys(ys), state.params, flavor, cache)
-        assert set(grads) == set(state.params)
+        dys = _fake_dys(ys)
+        fresh = _backward(dys, state.params, flavor, cache)
+        assert {k for k, g in fresh.items() if not g.any()} == inert[flavor.parallel]
+        flat, grads = flat_views({k: v.shape for k, v in state.params.items()})
+        flat[:] = np.random.default_rng(1).normal(size=flat.size)
+        start = {k: v.copy() for k, v in grads.items()}
+        backward(dys, state.params, flavor, cache, grads)
         for k, g in grads.items():
-            assert g.shape == state.params[k].shape, k
+            npt.assert_array_equal(g, start[k] + fresh[k], err_msg=k)
 
 
 def test_basic_mode_leaves_level_embedding_untouched(tiny_batch):
     state = jitter_params(DecoderState.init(TINY, seed=2))
     ys, cache = forward(state.params, tiny_batch[0].image[None], TINY)
-    grads = backward(_fake_dys(ys), state.params, TINY, cache)
+    grads = _backward(_fake_dys(ys), state.params, TINY, cache)
     npt.assert_array_equal(grads["level_emb"], 0.0)
     # while the backbone, attention and head paths all carry signal
     assert np.abs(grads["backbone.s1.conva.w"]).max() > 0
@@ -259,7 +276,7 @@ def test_parallel_mode_trains_level_embedding(tiny_batch):
     cfg = dataclasses.replace(TINY, parallel=True)
     state = jitter_params(DecoderState.init(cfg, seed=2))
     ys, cache = forward(state.params, tiny_batch[0].image[None], cfg)
-    grads = backward(_fake_dys(ys), state.params, cfg, cache)
+    grads = _backward(_fake_dys(ys), state.params, cfg, cache)
     assert np.abs(grads["level_emb"]).max() > 0
     assert np.abs(grads["layers.0.ln_img.g"]).max() > 0
 
@@ -281,7 +298,7 @@ def test_parallel_last_layer_reads_for_the_landmark_queries_only(monkeypatch, ti
     ys, cache = forward(state.params, images, cfg)
     m, n, b, t = cfg.layout.total_len, cfg.num_landmarks, len(images), cfg.num_layers
     assert rows == [(m + n) * b] * (t - 1) + [n * b]
-    grads = backward(_fake_dys(ys), state.params, cfg, cache)
+    grads = _backward(_fake_dys(ys), state.params, cfg, cache)
     for name in ("g", "b"):
         assert np.abs(grads[f"layers.0.ln_img.{name}"]).max() > 0
         npt.assert_array_equal(grads[f"layers.{t - 1}.ln_img.{name}"], 0.0)
@@ -294,7 +311,7 @@ def test_stage_gradients_reach_earlier_layers_only(tiny_batch):
     ys, cache = forward(state.params, tiny_batch[0].image[None], TINY)
     dys = [np.zeros_like(y) for y in ys]
     dys[1] = np.ones_like(ys[1])
-    grads = backward(dys, state.params, TINY, cache)
+    grads = _backward(dys, state.params, TINY, cache)
     npt.assert_array_equal(grads["layers.1.head.w3"], 0.0)
     assert np.abs(grads["layers.0.head.w3"]).max() > 0
     assert np.abs(grads["backbone.s1.conva.w"]).max() > 0
@@ -340,7 +357,7 @@ def test_forward_and_gradients_are_pinned(tiny_batch, parallel):
     state = jitter_params(DecoderState.init(cfg, seed=2))
     images = np.stack([s.image for s in tiny_batch])
     ys, cache = forward(state.params, images, cfg)
-    grads = backward(_fake_dys(ys), state.params, cfg, cache)
+    grads = _backward(_fake_dys(ys), state.params, cfg, cache)
     pinned = _PINNED[parallel]
     npt.assert_allclose([y.sum() for y in ys], pinned["stages"], rtol=1e-12, atol=0)
     for k, want in pinned["grads"].items():
@@ -362,13 +379,13 @@ def test_chunk_of_three_equals_three_single_image_calls(parallel):
     images = np.stack([s.image for s in gen_synthetic(TINY_SPEC, 3, 11)])
     ys, cache = forward(state.params, images, cfg)
     dys = _fake_dys(ys)
-    grads = backward(dys, state.params, cfg, cache)
+    grads = _backward(dys, state.params, cfg, cache)
     summed = None
     for b in range(3):
         ys_b, cache_b = forward(state.params, images[b:b + 1], cfg)
         for y, y_b in zip(ys, ys_b):
             npt.assert_array_equal(y[b:b + 1], y_b)
-        g_b = backward([dy[b:b + 1] for dy in dys], state.params, cfg, cache_b)
+        g_b = _backward([dy[b:b + 1] for dy in dys], state.params, cfg, cache_b)
         summed = g_b if summed is None else {k: summed[k] + g_b[k] for k in summed}
     assert set(grads) == set(summed)
     for k in grads:

@@ -3,18 +3,22 @@
 Each case flips, replaces, deletes or truncates a few bytes of a valid
 file, mostly inside its text header, and reads the result back.  A reader
 may return or raise ConfigError, which names the file; any other exception
-is a bug, because the command line would show it as a traceback.
+is a bug, because the command line would show it as a traceback.  A
+dataset's file is its manifest, read with the files it lists.
 """
 
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
 
 from facemark.decoder import TINY, DecoderState
 from facemark.errors import ConfigError
-from facemark.io import read_bbox, read_landmarks, read_ppm, write_bbox, write_landmarks, write_ppm
+from facemark.io import (load_dataset, read_bbox, read_landmarks, read_ppm, write_bbox,
+                         write_dataset, write_landmarks, write_ppm)
 from facemark.params import load_checkpoint
+from facemark.training import SyntheticFaceSpec, gen_synthetic
 
 CASES = 300
 # bytes that make a mutated token still look like a number or a separator
@@ -49,38 +53,47 @@ def _mutate(blob, hot, rng):
 
 
 def _valid_files(tmp_path):
-    """(reader, path of a valid file, length of its text header)."""
+    """{reader name: (reader, path of a valid file, length of its text
+    header)}.  The reader takes the file's path."""
     rng = np.random.default_rng(0)
-    ppm = tmp_path / "img.ppm"
+    files = tmp_path / "files"
+    files.mkdir()
+    ppm = files / "img.ppm"
     write_ppm(ppm, rng.uniform(0, 1, (3, 4, 4)), comment="config abc")
-    lmk = tmp_path / "img.txt"
+    lmk = files / "img.txt"
     write_landmarks(lmk, rng.uniform(0, 32, (3, 2)))
-    box = tmp_path / "img.bbox"
+    box = files / "img.bbox"
     write_bbox(box, (1.5, 2.0, 30.25, 28.0))
-    ckpt = tmp_path / "model.ckpt"
+    ckpt = files / "model.ckpt"
     DecoderState.init(MICRO, seed=0).save(ckpt, extra_meta={"config_hash": "abc"})
     header = ckpt.read_bytes().index(b"\ndata\n") + 6
-    return [
-        (read_ppm, ppm, ppm.read_bytes().index(b"255\n") + 4),
-        (read_landmarks, lmk, lmk.stat().st_size),
-        (read_bbox, box, box.stat().st_size),
-        (load_checkpoint, ckpt, header),
-        (DecoderState.load, ckpt, header),
-    ]
+    data = tmp_path / "data"
+    faces = gen_synthetic(SyntheticFaceSpec(num_landmarks=2, image_side=8), 3, 0)
+    write_dataset(data, faces, "abc", 0)
+    manifest = data / "manifest.txt"
+    return {
+        "read_ppm": (read_ppm, ppm, ppm.read_bytes().index(b"255\n") + 4),
+        "read_landmarks": (read_landmarks, lmk, lmk.stat().st_size),
+        "read_bbox": (read_bbox, box, box.stat().st_size),
+        "load_checkpoint": (load_checkpoint, ckpt, header),
+        "DecoderState.load": (DecoderState.load, ckpt, header),
+        "load_dataset": (lambda m: load_dataset(m.parent), manifest, manifest.stat().st_size),
+    }
 
 
 READERS = ["read_ppm", "read_landmarks", "read_bbox", "load_checkpoint",
-           "DecoderState.load"]
+           "DecoderState.load", "load_dataset"]
 
 
 @pytest.mark.parametrize("which", READERS)
 def test_mutated_files_raise_only_config_errors(tmp_path, which):
-    files = {fn.__qualname__: (fn, path, hot) for fn, path, hot in _valid_files(tmp_path)}
-    reader, path, hot = files[which]
+    reader, path, hot = _valid_files(tmp_path)[which]
     blob = path.read_bytes()
     reader(path)  # the unmutated file reads
     rng = np.random.default_rng(READERS.index(which))
-    target = tmp_path / ("mutated" + path.suffix)
+    # the mutated copy sits among copies of its neighbours
+    target = tmp_path / "mutated" / path.name
+    shutil.copytree(path.parent, target.parent)
     rejected = 0
     for case in range(CASES):
         mutated = _mutate(blob, hot, rng)

@@ -6,10 +6,10 @@ from facemark.errors import ConfigError
 from facemark.params import (
     accumulate,
     count_parameters,
+    flat_views,
     glorot,
     load_checkpoint,
     save_checkpoint,
-    zero_grads_like,
 )
 
 
@@ -23,26 +23,36 @@ def test_glorot_bounds_and_shape():
     assert w2.shape == (1, 3, 3)
 
 
-def test_accumulate_adds_and_creates():
-    g = {}
+def test_accumulate_adds_into_the_buffer():
+    flat, g = flat_views({"m.w": (2,), "m.b": (3,)})
+    flat.fill(0.0)
     accumulate(g, "m.", {"w": np.ones(2)})
     accumulate(g, "m.", {"w": np.ones(2)})
     npt.assert_array_equal(g["m.w"], [2.0, 2.0])
+    npt.assert_array_equal(flat, [0.0, 0.0, 0.0, 2.0, 2.0])  # m.b sorts first
+    with pytest.raises(KeyError):  # the buffer holds every path up front
+        accumulate(g, "m.", {"v": np.ones(2)})
 
 
 def test_grad_buffer_helpers():
-    p = {"w": np.ones((2, 2)), "b": np.ones(3)}
-    z = zero_grads_like(p)
-    assert all((v == 0).all() for v in z.values())
-    accumulate(z, "", {"w": np.full((2, 2), 2.0), "b": np.ones(3)})
-    npt.assert_array_equal(z["w"], np.full((2, 2), 2.0))
-    # an empty buffer takes a copy of the first part
-    part = {"w": np.full((2, 2), 2.0)}
-    total = {}
-    accumulate(total, "", part)
-    accumulate(total, "", part)
-    npt.assert_array_equal(total["w"], np.full((2, 2), 4.0))
-    npt.assert_array_equal(part["w"], np.full((2, 2), 2.0))
+    shapes = {"w": (2, 2), "b": (3,), "a.s": ()}
+    flat, z = flat_views(shapes)
+    assert flat.dtype == np.float64 and flat.shape == (8,)
+    flat.fill(0.0)
+    # one contiguous view per path, in sorted-path order
+    assert list(z) == ["a.s", "b", "w"]
+    offsets = [v.__array_interface__["data"][0] - flat.ctypes.data for v in z.values()]
+    assert offsets == [0, 8, 32]
+    for k, v in z.items():
+        assert v.shape == shapes[k] and v.flags.c_contiguous and v.base is flat, k
+    # the views write through to the vector, and the vector to the views
+    part = {"w": np.full((2, 2), 2.0), "b": np.arange(3.0)}
+    accumulate(z, "", part)
+    accumulate(z, "", part)
+    npt.assert_array_equal(flat, [0.0, 0.0, 2.0, 4.0, 4.0, 4.0, 4.0, 4.0])
+    npt.assert_array_equal(part["w"], np.full((2, 2), 2.0))  # parts are not aliased
+    flat[0] = 7.0
+    assert z["a.s"] == 7.0
 
 
 def test_count_parameters_hand_case():
@@ -92,6 +102,32 @@ def test_checkpoint_loaded_params_writable(tmp_path):
     save_checkpoint(path, {"w": np.ones(3)}, {})
     loaded, _ = load_checkpoint(path)
     loaded["w"] += 1.0  # must not raise
+
+
+def test_checkpoint_params_are_views_of_one_buffer(tmp_path):
+    p = _sample_params()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, p, {})
+    loaded, _ = load_checkpoint(path)
+    flat, views = flat_views({k: v.shape for k, v in p.items()})
+    assert list(loaded) == list(views) == sorted(p)
+    base = loaded["layer.w"].base
+    assert base is not None and base.size == flat.size
+    assert all(v.base is base for v in loaded.values())
+    for k, v in loaded.items():
+        views[k][...] = p[k]
+        assert (v.__array_interface__["data"][0] - base.ctypes.data
+                == views[k].__array_interface__["data"][0] - flat.ctypes.data), k
+    npt.assert_array_equal(base, flat)
+
+
+@pytest.mark.parametrize("entries", [b"w 1\nb 1", b"w 1\nw 1"])
+def test_checkpoint_rejects_unsorted_or_repeated_paths(tmp_path, entries):
+    # the payload is laid out in sorted-path order, so no other header is valid
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(b"facemark-ckpt v1\nparams 2\n" + entries + b"\ndata\n" + bytes(16))
+    with pytest.raises(ConfigError, match=r"bad\.ckpt.*'\w' is out of sorted order"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

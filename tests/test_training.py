@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ import pytest
 import facemark
 from facemark.decoder import TINY, DecoderState
 from facemark.errors import ConfigError, NumericError
+from facemark.params import flat_views
 from facemark.training import (
+    ADAM_BLOCK,
     Adam,
     AugmentConfig,
     Sample,
@@ -77,10 +80,14 @@ def test_batch_loss_matches_grad_version(tiny_state, tiny_batch):
     state = jitter_params(tiny_state)
     images = [s.image for s in tiny_batch]
     targets = [s.landmarks for s in tiny_batch]
-    with_grads, grads = batch_loss_and_grads(state.params, TINY, images, targets)
+    with_grads, flat, grads = batch_loss_and_grads(state.params, TINY, images, targets)
     plain = batch_loss(state.params, TINY, images, targets)
     npt.assert_allclose(with_grads, plain, atol=1e-12)
-    assert set(grads) == set(state.params)
+    # the gradients are the named views of the flat vector
+    _, layout = flat_views({k: v.shape for k, v in state.params.items()})
+    assert list(grads) == list(layout) == sorted(state.params)
+    npt.assert_array_equal(np.concatenate([g.ravel() for g in grads.values()]), flat)
+    assert all(g.base is flat for g in grads.values())
 
 
 # ---------------------------------------------------------------------------
@@ -88,36 +95,59 @@ def test_batch_loss_matches_grad_version(tiny_state, tiny_batch):
 # ---------------------------------------------------------------------------
 
 def test_adam_first_step_moves_by_lr_times_sign():
-    params = {"w": np.array([1.0, -2.0, 3.0])}
-    grads = {"w": np.array([0.5, -0.25, 4.0])}
-    opt = Adam(params)
-    opt.step(params, grads, lr=0.01, lr_factor=lambda k: 1.0)
+    params = np.array([1.0, -2.0, 3.0])
+    grads = np.array([0.5, -0.25, 4.0])
+    opt = Adam(3, 0, 0.1)
+    opt.step(params, grads, lr=0.01)
     # bias-corrected m/v cancel on step one, leaving lr * g / (|g| + eps)
-    npt.assert_allclose(params["w"], [0.99, -1.99, 2.99], rtol=1e-6)
+    npt.assert_allclose(params, [0.99, -1.99, 2.99], rtol=1e-6)
 
 
 def test_adam_zero_gradient_stays_put():
-    params = {"w": np.array([1.0, 2.0])}
-    opt = Adam(params)
-    opt.step(params, {"w": np.zeros(2)}, lr=0.1, lr_factor=lambda k: 1.0)
-    npt.assert_array_equal(params["w"], [1.0, 2.0])
+    params = np.array([1.0, 2.0])
+    opt = Adam(2, 1, 0.1)
+    opt.step(params, np.zeros(2), lr=0.1)
+    npt.assert_array_equal(params, [1.0, 2.0])
 
 
 def test_adam_zero_lr_stays_put():
-    params = {"w": np.array([1.0, 2.0])}
-    opt = Adam(params)
-    opt.step(params, {"w": np.ones(2)}, lr=0.0, lr_factor=lambda k: 1.0)
-    npt.assert_array_equal(params["w"], [1.0, 2.0])
+    params = np.array([1.0, 2.0])
+    opt = Adam(2, 1, 0.1)
+    opt.step(params, np.ones(2), lr=0.0)
+    npt.assert_array_equal(params, [1.0, 2.0])
 
 
-def test_adam_lr_factor_routes_per_path():
-    params = {"backbone.w": np.zeros(1), "head.w": np.zeros(1)}
-    grads = {"backbone.w": np.ones(1), "head.w": np.ones(1)}
-    opt = Adam(params)
-    factor = lambda k: 0.1 if k.startswith("backbone.") else 1.0
-    opt.step(params, grads, lr=0.01, lr_factor=factor)
+def test_adam_runs_the_leading_slice_at_the_scaled_lr():
+    # train's layout: the backbone paths sort first
+    flat, params = flat_views({"backbone.w": (1,), "head.w": (1,)})
+    flat.fill(0.0)
+    opt = Adam(flat.size, params["backbone.w"].size, 0.1)
+    opt.step(flat, np.ones(2), lr=0.01)
     npt.assert_allclose(params["backbone.w"], -0.001, rtol=1e-6)
     npt.assert_allclose(params["head.w"], -0.01, rtol=1e-6)
+
+
+def test_blocked_adam_matches_the_elementwise_formula_bit_for_bit():
+    # several blocks, the backbone/decoder boundary inside one of them, and a
+    # short tail; the reference applies the formula to one element at a time
+    n, slow, lr, scale = 2 * ADAM_BLOCK + 777, ADAM_BLOCK + 12345, 3e-3, 0.1
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    rng = np.random.default_rng(4)
+    p = rng.normal(size=n)
+    want, m, v = [float(x) for x in p], [0.0] * n, [0.0] * n
+    opt = Adam(n, slow, scale)
+    for t in (1, 2, 3):
+        g = rng.normal(size=n) * rng.uniform(0.0, 2.0, n)
+        g[::97] = 0.0
+        opt.step(p, g, lr)
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        gl = g.tolist()
+        for i in range(n):
+            rate = lr * scale if i < slow else lr
+            m[i] = m[i] * b1 + (1.0 - b1) * gl[i]
+            v[i] = v[i] * b2 + (1.0 - b2) * gl[i] * gl[i]
+            want[i] -= rate * (m[i] / c1) / (math.sqrt(v[i] / c2) + eps)
+    npt.assert_array_equal(p, want)
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +158,10 @@ def test_train_aborts_on_a_non_finite_gradient(tiny_state, tiny_batch, monkeypat
     import facemark.training as training
 
     def finite_loss_inf_grad(params, cfg, images, targets):
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
+        flat, grads = flat_views({k: v.shape for k, v in params.items()})
+        flat.fill(0.0)
         grads["layers.1.ffn.w2"][3, 1] = np.inf
-        return 0.5, grads
+        return 0.5, flat, grads
 
     monkeypatch.setattr(training, "batch_loss_and_grads", finite_loss_inf_grad)
     with pytest.raises(NumericError, match=r"step 1\b.*layers\.1\.ffn\.w2"):
@@ -149,8 +180,8 @@ rng = np.random.default_rng(5)
 params = {k: v + rng.normal(0.0, 0.02, v.shape)
           for k, v in DecoderState.init(cfg, 0).params.items()}
 faces = gen_synthetic(SyntheticFaceSpec(image_side=64), 2, 3)
-_, grads = batch_loss_and_grads(params, cfg, np.stack([f.image for f in faces]),
-                                np.stack([f.landmarks for f in faces]))
+_, _, grads = batch_loss_and_grads(params, cfg, np.stack([f.image for f in faces]),
+                                   np.stack([f.landmarks for f in faces]))
 h = hashlib.sha256()
 for k in sorted(grads):
     h.update(k.encode() + np.ascontiguousarray(grads[k]).tobytes())
@@ -180,8 +211,8 @@ def test_batch_loss_and_grads_is_the_mean_over_images(tiny_state):
     state = jitter_params(tiny_state)
     faces = gen_synthetic(TINY_SPEC, 1, 3)
     one_img, one_tgt = [faces[0].image], [faces[0].landmarks]
-    loss1, g1 = batch_loss_and_grads(state.params, TINY, one_img, one_tgt)
-    loss2, g2 = batch_loss_and_grads(state.params, TINY, one_img * 2, one_tgt * 2)
+    loss1, _, g1 = batch_loss_and_grads(state.params, TINY, one_img, one_tgt)
+    loss2, _, g2 = batch_loss_and_grads(state.params, TINY, one_img * 2, one_tgt * 2)
     npt.assert_allclose(loss2, loss1, rtol=1e-12)
     for k in g1:
         npt.assert_allclose(g2[k], g1[k], rtol=1e-9, atol=1e-15, err_msg=k)
