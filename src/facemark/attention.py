@@ -86,8 +86,8 @@ class AttentionConfig:
 def _sum_rows(a):
     """Sum an (R, C) array over its rows, or an (R, B, C) stack over each
     image's rows and then over the images in order."""
-    a = a.sum(axis=0)
-    return a.sum(axis=0) if a.ndim == 2 else a
+    a = np.add.reduce(a, axis=0)
+    return np.add.reduce(a, axis=0) if a.ndim == 2 else a
 
 
 # A product that sums over more rows than this adds blocks of this many
@@ -101,6 +101,8 @@ _SUM_ROWS = 256
 def _matmul_rows(a, b):
     """a @ b over stacks (..., m, R) and (..., R, k), the sum over R taken in
     blocks of _SUM_ROWS rows, added in order."""
+    if a.shape[-1] <= _SUM_ROWS:
+        return np.matmul(a, b)
     out = np.matmul(a[..., :_SUM_ROWS], b[..., :_SUM_ROWS, :])
     for r0 in range(_SUM_ROWS, a.shape[-1], _SUM_ROWS):
         out += np.matmul(a[..., r0:r0 + _SUM_ROWS], b[..., r0:r0 + _SUM_ROWS, :])
@@ -120,7 +122,7 @@ def linear_bwd(dout, cache):
     x3, w = cache
     dout_b = dout.reshape(x3.shape[:2] + w.shape[1:]).transpose(1, 0, 2)
     dx = np.matmul(dout_b, w.T).transpose(1, 0, 2)
-    dw = _matmul_rows(x3.transpose(1, 2, 0), dout_b).sum(axis=0)
+    dw = np.add.reduce(_matmul_rows(x3.transpose(1, 2, 0), dout_b), axis=0)
     return dx.reshape(dout.shape[:-1] + w.shape[:1]), {"w": dw, "b": _sum_rows(dout)}
 
 
@@ -136,30 +138,39 @@ LN_EPS = 1e-5
 
 
 def layer_norm_fwd(x, gain, bias, eps=LN_EPS):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    # the sums, divisions and squares of ndarray.mean and .var, with the
+    # centred rows computed once for both the variance and xhat
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= n
+    xhat = x - mu
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    var /= n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat *= inv
     return gain * xhat + bias, (xhat, inv, gain)
 
 
 def layer_norm_bwd(dout, cache):
     xhat, inv, gain = cache
+    n = xhat.shape[-1]
     dxhat = dout * gain
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
+    m1 /= n
+    m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True)
+    m2 /= n
     dx = inv * (dxhat - m1 - xhat * m2)
     return dx, {"g": _sum_rows(dout * xhat), "b": _sum_rows(dout)}
 
 
 def softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def softmax_bwd(dout, y):
-    return y * (dout - (dout * y).sum(axis=-1, keepdims=True))
+    return y * (dout - np.add.reduce(dout * y, axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +375,7 @@ def _sampling_points(x_rows, refs_rows, p, cfg: AttentionConfig):
 
 
 def _sampling_points_bwd(dlocs, dweights, cache: FieldCache):
-    drefs = dlocs.sum(axis=(-4, -3, -2))
+    drefs = np.add.reduce(dlocs, axis=(-4, -3, -2))
     dx, dparams = sampling_fields_bwd(dlocs, dweights, cache)
     return dx, drefs, dparams
 
@@ -414,15 +425,15 @@ def deform_project_bwd(dout, cache: DeformCache):
 def _bias_mass(table, weights):
     """Per kernel row and head, the sum over its points of point weight *
     in-bounds bilinear mass (wy0 + wy1) * (wx0 + wx1)."""
-    sy, sx = table.wy.sum(axis=0), table.wx.sum(axis=0)
-    return (weights * sy * sx).sum(axis=(-2, -1))
+    sy, sx = np.add.reduce(table.wy, axis=0), np.add.reduce(table.wx, axis=0)
+    return np.add.reduce(weights * sy * sx, axis=(-2, -1))
 
 
 def _bias_mass_bwd(dmass, cache: CoreCache, dlocs, dweights):
     """Add the gradient of `_bias_mass` w.r.t. the points and the point
     weights into dlocs and dweights."""
     table = cache.table
-    sy, sx = table.wy.sum(axis=0), table.wx.sum(axis=0)
+    sy, sx = np.add.reduce(table.wy, axis=0), np.add.reduce(table.wx, axis=0)
     g = dmass[..., None, None]
     dweights += g * sy * sx
     g = g * cache.weights
@@ -467,8 +478,8 @@ def _sample_project_bwd(dout, cache: SampleCache):
     heads = cache.w_h.shape[0]
     dvalue = dmerged.reshape(n, bsz, heads, -1).transpose(1, 2, 0, 3)
     # per image and head, then the images in order
-    dw_h = np.matmul(cache.agg.swapaxes(-1, -2), dvalue).sum(axis=0)
-    db_h = np.matmul(cache.mass.swapaxes(-1, -2), dvalue).sum(axis=0)
+    dw_h = np.add.reduce(np.matmul(cache.agg.swapaxes(-1, -2), dvalue), axis=0)
+    db_h = np.add.reduce(np.matmul(cache.mass.swapaxes(-1, -2), dvalue), axis=0)
     dagg = np.matmul(dvalue, cache.w_h.swapaxes(-1, -2))
     dmass = np.matmul(dvalue, cache.b_h.swapaxes(-1, -2))
     dagg = dagg.transpose(2, 1, 0, 3).reshape(n * heads, bsz * dim)

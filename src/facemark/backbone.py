@@ -15,7 +15,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .attention import linear_bwd, linear_fwd, relu_fwd
 from .errors import ConfigError
@@ -77,15 +77,20 @@ ConvCache = namedtuple("ConvCache", "cols w stride in_shape out_hw")
 
 
 def conv2d_fwd(x, w, b, stride):
-    """Convolve a (B, cin, h, w) stack: one pad, one im2col and one batched
-    matmul holding each image's GEMM.  Returns (B, cout, ho, wo), laid out
-    channels-last in memory."""
+    """Convolve a (B, cin, h, w) stack: one zero-padded copy, one im2col and
+    one batched matmul holding each image's GEMM.  Returns (B, cout, ho, wo),
+    laid out channels-last in memory."""
     bsz, cin, hi, wi = x.shape
     cout = w.shape[0]
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
-    ho, wo = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(bsz, ho * wo, cin * 9)
+    xp = np.zeros((bsz, cin, hi + 2, wi + 2))
+    xp[:, :, 1:-1, 1:-1] = x
+    ho, wo = (hi - 1) // stride + 1, (wi - 1) // stride + 1
+    sb, sc, sy, sx = xp.strides
+    # every 3x3 window as one view, (B, ho, wo, cin, 3, 3); the reshape
+    # copies it into rows of (cin, ky, kx) columns
+    win = as_strided(xp, (bsz, ho, wo, cin, 3, 3),
+                     (sb, sy * stride, sx * stride, sc, sy, sx), writeable=False)
+    cols = win.reshape(bsz, ho * wo, cin * 9)
     out = np.matmul(cols, w.reshape(cout, -1).T) + b
     out = out.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2)
     return out, ConvCache(cols, w, stride, x.shape, (ho, wo))
@@ -98,8 +103,8 @@ def conv2d_bwd(dout, cache: ConvCache, input_grad=True):
     cols, w, stride, (bsz, cin, hi, wi), (ho, wo) = cache
     cout = w.shape[0]
     dout3 = dout.reshape(bsz, cout, ho * wo)
-    dw = np.matmul(dout3, cols).sum(axis=0).reshape(w.shape)
-    db = dout3.sum(axis=2).sum(axis=0)
+    dw = np.add.reduce(np.matmul(dout3, cols), axis=0).reshape(w.shape)
+    db = np.add.reduce(np.add.reduce(dout3, axis=2), axis=0)
     if not input_grad:
         return None, {"w": dw, "b": db}
     dcols = np.matmul(dout3.transpose(0, 2, 1), w.reshape(cout, -1))

@@ -54,16 +54,13 @@ from .errors import ConfigError
 # ---------------------------------------------------------------------------
 
 def sigmoid(x):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise: 1 / (1 + e^-x)
+    for x >= 0 and e^x / (1 + e^x) below, both from e^-|x|."""
     arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return float(out[0]) if scalar else out
+    ex = np.exp(-np.abs(arr))
+    den = 1.0 + ex
+    out = np.where(arr >= 0, 1.0 / den, ex / den)
+    return float(out) if arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +173,8 @@ def _corner_table(levels, locs):
     oky = (ys >= 0) & (ys < h)
     wx = np.where(okx, np.stack([1 - tx, tx]), 0.0)
     wy = np.where(oky, np.stack([1 - ty, ty]), 0.0)
-    xs = np.clip(xs, 0, w - 1)
-    ys = np.clip(ys, 0, h - 1)
+    xs = np.minimum(np.maximum(xs, 0), w - 1)  # np.clip, without its wrappers
+    ys = np.minimum(np.maximum(ys, 0), h - 1)
     rows = ys[:, None] * w + xs[None]
     rows *= heads
     rows += np.arange(heads)[:, None, None]
@@ -291,7 +288,7 @@ def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray, dense_pi
         flat = lev.reshape(-1, d)
         for b in blocks:
             for k in range(4):
-                vals = np.take(flat, table.rows[k, b, :, l], axis=0)
+                vals = flat.take(table.rows[k, b, :, l], axis=0)
                 out[b] += np.einsum("rhpc,rhp->rhc", vals, cw[k, b, :, l])
     return out, table
 
@@ -340,13 +337,13 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, dout,
                 dout_h = dout[b].transpose(1, 0, 2)
                 dv += np.matmul(a.transpose(0, 2, 1), dout_h)
                 da = np.matmul(dout_h, v.transpose(0, 2, 1), out=a)  # A is spent
-                contrib[:, b, :, l] = np.take(da, idx).reshape(contrib[:, b, :, l].shape)
+                contrib[:, b, :, l] = da.take(idx).reshape(contrib[:, b, :, l].shape)
             dlevels.append(dv.transpose(1, 0, 2).reshape(lev.shape))
             continue
         flat = lev.reshape(-1, d)
         for b in blocks:
             for k in range(4):
-                vals = np.take(flat, rows[k, b, :, l], axis=0)
+                vals = flat.take(rows[k, b, :, l], axis=0)
                 # both operands have contiguous channel rows, so the dot
                 # product sums in the same order as on one (points, d) read
                 contrib[k, b, :, l] = np.einsum("rhpc,rhc->rhp", vals, dout[b])

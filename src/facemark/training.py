@@ -12,6 +12,7 @@ batch runs through the model one chunk of images at a time
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -269,11 +270,15 @@ def canonical_layout(n: int):
     return np.concatenate([base, ring], axis=0)
 
 
+@functools.lru_cache(maxsize=8)
 def _landmark_colors(n: int):
-    # fixed hue wheel so each landmark renders with its own tint
+    # fixed hue wheel so each landmark renders with its own tint; one
+    # read-only table per landmark count
     phase = 2.0 * np.pi * np.arange(n)[:, None] / max(n, 1)
     shifts = np.array([0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0])[None, :]
-    return 0.55 + 0.45 * np.cos(phase + shifts)
+    colors = 0.55 + 0.45 * np.cos(phase + shifts)
+    colors.flags.writeable = False
+    return colors
 
 
 def render_face(landmarks, side, rng, spec: SyntheticFaceSpec):
@@ -284,11 +289,13 @@ def render_face(landmarks, side, rng, spec: SyntheticFaceSpec):
     img = spec.noise_level * rng.uniform(0.0, 1.0, (3, side, side))
     colors = _landmark_colors(n)
     sigma = spec.blob_sigma * side
-    jj, ii = np.meshgrid(np.arange(side), np.arange(side))
+    pix = np.arange(side)
     for k in range(n):
         gx = landmarks[k, 0] * side - 0.5
         gy = landmarks[k, 1] * side - 0.5
-        g = np.exp(-((jj - gx) ** 2 + (ii - gy) ** 2) / (2.0 * sigma * sigma))
+        # squared distance of pixel (row i, column j): (i - gy)^2 + (j - gx)^2
+        d2 = (pix - gy)[:, None] ** 2 + (pix - gx)[None] ** 2
+        g = np.exp(-d2 / (2.0 * sigma * sigma))
         img += spec.blob_intensity * colors[k][:, None, None] * g[None]
     return np.clip(img, 0.0, 1.0)
 
@@ -393,8 +400,11 @@ def train(state: DecoderState, dataset, cfg: TrainConfig, log=None):
         if not np.isfinite(loss):
             raise NumericError(f"training diverged at step {step}: loss={loss}")
         # one check over every entry: a sum is finite iff all its terms are,
-        # unless finite terms overflow, which is divergence too
-        if not math.isfinite(gflat.sum()):
+        # unless finite terms overflow, which is divergence too; numpy's
+        # warnings for inf - inf and overflow would only precede the error
+        with np.errstate(invalid="ignore", over="ignore"):
+            total = gflat.sum()
+        if not math.isfinite(total):
             bad = next((k for k, g in grads.items() if not np.isfinite(g).all()),
                        "the sum over all parameters")
             raise NumericError(f"training diverged at step {step}: non-finite gradient in {bad}")

@@ -112,6 +112,42 @@ def test_layer_norm_backward_matches_fd():
     _fd_check([("x", x), ("g", g), ("b", b)], [dx, grads["g"], grads["b"]], loss)
 
 
+def _layer_norm_mean_var(x, gain, bias, eps=1e-5):
+    """Layer norm through ndarray.mean and .var: (out, xhat, inv)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return gain * xhat + bias, xhat, inv
+
+
+def _layer_norm_mean_bwd(dout, xhat, inv, gain):
+    dxhat = dout * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv * (dxhat - m1 - xhat * m2)
+    return dx, (dout * xhat).sum(axis=0).sum(axis=0), dout.sum(axis=0).sum(axis=0)
+
+
+def test_layer_norm_matches_mean_and_var_bit_for_bit():
+    rng = np.random.default_rng(8)
+    g, b = rng.normal(size=16), rng.normal(size=16)
+    contiguous = rng.normal(3.0, 2.0, (7, 5, 16))
+    channels_first = rng.normal(size=(16, 5, 7)).T  # the last axis is strided
+    every_other = rng.normal(size=(7, 5, 32))[..., ::2]
+    for x in (contiguous, channels_first, every_other):
+        out, (xhat, inv, _) = layer_norm_fwd(x, g, b)
+        want, want_xhat, want_inv = _layer_norm_mean_var(x, g, b)
+        for got, ref in ((out, want), (xhat, want_xhat), (inv, want_inv)):
+            assert got.strides == ref.strides and got.tobytes() == ref.tobytes()
+        dout = rng.normal(size=x.shape)
+        dx, grads = layer_norm_bwd(dout, (xhat, inv, g))
+        want_dx, want_g, want_b = _layer_norm_mean_bwd(dout, want_xhat, want_inv, g)
+        assert dx.strides == want_dx.strides and dx.tobytes() == want_dx.tobytes()
+        assert grads["g"].tobytes() == want_g.tobytes()
+        assert grads["b"].tobytes() == want_b.tobytes()
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(2)
     z = rng.normal(size=(4, 7)) * 30  # large logits must not overflow

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from facemark.backbone import (
     BackboneConfig,
@@ -38,6 +39,36 @@ def test_conv_matches_scalar_reference():
         b = rng.normal(size=3)
         out, _ = conv2d_fwd(x, w, b, stride)
         npt.assert_allclose(out, _conv_reference(x, w, b, stride), atol=1e-12)
+
+
+def _conv_pad_windows(x, w, b, stride):
+    """im2col through np.pad and sliding_window_view: (out, cols)."""
+    bsz, cin = x.shape[:2]
+    cout = w.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = win.shape[2], win.shape[3]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(bsz, ho * wo, cin * 9)
+    out = np.matmul(cols, w.reshape(cout, -1).T) + b
+    return out.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2), cols
+
+
+def test_conv_matches_pad_and_window_im2col_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for bsz, cin, side, cout in ((3, 3, 16, 8), (2, 8, 7, 5), (1, 16, 4, 16)):
+        w = rng.normal(size=(cout, cin, 3, 3))
+        b = rng.normal(size=cout)
+        plain = rng.normal(size=(bsz, cin, side, side))
+        # the backbone passes each stage the channels-last output of the last
+        channels_last = rng.normal(size=(bsz, side, side, cin)).transpose(0, 3, 1, 2)
+        for x in (plain, channels_last):
+            for stride in (1, 2):
+                out, cache = conv2d_fwd(x, w, b, stride)
+                want, cols = _conv_pad_windows(x, w, b, stride)
+                assert cache.cols.flags.c_contiguous
+                assert cache.cols.tobytes() == cols.tobytes()
+                assert out.shape == want.shape and out.strides == want.strides
+                assert out.tobytes() == want.tobytes()
 
 
 def test_conv_identity_kernel():

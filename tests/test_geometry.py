@@ -40,6 +40,32 @@ def test_sigmoid_scalar_input():
     assert math.isclose(float(sigmoid(1.0)), 1.0 / (1.0 + math.exp(-1.0)))
 
 
+def _masked_sigmoid(x):
+    """The two-branch formula with boolean-mask gathers and scatters."""
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    ex = np.exp(arr[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_the_masked_formula_bit_for_bit():
+    rng = np.random.default_rng(3)
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 800.0, -800.0,
+                      np.inf, -np.inf, 36.7, -36.7, 745.2, -745.2])
+    for x in (edges, rng.normal(0.0, 4.0, 999), rng.normal(0.0, 40.0, (7, 5, 2)),
+              rng.normal(0.0, 4.0, (6, 8)).T):
+        got = sigmoid(x)
+        assert got.shape == x.shape
+        assert got.tobytes() == _masked_sigmoid(x).reshape(x.shape).tobytes()
+    for v in edges:
+        got = sigmoid(v)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == _masked_sigmoid(v).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # PyramidLayout
 # ---------------------------------------------------------------------------

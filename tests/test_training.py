@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -38,6 +39,8 @@ from facemark.training import (
 )
 
 from conftest import TINY_SPEC, jitter_params
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +169,65 @@ def test_train_aborts_on_a_non_finite_gradient(tiny_state, tiny_batch, monkeypat
     monkeypatch.setattr(training, "batch_loss_and_grads", finite_loss_inf_grad)
     with pytest.raises(NumericError, match=r"step 1\b.*layers\.1\.ffn\.w2"):
         train(tiny_state, tiny_batch, TrainConfig(steps=3, lr_drop_step=0))
+
+
+def _opposite_infs(grads):
+    grads["layers.1.ffn.w2"][3, 1] = np.inf
+    grads["layers.1.ffn.w2"][4, 0] = -np.inf
+
+
+def _overflowing_sum(grads):
+    for g in grads.values():
+        g.fill(1e308)
+
+
+@pytest.mark.parametrize("fill, bad", [(_opposite_infs, r"layers\.1\.ffn\.w2"),
+                                       (_overflowing_sum, "the sum over all parameters")],
+                         ids=["opposite-infs", "overflow"])
+def test_train_aborts_on_a_nan_or_overflowing_gradient_sum_without_a_warning(
+        tiny_state, tiny_batch, monkeypatch, fill, bad):
+    # numpy would warn about inf - inf or an overflowing sum before train raises
+    import facemark.training as training
+
+    def stub(params, cfg, images, targets):
+        flat, grads = flat_views({k: v.shape for k, v in params.items()})
+        flat.fill(0.0)
+        fill(grads)
+        return 0.5, flat, grads
+
+    monkeypatch.setattr(training, "batch_loss_and_grads", stub)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"step 1\b.*" + bad):
+            train(tiny_state, tiny_batch, TrainConfig(steps=3, lr_drop_step=0))
+
+
+_TINY_PARALLEL_TRAIN = [
+    "-m", "facemark", "train", "--config", os.path.join(ROOT, "configs", "tiny.cfg"),
+    "--set", "model.parallel=true", "--set", "train.steps=30",
+    "--set", "train.lr_drop_step=20",
+]
+
+
+def test_parallel_training_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # 30 steps of TINY's parallel decoder write the same checkpoint and log
+    # at 1 and 2 BLAS threads
+    from facemark.cli import main
+
+    data = str(tmp_path / "ds")
+    assert main(["gen-data", "--out", data, "--config",
+                 os.path.join(ROOT, "configs", "tiny.cfg")]) == 0
+    outputs = []
+    for threads in ("1", "2"):
+        ckpt = tmp_path / f"t{threads}.ckpt"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(facemark.__file__))}
+        subprocess.run([sys.executable, *_TINY_PARALLEL_TRAIN, "--data", data,
+                        "--out", str(ckpt)], env=env, capture_output=True, check=True)
+        log = (tmp_path / f"t{threads}.ckpt.log").read_bytes()
+        assert len(log.splitlines()) == 1 + 30
+        outputs.append((hashlib.sha256(ckpt.read_bytes()).hexdigest(), log))
+    assert outputs[0] == outputs[1]
 
 
 # sha256 of every gradient array, in path order, of two 64 px faces through
@@ -501,6 +563,33 @@ def test_gen_synthetic_zero_jitter_hits_canonical_layout():
     )
     sample = gen_synthetic(spec, 1, 0)[0]
     npt.assert_allclose(sample.landmarks, canonical_layout(5), atol=1e-12)
+
+
+def _render_per_pixel(landmarks, side, rng, spec):
+    """The blob renderer over a full (row, column) meshgrid."""
+    img = spec.noise_level * rng.uniform(0.0, 1.0, (3, side, side))
+    n = landmarks.shape[0]
+    phase = 2.0 * np.pi * np.arange(n)[:, None] / max(n, 1)
+    shifts = np.array([0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0])[None, :]
+    colors = 0.55 + 0.45 * np.cos(phase + shifts)
+    sigma = spec.blob_sigma * side
+    jj, ii = np.meshgrid(np.arange(side), np.arange(side))
+    for k in range(n):
+        gx = landmarks[k, 0] * side - 0.5
+        gy = landmarks[k, 1] * side - 0.5
+        g = np.exp(-((jj - gx) ** 2 + (ii - gy) ** 2) / (2.0 * sigma * sigma))
+        img += spec.blob_intensity * colors[k][:, None, None] * g[None]
+    return np.clip(img, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("spec", [TINY_SPEC, SyntheticFaceSpec(num_landmarks=68, image_side=64)],
+                         ids=["tiny", "64px"])
+def test_gen_synthetic_matches_the_per_pixel_renderer_bit_for_bit(spec):
+    for i, sample in enumerate(gen_synthetic(spec, 3, 4)):
+        rng = np.random.default_rng((4, i))
+        rng.uniform(size=4)  # scale, rotation and the 2-vector translation
+        want = _render_per_pixel(sample.landmarks, spec.image_side, rng, spec)
+        assert sample.image.tobytes() == want.tobytes()
 
 
 def test_gen_synthetic_rejects_zero_count():
