@@ -109,12 +109,15 @@ def _matmul_rows(a, b):
     return out
 
 
-def linear_fwd(x, w, b):
+def linear_fwd(x, w, b, out=None):
     """x @ w + b over the last axis of (R, C) rows or an (R, B, C) stack,
-    as one matmul call holding one (R, C) @ (C, K) product per image."""
+    as one matmul call holding one (R, C) @ (C, K) product per image.  The
+    products land in `out`, an (R, B, K) array, if given, else in a new
+    C-ordered one, and the bias is added there in place."""
     x3 = x.reshape(x.shape[0], -1, x.shape[-1])
-    y = np.empty(x3.shape[:2] + w.shape[1:])
-    np.add(np.matmul(x3.transpose(1, 0, 2), w), b, out=y.transpose(1, 0, 2))
+    y = np.empty(x3.shape[:2] + w.shape[1:]) if out is None else out
+    np.matmul(x3.transpose(1, 0, 2), w, out=y.transpose(1, 0, 2))
+    y += b
     return y.reshape(x.shape[:-1] + w.shape[1:]), (x3, w)
 
 
@@ -122,7 +125,8 @@ def linear_bwd(dout, cache):
     x3, w = cache
     dout_b = dout.reshape(x3.shape[:2] + w.shape[1:]).transpose(1, 0, 2)
     dx = np.matmul(dout_b, w.T).transpose(1, 0, 2)
-    dw = np.add.reduce(_matmul_rows(x3.transpose(1, 2, 0), dout_b), axis=0)
+    dws = _matmul_rows(x3.transpose(1, 2, 0), dout_b)
+    dw = dws[0] if len(dws) == 1 else np.add.reduce(dws, axis=0)
     return dx.reshape(dout.shape[:-1] + w.shape[:1]), {"w": dw, "b": _sum_rows(dout)}
 
 

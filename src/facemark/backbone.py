@@ -82,16 +82,18 @@ def conv2d_fwd(x, w, b, stride):
     laid out channels-last in memory."""
     bsz, cin, hi, wi = x.shape
     cout = w.shape[0]
-    xp = np.zeros((bsz, cin, hi + 2, wi + 2))
-    xp[:, :, 1:-1, 1:-1] = x
+    # padded channels-last, the layout a previous conv's output has in memory
+    xp = np.zeros((bsz, hi + 2, wi + 2, cin))
+    xp[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
     ho, wo = (hi - 1) // stride + 1, (wi - 1) // stride + 1
-    sb, sc, sy, sx = xp.strides
+    sb, sy, sx, sc = xp.strides
     # every 3x3 window as one view, (B, ho, wo, cin, 3, 3); the reshape
     # copies it into rows of (cin, ky, kx) columns
     win = as_strided(xp, (bsz, ho, wo, cin, 3, 3),
                      (sb, sy * stride, sx * stride, sc, sy, sx), writeable=False)
     cols = win.reshape(bsz, ho * wo, cin * 9)
-    out = np.matmul(cols, w.reshape(cout, -1).T) + b
+    out = np.matmul(cols, w.reshape(cout, -1).T)
+    out += b
     out = out.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2)
     return out, ConvCache(cols, w, stride, x.shape, (ho, wo))
 
@@ -148,10 +150,13 @@ def extract_memory(images, params: Params, cfg: BackboneConfig):
             f"{cfg.last_stride}"
         )
     layout = PyramidLayout.for_image(hi, cfg.num_levels)
+    # each level's projection writes its own rows of the memory, in
+    # (row, col, image) order: memory row m of image b at m * B + b
+    data = np.empty((layout.total_len * bsz, cfg.dim))
     stages = []
-    feats = []
+    projections = []
     x = images
-    for i in range(cfg.num_levels):
+    for i, sl in enumerate(layout.block_slices(bsz)):
         pre = f"backbone.s{i + 1}"
         h1, ca = conv2d_fwd(x, params[f"{pre}.conva.w"], params[f"{pre}.conva.b"], 2)
         a1, ma = relu_fwd(h1)
@@ -159,18 +164,12 @@ def extract_memory(images, params: Params, cfg: BackboneConfig):
         h2, cb = conv2d_fwd(a1, params[f"{pre}.convb.w"], params[f"{pre}.convb.b"], sb)
         x, mb = relu_fwd(h2)
         stages.append(StageCache(ca, ma, cb, mb))
-        feats.append(x)
-    blocks = []
-    projections = []
-    for i, feat in enumerate(feats):
-        _, ch, h, w = feat.shape
-        # rows in (row, col, image) order: memory row m of image b at m * B + b
-        rows = feat.transpose(2, 3, 0, 1).reshape(h * w, bsz, ch)
-        out, lin = linear_fwd(rows, params[f"project.l{i + 1}.w"],
-                              params[f"project.l{i + 1}.b"])
-        blocks.append(out.reshape(h * w * bsz, -1))
+        _, ch, h, w = x.shape
+        rows = x.transpose(2, 3, 0, 1).reshape(h * w, bsz, ch)
+        _, lin = linear_fwd(rows, params[f"project.l{i + 1}.w"],
+                            params[f"project.l{i + 1}.b"],
+                            out=data[sl].reshape(h * w, bsz, cfg.dim))
         projections.append((lin, (h, w)))
-    data = np.concatenate(blocks, axis=0)
     return (MemoryFeature(data, layout),
             BackboneCache(stages, projections, cfg, layout, bsz))
 

@@ -168,23 +168,32 @@ def chunk_slices(count: int, cfg: ModelConfig) -> list[slice]:
 class _NoDraws:
     """Stand-in for the generator `init_params` draws from that draws and
     allocates nothing: every draw, and every array of zeros or ones or
-    offset ring that the init asks it for, is a read-only broadcast scalar
-    of the asked size.  So shapes cost no memory, whatever size they claim."""
+    offset ring that the init asks it for, is a `_Shaped` of the asked size.
+    So shapes cost no memory, whatever size they claim."""
 
     def uniform(self, low=0.0, high=1.0, size=None):
-        return np.broadcast_to(0.0, size)
+        return _Shaped(size)
 
     def normal(self, loc=0.0, scale=1.0, size=None):
-        return np.broadcast_to(0.0, size)
+        return _Shaped(size)
 
     def zeros(self, shape):
-        return np.broadcast_to(0.0, shape)
+        return _Shaped(shape)
 
     def ones(self, shape):
-        return np.broadcast_to(1.0, shape)
+        return _Shaped(shape)
 
     def offset_ring(self, k):
-        return np.broadcast_to(0.0, (2 * k,))
+        return _Shaped(2 * k)
+
+
+class _Shaped:
+    """A shape with no array behind it."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, size):
+        self.shape = size if isinstance(size, tuple) else (size,)
 
 
 def _offset_ring(k):

@@ -32,14 +32,19 @@ def write_ppm(path, image, comment: str | None = None):
     readers skip it.
     """
     _, h, w = image.shape
-    data = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
+    # round, then clip, all in one scratch array
+    scaled = np.multiply(image, 255.0)
+    np.rint(scaled, out=scaled)
+    np.maximum(scaled, 0, out=scaled)
+    np.minimum(scaled, 255, out=scaled)
+    data = scaled.transpose(1, 2, 0).astype(np.uint8, order="C")
     header = "P6\n"
     if comment:
         header += f"# {comment}\n"
     header += f"{w} {h}\n255\n"
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        f.write(data.transpose(1, 2, 0).tobytes())
+        f.write(data)
 
 
 def read_ppm(path):

@@ -50,14 +50,17 @@ def landmark_loss(outputs, gt):
     return loss, dys
 
 
-def batch_loss_and_grads(params: Params, cfg: ModelConfig, images, targets):
+def batch_loss_and_grads(params: Params, cfg: ModelConfig, images, targets,
+                         buffer=None):
     """Mean loss and mean parameter gradients over a batch of images
     (B, 3, side, side) and targets (B, N, 2): (loss, flat gradient vector,
-    its {path: view} dict), laid out by `flat_views`."""
+    its {path: view} dict), laid out by `flat_views`.  The gradients go
+    into `buffer`, a (vector, views) pair from `flat_views`, if given, else
+    into a new one; either is zero-filled first."""
     images, targets = np.asarray(images), np.asarray(targets)
     scale = 1.0 / len(images)
     total = 0.0
-    flat, grads = flat_views({k: v.shape for k, v in params.items()})
+    flat, grads = buffer or flat_views({k: v.shape for k, v in params.items()})
     flat.fill(0.0)
     for sl in chunk_slices(len(images), cfg):
         ys, cache = forward(params, images[sl], cfg)
@@ -374,8 +377,10 @@ def train(state: DecoderState, dataset, cfg: TrainConfig, log=None):
     """
     if len(dataset) == 0:
         raise ConfigError("training dataset is empty")
-    flat, params = flat_views({k: v.shape for k, v in state.params.items()})
+    shapes = {k: v.shape for k, v in state.params.items()}
+    flat, params = flat_views(shapes)
     np.concatenate([state.params[k].ravel() for k in params], out=flat)
+    grad_buffer = flat_views(shapes)
     mcfg = state.config
     # every backbone.* path sorts first, so the backbone is a leading slice
     slow = sum(v.size for k, v in params.items() if k.startswith("backbone."))
@@ -396,7 +401,8 @@ def train(state: DecoderState, dataset, cfg: TrainConfig, log=None):
                 img, lm = augment(img, lm, rng_aug, cfg.augment)
             images.append(img)
             targets.append(lm)
-        loss, gflat, grads = batch_loss_and_grads(params, mcfg, images, targets)
+        loss, gflat, grads = batch_loss_and_grads(params, mcfg, images, targets,
+                                                  grad_buffer)
         if not np.isfinite(loss):
             raise NumericError(f"training diverged at step {step}: loss={loss}")
         # one check over every entry: a sum is finite iff all its terms are,

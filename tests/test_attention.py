@@ -90,6 +90,56 @@ def test_linear_forward_and_backward_exact():
     npt.assert_allclose(grads["b"], dout.sum(0), atol=1e-15)
 
 
+def _linear_two_pass(x, w, b):
+    """linear_fwd as a GEMM into a temporary plus a second pass for the bias."""
+    x3 = x.reshape(x.shape[0], -1, x.shape[-1])
+    y = np.empty(x3.shape[:2] + w.shape[1:])
+    np.add(np.matmul(x3.transpose(1, 0, 2), w), b, out=y.transpose(1, 0, 2))
+    return y.reshape(x.shape[:-1] + w.shape[1:])
+
+
+def _linear_bwd_reduced(dout, x, w):
+    """linear_bwd with every weight gradient summed over the image axis by
+    np.add.reduce, over row blocks of 256 added in order."""
+    x3 = x.reshape(x.shape[0], -1, x.shape[-1])
+    dout_b = dout.reshape(x3.shape[:2] + w.shape[1:]).transpose(1, 0, 2)
+    dx = np.matmul(dout_b, w.T).transpose(1, 0, 2).reshape(x.shape)
+    xt = x3.transpose(1, 2, 0)
+    dws = np.matmul(xt[..., :256], dout_b[:, :256])
+    for r0 in range(256, len(x3), 256):
+        dws = dws + np.matmul(xt[..., r0:r0 + 256], dout_b[:, r0:r0 + 256])
+    db = np.add.reduce(dout, axis=0)
+    return dx, np.add.reduce(dws, axis=0), np.add.reduce(db, axis=0) if db.ndim == 2 else db
+
+
+@pytest.mark.parametrize("rows", [200, 300])
+def test_linear_matches_the_two_pass_formula_bit_for_bit(rows):
+    # rows of one image, stacks of 1 and 3 images, at most and more than
+    # the 256 rows of one weight-gradient block
+    rng = np.random.default_rng(rows)
+    w = rng.normal(size=(24, 40))
+    b = rng.normal(size=40)
+    for shape in ((rows, 24), (rows, 1, 24), (rows, 3, 24)):
+        x = rng.normal(size=shape)
+        y, cache = linear_fwd(x, w, b)
+        want = _linear_two_pass(x, w, b)
+        assert y.shape == want.shape and y.strides == want.strides
+        assert y.tobytes() == want.tobytes()
+        # out= writes the products into the caller's (R, B, K) rows and
+        # nowhere else
+        buf = np.full((y.size // 40 + 5, 40), np.nan)
+        view = buf[3:-2].reshape(rows, -1, 40)
+        y_out, _ = linear_fwd(x, w, b, out=view)
+        assert np.shares_memory(y_out, view) and y_out.tobytes() == want.tobytes()
+        assert view.tobytes() == want.tobytes()
+        assert np.isnan(buf[:3]).all() and np.isnan(buf[-2:]).all()
+        dout = rng.normal(size=y.shape)
+        dx, grads = linear_bwd(dout, cache)
+        want_dx, want_dw, want_db = _linear_bwd_reduced(dout, x, w)
+        for got, ref in ((dx, want_dx), (grads["w"], want_dw), (grads["b"], want_db)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 def test_layer_norm_hand_case():
     x = np.array([[1.0, 2.0, 3.0]])
     out, _ = layer_norm_fwd(x, np.ones(3), np.zeros(3))

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from facemark.attention import relu_fwd
 from facemark.backbone import (
     BackboneConfig,
     conv2d_bwd,
@@ -209,3 +210,31 @@ def test_memory_rows_interleave_the_images():
     for b in range(3):
         one, _ = extract_memory(imgs[b:b + 1], params, cfg)
         npt.assert_array_equal(batch.data[b::3], one.data)
+
+
+def test_memory_matches_concatenated_level_projections_bit_for_bit():
+    # each level's projection writes its rows of the memory in place; the
+    # result equals projecting each level with a GEMM plus a bias pass and
+    # concatenating the levels
+    cfg = BackboneConfig((4, 8, 16), 24)
+    rng = np.random.default_rng(8)
+    params = init_backbone_params(rng, cfg)
+    for v in params.values():
+        v += rng.normal(0, 0.05, v.shape)
+    for bsz in (1, 3):
+        imgs = rng.uniform(0, 1, (bsz, 3, 64, 64))
+        mem, _ = extract_memory(imgs, params, cfg)
+        blocks, x = [], imgs
+        for i in range(cfg.num_levels):
+            pre = f"backbone.s{i + 1}"
+            x = relu_fwd(conv2d_fwd(x, params[f"{pre}.conva.w"],
+                                    params[f"{pre}.conva.b"], 2)[0])[0]
+            x = relu_fwd(conv2d_fwd(x, params[f"{pre}.convb.w"],
+                                    params[f"{pre}.convb.b"], 2 if i == 0 else 1)[0])[0]
+            _, ch, h, w = x.shape
+            rows = x.transpose(0, 2, 3, 1).reshape(bsz, h * w, ch)
+            proj = np.matmul(rows, params[f"project.l{i + 1}.w"]) + params[f"project.l{i + 1}.b"]
+            blocks.append(proj.transpose(1, 0, 2).reshape(h * w * bsz, cfg.dim))
+        want = np.concatenate(blocks)
+        assert mem.data.flags.c_contiguous and mem.data.shape == want.shape
+        assert mem.data.tobytes() == want.tobytes()

@@ -476,7 +476,7 @@ def test_load_rejects_params_misshapen_for_the_meta_dim(tmp_path, tiny_state):
 
 def test_load_allocates_nothing_for_a_claimed_dim(tmp_path, tiny_state):
     # the expected shapes of an 8e6-wide model, and its offset-bias ring,
-    # are broadcasts, not arrays; shapes stop at the first absent layer
+    # are shape-only stand-ins, not arrays; shapes stop at the first absent layer
     for key, old, new in (("dim", 16, 8000000), ("points", 2, 2000000),
                           ("num_layers", 2, 20000)):
         path = tmp_path / f"{key}.ckpt"
@@ -494,6 +494,23 @@ def test_load_allocates_nothing_for_a_claimed_dim(tmp_path, tiny_state):
         assert str(path) in str(err.value)
         assert peak < 5 * 2**20, key
         assert elapsed < 1.0, key
+
+
+def test_default_inference_forward_peak_memory():
+    # one 256 px image through the default model without caches: each
+    # level's projection writes its rows of the memory in place, with no
+    # GEMM temporary and no concatenated copy (26.2 MiB measured; 36.6 MiB
+    # with them)
+    cfg = ModelConfig()
+    params = init_params(cfg, seed=0)
+    img = np.random.default_rng(0).uniform(0, 1, (1, 3, 256, 256))
+    tracemalloc.start()
+    try:
+        forward(params, img, cfg, keep_cache=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
 
 
 def test_load_rejects_extra_params(tmp_path, tiny_state):

@@ -36,6 +36,26 @@ def test_ppm_round_trip_is_exact_on_the_8bit_grid(tmp_path):
     npt.assert_allclose(back, img, atol=1e-12)
 
 
+def test_ppm_rounds_half_to_even_then_clips(tmp_path):
+    # x * 255 rounds half to even, then clips to [0, 255]; the scaled ties
+    # 0.5, 2.5, 254.5 and the non-ties 0.7, 254.7 are exact in float64
+    values = [0.0, -0.0, 1.0, -1e-9, -0.001, 1.0 + 1e-9, 1.001, -5.0, 7.0,
+              0.5 / 255, 2.5 / 255, 254.5 / 255, 0.7 / 255, 254.7 / 255]
+    want = [0, 0, 255, 0, 0, 255, 255, 0, 255, 0, 2, 254, 1, 255]
+    img = np.array(values).reshape(1, 1, -1).repeat(3, axis=0)
+    img[1] *= -1.0
+    path = tmp_path / "v.ppm"
+    write_ppm(path, img)
+    data = path.read_bytes()
+    header = f"P6\n{len(values)} 1\n255\n".encode()
+    assert data[:len(header)] == header
+    pixels = np.frombuffer(data[len(header):], np.uint8).reshape(-1, 3)
+    assert pixels[:, 0].tolist() == want
+    assert pixels[:, 2].tolist() == want
+    # the negated values: only -(-5.0) lies above 0.5 / 255
+    assert pixels[:, 1].tolist() == [0] * 7 + [255] + [0] * 6
+
+
 def test_ppm_bytes_deterministic(tmp_path):
     img = _gradient_image()
     a, b = tmp_path / "a.ppm", tmp_path / "b.ppm"

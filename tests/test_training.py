@@ -160,7 +160,7 @@ def test_blocked_adam_matches_the_elementwise_formula_bit_for_bit():
 def test_train_aborts_on_a_non_finite_gradient(tiny_state, tiny_batch, monkeypatch):
     import facemark.training as training
 
-    def finite_loss_inf_grad(params, cfg, images, targets):
+    def finite_loss_inf_grad(params, cfg, images, targets, buffer):
         flat, grads = flat_views({k: v.shape for k, v in params.items()})
         flat.fill(0.0)
         grads["layers.1.ffn.w2"][3, 1] = np.inf
@@ -189,7 +189,7 @@ def test_train_aborts_on_a_nan_or_overflowing_gradient_sum_without_a_warning(
     # numpy would warn about inf - inf or an overflowing sum before train raises
     import facemark.training as training
 
-    def stub(params, cfg, images, targets):
+    def stub(params, cfg, images, targets, buffer):
         flat, grads = flat_views({k: v.shape for k, v in params.items()})
         flat.fill(0.0)
         fill(grads)
@@ -278,6 +278,20 @@ def test_batch_loss_and_grads_is_the_mean_over_images(tiny_state):
     npt.assert_allclose(loss2, loss1, rtol=1e-12)
     for k in g1:
         npt.assert_allclose(g2[k], g1[k], rtol=1e-9, atol=1e-15, err_msg=k)
+
+
+def test_batch_loss_and_grads_refills_a_given_buffer(tiny_state):
+    # train passes one buffer to every step: it comes back zero-filled and
+    # then holding this batch's gradients, bit for bit a fresh buffer's
+    state = jitter_params(tiny_state)
+    faces = gen_synthetic(TINY_SPEC, 3, 4)
+    images, targets = [f.image for f in faces], [f.landmarks for f in faces]
+    loss, fresh, _ = batch_loss_and_grads(state.params, TINY, images, targets)
+    buffer = flat_views({k: v.shape for k, v in state.params.items()})
+    buffer[0].fill(7.0)
+    loss2, flat, grads = batch_loss_and_grads(state.params, TINY, images, targets, buffer)
+    assert flat is buffer[0] and grads is buffer[1]
+    assert loss2 == loss and flat.tobytes() == fresh.tobytes()
 
 
 def test_train_config_validation():
