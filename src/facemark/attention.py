@@ -18,7 +18,9 @@ of their gradient sum.  (One GEMM over all B * R rows would not: BLAS may
 sum a row in another order when the row count changes.)  A weight gradient
 over more than _SUM_ROWS rows adds blocks of _SUM_ROWS rows in order, so
 that its bits do not depend on the BLAS thread count either.
-Self-attention mixes the N queries of each image only.
+Self-attention mixes the N queries of each image only.  The deformable
+functions take the decoder's `ModelConfig` for their head, level and point
+counts.
 
 The deformable core (bilinear reads weighted by the softmaxed attention
 weights, summed per head) is the fused `geometry.bilinear_sample_many` and
@@ -40,11 +42,10 @@ only what its queries read; see the comment above `_bias_mass`.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError
 from .geometry import (
     DENSE_PIXELS,
     PyramidLayout,
@@ -52,31 +53,8 @@ from .geometry import (
     bilinear_sample_many_backward,
 )
 
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    """Head/level/point geometry shared by both attention flavors."""
-
-    dim: int
-    heads: int
-    levels: int
-    points: int  # sampling points per head per level
-
-    def __post_init__(self):
-        for name in ("dim", "heads", "levels", "points"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.dim % self.heads != 0:
-            raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
-
-    @property
-    def total_points(self) -> int:
-        """Memory reads per query per layer."""
-        return self.heads * self.levels * self.points
+if TYPE_CHECKING:
+    from .decoder import ModelConfig
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +263,7 @@ def self_attention_bwd(dout, cache):
 ValueCache = namedtuple("ValueCache", "lin slices")
 
 
-def project_value(memory_data, layout: PyramidLayout, p, cfg: AttentionConfig):
+def project_value(memory_data, layout: PyramidLayout, p, cfg: ModelConfig):
     """Project the (M * B, C) memory rows of B images and view each level,
     without a copy, as (h, w, B * heads, head_dim)."""
     bsz = memory_data.shape[0] // layout.total_len
@@ -293,8 +271,8 @@ def project_value(memory_data, layout: PyramidLayout, p, cfg: AttentionConfig):
     value, lin = linear_fwd(rows, p["w_val"], p["b_val"])
     value = value.reshape(memory_data.shape[0], -1)
     slices = layout.block_slices(bsz)
-    levels = [value[sl].reshape(h, w, -1, cfg.head_dim)
-              for (h, w, _), sl in zip(layout.levels, slices)]
+    levels = [value[sl].reshape(h, w, -1, cfg.dim // cfg.heads)
+              for (h, w), sl in zip(layout.levels, slices)]
     return levels, ValueCache(lin, slices)
 
 
@@ -312,7 +290,7 @@ def project_value_bwd(dlevels, cache: ValueCache):
 FieldCache = namedtuple("FieldCache", "coff cwgt beta lead")
 
 
-def sampling_fields(x, p, cfg: AttentionConfig):
+def sampling_fields(x, p, cfg: ModelConfig):
     """Predict per-row sampling offsets and softmaxed attention weights.
 
     x is (..., C); offsets come out (..., heads, levels, points, 2) and
@@ -366,7 +344,7 @@ def deform_core_bwd(dout, cache: CoreCache):
         cache.dense_pixels)
 
 
-def _sampling_points(x_rows, refs_rows, p, cfg: AttentionConfig):
+def _sampling_points(x_rows, refs_rows, p, cfg: ModelConfig):
     """Sampling locations refs + offsets, (..., heads, levels, points, 2),
     and softmaxed weights of the query rows."""
     if x_rows.shape[:-1] != refs_rows.shape[:-1]:
@@ -387,7 +365,7 @@ def _sampling_points_bwd(dlocs, dweights, cache: FieldCache):
 DeformCache = namedtuple("DeformCache", "fields core cout")
 
 
-def deform_project_fwd(x_rows, refs_rows, value_levels, p, cfg: AttentionConfig):
+def deform_project_fwd(x_rows, refs_rows, value_levels, p, cfg: ModelConfig):
     """Sampling-field prediction + deformable read + head merge + output
     projection for an arbitrary set of query rows (pre-residual output).
 
@@ -451,7 +429,7 @@ SampleCache = namedtuple("SampleCache", "fields core agg mass w_h b_h cout")
 
 
 def _sample_project_fwd(x, refs, memory_data, layout: PyramidLayout, p,
-                        cfg: AttentionConfig):
+                        cfg: ModelConfig):
     """Pre-residual deformable attention of (N, B, C) queries x at (N, B, 2)
     reference points over the (M * B, C) memory rows of B images."""
     n, bsz, dim = x.shape
@@ -460,7 +438,7 @@ def _sample_project_fwd(x, refs, memory_data, layout: PyramidLayout, p,
     locs = locs.swapaxes(1, 2).reshape((n * cfg.heads, bsz) + locs.shape[3:])
     weights = weights.swapaxes(1, 2).reshape(locs.shape[:-1])
     levels = [memory_data[sl].reshape(h, w, bsz, dim)
-              for (h, w, _), sl in zip(layout.levels, layout.block_slices(bsz))]
+              for (h, w), sl in zip(layout.levels, layout.block_slices(bsz))]
     agg, cc = deform_core_fwd(levels, locs, weights)
     # (B, heads, N, ·) views: one (N, C) @ (C, head_dim) GEMM per image and head
     agg = agg.reshape(n, cfg.heads, bsz, dim).transpose(2, 1, 0, 3)

@@ -4,55 +4,36 @@ matrix consumed by the attention layers.
 
 Images come as a channel-first float stack (B, 3, side, side) with values
 in [0, 1].  Stage i halves the grid once (the first stage twice), so level
-strides run 4, 8, 16, ... and the finest level sits first in the flattened
-memory.  The memory of the B images is one (M * B, dim) matrix whose row
-m * B + b is memory row m of image b.
+l has stride `geometry.level_stride(l)` and the finest level sits first in
+the flattened memory.  The memory of the B images is one (M * B, dim)
+matrix whose row m * B + b is memory row m of image b.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .attention import linear_bwd, linear_fwd, relu_fwd
 from .errors import ConfigError
-from .geometry import PyramidLayout
 from .params import Params, glorot
 
-
-@dataclass(frozen=True)
-class BackboneConfig:
-    stage_channels: tuple[int, ...] = (16, 32, 64, 128)
-    dim: int = 256  # projection width, matches the attention dim
-    in_channels: int = 3
-
-    def __post_init__(self):
-        if len(self.stage_channels) < 1:
-            raise ConfigError("backbone needs at least one stage")
-        if min(self.stage_channels) < 1:
-            raise ConfigError(f"stage_channels must all be >= 1, got {self.stage_channels}")
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.stage_channels)
-
-    @property
-    def last_stride(self) -> int:
-        return 4 * 2 ** (self.num_levels - 1)
+if TYPE_CHECKING:
+    from .decoder import ModelConfig
 
 
-MemoryFeature = namedtuple("MemoryFeature", "data layout")
+IN_CHANNELS = 3  # RGB
 
 
-def init_backbone_params(rng, cfg: BackboneConfig) -> Params:
+def init_backbone_params(rng, cfg: ModelConfig) -> Params:
     """Parameters drawn from `rng`; zeros come from its `zeros`, if it has
     one (see `decoder.param_shapes`)."""
     zeros = getattr(rng, "zeros", np.zeros)
     p: Params = {}
-    cin = cfg.in_channels
+    cin = IN_CHANNELS
     for i, cout in enumerate(cfg.stage_channels):
         p[f"backbone.s{i + 1}.conva.w"] = glorot(
             rng, cin * 9, cout * 9, (cout, cin, 3, 3)
@@ -125,34 +106,28 @@ def conv2d_bwd(dout, cache: ConvCache, input_grad=True):
 # ---------------------------------------------------------------------------
 
 StageCache = namedtuple("StageCache", "ca ma cb mb")
-BackboneCache = namedtuple("BackboneCache", "stages projections cfg layout batch")
+BackboneCache = namedtuple("BackboneCache", "stages projections layout batch")
 
 
-def extract_memory(images, params: Params, cfg: BackboneConfig):
+def extract_memory(images, params: Params, cfg: ModelConfig):
     """Run the backbone and projections on a (B, 3, side, side) stack;
-    return (MemoryFeature, cache).  The feature's data is (M * B, dim).
+    return the (M * B, dim) memory and a cache.  Its rows follow
+    `cfg.layout`.
 
     `params` is the full flat parameter dict; backbone entries live under
     the "backbone." and "project." prefixes.
     """
-    if images.ndim != 4:
+    side = cfg.image_side
+    if images.ndim != 4 or images.shape[1:] != (IN_CHANNELS, side, side):
         raise ConfigError(
-            f"expected a (batch, channels, side, side) image stack, got shape {images.shape}"
+            f"model expects a stack of {IN_CHANNELS}-channel {side}x{side} images, "
+            f"got shape {images.shape}"
         )
-    bsz, c, hi, wi = images.shape
-    if c != cfg.in_channels:
-        raise ConfigError(f"expected {cfg.in_channels}-channel image, got {c}")
-    if hi != wi:
-        raise ConfigError(f"expected a square image, got {hi}x{wi}")
-    if hi % cfg.last_stride != 0:
-        raise ConfigError(
-            f"image side {hi} not divisible by the coarsest stride "
-            f"{cfg.last_stride}"
-        )
-    layout = PyramidLayout.for_image(hi, cfg.num_levels)
+    bsz = images.shape[0]
+    layout = cfg.layout
     # each level's projection writes its own rows of the memory, in
     # (row, col, image) order: memory row m of image b at m * B + b
-    data = np.empty((layout.total_len * bsz, cfg.dim))
+    memory = np.empty((layout.total_len * bsz, cfg.dim))
     stages = []
     projections = []
     x = images
@@ -168,10 +143,9 @@ def extract_memory(images, params: Params, cfg: BackboneConfig):
         rows = x.transpose(2, 3, 0, 1).reshape(h * w, bsz, ch)
         _, lin = linear_fwd(rows, params[f"project.l{i + 1}.w"],
                             params[f"project.l{i + 1}.b"],
-                            out=data[sl].reshape(h * w, bsz, cfg.dim))
+                            out=memory[sl].reshape(h * w, bsz, cfg.dim))
         projections.append((lin, (h, w)))
-    return (MemoryFeature(data, layout),
-            BackboneCache(stages, projections, cfg, layout, bsz))
+    return memory, BackboneCache(stages, projections, layout, bsz)
 
 
 def extract_memory_bwd(ddata, cache: BackboneCache):
@@ -190,7 +164,7 @@ def extract_memory_bwd(ddata, cache: BackboneCache):
         grads[f"project.l{i + 1}.b"] = g["b"]
         dfeats.append(drows.reshape(h, w, bsz, -1).transpose(2, 3, 0, 1))
     dx = None
-    for i in range(cache.cfg.num_levels - 1, -1, -1):
+    for i in range(len(cache.stages) - 1, -1, -1):
         pre = f"backbone.s{i + 1}"
         st = cache.stages[i]
         d = dfeats[i] if dx is None else dfeats[i] + dx

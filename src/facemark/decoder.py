@@ -23,8 +23,10 @@ a loop over its images.  Callers split a larger stack into chunks of
 `images_per_chunk` images, so that a deformable pass holds about
 CHUNK_ROWS query rows.
 
-`ModelConfig`'s fields are the [model] config keys and, as text read by
-the config file's parsers, a checkpoint's metadata.
+`ModelConfig` is the one model config: the attention and backbone
+functions read their geometry from it, and it is validated in one place.
+Its fields are the [model] config keys and, as text read by the config
+file's parsers, a checkpoint's metadata.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attention import (
-    AttentionConfig,
     deform_project_fwd,
     deform_project_bwd,
     ffn_fwd,
@@ -54,7 +55,6 @@ from .attention import (
     _sample_project_bwd,
 )
 from .backbone import (
-    BackboneConfig,
     extract_memory,
     extract_memory_bwd,
     init_backbone_params,
@@ -64,6 +64,7 @@ from .geometry import (
     PyramidLayout,
     build_pixel_positions,
     level_of_row,
+    level_stride,
     pixel_centers,
     sigmoid,
 )
@@ -86,31 +87,29 @@ class ModelConfig:
     learned_query_init: bool = True
 
     def __post_init__(self):
-        if self.num_landmarks < 1:
-            raise ConfigError("need at least one landmark")
-        if self.num_layers < 1:
-            raise ConfigError("need at least one decoder layer")
+        """The one check of the model's geometry: the attention, backbone
+        and layout code trust these fields."""
+        for name in ("num_landmarks", "num_layers", "dim", "heads", "levels", "points"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if len(self.stage_channels) != self.levels:
+            raise ConfigError(f"stage_channels has {len(self.stage_channels)} entries "
+                              f"but levels is {self.levels}: one backbone stage per level")
+        if min(self.stage_channels) < 1:
+            raise ConfigError(f"stage_channels must all be >= 1, got {self.stage_channels}")
+        if self.dim % self.heads != 0:
+            raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
+        if self.parallel and self.dim % 2 != 0:
             raise ConfigError(
-                f"{self.levels} pyramid levels need {self.levels} backbone "
-                f"stages, got {len(self.stage_channels)}"
+                f"dim {self.dim} must be even with parallel = true: the memory "
+                f"rows' positional encoding splits dim into sin/cos pairs"
             )
-        # AttentionConfig / BackboneConfig validate the rest
-        self.attention_config
-        side = self.image_side
-        if side % self.backbone_config.last_stride != 0:
+        stride = level_stride(self.levels - 1)
+        if self.image_side < stride or self.image_side % stride != 0:
             raise ConfigError(
-                f"image side {side} not divisible by the coarsest stride "
-                f"{self.backbone_config.last_stride}"
+                f"image_side {self.image_side} is not a positive multiple of "
+                f"the coarsest pyramid stride {stride}"
             )
-
-    @property
-    def attention_config(self) -> AttentionConfig:
-        return AttentionConfig(self.dim, self.heads, self.levels, self.points)
-
-    @property
-    def backbone_config(self) -> BackboneConfig:
-        return BackboneConfig(tuple(self.stage_channels), self.dim)
 
     @property
     def layout(self) -> PyramidLayout:
@@ -216,10 +215,9 @@ def _build_params(cfg: ModelConfig, rng) -> Params:
     zeros = getattr(rng, "zeros", np.zeros)
     ones = getattr(rng, "ones", np.ones)
     offset_ring = getattr(rng, "offset_ring", _offset_ring)
-    p = init_backbone_params(rng, cfg.backbone_config)
-    layout = cfg.layout
+    p = init_backbone_params(rng, cfg)
     n, c = cfg.num_landmarks, cfg.dim
-    h_last, w_last, _ = layout.levels[-1]
+    h_last, w_last = cfg.layout.levels[-1]
     if cfg.learned_query_init:
         p["query_init.w"] = glorot(rng, h_last * w_last, n)
         p["query_init.b"] = zeros(n)
@@ -233,7 +231,7 @@ def _build_params(cfg: ModelConfig, rng) -> Params:
     # for both decoder flavors so their parameter layouts differ only by the
     # parallel flavor's extra norms
     p["level_emb"] = rng.normal(0.0, 0.02, (cfg.levels, c))
-    k = cfg.attention_config.total_points
+    k = cfg.heads * cfg.levels * cfg.points  # memory reads per query
     for t in range(cfg.num_layers):
         pre = f"layers.{t}"
         if cfg.self_attention:
@@ -331,13 +329,13 @@ def _read_fwd(q, refs, mem_state, aux, lp, cfg):
     memory rows' pixel centers and positions, each memory row is a query
     too and its outputs refresh the memory.  Without it (no later layer
     reads the memory) q alone reads, and the next memory is None."""
-    acfg, deform_p = cfg.attention_config, lp["deform"]
+    deform_p = lp["deform"]
     if not cfg.parallel:
-        attn, c_r = _sample_project_fwd(q, refs, mem_state, cfg.layout, deform_p, acfg)
+        attn, c_r = _sample_project_fwd(q, refs, mem_state, cfg.layout, deform_p, cfg)
         return attn, mem_state, c_r
-    value_levels, c_v = project_value(mem_state, cfg.layout, deform_p, acfg)
+    value_levels, c_v = project_value(mem_state, cfg.layout, deform_p, cfg)
     if aux is None:
-        attn, c_p = deform_project_fwd(q, refs, value_levels, deform_p, acfg)
+        attn, c_p = deform_project_fwd(q, refs, value_levels, deform_p, cfg)
         return attn, None, (c_v, c_p, None)
     centers, pos_rows = aux
     n_mem, bsz = pos_rows.shape[0], q.shape[1]
@@ -346,7 +344,7 @@ def _read_fwd(q, refs, mem_state, aux, lp, cfg):
     refs_all = np.concatenate(
         [np.broadcast_to(centers[:, None], (n_mem, bsz, 2)), refs], axis=0
     )
-    attn, c_p = deform_project_fwd(rows, refs_all, value_levels, deform_p, acfg)
+    attn, c_p = deform_project_fwd(rows, refs_all, value_levels, deform_p, cfg)
     mem_new, c_li = layer_norm_fwd(mem3 + attn[:n_mem], lp["ln_img"]["g"], lp["ln_img"]["b"])
     return attn[n_mem:], mem_new.reshape(mem_state.shape), (c_v, c_p, c_li)
 
@@ -427,19 +425,13 @@ def forward(params: Params, images, cfg: ModelConfig, keep_cache=True):
     cache is dropped as soon as the stage is done and the returned cache is
     None, so memory does not grow with the layers.
     """
-    if images.ndim != 4 or images.shape[2:] != (cfg.image_side, cfg.image_side):
-        raise ConfigError(
-            f"model expects a stack of {cfg.image_side}x{cfg.image_side} images, "
-            f"got shape {images.shape}"
-        )
-    bsz = images.shape[0]
-    mem, c_bb = extract_memory(images, params, cfg.backbone_config)
+    mem, c_bb = extract_memory(images, params, cfg)  # checks the stack's shape
     if not keep_cache:
         c_bb = None
-    layout = mem.layout
+    bsz, layout = images.shape[0], cfg.layout
     if cfg.learned_query_init:
         # one (N, M_last) @ (M_last, C) product per image
-        m_last = mem.data[layout.block_slices(bsz)[-1]].reshape(-1, bsz, cfg.dim)
+        m_last = mem[layout.block_slices(bsz)[-1]].reshape(-1, bsz, cfg.dim)
         q = np.matmul(params["query_init.w"].T, m_last.transpose(1, 0, 2))
         q = (q + params["query_init.b"][:, None]).transpose(1, 0, 2)
         q0_source = m_last
@@ -455,7 +447,7 @@ def forward(params: Params, images, cfg: ModelConfig, keep_cache=True):
         level_pos = params["level_emb"][level_of_row(layout)]
         pos_rows = build_pixel_positions(layout, cfg.dim) + level_pos
         aux = (pixel_centers(layout), pos_rows)
-    mem_state, layer_caches = mem.data, []
+    mem_state, layer_caches = mem, []
     for t in range(cfg.num_layers):
         lp = _layer_params(params, t)
         # the last layer's refreshed memory would be read by nothing
@@ -483,7 +475,7 @@ def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache, grads: 
     drefs = np.zeros_like(ys[0])
     dlogits = np.zeros_like(ys[0])
     dq = np.zeros(ys[0].shape[:2] + (cfg.dim,))
-    dmem = np.zeros(cache.mem.data.shape)
+    dmem = np.zeros(cache.mem.shape)
     # query_pos and level_emb gradients per image, summed over the layers
     dpos, dlevel = np.zeros_like(dq), np.zeros((cfg.levels,) + dq.shape[1:])
     for t in range(cfg.num_layers - 1, -1, -1):
@@ -503,7 +495,7 @@ def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache, grads: 
         grads["query_init.w"] += np.matmul(
             m_last.transpose(1, 0, 2), dq0.transpose(0, 2, 1)).sum(axis=0)
         grads["query_init.b"] += dq0.sum(axis=2).sum(axis=0)
-        last_slice = cache.mem.layout.block_slices(dq0.shape[0])[-1]
+        last_slice = cfg.layout.block_slices(dq0.shape[0])[-1]
         dlast = dmem[last_slice].reshape(m_last.shape)  # a view into dmem
         dlast += np.matmul(params["query_init.w"], dq0).transpose(1, 0, 2)
     else:

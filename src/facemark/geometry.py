@@ -67,59 +67,58 @@ def sigmoid(x):
 # Pyramid layout
 # ---------------------------------------------------------------------------
 
+def level_stride(level: int) -> int:
+    """Image pixels per cell of pyramid level `level`: the backbone's first
+    stage quarters the image side and every later stage halves it."""
+    return 4 * 2 ** level
+
+
 @dataclass(frozen=True)
 class PyramidLayout:
     """Spatial layout of a flattened multi-level feature pyramid.
 
-    `levels` is an ordered tuple of (height, width, stride) with strictly
-    increasing strides.  Row block l of the flattened memory occupies rows
-    [sum of earlier h*w, ...) in row-major per-level order.
+    `levels` is an ordered tuple of (height, width), finest level first.
+    Row block l of the flattened memory occupies rows [sum of earlier h*w,
+    ...) in row-major per-level order.
     """
 
-    levels: tuple[tuple[int, int, int], ...]
+    levels: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if not self.levels:
             raise ConfigError("PyramidLayout needs at least one level")
-        strides = [s for (_, _, s) in self.levels]
-        if any(b <= a for a, b in zip(strides, strides[1:])):
-            raise ConfigError(f"strides must be strictly increasing, got {strides}")
-        for h, w, s in self.levels:
-            if h < 1 or w < 1 or s < 1:
-                raise ConfigError(f"invalid level shape ({h}, {w}, {s})")
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
+        for h, w in self.levels:
+            if h < 1 or w < 1:
+                raise ConfigError(f"invalid level shape ({h}, {w})")
 
     @property
     def total_len(self) -> int:
-        return sum(h * w for (h, w, _) in self.levels)
+        return sum(h * w for (h, w) in self.levels)
 
     def block_slices(self, batch: int = 1) -> list[slice]:
         """Row slice of each level inside the flattened memory of `batch`
         images, whose row m of image b is row m * batch + b."""
         out, start = [], 0
-        for h, w, _ in self.levels:
+        for h, w in self.levels:
             out.append(slice(start, start + h * w * batch))
             start += h * w * batch
         return out
 
     @classmethod
-    def for_image(cls, side: int, num_levels: int, base_stride: int = 4) -> "PyramidLayout":
-        """Layout for a square image of the given side, strides 4, 8, 16, ..."""
+    def for_image(cls, side: int, num_levels: int) -> "PyramidLayout":
+        """Layout for a square image of the given side, one level per stride
+        `level_stride(l)`: 4, 8, 16, ..."""
         levels = []
         for l in range(num_levels):
-            stride = base_stride * (2 ** l)
-            h = -(-side // stride)  # ceil division
-            levels.append((h, h, stride))
+            h = -(-side // level_stride(l))  # ceil division
+            levels.append((h, h))
         return cls(tuple(levels))
 
 
 def pixel_centers(layout: PyramidLayout) -> np.ndarray:
     """Normalized (x, y) center of every row of the flattened pyramid, (M, 2)."""
     pieces = []
-    for h, w, _ in layout.levels:
+    for h, w in layout.levels:
         xs = (np.arange(w) + 0.5) / w
         ys = (np.arange(h) + 0.5) / h
         gx, gy = np.meshgrid(xs, ys)
@@ -130,7 +129,7 @@ def pixel_centers(layout: PyramidLayout) -> np.ndarray:
 def level_of_row(layout: PyramidLayout) -> np.ndarray:
     """Level index of every row of the flattened pyramid, (M,) int."""
     return np.concatenate(
-        [np.full(h * w, l, dtype=np.int64) for l, (h, w, _) in enumerate(layout.levels)]
+        [np.full(h * w, l, dtype=np.int64) for l, (h, w) in enumerate(layout.levels)]
     )
 
 

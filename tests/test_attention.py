@@ -6,7 +6,6 @@ import numpy.testing as npt
 import pytest
 
 from facemark.attention import (
-    AttentionConfig,
     deform_core_bwd,
     deform_core_fwd,
     deform_project_bwd,
@@ -58,17 +57,29 @@ def arrs_with_names(arrs, analytic):
 # ---------------------------------------------------------------------------
 
 def test_attention_config_validation():
-    cfg = AttentionConfig(16, 2, 2, 2)
-    assert cfg.head_dim == 8
-    assert cfg.total_points == 8
-    with pytest.raises(ConfigError):
-        AttentionConfig(16, 3, 2, 2)
-    with pytest.raises(ConfigError):
-        AttentionConfig(16, 2, 0, 2)
+    # ModelConfig holds the attention geometry: head_dim = dim / heads,
+    # heads * levels * points sampling points per query
+    cfg = ModelConfig(dim=16, heads=2, levels=2, points=2, image_side=32,
+                      stage_channels=(8, 16))
+    shapes = param_shapes(cfg)
+    assert shapes["layers.0.deform.w_wgt"] == (16, 8)
+    assert shapes["layers.0.deform.b_off"] == (16,)
+    rng = np.random.default_rng(0)
+    memory = rng.normal(size=(cfg.layout.total_len, 16))
+    value = {"w_val": np.eye(16), "b_val": np.zeros(16)}
+    levels, _ = project_value(memory, cfg.layout, value, cfg)
+    assert {lev.shape[2:] for lev in levels} == {(2, 8)}
+    with pytest.raises(ConfigError, match="dim 16 not divisible by heads 3"):
+        ModelConfig(dim=16, heads=3, levels=2, points=2, stage_channels=(8, 16))
+    with pytest.raises(ConfigError, match="levels must be >= 1, got 0"):
+        ModelConfig(dim=16, heads=2, levels=0, points=2, stage_channels=())
 
 
 def test_default_config_reads_128_points():
-    assert AttentionConfig(256, 8, 4, 4).total_points == 128
+    # 8 heads x 4 levels x 4 points: one softmax weight per memory read
+    shapes = param_shapes(ModelConfig())
+    assert shapes["layers.0.deform.w_wgt"] == (256, 128)
+    assert shapes["layers.0.deform.w_off"] == (256, 2 * 128)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +448,7 @@ def test_deform_core_keeps_no_per_point_samples():
     rng = np.random.default_rng(10)
     heads, d, n_levels, n_points, r = 8, 32, 4, 4, 408
     layout = PyramidLayout.for_image(64, n_levels)
-    value_levels = [rng.normal(size=(h, w, heads, d)) for h, w, _ in layout.levels]
+    value_levels = [rng.normal(size=(h, w, heads, d)) for h, w in layout.levels]
     locs = rng.uniform(-0.1, 1.1, (r, heads, n_levels, n_points, 2))
     weights = rng.dirichlet(np.ones(n_levels * n_points), (r, heads)).reshape(
         r, heads, n_levels, n_points
@@ -468,7 +479,7 @@ def test_deform_core_keeps_no_per_point_samples():
 # ---------------------------------------------------------------------------
 
 def _deform_params(rng, cfg):
-    k = cfg.total_points
+    k = cfg.heads * cfg.levels * cfg.points
     return {
         "w_off": rng.normal(size=(cfg.dim, k * 2)) * 0.1,
         "b_off": rng.normal(size=k * 2) * 0.05,
@@ -485,7 +496,7 @@ def _deform_params(rng, cfg):
 
 def test_sampling_fields_weights_normalized_per_head():
     rng = np.random.default_rng(10)
-    cfg = AttentionConfig(8, 2, 2, 3)
+    cfg = _block_config(points=3)
     p = _deform_params(rng, cfg)
     x = rng.normal(size=(4, 8))
     offsets, weights, _ = sampling_fields(x, p, cfg)
@@ -496,13 +507,9 @@ def test_sampling_fields_weights_normalized_per_head():
 
 
 def test_sampling_fields_zero_projection_uniform():
-    cfg = AttentionConfig(8, 2, 2, 2)
-    p = {
-        "w_off": np.zeros((8, cfg.total_points * 2)),
-        "b_off": np.zeros(cfg.total_points * 2),
-        "w_wgt": np.zeros((8, cfg.total_points)),
-        "b_wgt": np.zeros(cfg.total_points),
-    }
+    cfg = _block_config()
+    p = {"w_off": np.zeros((8, 16)), "b_off": np.zeros(16),
+         "w_wgt": np.zeros((8, 8)), "b_wgt": np.zeros(8)}
     x = np.random.default_rng(0).normal(size=(3, 8))
     offsets, weights, _ = sampling_fields(x, p, cfg)
     npt.assert_array_equal(offsets, 0.0)
@@ -510,9 +517,7 @@ def test_sampling_fields_zero_projection_uniform():
 
 
 def _memory_fixture(rng, cfg, batch=1):
-    layout = PyramidLayout.for_image(32, cfg.levels)
-    memory = rng.normal(size=(layout.total_len * batch, cfg.dim))
-    return layout, memory
+    return rng.normal(size=(cfg.layout.total_len * batch, cfg.dim))
 
 
 def _ffn_params(rng, dim):
@@ -526,24 +531,21 @@ def _ffn_params(rng, dim):
     }
 
 
-def _block_config(cfg: AttentionConfig) -> ModelConfig:
-    """A basic decoder without self-attention, whose layer is the deformable
-    block: sample-then-project read, residual + layer norm, FFN, over the
-    32 px layout of `_memory_fixture`."""
-    return ModelConfig(dim=cfg.dim, heads=cfg.heads, levels=cfg.levels, points=cfg.points,
-                       image_side=32, stage_channels=(8,) * cfg.levels,
-                       self_attention=False)
+def _block_config(points=2) -> ModelConfig:
+    """A basic decoder of width 8, 2 heads and 2 levels over 32 px images,
+    without self-attention: its layer is the deformable block, i.e. the
+    sample-then-project read, residual + layer norm, FFN."""
+    return ModelConfig(dim=8, heads=2, levels=2, points=points, image_side=32,
+                       stage_channels=(8, 8), self_attention=False)
 
 
-def _block_fwd(x, refs, memory, layout, p, ffn_p, cfg):
-    """The decoder layer of `_block_config(cfg)` on (N, B, C) queries x at
-    reference points refs: its output and a cache for `_block_bwd`."""
-    block = _block_config(cfg)
-    assert block.layout == layout
+def _block_fwd(x, refs, memory, p, ffn_p, cfg):
+    """The decoder layer of `cfg`, a `_block_config`, on (N, B, C) queries x
+    at reference points refs: its output and a cache for `_block_bwd`."""
     lp = {"deform": p, "ffn": ffn_p}
-    out, mem_next, cache = _layer_fwd(x, refs, memory, None, lp, None, block)
+    out, mem_next, cache = _layer_fwd(x, refs, memory, None, lp, None, cfg)
     assert mem_next is memory  # the basic read passes the memory through
-    return out, (cache, block, memory.shape)
+    return out, (cache, cfg, memory.shape)
 
 
 def _block_bwd(dout, cache):
@@ -563,22 +565,22 @@ def _block_bwd(dout, cache):
 
 def test_full_deformable_block_backward_matches_fd():
     rng = np.random.default_rng(11)
-    cfg = AttentionConfig(8, 2, 2, 2)
+    cfg = _block_config()
     p = _deform_params(rng, cfg)
     ffn_p = _ffn_params(rng, 8)
     # two images: (rows, B, C) queries against their (M * B, C) memory
-    layout, memory = _memory_fixture(rng, cfg, batch=2)
+    memory = _memory_fixture(rng, cfg, batch=2)
     x = rng.normal(size=(4, 2, 8))
     refs = rng.uniform(0.2, 0.8, (4, 2, 2))
     mix = rng.normal(size=(4, 2, 8))
-    out, cache = _block_fwd(x, refs, memory, layout, p, ffn_p, cfg)
+    out, cache = _block_fwd(x, refs, memory, p, ffn_p, cfg)
     assert out.shape == (4, 2, 8)
     dx, drefs, dmem, dp, dffn = _block_bwd(mix, cache)
     assert set(dp) == set(p)
     assert set(dffn) == set(ffn_p)
 
     def loss():
-        out2, _ = _block_fwd(x, refs, memory, layout, p, ffn_p, cfg)
+        out2, _ = _block_fwd(x, refs, memory, p, ffn_p, cfg)
         return (out2 * mix).sum()
 
     names = [("x", x), ("refs", refs), ("memory", memory)]
@@ -590,10 +592,10 @@ def test_full_deformable_block_backward_matches_fd():
     _fd_check(names, analytic, loss, n=4)
 
 
-def _project_first_block(x, refs, memory, layout, p, ffn_p, cfg, dout):
+def _project_first_block(x, refs, memory, p, ffn_p, cfg, dout):
     """The block with every memory row projected before the read: output
     and (dx, drefs, dmemory, dparams, dffn)."""
-    levels, cv = project_value(memory, layout, p, cfg)
+    levels, cv = project_value(memory, cfg.layout, p, cfg)
     attn, cp = deform_project_fwd(x, refs, levels, p, cfg)
     z, cln = layer_norm_fwd(x + attn, p["ln_g"], p["ln_b"])
     out, cffn = ffn_fwd(z, ffn_p)
@@ -614,22 +616,22 @@ def test_sample_then_project_matches_project_first():
     # 3 images of 5 queries; reference points inside, on the border and far
     # outside [0, 1] so that in-bounds corner masses run from 0 to 1
     rng = np.random.default_rng(16)
-    cfg = AttentionConfig(8, 2, 2, 3)
+    cfg = _block_config(points=3)
     p = _deform_params(rng, cfg)
     ffn_p = _ffn_params(rng, 8)
-    layout, memory = _memory_fixture(rng, cfg, batch=3)
+    memory = _memory_fixture(rng, cfg, batch=3)
     x = rng.normal(size=(5, 3, 8))
     x[0] *= 0.1  # small offsets around the center
     refs = rng.uniform(-0.6, 1.6, (5, 3, 2))
     refs[0] = 0.5
     refs[1] = [-3.0, 0.5]
     dout = rng.normal(size=(5, 3, 8))
-    out, cache = _block_fwd(x, refs, memory, layout, p, ffn_p, cfg)
+    out, cache = _block_fwd(x, refs, memory, p, ffn_p, cfg)
     masses = cache[0].read.mass
     assert masses.min() < 1e-12 and masses.max() > 0.99
     assert ((masses > 0.05) & (masses < 0.95)).any()
     grads = _block_bwd(dout, cache)
-    ref_out, ref_grads = _project_first_block(x, refs, memory, layout, p, ffn_p, cfg, dout)
+    ref_out, ref_grads = _project_first_block(x, refs, memory, p, ffn_p, cfg, dout)
     _assert_rel_close(out, ref_out, "out")
     for name, g, ref in zip(("dx", "drefs", "dmemory"), grads[:3], ref_grads[:3]):
         _assert_rel_close(g, ref, name)
@@ -643,20 +645,19 @@ def test_deformable_block_chunk_of_three_equals_single_images():
     # one GEMM per image and head, gradients summed per image and then over
     # the images in order: a chunk gives a per-image loop's bits
     rng = np.random.default_rng(17)
-    cfg = AttentionConfig(8, 2, 2, 2)
+    cfg = _block_config()
     p = _deform_params(rng, cfg)
     ffn_p = _ffn_params(rng, 8)
-    layout, memory = _memory_fixture(rng, cfg, batch=3)
+    memory = _memory_fixture(rng, cfg, batch=3)
     x = rng.normal(size=(4, 3, 8))
     refs = rng.uniform(-0.2, 1.2, (4, 3, 2))
     dout = rng.normal(size=(4, 3, 8))
-    out, cache = _block_fwd(x, refs, memory, layout, p, ffn_p, cfg)
+    out, cache = _block_fwd(x, refs, memory, p, ffn_p, cfg)
     dx, drefs, dmem, dp, dffn = _block_bwd(dout, cache)
     dp_sum = dffn_sum = None
     for b in range(3):
         sl = slice(b, b + 1)
-        out_b, cache_b = _block_fwd(
-            x[:, sl], refs[:, sl], memory[b::3], layout, p, ffn_p, cfg)
+        out_b, cache_b = _block_fwd(x[:, sl], refs[:, sl], memory[b::3], p, ffn_p, cfg)
         npt.assert_array_equal(out[:, sl], out_b)
         dx_b, drefs_b, dmem_b, dp_b, dffn_b = _block_bwd(dout[:, sl], cache_b)
         npt.assert_array_equal(dx[:, sl], dx_b)
@@ -671,10 +672,10 @@ def test_deformable_block_chunk_of_three_equals_single_images():
 
 def test_deform_project_row_mismatch_raises():
     rng = np.random.default_rng(12)
-    cfg = AttentionConfig(8, 2, 2, 2)
+    cfg = _block_config()
     p = _deform_params(rng, cfg)
-    layout, memory = _memory_fixture(rng, cfg)
-    value_levels, _ = project_value(memory, layout, p, cfg)
+    memory = _memory_fixture(rng, cfg)
+    value_levels, _ = project_value(memory, cfg.layout, p, cfg)
     with pytest.raises(ValueError):
         deform_project_fwd(
             rng.normal(size=(3, 8)), rng.uniform(0, 1, (2, 2)), value_levels, p, cfg
@@ -683,10 +684,10 @@ def test_deform_project_row_mismatch_raises():
 
 def test_project_value_round_trip_gradient():
     rng = np.random.default_rng(13)
-    cfg = AttentionConfig(8, 2, 2, 2)
+    cfg = _block_config()
     p = _deform_params(rng, cfg)
-    layout, memory = _memory_fixture(rng, cfg)
-    value_levels, cache = project_value(memory, layout, p, cfg)
+    memory = _memory_fixture(rng, cfg)
+    value_levels, cache = project_value(memory, cfg.layout, p, cfg)
     assert [lev.shape for lev in value_levels] == [(8, 8, 2, 4), (4, 4, 2, 4)]
     dlevels = [rng.normal(size=lev.shape) for lev in value_levels]
     dmem, grads = project_value_bwd(dlevels, cache)
@@ -700,13 +701,13 @@ def test_value_levels_fold_images_into_heads():
     # memory row m of image b is row m * B + b; image b's head k is head
     # b * heads + k of the level view, and the view is no copy
     rng = np.random.default_rng(15)
-    cfg = AttentionConfig(8, 2, 2, 2)
+    cfg = _block_config()
     p = _deform_params(rng, cfg)
-    layout, memory = _memory_fixture(rng, cfg, batch=3)
-    levels, _ = project_value(memory, layout, p, cfg)
+    memory = _memory_fixture(rng, cfg, batch=3)
+    levels, _ = project_value(memory, cfg.layout, p, cfg)
     assert [lev.shape for lev in levels] == [(8, 8, 6, 4), (4, 4, 6, 4)]
     assert all(lev.base is not None for lev in levels)
     for b in range(3):
-        one, _ = project_value(memory[b::3], layout, p, cfg)
+        one, _ = project_value(memory[b::3], cfg.layout, p, cfg)
         for lev, lev_b in zip(levels, one):
             npt.assert_array_equal(lev[:, :, 2 * b:2 * b + 2], lev_b)

@@ -5,14 +5,19 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from facemark.attention import relu_fwd
 from facemark.backbone import (
-    BackboneConfig,
     conv2d_bwd,
     conv2d_fwd,
     extract_memory,
     extract_memory_bwd,
     init_backbone_params,
 )
+from facemark.decoder import ModelConfig
 from facemark.errors import ConfigError
+
+
+def _backbone_config(stage_channels, dim, image_side):
+    return ModelConfig(dim=dim, levels=len(stage_channels), image_side=image_side,
+                       stage_channels=stage_channels)
 
 
 def _conv_reference(x, w, b, stride):
@@ -135,37 +140,36 @@ def test_conv_backward_without_input_grad_keeps_param_grads():
 # ---------------------------------------------------------------------------
 
 def test_memory_shape_tiny():
-    cfg = BackboneConfig((8, 16), 16)
+    cfg = _backbone_config((8, 16), 16, 32)
     params = init_backbone_params(np.random.default_rng(0), cfg)
     img = np.random.default_rng(1).uniform(0, 1, (2, 3, 32, 32))
     mem, _ = extract_memory(img, params, cfg)
-    assert mem.data.shape == ((8 * 8 + 4 * 4) * 2, 16)
-    assert mem.layout.levels == ((8, 8, 4), (4, 4, 8))
+    assert mem.shape == ((8 * 8 + 4 * 4) * 2, 16)
+    assert cfg.layout.levels == ((8, 8), (4, 4))
 
 
 def test_memory_shape_full_scale():
-    cfg = BackboneConfig((16, 32, 64, 128), 256)
+    cfg = ModelConfig()
     params = init_backbone_params(np.random.default_rng(0), cfg)
     img = np.random.default_rng(1).uniform(0, 1, (1, 3, 256, 256))
     mem, _ = extract_memory(img, params, cfg)
-    assert mem.data.shape == (5440, 256)
+    assert mem.shape == (5440, 256)
 
 
 def test_memory_input_validation():
-    cfg = BackboneConfig((8, 16), 16)
+    cfg = _backbone_config((8, 16), 16, 32)
     params = init_backbone_params(np.random.default_rng(0), cfg)
-    with pytest.raises(ConfigError):
-        extract_memory(np.zeros((1, 1, 32, 32)), params, cfg)  # channels
-    with pytest.raises(ConfigError):
-        extract_memory(np.zeros((1, 3, 32, 16)), params, cfg)  # not square
-    with pytest.raises(ConfigError):
-        extract_memory(np.zeros((1, 3, 36, 36)), params, cfg)  # not divisible
-    with pytest.raises(ConfigError):
-        extract_memory(np.zeros((3, 32, 32)), params, cfg)  # no batch axis
+    for bad in ((1, 1, 32, 32),  # channels
+                (1, 3, 32, 16),  # not square
+                (1, 3, 36, 36),  # not divisible by the coarsest stride
+                (1, 3, 64, 64),  # divisible, but not the config's side
+                (3, 32, 32)):  # no batch axis
+        with pytest.raises(ConfigError, match=r"3-channel 32x32 images, got shape"):
+            extract_memory(np.zeros(bad), params, cfg)
 
 
 def test_memory_backward_matches_fd():
-    cfg = BackboneConfig((4, 8), 8)
+    cfg = _backbone_config((4, 8), 8, 16)
     rng = np.random.default_rng(3)
     params = init_backbone_params(rng, cfg)
     for v in params.values():
@@ -183,40 +187,40 @@ def test_memory_backward_matches_fd():
         for c in rng_pick.choice(flat.size, min(4, flat.size), replace=False):
             keep = flat[c]
             flat[c] = keep + h
-            up = (extract_memory(img, params, cfg)[0].data * mix).sum()
+            up = (extract_memory(img, params, cfg)[0] * mix).sum()
             flat[c] = keep - h
-            down = (extract_memory(img, params, cfg)[0].data * mix).sum()
+            down = (extract_memory(img, params, cfg)[0] * mix).sum()
             flat[c] = keep
             fd = (up - down) / (2 * h)
             npt.assert_allclose(aflat[c], fd, rtol=2e-4, atol=1e-7, err_msg=path)
 
 
 def test_memory_deterministic():
-    cfg = BackboneConfig((8, 16), 16)
+    cfg = _backbone_config((8, 16), 16, 32)
     params = init_backbone_params(np.random.default_rng(0), cfg)
     img = np.random.default_rng(1).uniform(0, 1, (1, 3, 32, 32))
     a, _ = extract_memory(img, params, cfg)
     b, _ = extract_memory(img, params, cfg)
-    npt.assert_array_equal(a.data, b.data)
+    npt.assert_array_equal(a, b)
 
 
 def test_memory_rows_interleave_the_images():
     # row m of image b sits at m * B + b, and each image's rows equal a
     # single-image call's rows bit for bit
-    cfg = BackboneConfig((8, 16), 16)
+    cfg = _backbone_config((8, 16), 16, 32)
     params = init_backbone_params(np.random.default_rng(0), cfg)
     imgs = np.random.default_rng(1).uniform(0, 1, (3, 3, 32, 32))
     batch, _ = extract_memory(imgs, params, cfg)
     for b in range(3):
         one, _ = extract_memory(imgs[b:b + 1], params, cfg)
-        npt.assert_array_equal(batch.data[b::3], one.data)
+        npt.assert_array_equal(batch[b::3], one)
 
 
 def test_memory_matches_concatenated_level_projections_bit_for_bit():
     # each level's projection writes its rows of the memory in place; the
     # result equals projecting each level with a GEMM plus a bias pass and
     # concatenating the levels
-    cfg = BackboneConfig((4, 8, 16), 24)
+    cfg = _backbone_config((4, 8, 16), 24, 64)
     rng = np.random.default_rng(8)
     params = init_backbone_params(rng, cfg)
     for v in params.values():
@@ -225,7 +229,7 @@ def test_memory_matches_concatenated_level_projections_bit_for_bit():
         imgs = rng.uniform(0, 1, (bsz, 3, 64, 64))
         mem, _ = extract_memory(imgs, params, cfg)
         blocks, x = [], imgs
-        for i in range(cfg.num_levels):
+        for i in range(cfg.levels):
             pre = f"backbone.s{i + 1}"
             x = relu_fwd(conv2d_fwd(x, params[f"{pre}.conva.w"],
                                     params[f"{pre}.conva.b"], 2)[0])[0]
@@ -236,5 +240,5 @@ def test_memory_matches_concatenated_level_projections_bit_for_bit():
             proj = np.matmul(rows, params[f"project.l{i + 1}.w"]) + params[f"project.l{i + 1}.b"]
             blocks.append(proj.transpose(1, 0, 2).reshape(h * w * bsz, cfg.dim))
         want = np.concatenate(blocks)
-        assert mem.data.flags.c_contiguous and mem.data.shape == want.shape
-        assert mem.data.tobytes() == want.tobytes()
+        assert mem.flags.c_contiguous and mem.shape == want.shape
+        assert mem.tobytes() == want.tobytes()

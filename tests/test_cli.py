@@ -142,6 +142,19 @@ def test_train_into_a_missing_directory_fails_before_training(tmp_path, capsys, 
     assert not (tmp_path / "missing").exists()
 
 
+def test_odd_dim_with_the_parallel_decoder_fails_before_training(tmp_path, capsys, monkeypatch):
+    # the config is rejected before the dataset is read or training starts
+    data = str(tmp_path / "no-such-ds")
+    monkeypatch.setattr(cli, "train", _no_training)
+    rc = main(["train", "--data", data, "--out", str(tmp_path / "m.ckpt"), *TINY_MODEL,
+               "--set", "model.dim=9", "--set", "model.heads=3",
+               "--set", "model.parallel=true"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "dim 9 must be even" in err and data not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("verb", ["train", "eval"])
 def test_image_side_mismatch_names_the_dataset(tmp_path, capsys, monkeypatch, verb):
     # 64 px faces for a 32 px model

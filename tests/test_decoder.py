@@ -41,6 +41,39 @@ def test_config_rejects_indivisible_image_side():
         dataclasses.replace(TINY, image_side=36)
 
 
+def test_config_rejects_image_side_below_the_coarsest_stride():
+    # 0 % 32 == 0, so divisibility alone let these through
+    for side in (0, -32, 16):
+        with pytest.raises(ConfigError, match=f"image_side {side} .* stride 32"):
+            ModelConfig(image_side=side)
+    assert ModelConfig(image_side=32).layout.levels[-1] == (1, 1)
+
+
+def test_config_rejects_odd_dim_with_the_parallel_decoder():
+    # the memory rows' sinusoidal positions need an even width
+    odd = dataclasses.replace(TINY, dim=9, heads=3)
+    with pytest.raises(ConfigError, match="dim 9 must be even"):
+        dataclasses.replace(odd, parallel=True)
+    with pytest.raises(ConfigError, match="dim 9 must be even"):
+        ModelConfig.from_meta({**odd.to_meta(), "parallel": "1"})
+
+
+def test_every_config_error_names_its_key():
+    for key, fields in (
+        ("num_landmarks", {"num_landmarks": 0}),
+        ("num_layers", {"num_layers": 0}),
+        ("dim", {"dim": 0}),
+        ("heads", {"heads": 0}),
+        ("levels", {"levels": 0, "stage_channels": ()}),
+        ("points", {"points": 0}),
+        ("stage_channels", {"stage_channels": (8, 16, 32)}),
+        ("stage_channels", {"stage_channels": (8, 0)}),
+        ("heads", {"heads": 3}),
+    ):
+        with pytest.raises(ConfigError, match=key):
+            dataclasses.replace(TINY, **fields)
+
+
 def test_config_rejects_bad_head_split():
     with pytest.raises(ConfigError):
         dataclasses.replace(TINY, heads=3)
@@ -107,14 +140,14 @@ def test_query_variants_swap_one_path_pair():
     embed = init_params(dataclasses.replace(TINY, learned_query_init=False))
     assert set(learned) - set(embed) == {"query_init.w", "query_init.b"}
     assert set(embed) - set(learned) == {"query_embed"}
-    h, w, _ = TINY.layout.levels[-1]
+    h, w = TINY.layout.levels[-1]
     assert learned["query_init.w"].shape == (h * w, TINY.num_landmarks)
     assert embed["query_embed"].shape == (TINY.num_landmarks, TINY.dim)
 
 
 def test_offset_bias_starts_on_a_ring():
     p = init_params(TINY)
-    k = TINY.attention_config.total_points
+    k = TINY.heads * TINY.levels * TINY.points
     bias = p["layers.0.deform.b_off"].reshape(k, 2)
     npt.assert_allclose(np.hypot(bias[:, 0], bias[:, 1]), 0.01, atol=1e-15)
     # distinct directions, not all the same point
@@ -523,9 +556,12 @@ def test_load_rejects_extra_params(tmp_path, tiny_state):
 
 
 def test_load_names_the_file_when_the_meta_is_invalid(tmp_path, tiny_state):
-    # a bool reads as the config file reads it, so `parallel 2` is no basic model
-    for key, old, new in (("dim", 16, "abc"), ("heads", 2, 3), ("parallel", 0, 2)):
-        path = tmp_path / f"{key}.ckpt"
+    # a bool reads as the config file reads it, so `parallel 2` is no basic
+    # model; TINY's coarsest stride is 8, and 0 % 8 == 0
+    for key, old, new in (("dim", 16, "abc"), ("heads", 2, 3), ("parallel", 0, 2),
+                          ("image_side", 32, 0), ("image_side", 32, -32),
+                          ("image_side", 32, 4)):
+        path = tmp_path / f"{key}{new}.ckpt"
         tiny_state.save(path)
         _edit_meta(path, key, old, new)
         with pytest.raises(ConfigError) as err:

@@ -12,6 +12,7 @@ from facemark.geometry import (
     bilinear_sample_many_backward,
     build_pixel_positions,
     level_of_row,
+    level_stride,
     pixel_centers,
     sigmoid,
     sinusoid_embed,
@@ -72,7 +73,8 @@ def test_sigmoid_matches_the_masked_formula_bit_for_bit():
 
 def test_layout_for_256_four_levels():
     layout = PyramidLayout.for_image(256, 4)
-    assert layout.levels == ((64, 64, 4), (32, 32, 8), (16, 16, 16), (8, 8, 32))
+    assert layout.levels == ((64, 64), (32, 32), (16, 16), (8, 8))
+    assert [level_stride(l) for l in range(4)] == [4, 8, 16, 32]
     assert layout.total_len == 64 * 64 + 32 * 32 + 16 * 16 + 8 * 8
     assert layout.total_len == 5440
 
@@ -86,9 +88,11 @@ def test_layout_block_slices_partition_rows():
     assert slices[-1].stop == layout.total_len
 
 
-def test_layout_rejects_bad_strides():
+def test_layout_rejects_empty_levels():
     with pytest.raises(ConfigError):
-        PyramidLayout(((8, 8, 4), (4, 4, 4)))
+        PyramidLayout(())
+    with pytest.raises(ConfigError, match=r"invalid level shape \(0, 0\)"):
+        PyramidLayout.for_image(0, 2)
 
 
 def test_pixel_centers_first_level():
@@ -397,10 +401,10 @@ def _kernel_instance(side, n_levels, heads, d, n_points, r):
     with awkward ones first, softmaxed weights and an upstream gradient."""
     rng = np.random.default_rng(side)
     layout = PyramidLayout.for_image(side, n_levels)
-    levels = [rng.normal(size=(h, w, heads, d)) for h, w, _ in layout.levels]
+    levels = [rng.normal(size=(h, w, heads, d)) for h, w in layout.levels]
     locs = rng.uniform(-0.2, 1.2, (r, heads, n_levels, n_points, 2))
     # far outside, on the edges and on cell boundaries of the finest level
-    awkward = _awkward_points(*layout.levels[0][:2])[: r * heads * n_levels * n_points]
+    awkward = _awkward_points(*layout.levels[0])[: r * heads * n_levels * n_points]
     locs.reshape(-1, 2)[: len(awkward)] = awkward
     logits = rng.normal(size=(r, heads, n_levels * n_points))
     weights = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)

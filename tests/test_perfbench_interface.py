@@ -1,0 +1,50 @@
+"""Guard for the interface the benchmark traces.
+
+`perfbench/tracing.py` wraps facemark functions from outside the package
+and derives work counts from their arguments by position: `project_value`'s
+memory (args[0]) and parameters (args[2]), `deform_core_fwd`'s value levels
+and locations (args[0], args[1]), and the `value_levels` and `locs` fields
+of the cache that `deform_core_bwd` takes.  A refactor that moves one of
+them breaks the benchmark's per-layer counts; this test runs the tracer,
+loaded from its file unchanged, around one training batch so that tier-1
+catches it.
+"""
+
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from facemark import attention, training
+from facemark.decoder import TINY, DecoderState
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_the_deformable_layers_of_a_parallel_batch(tiny_batch):
+    cfg = dataclasses.replace(TINY, parallel=True)
+    state = DecoderState.init(cfg, seed=0)
+    images = np.stack([s.image for s in tiny_batch])
+    targets = np.stack([s.landmarks for s in tiny_batch])
+    original = attention.project_value
+    tracer = _load_tracing().Tracer()
+    tracer.op = 0
+    tracer.install()
+    try:
+        assert attention.project_value is not original
+        training.batch_loss_and_grads(state.params, cfg, images, targets)
+    finally:
+        tracer.uninstall()
+    assert attention.project_value is original
+    counts = {name: v for (op, name), v in tracer.counts.items()}
+    for name in ("attention.project_value.flops", "attention.deform_core_fwd.samples",
+                 "attention.deform_core_bwd.scatter_bytes"):
+        assert counts.get(name, 0) > 0, name
