@@ -2,9 +2,10 @@
 deformable attention over the flattened pyramid memory.
 
 Every operation comes as a forward returning (output, cache) and a backward
-consuming (dout, cache).  Backwards return input gradients plus a dict of
-parameter gradients keyed like the local parameter dict, so callers can
-re-prefix them into the flat model gradient buffer.
+consuming (dout, cache) and the gradient views of the parameters the forward
+read: two views for a primitive, the block's {name: view} dict for a block,
+keyed like its parameters.  A backward adds each parameter's gradient into
+its view with one `+=` and returns only input gradients.
 
 Shapes: B images run together.  Queries are (N, B, C), query row n of
 image b; the memory of all B images is one (M * B, C) matrix with a
@@ -99,13 +100,14 @@ def linear_fwd(x, w, b, out=None):
     return y.reshape(x.shape[:-1] + w.shape[1:]), (x3, w)
 
 
-def linear_bwd(dout, cache):
+def linear_bwd(dout, cache, gw, gb):
     x3, w = cache
     dout_b = dout.reshape(x3.shape[:2] + w.shape[1:]).transpose(1, 0, 2)
     dx = np.matmul(dout_b, w.T).transpose(1, 0, 2)
     dws = _matmul_rows(x3.transpose(1, 2, 0), dout_b)
-    dw = dws[0] if len(dws) == 1 else np.add.reduce(dws, axis=0)
-    return dx.reshape(dout.shape[:-1] + w.shape[:1]), {"w": dw, "b": _sum_rows(dout)}
+    gw += dws[0] if len(dws) == 1 else np.add.reduce(dws, axis=0)
+    gb += _sum_rows(dout)
+    return dx.reshape(dout.shape[:-1] + w.shape[:1])
 
 
 def relu_fwd(x):
@@ -133,7 +135,7 @@ def layer_norm_fwd(x, gain, bias, eps=LN_EPS):
     return gain * xhat + bias, (xhat, inv, gain)
 
 
-def layer_norm_bwd(dout, cache):
+def layer_norm_bwd(dout, cache, gg, gb):
     xhat, inv, gain = cache
     n = xhat.shape[-1]
     dxhat = dout * gain
@@ -141,8 +143,9 @@ def layer_norm_bwd(dout, cache):
     m1 /= n
     m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True)
     m2 /= n
-    dx = inv * (dxhat - m1 - xhat * m2)
-    return dx, {"g": _sum_rows(dout * xhat), "b": _sum_rows(dout)}
+    gg += _sum_rows(dout * xhat)
+    gb += _sum_rows(dout)
+    return inv * (dxhat - m1 - xhat * m2)
 
 
 def softmax(z):
@@ -170,16 +173,11 @@ def ffn_fwd(x, p):
     return out, FfnCache(c1, mask, c2, cln)
 
 
-def ffn_bwd(dout, cache):
-    dsum, dln = layer_norm_bwd(dout, cache.ln)
-    da, d2 = linear_bwd(dsum, cache.lin2)
+def ffn_bwd(dout, cache, g):
+    dsum = layer_norm_bwd(dout, cache.ln, g["ln_g"], g["ln_b"])
+    da = linear_bwd(dsum, cache.lin2, g["w2"], g["b2"])
     dh = relu_bwd(da, cache.mask)
-    dx, d1 = linear_bwd(dh, cache.lin1)
-    dparams = {
-        "w1": d1["w"], "b1": d1["b"], "w2": d2["w"], "b2": d2["b"],
-        "ln_g": dln["g"], "ln_b": dln["b"],
-    }
-    return dx + dsum, dparams
+    return linear_bwd(dh, cache.lin1, g["w1"], g["b1"]) + dsum
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +227,12 @@ def self_attention_fwd(q_in, query_pos, p, heads):
     return out, SelfAttnCache(cq, ck, cv, co, attn, v_h, q_h, k_h, heads, d, cln)
 
 
-def self_attention_bwd(dout, cache):
-    """Returns (dq_in, dpos, dparams); dpos is (N, B, C), the gradient of the
+def self_attention_bwd(dout, cache, g):
+    """Returns (dq_in, dpos); dpos is (N, B, C), the gradient of the
     query_pos term per image, for the caller to reduce to its shape."""
     heads, d = cache.heads, cache.head_dim
-    dsum, dln = layer_norm_bwd(dout, cache.ln)
-    dmerged, do = linear_bwd(dsum, cache.co)
+    dsum = layer_norm_bwd(dout, cache.ln, g["ln_g"], g["ln_b"])
+    dmerged = linear_bwd(dsum, cache.co, g["wo"], g["bo"])
     dmerged_h = _split_heads(dmerged, heads)
     dattn = dmerged_h @ cache.v_h.swapaxes(-1, -2)
     dv_h = cache.attn.swapaxes(-1, -2) @ dmerged_h
@@ -242,18 +240,9 @@ def self_attention_bwd(dout, cache):
     dq = _merge_heads(dscores @ cache.k_h)
     dk = _merge_heads(dscores.swapaxes(-1, -2) @ cache.q_h)
     dv = _merge_heads(dv_h)
-    dqk1, dq_p = linear_bwd(dq, cache.cq)
-    dqk2, dk_p = linear_bwd(dk, cache.ck)
-    dvin, dv_p = linear_bwd(dv, cache.cv)
-    dqk = dqk1 + dqk2
-    dq_in = dqk + dvin + dsum
-    dpos = dqk
-    dparams = {
-        "wq": dq_p["w"], "bq": dq_p["b"], "wk": dk_p["w"], "bk": dk_p["b"],
-        "wv": dv_p["w"], "bv": dv_p["b"], "wo": do["w"], "bo": do["b"],
-        "ln_g": dln["g"], "ln_b": dln["b"],
-    }
-    return dq_in, dpos, dparams
+    dqk = linear_bwd(dq, cache.cq, g["wq"], g["bq"]) + linear_bwd(dk, cache.ck, g["wk"], g["bk"])
+    dvin = linear_bwd(dv, cache.cv, g["wv"], g["bv"])
+    return dqk + dvin + dsum, dqk
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +265,14 @@ def project_value(memory_data, layout: PyramidLayout, p, cfg: ModelConfig):
     return levels, ValueCache(lin, slices)
 
 
-def project_value_bwd(dlevels, cache: ValueCache):
+def project_value_bwd(dlevels, cache: ValueCache, g):
     rows, w = cache.lin
     dvalue = np.empty(rows.shape[:2] + w.shape[1:])
     flat = dvalue.reshape(-1, w.shape[1])
     for dlev, sl in zip(dlevels, cache.slices):
         flat[sl] = dlev.reshape(-1, w.shape[1])
-    dmemory, dp = linear_bwd(dvalue, cache.lin)
-    dmemory = dmemory.reshape(flat.shape[0], -1)
-    return dmemory, {"w_val": dp["w"], "b_val": dp["b"]}
+    dmemory = linear_bwd(dvalue, cache.lin, g["w_val"], g["b_val"])
+    return dmemory.reshape(flat.shape[0], -1)
 
 
 FieldCache = namedtuple("FieldCache", "coff cwgt beta lead")
@@ -308,16 +296,12 @@ def sampling_fields(x, p, cfg: ModelConfig):
     return offsets, weights, FieldCache(coff, cwgt, beta, lead)
 
 
-def sampling_fields_bwd(doffsets, dweights, cache: FieldCache):
+def sampling_fields_bwd(doffsets, dweights, cache: FieldCache, g):
     dbeta = dweights.reshape(cache.beta.shape)
     dwgt_flat = softmax_bwd(dbeta, cache.beta).reshape(cache.lead + (-1,))
-    dx_w, dwp = linear_bwd(dwgt_flat, cache.cwgt)
-    dx_o, dop = linear_bwd(doffsets.reshape(cache.lead + (-1,)), cache.coff)
-    dparams = {
-        "w_off": dop["w"], "b_off": dop["b"],
-        "w_wgt": dwp["w"], "b_wgt": dwp["b"],
-    }
-    return dx_o + dx_w, dparams
+    dx_w = linear_bwd(dwgt_flat, cache.cwgt, g["w_wgt"], g["b_wgt"])
+    dx_o = linear_bwd(doffsets.reshape(cache.lead + (-1,)), cache.coff, g["w_off"], g["b_off"])
+    return dx_o + dx_w
 
 
 CoreCache = namedtuple("CoreCache", "value_levels locs weights table dense_pixels")
@@ -356,10 +340,9 @@ def _sampling_points(x_rows, refs_rows, p, cfg: ModelConfig):
     return refs_rows[..., None, None, None, :] + offsets, weights, cf
 
 
-def _sampling_points_bwd(dlocs, dweights, cache: FieldCache):
+def _sampling_points_bwd(dlocs, dweights, cache: FieldCache, g):
     drefs = np.add.reduce(dlocs, axis=(-4, -3, -2))
-    dx, dparams = sampling_fields_bwd(dlocs, dweights, cache)
-    return dx, drefs, dparams
+    return sampling_fields_bwd(dlocs, dweights, cache, g), drefs
 
 
 DeformCache = namedtuple("DeformCache", "fields core cout")
@@ -382,13 +365,12 @@ def deform_project_fwd(x_rows, refs_rows, value_levels, p, cfg: ModelConfig):
     return y, DeformCache(cf, cc, co)
 
 
-def deform_project_bwd(dout, cache: DeformCache):
-    dmerged, dop = linear_bwd(dout, cache.cout)
+def deform_project_bwd(dout, cache: DeformCache, g):
+    dmerged = linear_bwd(dout, cache.cout, g["w_out"], g["b_out"])
     dlevels, dlocs, dweights = deform_core_bwd(dmerged, cache.core)
     dlocs = dlocs.reshape(cache.fields.lead + (-1,) + dlocs.shape[2:])
-    dx, drefs, dfp = _sampling_points_bwd(dlocs, dweights, cache.fields)
-    dparams = {"w_out": dop["w"], "b_out": dop["b"], **dfp}
-    return dx, drefs, dlevels, dparams
+    dx, drefs = _sampling_points_bwd(dlocs, dweights, cache.fields, g)
+    return dx, drefs, dlevels
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +407,7 @@ def _bias_mass_bwd(dmass, cache: CoreCache, dlocs, dweights):
     dlocs[..., 1] += g * sx * (table.oky[1] * 1.0 - table.oky[0]) * h[:, None]
 
 
-SampleCache = namedtuple("SampleCache", "fields core agg mass w_h b_h cout")
+SampleCache = namedtuple("SampleCache", "fields core slices agg mass w_h b_h cout")
 
 
 def _sample_project_fwd(x, refs, memory_data, layout: PyramidLayout, p,
@@ -437,8 +419,9 @@ def _sample_project_fwd(x, refs, memory_data, layout: PyramidLayout, p,
     # (N, B, heads, ...) -> (N * heads, B, ...)
     locs = locs.swapaxes(1, 2).reshape((n * cfg.heads, bsz) + locs.shape[3:])
     weights = weights.swapaxes(1, 2).reshape(locs.shape[:-1])
+    slices = layout.block_slices(bsz)
     levels = [memory_data[sl].reshape(h, w, bsz, dim)
-              for (h, w), sl in zip(layout.levels, layout.block_slices(bsz))]
+              for (h, w), sl in zip(layout.levels, slices)]
     agg, cc = deform_core_fwd(levels, locs, weights)
     # (B, heads, N, ·) views: one (N, C) @ (C, head_dim) GEMM per image and head
     agg = agg.reshape(n, cfg.heads, bsz, dim).transpose(2, 1, 0, 3)
@@ -450,32 +433,32 @@ def _sample_project_fwd(x, refs, memory_data, layout: PyramidLayout, p,
     value += mass * b_h
     merged = value.transpose(2, 0, 1, 3).reshape(n, bsz, dim)
     y, co = linear_fwd(merged, p["w_out"], p["b_out"])
-    return y, SampleCache(cf, cc, agg, mass, w_h, b_h, co)
+    return y, SampleCache(cf, cc, slices, agg, mass, w_h, b_h, co)
 
 
-def _sample_project_bwd(dout, cache: SampleCache):
-    """Returns (dx, drefs, dmemory, dparams); dmemory is (M * B, C)."""
-    dmerged, dop = linear_bwd(dout, cache.cout)
+def _sample_project_bwd(dout, cache: SampleCache, g, dmemory):
+    """Returns (dx, drefs); adds the memory gradient into the (M * B, C)
+    rows of dmemory."""
+    dmerged = linear_bwd(dout, cache.cout, g["w_out"], g["b_out"])
     n, bsz, dim = dmerged.shape
     heads = cache.w_h.shape[0]
     dvalue = dmerged.reshape(n, bsz, heads, -1).transpose(1, 2, 0, 3)
     # per image and head, then the images in order
     dw_h = np.add.reduce(np.matmul(cache.agg.swapaxes(-1, -2), dvalue), axis=0)
     db_h = np.add.reduce(np.matmul(cache.mass.swapaxes(-1, -2), dvalue), axis=0)
+    g["w_val"] += dw_h.transpose(1, 0, 2).reshape(dim, dim)
+    g["b_val"] += db_h.reshape(dim)
     dagg = np.matmul(dvalue, cache.w_h.swapaxes(-1, -2))
     dmass = np.matmul(dvalue, cache.b_h.swapaxes(-1, -2))
     dagg = dagg.transpose(2, 1, 0, 3).reshape(n * heads, bsz * dim)
     dlevels, dlocs, dweights = deform_core_bwd(dagg, cache.core)
     dmass = dmass.reshape(bsz, heads, n).T.reshape(n * heads, bsz)
     _bias_mass_bwd(dmass, cache.core, dlocs, dweights)
-    dmemory = np.concatenate([d.reshape(-1, dim) for d in dlevels])
+    for dlev, sl in zip(dlevels, cache.slices):
+        dmemory[sl] += dlev.reshape(-1, dim)
     # (N * heads, B, ...) -> (N, B, heads, ...)
     dlocs = dlocs.reshape((n, heads) + dlocs.shape[1:]).swapaxes(1, 2)
     dweights = dweights.reshape((n, heads) + dweights.shape[1:]).swapaxes(1, 2)
-    dx, drefs, dfp = _sampling_points_bwd(
-        np.ascontiguousarray(dlocs), np.ascontiguousarray(dweights), cache.fields)
-    dparams = {"w_out": dop["w"], "b_out": dop["b"], **dfp,
-               "w_val": dw_h.transpose(1, 0, 2).reshape(dim, dim),
-               "b_val": db_h.reshape(dim)}
-    return dx, drefs, dmemory, dparams
+    return _sampling_points_bwd(
+        np.ascontiguousarray(dlocs), np.ascontiguousarray(dweights), cache.fields, g)
 

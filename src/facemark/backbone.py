@@ -79,17 +79,18 @@ def conv2d_fwd(x, w, b, stride):
     return out, ConvCache(cols, w, stride, x.shape, (ho, wo))
 
 
-def conv2d_bwd(dout, cache: ConvCache, input_grad=True):
-    """Input and parameter gradients; the parameter gradients sum each
-    image's positions, then the images in order.  With input_grad=False
-    the input gradient is not computed and comes back as None."""
+def conv2d_bwd(dout, cache: ConvCache, gw, gb, input_grad=True):
+    """The input gradient; the parameter gradients, which sum each image's
+    positions and then the images in order, are added into gw and gb.
+    With input_grad=False the input gradient is not computed and comes
+    back as None."""
     cols, w, stride, (bsz, cin, hi, wi), (ho, wo) = cache
     cout = w.shape[0]
     dout3 = dout.reshape(bsz, cout, ho * wo)
-    dw = np.add.reduce(np.matmul(dout3, cols), axis=0).reshape(w.shape)
-    db = np.add.reduce(np.add.reduce(dout3, axis=2), axis=0)
+    gw += np.add.reduce(np.matmul(dout3, cols), axis=0).reshape(w.shape)
+    gb += np.add.reduce(np.add.reduce(dout3, axis=2), axis=0)
     if not input_grad:
-        return None, {"w": dw, "b": db}
+        return None
     dcols = np.matmul(dout3.transpose(0, 2, 1), w.reshape(cout, -1))
     dcols = dcols.reshape(bsz, ho, wo, cin, 3, 3)
     dxp = np.zeros((bsz, cin, hi + 2, wi + 2))
@@ -98,7 +99,7 @@ def conv2d_bwd(dout, cache: ConvCache, input_grad=True):
             dxp[:, :, ky:ky + ho * stride:stride, kx:kx + wo * stride:stride] += (
                 dcols[..., ky, kx].transpose(0, 3, 1, 2)
             )
-    return dxp[:, :, 1:-1, 1:-1], {"w": dw, "b": db}
+    return dxp[:, :, 1:-1, 1:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -148,20 +149,19 @@ def extract_memory(images, params: Params, cfg: ModelConfig):
     return memory, BackboneCache(stages, projections, layout, bsz)
 
 
-def extract_memory_bwd(ddata, cache: BackboneCache):
-    """Backward through projections and stages.  Returns the parameter
-    gradients keyed by full parameter paths and summed over the batch; the
-    image gradient is never computed.
+def extract_memory_bwd(ddata, cache: BackboneCache, grads: Params):
+    """Backward through projections and stages.  Adds the parameter
+    gradients, summed over the batch, into `grads` by full parameter path;
+    the image gradient is never computed.
     """
-    grads: Params = {}
     dfeats = []
     bsz = cache.batch
     for i, ((lin, (h, w)), sl) in enumerate(
         zip(cache.projections, cache.layout.block_slices(bsz))
     ):
-        drows, g = linear_bwd(ddata[sl].reshape(h * w, bsz, -1), lin)
-        grads[f"project.l{i + 1}.w"] = g["w"]
-        grads[f"project.l{i + 1}.b"] = g["b"]
+        pre = f"project.l{i + 1}"
+        drows = linear_bwd(ddata[sl].reshape(h * w, bsz, -1), lin,
+                           grads[f"{pre}.w"], grads[f"{pre}.b"])
         dfeats.append(drows.reshape(h, w, bsz, -1).transpose(2, 3, 0, 1))
     dx = None
     for i in range(len(cache.stages) - 1, -1, -1):
@@ -169,11 +169,7 @@ def extract_memory_bwd(ddata, cache: BackboneCache):
         st = cache.stages[i]
         d = dfeats[i] if dx is None else dfeats[i] + dx
         d = d * st.mb
-        da1, gb = conv2d_bwd(d, st.cb)
-        grads[f"{pre}.convb.w"] = gb["w"]
-        grads[f"{pre}.convb.b"] = gb["b"]
+        da1 = conv2d_bwd(d, st.cb, grads[f"{pre}.convb.w"], grads[f"{pre}.convb.b"])
         da1 = da1 * st.ma
-        dx, ga = conv2d_bwd(da1, st.ca, input_grad=i > 0)
-        grads[f"{pre}.conva.w"] = ga["w"]
-        grads[f"{pre}.conva.b"] = ga["b"]
-    return grads
+        dx = conv2d_bwd(da1, st.ca, grads[f"{pre}.conva.w"], grads[f"{pre}.conva.b"],
+                        input_grad=i > 0)

@@ -9,16 +9,15 @@ runtime or numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
-
-import numpy as np
 
 from . import io as fio
 from .config import ENV_CONFIG, load_run_config
 from .decoder import DecoderState
 from .errors import ConfigError, NumericError
-from .metrics import evaluate, nme, report_machine, report_text, resolve_normalizer
+from .metrics import evaluate, report_machine, report_text
 from .params import count_parameters
 from .training import gen_synthetic, grad_check, train
 
@@ -120,7 +119,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     rc = load_run_config(args.config, args.overrides)
-    state, extra = DecoderState.load(args.ckpt)
+    state, _ = DecoderState.load(args.ckpt)
     dataset = fio.load_dataset(args.data)
     _check_dataset(args.data, dataset, state.config, "checkpoint")
     result = evaluate(
@@ -180,7 +179,6 @@ def cmd_gradcheck(args):
 
 def cmd_params(args):
     rc = load_run_config(args.config, args.overrides)
-    import dataclasses
 
     def report(cfg):
         state = DecoderState.init(cfg, rc.model_seed)

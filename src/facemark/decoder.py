@@ -68,8 +68,8 @@ from .geometry import (
     pixel_centers,
     sigmoid,
 )
-from .params import (Params, accumulate, field_parsers, field_text, glorot,
-                     load_checkpoint, save_checkpoint)
+from .params import (Params, field_parsers, field_text, glorot, load_checkpoint,
+                     save_checkpoint)
 
 
 @dataclass(frozen=True)
@@ -286,16 +286,12 @@ def _head_fwd(q, p):
     return delta, HeadCache(c1, m1, c2, m2, c3)
 
 
-def _head_bwd(ddelta, cache: HeadCache):
-    da2, g3 = linear_bwd(ddelta, cache.c3)
+def _head_bwd(ddelta, cache: HeadCache, g):
+    da2 = linear_bwd(ddelta, cache.c3, g["w3"], g["b3"])
     dh2 = relu_bwd(da2, cache.m2)
-    da1, g2 = linear_bwd(dh2, cache.c2)
+    da1 = linear_bwd(dh2, cache.c2, g["w2"], g["b2"])
     dh1 = relu_bwd(da1, cache.m1)
-    dq, g1 = linear_bwd(dh1, cache.c1)
-    return dq, {
-        "w1": g1["w"], "b1": g1["b"], "w2": g2["w"], "b2": g2["b"],
-        "w3": g3["w"], "b3": g3["b"],
-    }
+    return linear_bwd(dh1, cache.c1, g["w1"], g["b1"])
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +310,8 @@ _LAYER_GROUPS = {
 
 
 def _layer_params(params: Params, t: int):
-    """Layer t's parameters as {group: {local name: array}}, for the groups
-    the model's flavor has."""
+    """Layer t's parameters, or their gradient views, as {group: {local
+    name: array}}, for the groups the model's flavor has."""
     pre = f"layers.{t}."
     return {g: {n: params[f"{pre}{g}.{n}"] for n in names}
             for g, names in _LAYER_GROUPS.items() if f"{pre}{g}.{names[0]}" in params}
@@ -349,28 +345,26 @@ def _read_fwd(q, refs, mem_state, aux, lp, cfg):
     return attn[n_mem:], mem_new.reshape(mem_state.shape), (c_v, c_p, c_li)
 
 
-def _read_bwd(dattn, dmem_next, dlevel, grads, t, cache, cfg):
+def _read_bwd(dattn, dmem_next, dlevel, lg, cache, cfg):
     """Returns (dq, drefs, dmem) of the read, given the gradients of its
     output and of the next memory, which the basic read adds into.  A parallel
-    read ignores dmem_next if it refreshed no memory, else adds into dlevel."""
+    read ignores dmem_next if it refreshed no memory, else adds into dlevel.
+    Adds the parameter gradients into lg, the layer's `_layer_params` views."""
+    g = lg["deform"]
     if not cfg.parallel:
-        dq, drefs, dmem_read, dp = _sample_project_bwd(dattn, cache)
-        accumulate(grads, f"layers.{t}.deform.", dp)
-        dmem_next += dmem_read  # the memory passed through; layers add in order
+        # the memory passed through; layers add in order
+        dq, drefs = _sample_project_bwd(dattn, cache, g, dmem_next)
         return dq, drefs, dmem_next
     c_v, c_p, c_li = cache
     if c_li is None:
-        dq, drefs, dlevels, dp = deform_project_bwd(dattn, c_p)
-        dmem, dvp = project_value_bwd(dlevels, c_v)
-        accumulate(grads, f"layers.{t}.deform.", {**dp, **dvp})
-        return dq, drefs, dmem
+        dq, drefs, dlevels = deform_project_bwd(dattn, c_p, g)
+        return dq, drefs, project_value_bwd(dlevels, c_v, g)
     n_mem = cfg.layout.total_len
-    dsum_img, g_li = layer_norm_bwd(dmem_next.reshape(n_mem, -1, cfg.dim), c_li)
-    accumulate(grads, f"layers.{t}.ln_img.", g_li)
+    dsum_img = layer_norm_bwd(dmem_next.reshape(n_mem, -1, cfg.dim), c_li,
+                              lg["ln_img"]["g"], lg["ln_img"]["b"])
     dattn = np.concatenate([dsum_img, dattn], axis=0)
-    drows, drefs_all, dlevels, dp = deform_project_bwd(dattn, c_p)
-    dmem_value, dvp = project_value_bwd(dlevels, c_v)
-    accumulate(grads, f"layers.{t}.deform.", {**dp, **dvp})
+    drows, drefs_all, dlevels = deform_project_bwd(dattn, c_p, g)
+    dmem_value = project_value_bwd(dlevels, c_v, g)
     dmem = dsum_img.reshape(dmem_value.shape) + dmem_value
     dmem += drows[:n_mem].reshape(dmem.shape)
     dlevel += np.stack([drows[sl].sum(axis=0) for sl in cfg.layout.block_slices()])
@@ -392,19 +386,17 @@ def _layer_fwd(q, refs, mem_state, aux, lp, pos, cfg):
     return out, mem_next, LayerCache(c_sa, c_r, c_ln, c_f)
 
 
-def _layer_bwd(dout, dmem_next, dpos, dlevel, grads, t, cache: LayerCache, cfg):
+def _layer_bwd(dout, dmem_next, dpos, dlevel, lg, cache: LayerCache, cfg):
     """Returns (dq, drefs, dmem) for the layer's input queries, reference
-    points and memory; adds the per-image query_pos and level_emb gradients
-    into dpos and dlevel."""
-    dz, dffn = ffn_bwd(dout, cache.ffn)
-    accumulate(grads, f"layers.{t}.ffn.", dffn)
-    dsum, dln = layer_norm_bwd(dz, cache.ln)
-    accumulate(grads, f"layers.{t}.deform.", {"ln_g": dln["g"], "ln_b": dln["b"]})
-    dq, drefs, dmem = _read_bwd(dsum, dmem_next, dlevel, grads, t, cache.read, cfg)
+    points and memory; adds the parameter gradients into lg, the layer's
+    `_layer_params` views, and the per-image query_pos and level_emb
+    gradients into dpos and dlevel."""
+    dz = ffn_bwd(dout, cache.ffn, lg["ffn"])
+    dsum = layer_norm_bwd(dz, cache.ln, lg["deform"]["ln_g"], lg["deform"]["ln_b"])
+    dq, drefs, dmem = _read_bwd(dsum, dmem_next, dlevel, lg, cache.read, cfg)
     dq = dsum + dq
     if cache.self_attn is not None:
-        dq, dpos_t, sg = self_attention_bwd(dq, cache.self_attn)
-        accumulate(grads, f"layers.{t}.self_attn.", sg)
+        dq, dpos_t = self_attention_bwd(dq, cache.self_attn, lg["self_attn"])
         dpos += dpos_t
     return dq, drefs, dmem
 
@@ -482,12 +474,12 @@ def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache, grads: 
         c_layer, c_head = cache.layer_caches[t]
         y_t1 = ys[t + 1]
         dlogits = dlogits + (dys[t + 1] + drefs) * y_t1 * (1.0 - y_t1)
-        dq_head, hg = _head_bwd(dlogits, c_head)
-        accumulate(grads, f"layers.{t}.head.", hg)
-        dq, drefs, dmem = _layer_bwd(dq + dq_head, dmem, dpos, dlevel, grads, t, c_layer, cfg)
+        lg = _layer_params(grads, t)
+        dq_head = _head_bwd(dlogits, c_head, lg["head"])
+        dq, drefs, dmem = _layer_bwd(dq + dq_head, dmem, dpos, dlevel, lg, c_layer, cfg)
     dlogits = dlogits + (dys[0] + drefs) * ys[0] * (1.0 - ys[0])
-    dq0_init, g_init = linear_bwd(dlogits, cache.init_lin)
-    accumulate(grads, "landmark_init.", {"w": g_init["w"], "b": g_init["b"]})
+    dq0_init = linear_bwd(dlogits, cache.init_lin, grads["landmark_init.w"],
+                          grads["landmark_init.b"])
     # (B, N, C): sums over axis 0 add the images in order
     dq0 = np.ascontiguousarray((dq + dq0_init).transpose(1, 0, 2))
     if cfg.learned_query_init:
@@ -503,7 +495,7 @@ def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache, grads: 
     if cfg.self_attention:
         grads["query_pos"] += dpos.sum(axis=1)
     grads["level_emb"] += dlevel.sum(axis=1)
-    accumulate(grads, "", extract_memory_bwd(dmem, cache.backbone))
+    extract_memory_bwd(dmem, cache.backbone, grads)
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,7 @@ class EvalResult:
 
 
 def evaluate(state: DecoderState, dataset, normalizer="image_size",
-             eye_indices=(0, 1), fr_thresholds=FR_THRESHOLDS,
-             auc_cutoffs=(AUC_CUTOFF,)) -> EvalResult:
+             eye_indices=(0, 1)) -> EvalResult:
     """Run the model over a dataset and score every supervision stage.
 
     Headline numbers (per-sample NME, FR, AUC) use the last stage, which is
@@ -154,8 +153,8 @@ def evaluate(state: DecoderState, dataset, normalizer="image_size",
         normalizer,
         per_sample,
         per_stage,
-        {t: failure_rate(per_sample, t) for t in fr_thresholds},
-        {c: auc(per_sample, c) for c in auc_cutoffs},
+        {t: failure_rate(per_sample, t) for t in FR_THRESHOLDS},
+        {AUC_CUTOFF: auc(per_sample, AUC_CUTOFF)},
     )
 
 

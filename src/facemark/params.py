@@ -4,7 +4,8 @@ and the text parsers that config files and checkpoint metadata share.
 Parameters are a dict mapping path -> float64 ndarray.  `flat_views` lays
 out such a dict as named views into one float64 vector in sorted-path
 order: the layout of checkpoints, of training's parameters and gradients
-and of Adam's moments.  `accumulate` adds into a gradient buffer.
+and of Adam's moments.  A gradient buffer is such a vector and its views;
+each backward adds into the views of the parameters its forward read.
 """
 
 from __future__ import annotations
@@ -33,12 +34,6 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> n
     if shape is None:
         shape = (fan_in, fan_out)
     return rng.uniform(-limit, limit, size=shape)
-
-
-def accumulate(grads: Params, prefix: str, local: dict[str, np.ndarray]) -> None:
-    """Add local gradients into the caller's buffer under `prefix`."""
-    for k, v in local.items():
-        grads[prefix + k] += v
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from facemark.attention import (
     softmax,
     softmax_bwd,
 )
-from facemark.decoder import ModelConfig, _layer_bwd, _layer_fwd, param_shapes
+from facemark.decoder import ModelConfig, _layer_bwd, _layer_fwd, _layer_params, param_shapes
 from facemark.errors import ConfigError
 from facemark.geometry import DENSE_PIXELS, PyramidLayout
 from facemark.params import flat_views
@@ -50,6 +50,11 @@ def _fd_check(arrs, analytic, loss, n=6, h=1e-6, rtol=1e-5, atol=1e-8, seed=0):
 def arrs_with_names(arrs, analytic):
     for (name, arr), ana in zip(arrs, analytic):
         yield arr, ana, name
+
+
+def _zero_grads(p):
+    """A zeroed gradient array for each parameter of `p`, keyed alike."""
+    return {k: np.zeros_like(v) for k, v in p.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +99,8 @@ def test_linear_forward_and_backward_exact():
     out, cache = linear_fwd(x, w, b)
     npt.assert_allclose(out, x @ w + b, atol=1e-15)
     dout = rng.normal(size=out.shape)
-    dx, grads = linear_bwd(dout, cache)
+    grads = _zero_grads({"w": w, "b": b})
+    dx = linear_bwd(dout, cache, grads["w"], grads["b"])
     # linear map: gradients are exact matrix identities
     npt.assert_allclose(dx, dout @ w.T, atol=1e-15)
     npt.assert_allclose(grads["w"], x.T @ dout, atol=1e-15)
@@ -145,7 +151,8 @@ def test_linear_matches_the_two_pass_formula_bit_for_bit(rows):
         assert view.tobytes() == want.tobytes()
         assert np.isnan(buf[:3]).all() and np.isnan(buf[-2:]).all()
         dout = rng.normal(size=y.shape)
-        dx, grads = linear_bwd(dout, cache)
+        grads = _zero_grads({"w": w, "b": b})
+        dx = linear_bwd(dout, cache, grads["w"], grads["b"])
         want_dx, want_dw, want_db = _linear_bwd_reduced(dout, x, w)
         for got, ref in ((dx, want_dx), (grads["w"], want_dw), (grads["b"], want_db)):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
@@ -165,7 +172,8 @@ def test_layer_norm_backward_matches_fd():
     b = rng.normal(size=6)
     mix = rng.normal(size=(3, 6))
     out, cache = layer_norm_fwd(x, g, b)
-    dx, grads = layer_norm_bwd(mix, cache)
+    grads = _zero_grads({"g": g, "b": b})
+    dx = layer_norm_bwd(mix, cache, grads["g"], grads["b"])
 
     def loss():
         return (layer_norm_fwd(x, g, b)[0] * mix).sum()
@@ -202,7 +210,8 @@ def test_layer_norm_matches_mean_and_var_bit_for_bit():
         for got, ref in ((out, want), (xhat, want_xhat), (inv, want_inv)):
             assert got.strides == ref.strides and got.tobytes() == ref.tobytes()
         dout = rng.normal(size=x.shape)
-        dx, grads = layer_norm_bwd(dout, (xhat, inv, g))
+        grads = _zero_grads({"g": g, "b": b})
+        dx = layer_norm_bwd(dout, (xhat, inv, g), grads["g"], grads["b"])
         want_dx, want_g, want_b = _layer_norm_mean_bwd(dout, want_xhat, want_inv, g)
         assert dx.strides == want_dx.strides and dx.tobytes() == want_dx.tobytes()
         assert grads["g"].tobytes() == want_g.tobytes()
@@ -244,7 +253,8 @@ def test_ffn_backward_matches_fd():
     x = rng.normal(size=(3, dim))
     mix = rng.normal(size=(3, dim))
     out, cache = ffn_fwd(x, p)
-    dx, grads = ffn_bwd(mix, cache)
+    grads = _zero_grads(p)
+    dx = ffn_bwd(mix, cache, grads)
     assert set(grads) == set(p)
 
     def loss():
@@ -322,7 +332,8 @@ def test_self_attention_backward_matches_fd():
     pos = rng.normal(size=(n, 2, dim))
     mix = rng.normal(size=(n, 2, dim))
     out, cache = self_attention_fwd(q, pos, p, heads)
-    dq, dpos, grads = self_attention_bwd(mix, cache)
+    grads = _zero_grads(p)
+    dq, dpos = self_attention_bwd(mix, cache, grads)
     assert set(grads) == set(p)
 
     def loss():
@@ -554,8 +565,8 @@ def _block_bwd(dout, cache):
     flat, grads = flat_views(param_shapes(block))
     flat.fill(0.0)
     # no self-attention and a basic read: no query_pos or level_emb gradient
-    dx, drefs, dmem = _layer_bwd(dout, np.zeros(mem_shape), None, None, grads, 0,
-                                 layer_cache, block)
+    dx, drefs, dmem = _layer_bwd(dout, np.zeros(mem_shape), None, None,
+                                 _layer_params(grads, 0), layer_cache, block)
 
     def group(name):
         pre = f"layers.0.{name}."
@@ -599,11 +610,11 @@ def _project_first_block(x, refs, memory, p, ffn_p, cfg, dout):
     attn, cp = deform_project_fwd(x, refs, levels, p, cfg)
     z, cln = layer_norm_fwd(x + attn, p["ln_g"], p["ln_b"])
     out, cffn = ffn_fwd(z, ffn_p)
-    dz, dffn = ffn_bwd(dout, cffn)
-    dsum, dln = layer_norm_bwd(dz, cln)
-    dx, drefs, dlevels, dp = deform_project_bwd(dsum, cp)
-    dmem, dvp = project_value_bwd(dlevels, cv)
-    dp = {**dp, **dvp, "ln_g": dln["g"], "ln_b": dln["b"]}
+    dp, dffn = _zero_grads(p), _zero_grads(ffn_p)
+    dz = ffn_bwd(dout, cffn, dffn)
+    dsum = layer_norm_bwd(dz, cln, dp["ln_g"], dp["ln_b"])
+    dx, drefs, dlevels = deform_project_bwd(dsum, cp, dp)
+    dmem = project_value_bwd(dlevels, cv, dp)
     return out, (dx + dsum, drefs, dmem, dp, dffn)
 
 
@@ -690,7 +701,8 @@ def test_project_value_round_trip_gradient():
     value_levels, cache = project_value(memory, cfg.layout, p, cfg)
     assert [lev.shape for lev in value_levels] == [(8, 8, 2, 4), (4, 4, 2, 4)]
     dlevels = [rng.normal(size=lev.shape) for lev in value_levels]
-    dmem, grads = project_value_bwd(dlevels, cache)
+    grads = _zero_grads(p)
+    dmem = project_value_bwd(dlevels, cache, grads)
     # value projection is linear, so the gradient identity is exact
     dvalue = np.concatenate([d.reshape(-1, 8) for d in dlevels], axis=0)
     npt.assert_allclose(dmem, dvalue @ p["w_val"].T, atol=1e-12)

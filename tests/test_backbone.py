@@ -101,7 +101,8 @@ def test_conv_backward_matches_fd():
     b = rng.normal(size=2)
     mix = rng.normal(size=(2, 2, 2, 2))
     out, cache = conv2d_fwd(x, w, b, 2)
-    dx, grads = conv2d_bwd(mix, cache)
+    grads = {"w": np.zeros_like(w), "b": np.zeros_like(b)}
+    dx = conv2d_bwd(mix, cache, grads["w"], grads["b"])
     h = 1e-6
 
     def loss(xx, ww, bb):
@@ -128,8 +129,10 @@ def test_conv_backward_without_input_grad_keeps_param_grads():
     w = rng.normal(size=(4, 2, 3, 3))
     mix = rng.normal(size=(3, 4, 4, 4))
     _, cache = conv2d_fwd(x, w, rng.normal(size=4), 2)
-    _, full = conv2d_bwd(mix, cache)
-    dx, grads = conv2d_bwd(mix, cache, input_grad=False)
+    full = {"w": np.zeros_like(w), "b": np.zeros(4)}
+    conv2d_bwd(mix, cache, full["w"], full["b"])
+    grads = {"w": np.zeros_like(w), "b": np.zeros(4)}
+    dx = conv2d_bwd(mix, cache, grads["w"], grads["b"], input_grad=False)
     assert dx is None
     for k in ("w", "b"):
         npt.assert_array_equal(grads[k], full[k])
@@ -177,8 +180,9 @@ def test_memory_backward_matches_fd():
     img = rng.uniform(0, 1, (2, 3, 16, 16))
     mix = rng.normal(size=((4 * 4 + 2 * 2) * 2, 8))
     mem, cache = extract_memory(img, params, cfg)
-    grads = extract_memory_bwd(mix, cache)
-    assert set(grads) == set(params)
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    extract_memory_bwd(mix, cache, grads)
+    assert set(grads) == set(params) and all(g.any() for g in grads.values())
     h = 1e-6
     rng_pick = np.random.default_rng(11)
     for path in sorted(params):

@@ -3,7 +3,8 @@
 Every top-level function, class and constant in `src/facemark/` must be
 used by the package itself: a helper that only tests call is dead weight
 that a refactor has to keep in step.  Names the package exports (`__all__`)
-and its console-script entry points are exempt.
+and its console-script entry points are exempt.  Every name a module
+imports must be read in that module, or be in its `__all__`.
 """
 
 import ast
@@ -68,6 +69,31 @@ def unused_definitions(src=SRC):
     return unused
 
 
+def _imported_names(tree):
+    """Every name an import statement anywhere in the module binds;
+    `from __future__` imports bind none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def unused_imports(src=SRC):
+    """'module.name' of every imported name that its module never reads."""
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {sub.id for sub in ast.walk(tree)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        read |= _exempt({path.stem: tree})
+        unused += [f"{path.stem}.{name}" for name in _imported_names(tree)
+                   if name not in read]
+    return unused
+
+
 def test_every_definition_in_src_is_used_by_src():
     assert unused_definitions() == []
 
@@ -82,3 +108,21 @@ def test_guard_flags_a_test_only_helper(tmp_path):
         "class Dead:\n    pass\n"
     )
     assert unused_definitions(tmp_path) == ["a.only_tests_call_me", "a.Dead"]
+
+
+def test_every_import_in_src_is_read():
+    assert unused_imports() == []
+
+
+def test_guard_flags_an_unused_import(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .b import used, reexported, unread as alias\n"
+        "__all__ = ['reexported']\n"
+        "def f(x: used):\n"
+        "    import json\n"
+        "    return os.path.join(x)\n"
+    )
+    assert unused_imports(tmp_path) == ["a.np", "a.alias", "a.json"]

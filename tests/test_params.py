@@ -2,9 +2,26 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from facemark.attention import (
+    ffn_bwd,
+    ffn_fwd,
+    layer_norm_bwd,
+    layer_norm_fwd,
+    linear_bwd,
+    linear_fwd,
+    self_attention_bwd,
+    self_attention_fwd,
+)
+from facemark.backbone import (
+    conv2d_bwd,
+    conv2d_fwd,
+    extract_memory,
+    extract_memory_bwd,
+    init_backbone_params,
+)
+from facemark.decoder import ModelConfig
 from facemark.errors import ConfigError
 from facemark.params import (
-    accumulate,
     count_parameters,
     flat_views,
     glorot,
@@ -23,15 +40,82 @@ def test_glorot_bounds_and_shape():
     assert w2.shape == (1, 3, 3)
 
 
-def test_accumulate_adds_into_the_buffer():
-    flat, g = flat_views({"m.w": (2,), "m.b": (3,)})
-    flat.fill(0.0)
-    accumulate(g, "m.", {"w": np.ones(2)})
-    accumulate(g, "m.", {"w": np.ones(2)})
-    npt.assert_array_equal(g["m.w"], [2.0, 2.0])
-    npt.assert_array_equal(flat, [0.0, 0.0, 0.0, 2.0, 2.0])  # m.b sorts first
-    with pytest.raises(KeyError):  # the buffer holds every path up front
-        accumulate(g, "m.", {"v": np.ones(2)})
+def _group(grads, prefix, params):
+    """The views of `grads` under `prefix`, keyed like `params`."""
+    return {k: grads[prefix + k] for k in params}
+
+
+def _linear_case(rng):
+    w, b = rng.normal(size=(3, 5)), rng.normal(size=5)
+    _, cache = linear_fwd(rng.normal(size=(4, 2, 3)), w, b)
+    dout = rng.normal(size=(4, 2, 5))
+    return {"lin.w": w, "lin.b": b}, lambda g: linear_bwd(dout, cache, g["lin.w"], g["lin.b"])
+
+
+def _layer_norm_case(rng):
+    gain, bias = rng.normal(size=6), rng.normal(size=6)
+    _, cache = layer_norm_fwd(rng.normal(size=(4, 2, 6)), gain, bias)
+    dout = rng.normal(size=(4, 2, 6))
+    return ({"ln.g": gain, "ln.b": bias},
+            lambda g: layer_norm_bwd(dout, cache, g["ln.g"], g["ln.b"]))
+
+
+def _conv_case(rng):
+    w, b = rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
+    _, cache = conv2d_fwd(rng.normal(size=(2, 2, 4, 4)), w, b, 2)
+    dout = rng.normal(size=(2, 3, 2, 2))
+    return ({"conv.w": w, "conv.b": b},
+            lambda g: conv2d_bwd(dout, cache, g["conv.w"], g["conv.b"]))
+
+
+def _ffn_case(rng):
+    p = {"w1": rng.normal(size=(6, 24)), "b1": rng.normal(size=24),
+         "w2": rng.normal(size=(24, 6)), "b2": rng.normal(size=6),
+         "ln_g": rng.normal(size=6), "ln_b": rng.normal(size=6)}
+    _, cache = ffn_fwd(rng.normal(size=(4, 2, 6)), p)
+    dout = rng.normal(size=(4, 2, 6))
+    return ({f"ffn.{k}": v for k, v in p.items()},
+            lambda g: ffn_bwd(dout, cache, _group(g, "ffn.", p)))
+
+
+def _self_attention_case(rng):
+    p = {k: rng.normal(size=(8, 8)) for k in ("wq", "wk", "wv", "wo")}
+    p.update({k: rng.normal(size=8) for k in ("bq", "bk", "bv", "bo", "ln_g", "ln_b")})
+    _, cache = self_attention_fwd(rng.normal(size=(4, 2, 8)), rng.normal(size=(4, 1, 8)),
+                                  p, 2)
+    dout = rng.normal(size=(4, 2, 8))
+    return ({f"sa.{k}": v for k, v in p.items()},
+            lambda g: self_attention_bwd(dout, cache, _group(g, "sa.", p)))
+
+
+def _extract_memory_case(rng):
+    cfg = ModelConfig(dim=8, heads=2, levels=2, image_side=16, stage_channels=(4, 8))
+    params = init_backbone_params(rng, cfg)
+    mem, cache = extract_memory(rng.uniform(0, 1, (2, 3, 16, 16)), params, cfg)
+    dmem = rng.normal(size=mem.shape)
+    return params, lambda g: extract_memory_bwd(dmem, cache, g)
+
+
+@pytest.mark.parametrize("case", [_linear_case, _layer_norm_case, _conv_case, _ffn_case,
+                                  _self_attention_case, _extract_memory_case],
+                         ids=["linear_bwd", "layer_norm_bwd", "conv2d_bwd", "ffn_bwd",
+                              "self_attention_bwd", "extract_memory_bwd"])
+def test_backward_adds_into_the_views_it_is_handed(case):
+    # a backward's one add per path: into a buffer that already holds a
+    # running sum it lands exactly where the same call into zeros does,
+    # plus that sum; a view it is not handed keeps its bits
+    params, run = case(np.random.default_rng(5))
+    shapes = {k: v.shape for k, v in params.items()} | {"other": (3,)}
+    fresh, fresh_views = flat_views(shapes)
+    fresh.fill(0.0)
+    run(fresh_views)
+    flat, views = flat_views(shapes)
+    flat[:] = np.random.default_rng(6).normal(size=flat.size)
+    start = flat.copy()
+    run(views)
+    assert flat.tobytes() == (start + fresh).tobytes()
+    assert not fresh_views["other"].any()
+    assert all(fresh_views[k].any() for k in params)
 
 
 def test_grad_buffer_helpers():
@@ -47,10 +131,12 @@ def test_grad_buffer_helpers():
         assert v.shape == shapes[k] and v.flags.c_contiguous and v.base is flat, k
     # the views write through to the vector, and the vector to the views
     part = {"w": np.full((2, 2), 2.0), "b": np.arange(3.0)}
-    accumulate(z, "", part)
-    accumulate(z, "", part)
+    for _ in range(2):
+        for k, v in part.items():
+            z[k] += v
     npt.assert_array_equal(flat, [0.0, 0.0, 2.0, 4.0, 4.0, 4.0, 4.0, 4.0])
     npt.assert_array_equal(part["w"], np.full((2, 2), 2.0))  # parts are not aliased
+    assert all(v.base is flat for v in z.values())  # += keeps the views
     flat[0] = 7.0
     assert z["a.s"] == 7.0
 
