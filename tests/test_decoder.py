@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import time
 import tracemalloc
@@ -577,6 +578,40 @@ def test_param_shapes_match_init_for_every_flavor():
         shapes = param_shapes(cfg)
         assert list(shapes) == list(params)
         assert all(shapes[k] == params[k].shape for k in params)
+
+
+# sha256 of the `flat_views` vector of init_params(cfg, seed), recorded
+# before the parameters were declared as rows: the draw order, guarded by
+# bytes rather than by sums
+_INIT_SHA256 = {
+    ("tiny", "basic", 0): "11912de1c2bd488f250488d592939314d09e4ab1d5d422606e9aa8381e41bd8a",
+    ("tiny", "basic", 2): "6247d646f58b19b55c2826651ca48ce40cfd65f6bb30f837fe487145d006e300",
+    ("tiny", "parallel", 0): "73d36a31d00af8fe529104890a49502067cbedf3b4109fb187254173688bb4e7",
+    ("tiny", "parallel", 2): "765475b364cf187696c9c902622347a90a189d095aa4ea0db7fe44d40dfbcadb",
+    ("tiny", "no_self_attention", 0):
+        "355909d9c80eb28c3bcc5cbf9a8f18a5b4856770260355e07183dcb86e44d2d7",
+    ("tiny", "no_self_attention", 2):
+        "51bcbfcbc07b96b7a51b1992b931c90709f12eb5467cb7d410daaf2f9e5d438d",
+    ("tiny", "embedded_query_init", 0):
+        "db2b741ab143b5ff9d3e02eba4257fd142b8281d982929729ee015027f26bf9d",
+    ("tiny", "embedded_query_init", 2):
+        "96ea1559aff344620d33ff4ff4d85131c6a17dc060cd02ea4c200acad5b9f212",
+    ("default", "basic", 0): "8ce0ac769073a17083387288ad6c56c1eeacfdfb2a9b658087ceba91da225074",
+    ("default", "parallel", 0): "bf5f65fbdcafe558ae24f76a7eeaa23b694d4fdce166ea8d9c6ba0d9875ba7d0",
+}
+_FLAVORS = {"basic": {}, "parallel": {"parallel": True},
+            "no_self_attention": {"self_attention": False},
+            "embedded_query_init": {"learned_query_init": False}}
+
+
+@pytest.mark.parametrize("scale, flavor, seed", sorted(_INIT_SHA256))
+def test_initial_parameters_are_pinned(scale, flavor, seed):
+    base = TINY if scale == "tiny" else ModelConfig()
+    params = init_params(dataclasses.replace(base, **_FLAVORS[flavor]), seed)
+    flat, views = flat_views({k: v.shape for k, v in params.items()})
+    for k, v in params.items():
+        views[k][...] = v
+    assert hashlib.sha256(flat.tobytes()).hexdigest() == _INIT_SHA256[scale, flavor, seed]
 
 
 def test_loaded_state_preserves_flavor(tmp_path, tiny_batch):
