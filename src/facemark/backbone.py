@@ -6,7 +6,8 @@ Images come as a channel-first float stack (B, 3, side, side) with values
 in [0, 1].  Stage i halves the grid once (the first stage twice), so level
 l has stride `geometry.level_stride(l)` and the finest level sits first in
 the flattened memory.  The memory of the B images is one (M * B, dim)
-matrix whose row m * B + b is memory row m of image b.
+matrix whose row m * B + b is memory row m of image b.  `backbone_rows`
+declares the parameters, as the rows that `decoder.param_rows` starts with.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .attention import linear_bwd, linear_fwd, relu_fwd
 from .errors import ConfigError
-from .params import Params, glorot
+from .params import Params, Row
 
 if TYPE_CHECKING:
     from .decoder import ModelConfig
@@ -28,26 +29,22 @@ if TYPE_CHECKING:
 IN_CHANNELS = 3  # RGB
 
 
-def init_backbone_params(rng, cfg: ModelConfig) -> Params:
-    """Parameters drawn from `rng`; zeros come from its `zeros`, if it has
-    one (see `decoder.param_shapes`)."""
-    zeros = getattr(rng, "zeros", np.zeros)
-    p: Params = {}
+def backbone_rows(cfg: ModelConfig) -> list[Row]:
+    """(path, shape, init) of each backbone and level-projection parameter,
+    in draw order."""
+    rows = []
     cin = IN_CHANNELS
     for i, cout in enumerate(cfg.stage_channels):
-        p[f"backbone.s{i + 1}.conva.w"] = glorot(
-            rng, cin * 9, cout * 9, (cout, cin, 3, 3)
-        )
-        p[f"backbone.s{i + 1}.conva.b"] = zeros(cout)
-        p[f"backbone.s{i + 1}.convb.w"] = glorot(
-            rng, cout * 9, cout * 9, (cout, cout, 3, 3)
-        )
-        p[f"backbone.s{i + 1}.convb.b"] = zeros(cout)
+        pre = f"backbone.s{i + 1}"
+        rows += [(f"{pre}.conva.w", (cout, cin, 3, 3), "glorot"),
+                 (f"{pre}.conva.b", (cout,), "zeros"),
+                 (f"{pre}.convb.w", (cout, cout, 3, 3), "glorot"),
+                 (f"{pre}.convb.b", (cout,), "zeros")]
         cin = cout
     for i, c in enumerate(cfg.stage_channels):
-        p[f"project.l{i + 1}.w"] = glorot(rng, c, cfg.dim)
-        p[f"project.l{i + 1}.b"] = zeros(cfg.dim)
-    return p
+        rows += [(f"project.l{i + 1}.w", (c, cfg.dim), "glorot"),
+                 (f"project.l{i + 1}.b", (cfg.dim,), "zeros")]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,12 @@ def cmd_eval(args):
     state, _ = DecoderState.load(args.ckpt)
     dataset = fio.load_dataset(args.data)
     _check_dataset(args.data, dataset, state.config, "checkpoint")
-    result = evaluate(
-        state, dataset, normalizer=rc.eval_normalizer, eye_indices=rc.eye_indices
-    )
+    try:
+        result = evaluate(
+            state, dataset, normalizer=rc.eval_normalizer, eye_indices=rc.eye_indices
+        )
+    except ConfigError as e:  # the normalizer's checks of the samples and keys
+        raise ConfigError(f"{args.data}: {e}") from None
     text = report_text(result)
     print(text, end="")
     prefix = args.out or (args.ckpt + ".eval")

@@ -111,10 +111,19 @@ def load_run_config(path: str | None = None, overrides=()) -> RunConfig:
     if path:
         if not os.path.exists(path):
             raise ConfigError(f"config not found: {path}")
+        # read here, not by ConfigParser.read, which skips a file it cannot open
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:
+            raise ConfigError(f"cannot read config {path}: {e.strerror}") from None
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"cannot read config {path}: not UTF-8 text "
+                              f"(byte {e.start}: {e.reason})") from None
         cp = configparser.ConfigParser(interpolation=None)
         cp.optionxform = str
         try:
-            cp.read(path)
+            cp.read_string(text, source=path)
         except configparser.Error as e:
             raise ConfigError(f"cannot parse {path}: {e}") from None
         for section in cp.sections():

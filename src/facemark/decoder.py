@@ -27,6 +27,14 @@ CHUNK_ROWS query rows.
 functions read their geometry from it, and it is validated in one place.
 Its fields are the [model] config keys and, as text read by the config
 file's parsers, a checkpoint's metadata.
+
+`param_rows` declares every parameter once, as a (path, shape, init) row
+in draw order: the backbone's rows, then the query init, `landmark_init`,
+`query_pos`, `level_emb` and each layer's groups (`_layer_rows`).
+`init_params` draws the rows with `params.draw`; `param_shapes` reads
+their shapes and allocates nothing; `_layer_params` takes each group's
+local names from them; `DecoderState.load` checks a checkpoint against
+their shapes.
 """
 
 from __future__ import annotations
@@ -54,11 +62,7 @@ from .attention import (
     _sample_project_fwd,
     _sample_project_bwd,
 )
-from .backbone import (
-    extract_memory,
-    extract_memory_bwd,
-    init_backbone_params,
-)
+from .backbone import backbone_rows, extract_memory, extract_memory_bwd
 from .errors import ConfigError
 from .geometry import (
     PyramidLayout,
@@ -68,7 +72,7 @@ from .geometry import (
     pixel_centers,
     sigmoid,
 )
-from .params import (Params, field_parsers, field_text, glorot, load_checkpoint,
+from .params import (Params, Row, draw, field_parsers, field_text, load_checkpoint,
                      save_checkpoint)
 
 
@@ -161,113 +165,73 @@ def chunk_slices(count: int, cfg: ModelConfig) -> list[slice]:
 
 
 # ---------------------------------------------------------------------------
-# Parameter initialization
+# Parameters: one (path, shape, init) row each
 # ---------------------------------------------------------------------------
 
-class _NoDraws:
-    """Stand-in for the generator `init_params` draws from that draws and
-    allocates nothing: every draw, and every array of zeros or ones or
-    offset ring that the init asks it for, is a `_Shaped` of the asked size.
-    So shapes cost no memory, whatever size they claim."""
+def _layer_rows(cfg: ModelConfig) -> dict[str, tuple[tuple, ...]]:
+    """{group: ((local name, shape, init), ...)} of one decoder layer, for
+    the groups the model's flavor has, in draw order; layer t's paths are
+    "layers.{t}.{group}.{name}"."""
+    c = cfg.dim
+    k = cfg.heads * cfg.levels * cfg.points  # memory reads per query
+    # a square weight, a bias, and the norm that closes a group
+    w, b, ln = (c, c), (c,), (("ln_g", (c,), "ones"), ("ln_b", (c,), "zeros"))
+    groups = {}
+    if cfg.self_attention:
+        groups["self_attn"] = (
+            ("wq", w, "glorot"), ("wk", w, "glorot"), ("wv", w, "glorot"), ("wo", w, "glorot"),
+            ("bq", b, "zeros"), ("bk", b, "zeros"), ("bv", b, "zeros"), ("bo", b, "zeros"),
+            *ln)
+    groups["deform"] = (
+        ("w_off", (c, k * 2), "zeros"), ("b_off", (k * 2,), "ring"),
+        ("w_wgt", (c, k), "zeros"), ("b_wgt", (k,), "zeros"),
+        ("w_val", w, "glorot"), ("b_val", b, "zeros"),
+        ("w_out", w, "glorot"), ("b_out", b, "zeros"), *ln)
+    if cfg.parallel:
+        groups["ln_img"] = (("g", b, "ones"), ("b", b, "zeros"))
+    groups["ffn"] = (("w1", (c, 4 * c), "glorot"), ("b1", (4 * c,), "zeros"),
+                     ("w2", (4 * c, c), "glorot"), ("b2", b, "zeros"), *ln)
+    # zero last layer: every layer initially reports the cascade's input
+    groups["head"] = (("w1", w, "glorot"), ("b1", b, "zeros"),
+                      ("w2", w, "glorot"), ("b2", b, "zeros"),
+                      ("w3", (c, 2), "zeros"), ("b3", (2,), "zeros"))
+    return groups
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return _Shaped(size)
 
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return _Shaped(size)
-
-    def zeros(self, shape):
-        return _Shaped(shape)
-
-    def ones(self, shape):
-        return _Shaped(shape)
-
-    def offset_ring(self, k):
-        return _Shaped(2 * k)
-
-
-class _Shaped:
-    """A shape with no array behind it."""
-
-    __slots__ = ("shape",)
-
-    def __init__(self, size):
-        self.shape = size if isinstance(size, tuple) else (size,)
-
-
-def _offset_ring(k):
-    """Initial offset bias: k sampling points on a small ring, (x, y) flat."""
-    ring = 2.0 * np.pi * np.arange(k) / k
-    return 0.01 * np.stack([np.cos(ring), np.sin(ring)], axis=-1).ravel()
+def param_rows(cfg: ModelConfig) -> list[Row]:
+    """(path, shape, init) of every parameter of the model, in draw order:
+    the one declaration that init, shapes, layer views and the checkpoint
+    check read."""
+    n, c = cfg.num_landmarks, cfg.dim
+    h_last, w_last = cfg.layout.levels[-1]
+    rows = backbone_rows(cfg)
+    if cfg.learned_query_init:
+        rows += [("query_init.w", (h_last * w_last, n), "glorot"),
+                 ("query_init.b", (n,), "zeros")]
+    else:
+        rows.append(("query_embed", (n, c), "normal"))
+    rows += [("landmark_init.w", (c, 2), "glorot"), ("landmark_init.b", (2,), "zeros")]
+    if cfg.self_attention:
+        rows.append(("query_pos", (n, c), "normal"))
+    # scale-level embedding added to memory rows acting as queries; declared
+    # for both decoder flavors so their parameter layouts differ only by the
+    # parallel flavor's extra norms
+    rows.append(("level_emb", (cfg.levels, c), "normal"))
+    layer = _layer_rows(cfg)
+    rows += [(f"layers.{t}.{g}.{name}", shape, init) for t in range(cfg.num_layers)
+             for g, group in layer.items() for name, shape, init in group]
+    return rows
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every parameter `init_params` creates for `cfg`,
-    without drawing a random number or allocating a parameter."""
-    return {k: v.shape for k, v in _build_params(cfg, _NoDraws()).items()}
+    """Name -> shape of every parameter of `cfg`, without drawing a random
+    number or allocating a parameter."""
+    return {path: shape for path, shape, _ in param_rows(cfg)}
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> Params:
-    return _build_params(cfg, np.random.default_rng(seed))
-
-
-def _build_params(cfg: ModelConfig, rng) -> Params:
-    zeros = getattr(rng, "zeros", np.zeros)
-    ones = getattr(rng, "ones", np.ones)
-    offset_ring = getattr(rng, "offset_ring", _offset_ring)
-    p = init_backbone_params(rng, cfg)
-    n, c = cfg.num_landmarks, cfg.dim
-    h_last, w_last = cfg.layout.levels[-1]
-    if cfg.learned_query_init:
-        p["query_init.w"] = glorot(rng, h_last * w_last, n)
-        p["query_init.b"] = zeros(n)
-    else:
-        p["query_embed"] = rng.normal(0.0, 0.02, (n, c))
-    p["landmark_init.w"] = glorot(rng, c, 2)
-    p["landmark_init.b"] = zeros(2)
-    if cfg.self_attention:
-        p["query_pos"] = rng.normal(0.0, 0.02, (n, c))
-    # scale-level embedding added to memory rows acting as queries; allocated
-    # for both decoder flavors so their parameter layouts differ only by the
-    # parallel flavor's extra norms
-    p["level_emb"] = rng.normal(0.0, 0.02, (cfg.levels, c))
-    k = cfg.heads * cfg.levels * cfg.points  # memory reads per query
-    for t in range(cfg.num_layers):
-        pre = f"layers.{t}"
-        if cfg.self_attention:
-            for name in ("wq", "wk", "wv", "wo"):
-                p[f"{pre}.self_attn.{name}"] = glorot(rng, c, c)
-            for name in ("bq", "bk", "bv", "bo"):
-                p[f"{pre}.self_attn.{name}"] = zeros(c)
-            p[f"{pre}.self_attn.ln_g"] = ones(c)
-            p[f"{pre}.self_attn.ln_b"] = zeros(c)
-        p[f"{pre}.deform.w_off"] = zeros((c, k * 2))
-        p[f"{pre}.deform.b_off"] = offset_ring(k)
-        p[f"{pre}.deform.w_wgt"] = zeros((c, k))
-        p[f"{pre}.deform.b_wgt"] = zeros(k)
-        p[f"{pre}.deform.w_val"] = glorot(rng, c, c)
-        p[f"{pre}.deform.b_val"] = zeros(c)
-        p[f"{pre}.deform.w_out"] = glorot(rng, c, c)
-        p[f"{pre}.deform.b_out"] = zeros(c)
-        p[f"{pre}.deform.ln_g"] = ones(c)
-        p[f"{pre}.deform.ln_b"] = zeros(c)
-        if cfg.parallel:
-            p[f"{pre}.ln_img.g"] = ones(c)
-            p[f"{pre}.ln_img.b"] = zeros(c)
-        p[f"{pre}.ffn.w1"] = glorot(rng, c, 4 * c)
-        p[f"{pre}.ffn.b1"] = zeros(4 * c)
-        p[f"{pre}.ffn.w2"] = glorot(rng, 4 * c, c)
-        p[f"{pre}.ffn.b2"] = zeros(c)
-        p[f"{pre}.ffn.ln_g"] = ones(c)
-        p[f"{pre}.ffn.ln_b"] = zeros(c)
-        p[f"{pre}.head.w1"] = glorot(rng, c, c)
-        p[f"{pre}.head.b1"] = zeros(c)
-        p[f"{pre}.head.w2"] = glorot(rng, c, c)
-        p[f"{pre}.head.b2"] = zeros(c)
-        # zero start: every layer initially reports the cascade's input
-        p[f"{pre}.head.w3"] = zeros((c, 2))
-        p[f"{pre}.head.b3"] = zeros(2)
-    return p
+    rng = np.random.default_rng(seed)
+    return {path: draw(rng, shape, init) for path, shape, init in param_rows(cfg)}
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +262,12 @@ def _head_bwd(ddelta, cache: HeadCache, g):
 # Decoder layers
 # ---------------------------------------------------------------------------
 
-# Local parameter names of each per-layer group, "layers.{t}.{group}.{name}"
-_LAYER_GROUPS = {
-    "self_attn": ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln_g", "ln_b"),
-    "deform": ("w_off", "b_off", "w_wgt", "b_wgt", "w_val", "b_val",
-               "w_out", "b_out", "ln_g", "ln_b"),
-    "ln_img": ("g", "b"),
-    "ffn": ("w1", "b1", "w2", "b2", "ln_g", "ln_b"),
-    "head": ("w1", "b1", "w2", "b2", "w3", "b3"),
-}
-
-
-def _layer_params(params: Params, t: int):
+def _layer_params(params: Params, t: int, cfg: ModelConfig):
     """Layer t's parameters, or their gradient views, as {group: {local
     name: array}}, for the groups the model's flavor has."""
     pre = f"layers.{t}."
-    return {g: {n: params[f"{pre}{g}.{n}"] for n in names}
-            for g, names in _LAYER_GROUPS.items() if f"{pre}{g}.{names[0]}" in params}
+    return {g: {n: params[f"{pre}{g}.{n}"] for n, _, _ in group}
+            for g, group in _layer_rows(cfg).items()}
 
 
 def _read_fwd(q, refs, mem_state, aux, lp, cfg):
@@ -441,7 +394,7 @@ def forward(params: Params, images, cfg: ModelConfig, keep_cache=True):
         aux = (pixel_centers(layout), pos_rows)
     mem_state, layer_caches = mem, []
     for t in range(cfg.num_layers):
-        lp = _layer_params(params, t)
+        lp = _layer_params(params, t, cfg)
         # the last layer's refreshed memory would be read by nothing
         aux_t = aux if t < cfg.num_layers - 1 else None
         q, mem_state, c_layer = _layer_fwd(q, ys[-1], mem_state, aux_t, lp, pos, cfg)
@@ -474,7 +427,7 @@ def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache, grads: 
         c_layer, c_head = cache.layer_caches[t]
         y_t1 = ys[t + 1]
         dlogits = dlogits + (dys[t + 1] + drefs) * y_t1 * (1.0 - y_t1)
-        lg = _layer_params(grads, t)
+        lg = _layer_params(grads, t, cfg)
         dq_head = _head_bwd(dlogits, c_head, lg["head"])
         dq, drefs, dmem = _layer_bwd(dq + dq_head, dmem, dpos, dlevel, lg, c_layer, cfg)
     dlogits = dlogits + (dys[0] + drefs) * ys[0] * (1.0 - ys[0])

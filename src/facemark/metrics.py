@@ -74,21 +74,25 @@ def resolve_normalizer(kind, gt=None, pixel_scale=None, bbox=None,
     inter_ocular: pixel distance between two configured ground-truth
     landmarks; image_size: the image side; bbox_geometric_mean:
     sqrt(width * height) of the ground-truth box.  Stacks of ground truth
-    (..., N, 2) or boxes (..., 4) give one distance per sample.
+    (..., N, 2) or boxes (..., 4) give one distance per sample; an error
+    names the first sample at fault, or the eval key.
     """
     if kind == "inter_ocular":
         if gt is None or pixel_scale is None:
             raise ConfigError("inter-ocular normalizer needs ground truth and image size")
         gt = np.asarray(gt)
-        li, ri = eye_indices
         n = gt.shape[-2]
-        if not (0 <= li < n and 0 <= ri < n):
-            raise ConfigError(f"eye indices {eye_indices} out of range for {n} landmarks")
+        for key, i in zip(("eval.left_eye", "eval.right_eye"), eye_indices):
+            if not 0 <= i < n:
+                raise ConfigError(f"{key} {i} is out of range for {n} landmarks")
+        li, ri = eye_indices
         w, h = pixel_scale
         diff = (gt[..., li, :] - gt[..., ri, :]) * np.array([w, h])
         d = np.sqrt((diff ** 2).sum(axis=-1))
         if np.any(d == 0.0):
-            raise ValueError("eye landmarks coincide; inter-ocular distance is zero")
+            i = np.flatnonzero(np.ravel(d) == 0.0)[0]
+            raise ConfigError(f"sample {i} has eye landmarks {li} and {ri} at one point; "
+                              f"the inter-ocular distance is zero")
         return _scalar(d)
     if kind == "image_size":
         if pixel_scale is None:
@@ -103,7 +107,9 @@ def resolve_normalizer(kind, gt=None, pixel_scale=None, bbox=None,
         box = np.asarray(bbox, dtype=float)
         area = (box[..., 2] - box[..., 0]) * (box[..., 3] - box[..., 1])
         if np.any(area <= 0):
-            raise ValueError(f"degenerate box {bbox}")
+            i = np.flatnonzero(np.ravel(area) <= 0)[0]
+            corners = " ".join(f"{v:g}" for v in box.reshape(-1, 4)[i])
+            raise ConfigError(f"sample {i} has a degenerate box {corners}")
         return _scalar(np.sqrt(area))
     raise ConfigError(f"unknown normalizer: {kind} (choose from {NORMALIZERS})")
 
@@ -138,7 +144,11 @@ def evaluate(state: DecoderState, dataset, normalizer="image_size",
     scale = (side, side)
     gt = np.stack([s.landmarks for s in dataset])
     boxes = None
-    if normalizer == "bbox_geometric_mean" and all(s.bbox is not None for s in dataset):
+    if normalizer == "bbox_geometric_mean":
+        for i, s in enumerate(dataset):
+            if s.bbox is None:
+                raise ConfigError(f"sample {i} has no bounding box, which the "
+                                  f"bbox_geometric_mean normalizer needs")
         boxes = np.stack([s.bbox for s in dataset])
     d = resolve_normalizer(
         normalizer, gt=gt, pixel_scale=scale, bbox=boxes, eye_indices=eye_indices,

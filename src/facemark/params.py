@@ -1,10 +1,12 @@
-"""Flat parameter layout keyed by stable path strings, plus checkpoint I/O
-and the text parsers that config files and checkpoint metadata share.
+"""Flat parameter layout keyed by stable path strings, the initializer,
+checkpoint I/O and the text parsers that config files and checkpoint
+metadata share.
 
-Parameters are a dict mapping path -> float64 ndarray.  `flat_views` lays
-out such a dict as named views into one float64 vector in sorted-path
-order: the layout of checkpoints, of training's parameters and gradients
-and of Adam's moments.  A gradient buffer is such a vector and its views;
+Parameters are a dict mapping path -> float64 ndarray.  The model modules
+declare each parameter once, as a (path, shape, init) row; `draw` turns a
+row's shape and init into an array.  `flat_views` lays out such a dict as
+named views into one float64 vector in sorted-path order: the layout of
+checkpoints, of training's parameters and gradients and of Adam's moments.  A gradient buffer is such a vector and its views;
 each backward adds into the views of the parameters its forward read.
 """
 
@@ -20,6 +22,8 @@ import numpy as np
 from .errors import ConfigError
 
 Params = dict[str, np.ndarray]
+# (path, shape, init) of one parameter; `draw` reads the init
+Row = tuple[str, tuple[int, ...], str]
 
 CHECKPOINT_MAGIC = "facemark-ckpt v1"
 
@@ -28,12 +32,25 @@ CHECKPOINT_MAGIC = "facemark-ckpt v1"
 # Initializers
 # ---------------------------------------------------------------------------
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
-    """Glorot-uniform weight init; `shape` defaults to (fan_in, fan_out)."""
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_in, fan_out)
-    return rng.uniform(-limit, limit, size=shape)
+def draw(rng: np.random.Generator, shape: tuple[int, ...], init: str) -> np.ndarray:
+    """A parameter of `shape` made by `init`.  Only "glorot" (uniform in
+    +-sqrt(6 / (fan_in + fan_out)); a 2-D weight is (fan_in, fan_out), a
+    conv kernel (cout, cin, *window) counts its window in both fans) and
+    "normal" (std 0.02) draw from `rng`; "zeros", "ones" and "ring" (an
+    offset bias: shape[0] / 2 (x, y) points on a circle of radius 0.01,
+    flat) do not."""
+    if init == "glorot":
+        window = math.prod(shape[2:])
+        fan_in, fan_out = (shape[1] * window, shape[0] * window) if len(shape) > 2 else shape
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=shape)
+    if init == "normal":
+        return rng.normal(0.0, 0.02, shape)
+    if init == "ring":
+        k = shape[0] // 2
+        angle = 2.0 * np.pi * np.arange(k) / k
+        return 0.01 * np.stack([np.cos(angle), np.sin(angle)], axis=-1).ravel()
+    return {"zeros": np.zeros, "ones": np.ones}[init](shape)
 
 
 # ---------------------------------------------------------------------------

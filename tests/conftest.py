@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from facemark.backbone import backbone_rows
 from facemark.decoder import TINY, DecoderState
+from facemark.params import draw
 from facemark.training import SyntheticFaceSpec, gen_synthetic
 
 TINY_SPEC = SyntheticFaceSpec(num_landmarks=5, image_side=32, blob_sigma=0.05)
@@ -23,3 +25,9 @@ def jitter_params(state, seed=99, scale=0.02):
     rng = np.random.default_rng(seed)
     params = {k: v + rng.normal(0.0, scale, v.shape) for k, v in state.params.items()}
     return DecoderState(state.config, params)
+
+
+def backbone_params(rng, cfg):
+    """The backbone's parameters, drawn from `rng` row by row as the
+    model's init draws them."""
+    return {path: draw(rng, shape, init) for path, shape, init in backbone_rows(cfg)}

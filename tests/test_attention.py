@@ -566,7 +566,7 @@ def _block_bwd(dout, cache):
     flat.fill(0.0)
     # no self-attention and a basic read: no query_pos or level_emb gradient
     dx, drefs, dmem = _layer_bwd(dout, np.zeros(mem_shape), None, None,
-                                 _layer_params(grads, 0), layer_cache, block)
+                                 _layer_params(grads, 0, block), layer_cache, block)
 
     def group(name):
         pre = f"layers.0.{name}."

@@ -9,10 +9,11 @@ from facemark.backbone import (
     conv2d_fwd,
     extract_memory,
     extract_memory_bwd,
-    init_backbone_params,
 )
 from facemark.decoder import ModelConfig
 from facemark.errors import ConfigError
+
+from conftest import backbone_params
 
 
 def _backbone_config(stage_channels, dim, image_side):
@@ -144,7 +145,7 @@ def test_conv_backward_without_input_grad_keeps_param_grads():
 
 def test_memory_shape_tiny():
     cfg = _backbone_config((8, 16), 16, 32)
-    params = init_backbone_params(np.random.default_rng(0), cfg)
+    params = backbone_params(np.random.default_rng(0), cfg)
     img = np.random.default_rng(1).uniform(0, 1, (2, 3, 32, 32))
     mem, _ = extract_memory(img, params, cfg)
     assert mem.shape == ((8 * 8 + 4 * 4) * 2, 16)
@@ -153,7 +154,7 @@ def test_memory_shape_tiny():
 
 def test_memory_shape_full_scale():
     cfg = ModelConfig()
-    params = init_backbone_params(np.random.default_rng(0), cfg)
+    params = backbone_params(np.random.default_rng(0), cfg)
     img = np.random.default_rng(1).uniform(0, 1, (1, 3, 256, 256))
     mem, _ = extract_memory(img, params, cfg)
     assert mem.shape == (5440, 256)
@@ -161,7 +162,7 @@ def test_memory_shape_full_scale():
 
 def test_memory_input_validation():
     cfg = _backbone_config((8, 16), 16, 32)
-    params = init_backbone_params(np.random.default_rng(0), cfg)
+    params = backbone_params(np.random.default_rng(0), cfg)
     for bad in ((1, 1, 32, 32),  # channels
                 (1, 3, 32, 16),  # not square
                 (1, 3, 36, 36),  # not divisible by the coarsest stride
@@ -174,7 +175,7 @@ def test_memory_input_validation():
 def test_memory_backward_matches_fd():
     cfg = _backbone_config((4, 8), 8, 16)
     rng = np.random.default_rng(3)
-    params = init_backbone_params(rng, cfg)
+    params = backbone_params(rng, cfg)
     for v in params.values():
         v += rng.normal(0, 0.05, v.shape)
     img = rng.uniform(0, 1, (2, 3, 16, 16))
@@ -201,7 +202,7 @@ def test_memory_backward_matches_fd():
 
 def test_memory_deterministic():
     cfg = _backbone_config((8, 16), 16, 32)
-    params = init_backbone_params(np.random.default_rng(0), cfg)
+    params = backbone_params(np.random.default_rng(0), cfg)
     img = np.random.default_rng(1).uniform(0, 1, (1, 3, 32, 32))
     a, _ = extract_memory(img, params, cfg)
     b, _ = extract_memory(img, params, cfg)
@@ -212,7 +213,7 @@ def test_memory_rows_interleave_the_images():
     # row m of image b sits at m * B + b, and each image's rows equal a
     # single-image call's rows bit for bit
     cfg = _backbone_config((8, 16), 16, 32)
-    params = init_backbone_params(np.random.default_rng(0), cfg)
+    params = backbone_params(np.random.default_rng(0), cfg)
     imgs = np.random.default_rng(1).uniform(0, 1, (3, 3, 32, 32))
     batch, _ = extract_memory(imgs, params, cfg)
     for b in range(3):
@@ -226,7 +227,7 @@ def test_memory_matches_concatenated_level_projections_bit_for_bit():
     # concatenating the levels
     cfg = _backbone_config((4, 8, 16), 24, 64)
     rng = np.random.default_rng(8)
-    params = init_backbone_params(rng, cfg)
+    params = backbone_params(rng, cfg)
     for v in params.values():
         v += rng.normal(0, 0.05, v.shape)
     for bsz in (1, 3):

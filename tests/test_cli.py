@@ -11,7 +11,7 @@ from facemark import cli
 from facemark.cli import main
 from facemark.config import ENV_CONFIG
 from facemark.decoder import TINY, DecoderState
-from facemark.io import read_landmarks, read_ppm, write_landmarks, write_ppm
+from facemark.io import read_landmarks, read_ppm, write_bbox, write_landmarks, write_ppm
 
 TINY_MODEL = [
     "--set", "model.num_landmarks=5",
@@ -196,6 +196,68 @@ def test_a_later_sample_with_another_landmark_count_names_the_sample(tmp_path, v
     assert "Traceback" not in proc.stderr
     assert f"{data}: sample 3 has 4 landmarks" in proc.stderr
     assert not os.path.exists(ckpt + ".log") and not (tmp_path / "r.txt").exists()
+
+
+def _no_box(data):
+    (data / "face_00001.bbox").unlink()
+
+
+def _flat_box(data):
+    write_bbox(data / "face_00001.bbox", (10.0, 12.0, 10.0, 30.0))
+
+
+def _shared_eyes(data):
+    pts = read_landmarks(data / "face_00001.txt")
+    pts[1] = pts[0]
+    write_landmarks(data / "face_00001.txt", pts)
+
+
+@pytest.mark.parametrize("normalizer, edit, extra, named", [
+    ("bbox_geometric_mean", _no_box, [], "sample 1 has no bounding box"),
+    ("bbox_geometric_mean", _flat_box, [], "sample 1 has a degenerate box 10 12 10 30"),
+    ("inter_ocular", _shared_eyes, [], "sample 1 has eye landmarks 0 and 1 at one point"),
+    ("inter_ocular", None, ["--set", "eval.left_eye=5"], "eval.left_eye 5 is out of range"),
+    ("inter_ocular", None, ["--set", "eval.right_eye=-1"], "eval.right_eye -1 is out of range"),
+], ids=["no_box", "degenerate_box", "coinciding_eyes", "left_eye", "right_eye"])
+def test_eval_normalizer_errors_name_the_dataset_and_the_fault(
+        tmp_path, capsys, normalizer, edit, extra, named):
+    data = tmp_path / "ds"
+    main(["gen-data", "--out", str(data), *TINY_MODEL, "--set", "data.count=3"])
+    if edit is not None:
+        edit(data)
+    ckpt = str(tmp_path / "m.ckpt")
+    DecoderState.init(TINY).save(ckpt)
+    capsys.readouterr()
+    rc = main(["eval", "--ckpt", ckpt, "--data", str(data), "--out", str(tmp_path / "r"),
+               *TINY_MODEL, "--set", f"eval.normalizer={normalizer}", *extra])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1  # one line
+    assert f"{data}: {named}" in err
+    assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"[model]\ndim = 16\xff\n"),
+], ids=["directory", "not_utf8"])
+@pytest.mark.parametrize("via_env", [False, True], ids=["option", "env"])
+def test_unreadable_config_is_a_config_error_naming_it(tmp_path, make, via_env):
+    # ConfigParser.read skips a file it cannot open, so a directory once
+    # gave the defaults and exit 0, and bytes that are not UTF-8 gave a
+    # codec message that named no file
+    path = tmp_path / "facemark.cfg"
+    make(path)
+    if via_env:
+        proc = subprocess.run(
+            [sys.executable, "-m", "facemark", "params"], capture_output=True, text=True,
+            env={**os.environ, ENV_CONFIG: str(path),
+                 "PYTHONPATH": os.path.dirname(os.path.dirname(facemark.__file__))})
+    else:
+        proc = _run_facemark("params", "--config", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"cannot read config {path}" in proc.stderr
 
 
 def test_bad_train_schedule_is_a_config_error(tmp_path, capsys):

@@ -510,7 +510,8 @@ def test_load_rejects_params_misshapen_for_the_meta_dim(tmp_path, tiny_state):
 
 def test_load_allocates_nothing_for_a_claimed_dim(tmp_path, tiny_state):
     # the expected shapes of an 8e6-wide model, and its offset-bias ring,
-    # are shape-only stand-ins, not arrays; shapes stop at the first absent layer
+    # are read from the parameter rows, and no array is drawn; shapes stop
+    # at the first absent layer
     for key, old, new in (("dim", 16, 8000000), ("points", 2, 2000000),
                           ("num_layers", 2, 20000)):
         path = tmp_path / f"{key}.ckpt"

@@ -4,7 +4,9 @@ Every top-level function, class and constant in `src/facemark/` must be
 used by the package itself: a helper that only tests call is dead weight
 that a refactor has to keep in step.  Names the package exports (`__all__`)
 and its console-script entry points are exempt.  Every name a module
-imports must be read in that module, or be in its `__all__`.
+imports must be read in that module, or be in its `__all__`.  No module
+calls `getattr(obj, name, default)`: a hook that an object may or may not
+have is a second code path that only its callers know about.
 """
 
 import ast
@@ -126,3 +128,28 @@ def test_guard_flags_an_unused_import(tmp_path):
         "    return os.path.join(x)\n"
     )
     assert unused_imports(tmp_path) == ["a.np", "a.alias", "a.json"]
+
+
+def defaulted_getattrs(src=SRC):
+    """'module:line' of every three-argument `getattr` call in `src`."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "getattr" and len(node.args) == 3):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_src_module_calls_a_defaulted_getattr():
+    assert defaulted_getattrs() == []
+
+
+def test_guard_flags_a_defaulted_getattr(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n"
+        "def f(rng, cfg):\n"
+        "    zeros = getattr(rng, 'zeros', np.zeros)\n"
+        "    return zeros(getattr(cfg, 'dim'))\n"
+    )
+    assert defaulted_getattrs(tmp_path) == ["a:3"]

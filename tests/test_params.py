@@ -17,27 +17,32 @@ from facemark.backbone import (
     conv2d_fwd,
     extract_memory,
     extract_memory_bwd,
-    init_backbone_params,
 )
 from facemark.decoder import ModelConfig
 from facemark.errors import ConfigError
 from facemark.params import (
     count_parameters,
+    draw,
     flat_views,
-    glorot,
     load_checkpoint,
     save_checkpoint,
 )
 
+from conftest import backbone_params
+
 
 def test_glorot_bounds_and_shape():
     rng = np.random.default_rng(0)
-    w = glorot(rng, 100, 50)
+    w = draw(rng, (100, 50), "glorot")
     assert w.shape == (100, 50)
     limit = np.sqrt(6.0 / 150)
     assert np.abs(w).max() <= limit
-    w2 = glorot(rng, 9, 9, shape=(1, 3, 3))
+    w2 = draw(rng, (1, 3, 3), "glorot")
     assert w2.shape == (1, 3, 3)
+    # a conv kernel (cout, cin, kh, kw) counts its window in both fans
+    w3 = draw(rng, (8, 4, 3, 3), "glorot")
+    assert w3.shape == (8, 4, 3, 3)
+    assert np.abs(w3).max() <= np.sqrt(6.0 / (4 * 9 + 8 * 9))
 
 
 def _group(grads, prefix, params):
@@ -90,7 +95,7 @@ def _self_attention_case(rng):
 
 def _extract_memory_case(rng):
     cfg = ModelConfig(dim=8, heads=2, levels=2, image_side=16, stage_channels=(4, 8))
-    params = init_backbone_params(rng, cfg)
+    params = backbone_params(rng, cfg)
     mem, cache = extract_memory(rng.uniform(0, 1, (2, 3, 16, 16)), params, cfg)
     dmem = rng.normal(size=mem.shape)
     return params, lambda g: extract_memory_bwd(dmem, cache, g)
