@@ -1,5 +1,5 @@
 """Multi-head self-attention over landmark queries and multi-scale
-deformable attention over the flattened pyramid memory.
+deformable attention over the image pyramid.
 
 Every operation comes as a forward returning (output, cache) and a backward
 consuming (dout, cache) and the gradient views of the parameters the forward
@@ -8,9 +8,9 @@ keyed like its parameters.  A backward adds each parameter's gradient into
 its view with one `+=` and returns only input gradients.
 
 Shapes: B images run together.  Queries are (N, B, C), query row n of
-image b; the memory of all B images is one (M * B, C) matrix with a
-PyramidLayout, memory row m of image b at row m * B + b.  Linear maps,
-layer norms and the FFN act on the last axis.  On an (R, B, C) stack a
+image b; the parallel decoder's memory of all B images is one (M * B, C)
+matrix with a PyramidLayout, memory row m of image b at row m * B + b.
+Linear maps, layer norms and the FFN act on the last axis.  On an (R, B, C) stack a
 linear map is one batched matmul holding one (R, C) product per image,
 and every parameter gradient sums each image's rows first and then the
 images in order.  So each image sees exactly the arithmetic it would see
@@ -36,8 +36,10 @@ b * heads + k, and the sampling locations (R, B * heads, levels, points, 2)
 follow the same fold.  This read asks the kernel for dense reads of the
 levels of at most DENSE_PIXELS pixels (one GEMM per image and head instead
 of a gather/scatter).  The basic decoder's read (`_sample_project_fwd`)
-keeps the gather on every level; it samples raw memory rows and projects
-only what its queries read; see the comment above `_bias_mass`.
+keeps the gather on every level and builds no memory: it samples each
+level's ch_l-wide backbone features into that level's own output and maps
+what its queries read through the level projection composed with the value
+projection; see the comment above `_bias_mass`.
 """
 
 from __future__ import annotations
@@ -101,12 +103,20 @@ def linear_fwd(x, w, b, out=None):
 
 
 def linear_bwd(dout, cache, gw, gb):
+    """The input gradient; adds the weight and bias gradients into gw and
+    gb, summed over the images, or image by image into gw (B, C, K) and
+    gb (B, K), views with a leading image axis."""
     x3, w = cache
-    dout_b = dout.reshape(x3.shape[:2] + w.shape[1:]).transpose(1, 0, 2)
+    dout3 = dout.reshape(x3.shape[:2] + w.shape[1:])
+    dout_b = dout3.transpose(1, 0, 2)
     dx = np.matmul(dout_b, w.T).transpose(1, 0, 2)
     dws = _matmul_rows(x3.transpose(1, 2, 0), dout_b)
-    gw += dws[0] if len(dws) == 1 else np.add.reduce(dws, axis=0)
-    gb += _sum_rows(dout)
+    if gw.ndim == 3:
+        gw += dws
+        gb += np.add.reduce(dout3, axis=0)
+    else:
+        gw += dws[0] if len(dws) == 1 else np.add.reduce(dws, axis=0)
+        gb += _sum_rows(dout)
     return dx.reshape(dout.shape[:-1] + w.shape[:1])
 
 
@@ -307,25 +317,31 @@ def sampling_fields_bwd(doffsets, dweights, cache: FieldCache, g):
 CoreCache = namedtuple("CoreCache", "value_levels locs weights table dense_pixels")
 
 
-def deform_core_fwd(value_levels, locs, weights, dense_pixels=0):
+def deform_core_fwd(value_levels, locs, weights, dense_pixels=0, outs=None):
     """Weighted sum of bilinear reads from the per-level value tensors.
 
-    value_levels: per level (h, w, heads, head_dim)
+    value_levels: per level (h, w, heads, d_l)
     locs:         (R, heads, levels, points, 2) normalized sampling points
     weights:      (R, heads, levels, points), already softmaxed
-    Returns (R, heads * head_dim).  Levels of at most `dense_pixels` pixels
-    are read by GEMM (see `bilinear_sample_many`).
+    Returns (R, heads * head_dim), the sum over the levels, which must share
+    one width; given `outs`, one (R, heads, d_l) array per level, each
+    level's reads are added into its own array and `outs` is returned.
+    Levels of at most `dense_pixels` pixels are read by GEMM (see
+    `bilinear_sample_many`).
     """
-    out, table = bilinear_sample_many(value_levels, locs, weights, dense_pixels)
-    return out.reshape(locs.shape[0], -1), CoreCache(
-        value_levels, locs, weights, table, dense_pixels)
+    out, table = bilinear_sample_many(value_levels, locs, weights, dense_pixels, outs)
+    if outs is None:
+        out = out.reshape(locs.shape[0], -1)
+    return out, CoreCache(value_levels, locs, weights, table, dense_pixels)
 
 
 def deform_core_bwd(dout, cache: CoreCache):
-    r, heads = cache.locs.shape[:2]
+    """dout is (R, heads * head_dim), or the list of per-level (R, heads, d_l)
+    gradients of a forward given `outs`."""
+    if not isinstance(dout, list):
+        dout = dout.reshape(cache.locs.shape[:2] + (-1,))
     return bilinear_sample_many_backward(
-        cache.value_levels, cache.weights, cache.table, dout.reshape(r, heads, -1),
-        cache.dense_pixels)
+        cache.value_levels, cache.weights, cache.table, dout, cache.dense_pixels)
 
 
 def _sampling_points(x_rows, refs_rows, p, cfg: ModelConfig):
@@ -374,23 +390,34 @@ def deform_project_bwd(dout, cache: DeformCache, g):
 
 
 # ---------------------------------------------------------------------------
-# The basic decoder's read: sample raw memory rows, then project
+# The basic decoder's read: sample backbone features, then project
 # ---------------------------------------------------------------------------
-# The bilinear reads, the attention weights and the value projection are all
-# linear, so the landmark queries read raw memory rows and project only the
-# sums they read: head k's output is agg_k @ W_val[:, head k's columns] +
-# mass_k * b_val[head k's columns], where agg_k is the weighted sum of the
-# raw rows that head k reads and mass_k the sum of their in-bounds corner
-# weights (zero padding applies to the projected value, bias included).
-# The memory is never projected.  The kernel reads each level of the
-# (M * B, C) memory as (h, w, B, C), without a copy: its head b is image b,
-# and its query rows are the (query, head) pairs, (N * heads, B, ...).
+# Memory row m of level l would be feat_l[m] @ W_l + b_l (the level
+# projection `project.l{l+1}`), and in the basic decoder nothing but this read
+# and the query init reads the memory.  The bilinear reads, the attention
+# weights and both projections are linear, so head k reads level l's raw
+# ch_l-wide backbone features and maps what it read once:
+#
+#     value_k = sum_l agg_lk @ U_lk + mass_lk * e_lk,
+#     U_lk = W_l @ W_val[:, k],   e_lk = b_l @ W_val[:, k] + b_val[k],
+#
+# where W_val[:, k] are head k's value columns, agg_lk is the weighted sum of
+# the features that head k reads on level l and mass_lk the sum of their
+# in-bounds corner weights (zero padding applies to the projected value,
+# biases included).  The U_lk and e_lk are one GEMM per layer over the
+# stacked projections (`backbone.stack_projections`: the rows of every W_l,
+# then every b_l); the memory is never built.  What a head read is laid out
+# the same way, as one row [agg_1k, ..., agg_Lk, mass_1k, ..., mass_Lk], so
+# its value is one GEMM per image and head.  The kernel reads level l as
+# (h, w, B, ch_l), without a copy: its head b is image b, its query rows are
+# the (query, head) pairs, (N * heads, B, ...), and each level adds into its
+# own output, which the row joins.
 
 def _bias_mass(table, weights):
-    """Per kernel row and head, the sum over its points of point weight *
-    in-bounds bilinear mass (wy0 + wy1) * (wx0 + wx1)."""
+    """Per kernel row, head and level, the sum over the level's points of
+    point weight * in-bounds bilinear mass (wy0 + wy1) * (wx0 + wx1)."""
     sy, sx = np.add.reduce(table.wy, axis=0), np.add.reduce(table.wx, axis=0)
-    return np.add.reduce(weights * sy * sx, axis=(-2, -1))
+    return np.add.reduce(weights * sy * sx, axis=-1)
 
 
 def _bias_mass_bwd(dmass, cache: CoreCache, dlocs, dweights):
@@ -398,7 +425,7 @@ def _bias_mass_bwd(dmass, cache: CoreCache, dlocs, dweights):
     weights into dlocs and dweights."""
     table = cache.table
     sy, sx = np.add.reduce(table.wy, axis=0), np.add.reduce(table.wx, axis=0)
-    g = dmass[..., None, None]
+    g = dmass[..., None]
     dweights += g * sy * sx
     g = g * cache.weights
     # d(wy0 + wy1)/dty = oky1 - oky0, and dty/dy = h (dtx/dx = w)
@@ -407,58 +434,69 @@ def _bias_mass_bwd(dmass, cache: CoreCache, dlocs, dweights):
     dlocs[..., 1] += g * sx * (table.oky[1] * 1.0 - table.oky[0]) * h[:, None]
 
 
-SampleCache = namedtuple("SampleCache", "fields core slices agg mass w_h b_h cout")
+SampleCache = namedtuple("SampleCache", "fields core agg u proj w_val cout")
 
 
-def _sample_project_fwd(x, refs, memory_data, layout: PyramidLayout, p,
-                        cfg: ModelConfig):
+def _sample_project_fwd(x, refs, feats, proj, p, cfg: ModelConfig):
     """Pre-residual deformable attention of (N, B, C) queries x at (N, B, 2)
-    reference points over the (M * B, C) memory rows of B images."""
+    reference points over the backbone features of B images: `feats` holds
+    each level's (h, w, B, ch_l) array and `proj` the stacked level
+    projections."""
     n, bsz, dim = x.shape
+    heads = cfg.heads
     locs, weights, cf = _sampling_points(x, refs, p, cfg)
     # (N, B, heads, ...) -> (N * heads, B, ...)
-    locs = locs.swapaxes(1, 2).reshape((n * cfg.heads, bsz) + locs.shape[3:])
+    locs = locs.swapaxes(1, 2).reshape((n * heads, bsz) + locs.shape[3:])
     weights = weights.swapaxes(1, 2).reshape(locs.shape[:-1])
-    slices = layout.block_slices(bsz)
-    levels = [memory_data[sl].reshape(h, w, bsz, dim)
-              for (h, w), sl in zip(layout.levels, slices)]
-    agg, cc = deform_core_fwd(levels, locs, weights)
-    # (B, heads, N, ·) views: one (N, C) @ (C, head_dim) GEMM per image and head
-    agg = agg.reshape(n, cfg.heads, bsz, dim).transpose(2, 1, 0, 3)
-    mass = _bias_mass(cc.table, weights).reshape(n, cfg.heads, bsz).T
-    mass = np.ascontiguousarray(mass)[..., None]
-    w_h = p["w_val"].reshape(dim, cfg.heads, -1).transpose(1, 0, 2)
-    b_h = p["b_val"].reshape(cfg.heads, 1, -1)
-    value = np.matmul(agg, w_h)
-    value += mass * b_h
+    # what each (query, head) read, in the order of the stacked rows: every
+    # level's features side by side, then each level's mass
+    outs = [np.zeros(locs.shape[:2] + f.shape[-1:]) for f in feats]
+    _, cc = deform_core_fwd(feats, locs, weights, outs=outs)
+    agg = np.concatenate(outs + [_bias_mass(cc.table, weights)], axis=-1)
+    # (B, heads, N, rows) view: one GEMM per image and head
+    agg = agg.reshape(n, heads, bsz, -1).transpose(2, 1, 0, 3)
+    # the stacked rows mapped by w_val, b_val added to the bias rows, split
+    # into heads: each U_l's rows, then each e_l, (heads, rows, head_dim)
+    u = np.matmul(proj, p["w_val"])
+    u[-len(feats):] += p["b_val"]
+    u = u.reshape(len(proj), heads, -1).transpose(1, 0, 2)
+    value = np.matmul(agg, u)
     merged = value.transpose(2, 0, 1, 3).reshape(n, bsz, dim)
     y, co = linear_fwd(merged, p["w_out"], p["b_out"])
-    return y, SampleCache(cf, cc, slices, agg, mass, w_h, b_h, co)
+    return y, SampleCache(cf, cc, agg, u, proj, p["w_val"], co)
 
 
-def _sample_project_bwd(dout, cache: SampleCache, g, dmemory):
-    """Returns (dx, drefs); adds the memory gradient into the (M * B, C)
-    rows of dmemory."""
+def _sample_project_bwd(dout, cache: SampleCache, g, dfeats, dproj):
+    """Returns (dx, drefs).  Adds each level's feature gradient into the
+    (h, w, B, ch_l) array of dfeats, and each image's gradient of the
+    stacked projections into dproj, (B, rows, dim)."""
     dmerged = linear_bwd(dout, cache.cout, g["w_out"], g["b_out"])
     n, bsz, dim = dmerged.shape
-    heads = cache.w_h.shape[0]
+    heads = cache.u.shape[0]
     dvalue = dmerged.reshape(n, bsz, heads, -1).transpose(1, 2, 0, 3)
-    # per image and head, then the images in order
-    dw_h = np.add.reduce(np.matmul(cache.agg.swapaxes(-1, -2), dvalue), axis=0)
-    db_h = np.add.reduce(np.matmul(cache.mass.swapaxes(-1, -2), dvalue), axis=0)
-    g["w_val"] += dw_h.transpose(1, 0, 2).reshape(dim, dim)
-    g["b_val"] += db_h.reshape(dim)
-    dagg = np.matmul(dvalue, cache.w_h.swapaxes(-1, -2))
-    dmass = np.matmul(dvalue, cache.b_h.swapaxes(-1, -2))
-    dagg = dagg.transpose(2, 1, 0, 3).reshape(n * heads, bsz * dim)
-    dlevels, dlocs, dweights = deform_core_bwd(dagg, cache.core)
-    dmass = dmass.reshape(bsz, heads, n).T.reshape(n * heads, bsz)
-    _bias_mass_bwd(dmass, cache.core, dlocs, dweights)
-    for dlev, sl in zip(dlevels, cache.slices):
-        dmemory[sl] += dlev.reshape(-1, dim)
+    # per image and head: the gradient of the mapped rows and of the read;
+    # dagg is taken as (rows, N), whose bits held at 2 BLAS threads where
+    # the (N, rows) product's did not
+    du = np.matmul(cache.agg.swapaxes(-1, -2), dvalue)
+    dagg = np.matmul(cache.u, dvalue.swapaxes(-1, -2)).swapaxes(-1, -2)
+    # each image's (rows, dim) gradient back through the composition, then
+    # the images in order
+    du = du.transpose(0, 2, 1, 3).reshape(bsz, -1, dim)
+    g["w_val"] += np.add.reduce(_matmul_rows(cache.proj.T, du), axis=0)
+    g["b_val"] += np.add.reduce(np.add.reduce(du[:, -len(dfeats):], axis=1), axis=0)
+    dproj += _matmul_rows(du, cache.w_val.T)
+    dagg = dagg.transpose(2, 1, 0, 3).reshape(n * heads, bsz, -1)
+    # each level's columns, then the masses'
+    douts, row = [], 0
+    for f in dfeats:
+        douts.append(dagg[..., row:row + f.shape[-1]])
+        row += f.shape[-1]
+    dlevels, dlocs, dweights = deform_core_bwd(douts, cache.core)
+    _bias_mass_bwd(dagg[..., row:], cache.core, dlocs, dweights)
+    for df, dlev in zip(dfeats, dlevels):
+        df += dlev
     # (N * heads, B, ...) -> (N, B, heads, ...)
     dlocs = dlocs.reshape((n, heads) + dlocs.shape[1:]).swapaxes(1, 2)
     dweights = dweights.reshape((n, heads) + dweights.shape[1:]).swapaxes(1, 2)
     return _sampling_points_bwd(
         np.ascontiguousarray(dlocs), np.ascontiguousarray(dweights), cache.fields, g)
-

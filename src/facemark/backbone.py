@@ -1,13 +1,16 @@
 """Small strided CNN that turns an image into a multi-scale feature pyramid,
-plus the per-level 1x1 projections that flatten the pyramid into the memory
-matrix consumed by the attention layers.
+plus the per-level 1x1 projections that flatten the pyramid into memory
+rows.
 
 Images come as a channel-first float stack (B, 3, side, side) with values
 in [0, 1].  Stage i halves the grid once (the first stage twice), so level
 l has stride `geometry.level_stride(l)` and the finest level sits first in
 the flattened memory.  The memory of the B images is one (M * B, dim)
-matrix whose row m * B + b is memory row m of image b.  `backbone_rows`
-declares the parameters, as the rows that `decoder.param_rows` starts with.
+matrix whose row m * B + b is memory row m of image b; the parallel decoder
+reads it whole.  The basic decoder reads each level's features instead, as
+an (h, w, B, ch) array, through `stack_projections`, and projects only the
+last level's rows for its query init.  `backbone_rows` declares the
+parameters, as the rows that `decoder.param_rows` starts with.
 """
 
 from __future__ import annotations
@@ -104,13 +107,16 @@ def conv2d_bwd(dout, cache: ConvCache, gw, gb, input_grad=True):
 # ---------------------------------------------------------------------------
 
 StageCache = namedtuple("StageCache", "ca ma cb mb")
-BackboneCache = namedtuple("BackboneCache", "stages projections layout batch")
+BackboneCache = namedtuple("BackboneCache", "stages feats projections first")
 
 
-def extract_memory(images, params: Params, cfg: ModelConfig):
-    """Run the backbone and projections on a (B, 3, side, side) stack;
-    return the (M * B, dim) memory and a cache.  Its rows follow
-    `cfg.layout`.
+def extract_memory(images, params: Params, cfg: ModelConfig, first: int = 0):
+    """Run the backbone stages on a (B, 3, side, side) stack and project
+    levels first, first + 1, ... into memory rows; return the (M' * B, dim)
+    memory of those levels, laid out as `cfg.layout` lays them out, and a
+    cache.  The cache's `feats` holds every level's features, each an
+    (h, w, B, ch) array whose [i, j, b] is image b's pixel (i, j): the
+    basic decoder reads these and asks only for the last level's rows.
 
     `params` is the full flat parameter dict; backbone entries live under
     the "backbone." and "project." prefixes.
@@ -122,14 +128,13 @@ def extract_memory(images, params: Params, cfg: ModelConfig):
             f"got shape {images.shape}"
         )
     bsz = images.shape[0]
-    layout = cfg.layout
+    levels = cfg.layout.levels
     # each level's projection writes its own rows of the memory, in
     # (row, col, image) order: memory row m of image b at m * B + b
-    memory = np.empty((layout.total_len * bsz, cfg.dim))
-    stages = []
-    projections = []
-    x = images
-    for i, sl in enumerate(layout.block_slices(bsz)):
+    memory = np.empty((sum(h * w for h, w in levels[first:]) * bsz, cfg.dim))
+    stages, feats, projections = [], [], []
+    x, row = images, 0
+    for i, (h, w) in enumerate(levels):
         pre = f"backbone.s{i + 1}"
         h1, ca = conv2d_fwd(x, params[f"{pre}.conva.w"], params[f"{pre}.conva.b"], 2)
         a1, ma = relu_fwd(h1)
@@ -137,36 +142,66 @@ def extract_memory(images, params: Params, cfg: ModelConfig):
         h2, cb = conv2d_fwd(a1, params[f"{pre}.convb.w"], params[f"{pre}.convb.b"], sb)
         x, mb = relu_fwd(h2)
         stages.append(StageCache(ca, ma, cb, mb))
-        _, ch, h, w = x.shape
-        rows = x.transpose(2, 3, 0, 1).reshape(h * w, bsz, ch)
-        _, lin = linear_fwd(rows, params[f"project.l{i + 1}.w"],
-                            params[f"project.l{i + 1}.b"],
-                            out=memory[sl].reshape(h * w, bsz, cfg.dim))
-        projections.append((lin, (h, w)))
-    return memory, BackboneCache(stages, projections, layout, bsz)
+        rows = x.transpose(2, 3, 0, 1).reshape(h * w, bsz, -1)
+        feats.append(rows.reshape(h, w, bsz, -1))
+        if i >= first:
+            out = memory[row:row + h * w * bsz].reshape(h * w, bsz, cfg.dim)
+            _, lin = linear_fwd(rows, params[f"project.l{i + 1}.w"],
+                                params[f"project.l{i + 1}.b"], out=out)
+            projections.append(lin)
+            row += h * w * bsz
+    return memory, BackboneCache(stages, feats, projections, first)
 
 
-def extract_memory_bwd(ddata, cache: BackboneCache, grads: Params):
-    """Backward through projections and stages.  Adds the parameter
-    gradients, summed over the batch, into `grads` by full parameter path;
-    the image gradient is never computed.
+def extract_memory_bwd(ddata, cache: BackboneCache, grads: Params, dfeats=None,
+                       dproj=None):
+    """Backward through projections and stages, given the gradient of the
+    memory rows and, optionally, of the features: one (h, w, B, ch) array
+    per level, which is added.  Adds the parameter gradients, summed over
+    the batch, into `grads` by full parameter path, one add per path; the
+    image gradient is never computed.  `dproj`, if given, holds each
+    image's gradient of `stack_projections`' matrix, (B, rows, dim): the
+    memory rows' projection gradients join it image by image, and its sum
+    over the images goes into `grads`.
     """
-    dfeats = []
-    bsz = cache.batch
-    for i, ((lin, (h, w)), sl) in enumerate(
-        zip(cache.projections, cache.layout.block_slices(bsz))
-    ):
-        pre = f"project.l{i + 1}"
-        drows = linear_bwd(ddata[sl].reshape(h * w, bsz, -1), lin,
-                           grads[f"{pre}.w"], grads[f"{pre}.b"])
-        dfeats.append(drows.reshape(h, w, bsz, -1).transpose(2, 3, 0, 1))
+    dfeats = list(dfeats or [None] * len(cache.feats))
+    levels = len(cache.feats)
+    row, first_row = 0, sum(f.shape[-1] for f in cache.feats[:cache.first])
+    for i, lin in enumerate(cache.projections, start=cache.first):
+        h, w, bsz, ch = cache.feats[i].shape
+        if dproj is None:
+            gw, gb = grads[f"project.l{i + 1}.w"], grads[f"project.l{i + 1}.b"]
+        else:
+            gw, gb = dproj[:, first_row:first_row + ch], dproj[:, i - levels]
+        drows = linear_bwd(ddata[row:row + h * w * bsz].reshape(h * w, bsz, -1), lin,
+                           gw, gb).reshape(h, w, bsz, -1)
+        dfeats[i] = drows if dfeats[i] is None else dfeats[i] + drows
+        row += h * w * bsz
+        first_row += ch
+    if dproj is not None:
+        dstack, row = np.add.reduce(dproj, axis=0), 0
+        for i, f in enumerate(cache.feats):
+            ch = f.shape[-1]
+            grads[f"project.l{i + 1}.w"] += dstack[row:row + ch]
+            grads[f"project.l{i + 1}.b"] += dstack[i - levels]
+            row += ch
     dx = None
     for i in range(len(cache.stages) - 1, -1, -1):
         pre = f"backbone.s{i + 1}"
         st = cache.stages[i]
-        d = dfeats[i] if dx is None else dfeats[i] + dx
+        d = dfeats[i].transpose(2, 3, 0, 1)
+        if dx is not None:
+            d = d + dx
         d = d * st.mb
         da1 = conv2d_bwd(d, st.cb, grads[f"{pre}.convb.w"], grads[f"{pre}.convb.b"])
         da1 = da1 * st.ma
         dx = conv2d_bwd(da1, st.ca, grads[f"{pre}.conva.w"], grads[f"{pre}.conva.b"],
                         input_grad=i > 0)
+
+
+def stack_projections(params: Params, cfg: ModelConfig):
+    """Every level projection as one (sum of ch_l + levels, dim) matrix:
+    the rows of each `project.l{l}.w`, then each `project.l{l}.b` as a row."""
+    paths = [f"project.l{i + 1}" for i in range(cfg.levels)]
+    return np.concatenate([params[f"{p}.w"] for p in paths]
+                          + [params[f"{p}.b"][None] for p in paths])

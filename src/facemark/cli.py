@@ -14,8 +14,8 @@ import os
 import sys
 
 from . import io as fio
-from .config import ENV_CONFIG, load_run_config
-from .decoder import DecoderState
+from .config import ENV_CONFIG, load_run_config, model_hash
+from .decoder import DecoderState, param_shapes
 from .errors import ConfigError, NumericError
 from .metrics import evaluate, report_machine, report_text
 from .params import count_parameters
@@ -130,11 +130,13 @@ def cmd_eval(args):
         raise ConfigError(f"{args.data}: {e}") from None
     text = report_text(result)
     print(text, end="")
+    # the model scored is the checkpoint's, whatever [model] says
+    stamp = model_hash(rc, state.config)
     prefix = args.out or (args.ckpt + ".eval")
     with open(prefix + ".txt", "w") as f:
-        f.write(f"config {rc.hash}\n" + text)
+        f.write(f"config {stamp}\n" + text)
     with open(prefix + ".tsv", "w") as f:
-        f.write(report_machine(result, rc.hash))
+        f.write(report_machine(result, stamp))
     print(f"reports: {prefix}.txt, {prefix}.tsv")
     return 0
 
@@ -182,19 +184,14 @@ def cmd_gradcheck(args):
 
 def cmd_params(args):
     rc = load_run_config(args.config, args.overrides)
-
-    def report(cfg):
-        state = DecoderState.init(cfg, rc.model_seed)
-        return count_parameters(state.params)
-
-    counts, total = report(rc.model)
+    counts, total = count_parameters(param_shapes(rc.model))
     width = max(len(p) for p in counts)
     for path, n in counts.items():
         print(f"{path:<{width}}  {n}")
     print(f"{'total':<{width}}  {total}")
     if args.compare:
         other = dataclasses.replace(rc.model, parallel=not rc.model.parallel)
-        _, other_total = report(other)
+        _, other_total = count_parameters(param_shapes(other))
         a, b = (total, other_total) if rc.model.parallel else (other_total, total)
         print(f"parallel total {a}; basic total {b}; delta {a - b}")
     return 0

@@ -102,6 +102,13 @@ def config_hash(values: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def model_hash(rc: RunConfig, model: ModelConfig) -> str:
+    """The hash of `rc` with its [model] keys that ModelConfig holds taken
+    from `model`."""
+    values = {**rc.values, **{("model", k): getattr(model, k) for k in _KEYS[ModelConfig]}}
+    return config_hash(values)
+
+
 def load_run_config(path: str | None = None, overrides=()) -> RunConfig:
     """Build the effective configuration from defaults, an optional INI
     file (falling back to $FACEMARK_CONFIG), and --set overrides."""

@@ -2,21 +2,26 @@
 
 A stack of decoder layers refines landmark coordinates from an initial
 estimate.  Each layer runs optional self-attention over the landmark
-queries, a deformable read of the pyramid memory anchored at the current
+queries, a deformable read of the image pyramid anchored at the current
 landmark positions, a residual layer norm and the FFN, then a small MLP head
 that nudges the positions.  Positions are carried as logits between layers,
 so a zero head leaves them bit-for-bit unchanged; sigmoid(logits) is what
 the model reports.
 
 Both flavors run this one layer; only the read (`_read_fwd`) differs.  The
-parallel read also treats every memory row as a query of the same pass and
-rewrites the memory, both branches reading the pre-update memory.  The
+basic read samples the backbone features and maps what it read through the
+level and value projections composed, so the basic flavor never builds the
+(M * B, C) memory; it projects only the last level's rows, which the query
+init reads.  The parallel read projects the memory rows, treats every
+memory row as a query of the same pass and rewrites the memory, both
+branches reading the pre-update memory.  The
 last layer's read skips the memory rows, since nothing reads the memory
 after it.  The flavor's only added parameters are the per-layer norm over
 the refreshed memory rows; the last layer's pair is kept but inert.
 
 `forward` and `backward` run a chunk of B images at once: queries are
-(N, B, C) and the memory (M * B, C), laid out as `attention` describes.
+(N, B, C), the parallel memory (M * B, C) and the basic read's features
+(h, w, B, ch) per level, laid out as `attention` describes.
 Every image of a chunk gets the arithmetic it would get alone, and the
 parameter gradients add the images in order, so a chunk gives the bits of
 a loop over its images.  Callers split a larger stack into chunks of
@@ -62,7 +67,7 @@ from .attention import (
     _sample_project_fwd,
     _sample_project_bwd,
 )
-from .backbone import backbone_rows, extract_memory, extract_memory_bwd
+from .backbone import backbone_rows, extract_memory, extract_memory_bwd, stack_projections
 from .errors import ConfigError
 from .geometry import (
     PyramidLayout,
@@ -272,15 +277,16 @@ def _layer_params(params: Params, t: int, cfg: ModelConfig):
 
 def _read_fwd(q, refs, mem_state, aux, lp, cfg):
     """Deformable read of queries q at reference points refs: (attention
-    output of q, next memory, cache).  The basic read samples raw memory
-    rows and projects what it read; the memory passes through.  The
-    parallel read projects every memory row first.  Given `aux`, the
+    output of q, next memory, cache).  The basic read's memory is the
+    backbone features and the stacked level projections, (feats, proj); it
+    samples the features, projects what it read, and passes them through.
+    The parallel read projects every memory row first.  Given `aux`, the
     memory rows' pixel centers and positions, each memory row is a query
     too and its outputs refresh the memory.  Without it (no later layer
     reads the memory) q alone reads, and the next memory is None."""
     deform_p = lp["deform"]
     if not cfg.parallel:
-        attn, c_r = _sample_project_fwd(q, refs, mem_state, cfg.layout, deform_p, cfg)
+        attn, c_r = _sample_project_fwd(q, refs, *mem_state, deform_p, cfg)
         return attn, mem_state, c_r
     value_levels, c_v = project_value(mem_state, cfg.layout, deform_p, cfg)
     if aux is None:
@@ -300,13 +306,14 @@ def _read_fwd(q, refs, mem_state, aux, lp, cfg):
 
 def _read_bwd(dattn, dmem_next, dlevel, lg, cache, cfg):
     """Returns (dq, drefs, dmem) of the read, given the gradients of its
-    output and of the next memory, which the basic read adds into.  A parallel
-    read ignores dmem_next if it refreshed no memory, else adds into dlevel.
-    Adds the parameter gradients into lg, the layer's `_layer_params` views."""
+    output and of the next memory.  The basic read's memory gradient is
+    (dfeats, dproj), which it adds into.  A parallel read ignores dmem_next
+    if it refreshed no memory, else adds into dlevel.  Adds the parameter
+    gradients into lg, the layer's `_layer_params` views."""
     g = lg["deform"]
     if not cfg.parallel:
         # the memory passed through; layers add in order
-        dq, drefs = _sample_project_bwd(dattn, cache, g, dmem_next)
+        dq, drefs = _sample_project_bwd(dattn, cache, g, *dmem_next)
         return dq, drefs, dmem_next
     c_v, c_p, c_li = cache
     if c_li is None:
@@ -358,7 +365,7 @@ def _layer_bwd(dout, dmem_next, dpos, dlevel, lg, cache: LayerCache, cfg):
 # Full forward / backward
 # ---------------------------------------------------------------------------
 
-ForwardCache = namedtuple("ForwardCache", "backbone mem init_lin q0_source layer_caches ys")
+ForwardCache = namedtuple("ForwardCache", "backbone init_lin q0_source layer_caches ys")
 
 
 def forward(params: Params, images, cfg: ModelConfig, keep_cache=True):
@@ -370,13 +377,18 @@ def forward(params: Params, images, cfg: ModelConfig, keep_cache=True):
     cache is dropped as soon as the stage is done and the returned cache is
     None, so memory does not grow with the layers.
     """
-    mem, c_bb = extract_memory(images, params, cfg)  # checks the stack's shape
+    # the basic read samples the features: only the query init reads
+    # memory rows, those of the last level
+    first = 0 if cfg.parallel else cfg.levels - 1
+    mem, c_bb = extract_memory(images, params, cfg, first)  # checks the stack's shape
+    bsz, layout = images.shape[0], cfg.layout
+    mem_state = mem if cfg.parallel else (c_bb.feats, stack_projections(params, cfg))
     if not keep_cache:
         c_bb = None
-    bsz, layout = images.shape[0], cfg.layout
     if cfg.learned_query_init:
         # one (N, M_last) @ (M_last, C) product per image
-        m_last = mem[layout.block_slices(bsz)[-1]].reshape(-1, bsz, cfg.dim)
+        h_last, w_last = layout.levels[-1]
+        m_last = mem[len(mem) - h_last * w_last * bsz:].reshape(-1, bsz, cfg.dim)
         q = np.matmul(params["query_init.w"].T, m_last.transpose(1, 0, 2))
         q = (q + params["query_init.b"][:, None]).transpose(1, 0, 2)
         q0_source = m_last
@@ -392,7 +404,7 @@ def forward(params: Params, images, cfg: ModelConfig, keep_cache=True):
         level_pos = params["level_emb"][level_of_row(layout)]
         pos_rows = build_pixel_positions(layout, cfg.dim) + level_pos
         aux = (pixel_centers(layout), pos_rows)
-    mem_state, layer_caches = mem, []
+    layer_caches = []
     for t in range(cfg.num_layers):
         lp = _layer_params(params, t, cfg)
         # the last layer's refreshed memory would be read by nothing
@@ -404,7 +416,7 @@ def forward(params: Params, images, cfg: ModelConfig, keep_cache=True):
         if keep_cache:
             layer_caches.append((c_layer, c_head))
         del c_layer, c_head  # else freed here, not when the next layer rebinds them
-    cache = ForwardCache(c_bb, mem, c_init, q0_source, layer_caches, ys)
+    cache = ForwardCache(c_bb, c_init, q0_source, layer_caches, ys)
     return [y.transpose(1, 0, 2) for y in ys], cache if keep_cache else None
 
 
@@ -420,7 +432,14 @@ def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache, grads: 
     drefs = np.zeros_like(ys[0])
     dlogits = np.zeros_like(ys[0])
     dq = np.zeros(ys[0].shape[:2] + (cfg.dim,))
-    dmem = np.zeros(cache.mem.shape)
+    bsz, (h_last, w_last) = dq.shape[1], cfg.layout.levels[-1]
+    # the gradient of the layers' memory: the memory rows, or for the basic
+    # read (dfeats, dproj), each image's gradient of the stacked projections
+    if cfg.parallel:
+        dstate = np.zeros((cfg.layout.total_len * bsz, cfg.dim))
+    else:
+        dstate = ([np.zeros(f.shape) for f in cache.backbone.feats],
+                  np.zeros((bsz, sum(cfg.stage_channels) + cfg.levels, cfg.dim)))
     # query_pos and level_emb gradients per image, summed over the layers
     dpos, dlevel = np.zeros_like(dq), np.zeros((cfg.levels,) + dq.shape[1:])
     for t in range(cfg.num_layers - 1, -1, -1):
@@ -429,26 +448,32 @@ def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache, grads: 
         dlogits = dlogits + (dys[t + 1] + drefs) * y_t1 * (1.0 - y_t1)
         lg = _layer_params(grads, t, cfg)
         dq_head = _head_bwd(dlogits, c_head, lg["head"])
-        dq, drefs, dmem = _layer_bwd(dq + dq_head, dmem, dpos, dlevel, lg, c_layer, cfg)
+        dq, drefs, dstate = _layer_bwd(dq + dq_head, dstate, dpos, dlevel, lg, c_layer, cfg)
     dlogits = dlogits + (dys[0] + drefs) * ys[0] * (1.0 - ys[0])
+    # the gradient of the projected memory rows; the basic read's are the
+    # last level's, which only the query init reads
+    dmem = dstate if cfg.parallel else np.zeros((h_last * w_last * bsz, cfg.dim))
     dq0_init = linear_bwd(dlogits, cache.init_lin, grads["landmark_init.w"],
                           grads["landmark_init.b"])
     # (B, N, C): sums over axis 0 add the images in order
     dq0 = np.ascontiguousarray((dq + dq0_init).transpose(1, 0, 2))
     if cfg.learned_query_init:
         m_last = cache.q0_source
-        grads["query_init.w"] += np.matmul(
-            m_last.transpose(1, 0, 2), dq0.transpose(0, 2, 1)).sum(axis=0)
+        # per image (N, C) @ (C, M_last): the (M_last, C) @ (C, N) layout of
+        # the same product read other bits at 2 BLAS threads than at 1
+        grads["query_init.w"] += np.matmul(dq0, m_last.transpose(1, 2, 0)).sum(axis=0).T
         grads["query_init.b"] += dq0.sum(axis=2).sum(axis=0)
-        last_slice = cfg.layout.block_slices(dq0.shape[0])[-1]
-        dlast = dmem[last_slice].reshape(m_last.shape)  # a view into dmem
+        dlast = dmem[len(dmem) - h_last * w_last * bsz:].reshape(m_last.shape)  # a view
         dlast += np.matmul(params["query_init.w"], dq0).transpose(1, 0, 2)
     else:
         grads["query_embed"] += dq0.sum(axis=0)
     if cfg.self_attention:
         grads["query_pos"] += dpos.sum(axis=1)
     grads["level_emb"] += dlevel.sum(axis=1)
-    extract_memory_bwd(dmem, cache.backbone, grads)
+    if cfg.parallel:
+        extract_memory_bwd(dmem, cache.backbone, grads)
+    else:
+        extract_memory_bwd(dmem, cache.backbone, grads, *dstate)
 
 
 # ---------------------------------------------------------------------------

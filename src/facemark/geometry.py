@@ -2,13 +2,14 @@
 
 `bilinear_sample_many` and its backward are the package's only bilinear
 kernel: rotation augmentation and multi-scale deformable attention both
-read through them.  They take a list of (h, w, heads, d) levels,
+read through them.  They take a list of (h, w, heads, d_l) levels,
 (R, heads, levels, points, 2) locations and (R, heads, levels, points)
 point weights, so one call covers a whole deformable pass.  The kernel is
 fused: it returns the weighted sum (R, heads, d) and never stores a
-per-point read.  The forward builds a corner table that gives every corner
-its row and weight, and the backward takes that table back instead of
-rebuilding it.  Out-of-bounds corners read a clamped row with weight zero
+per-point read.  Levels may differ in width when each level reads into
+its own (R, heads, d_l) output; the same output may serve every level.
+The forward builds a corner table that gives every corner its row and
+weight, and the backward takes that table back instead of rebuilding it.  Out-of-bounds corners read a clamped row with weight zero
 instead of being masked out.
 
 Each level is read one of two ways.  By default it is gathered: the
@@ -249,19 +250,23 @@ def _heads_first(lev):
     return lev.reshape(h * w, heads, d).transpose(1, 0, 2)
 
 
-def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray, dense_pixels=0):
+def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray, dense_pixels=0,
+                         outs=None):
     """Weighted sum of bilinear reads from a pyramid of maps, zero padding
     outside.
 
-    `levels` holds L maps (h_l, w_l, heads, d); `locs` is
+    `levels` holds L maps (h_l, w_l, heads, d_l); `locs` is
     (R, heads, L, points, 2) and point (r, k, l, p) reads head k of level
     l; `weights` (R, heads, L, points) scales each point's read.  Points may
-    lie outside [0, 1]^2; out-of-range corners contribute zero.  Returns
-    (out, table): out (R, heads, d) is the sum over levels, points and
-    corners of corner weight * point weight * corner row, starting from
-    +0.0 and adding levels in order and a gathered level's corners in
-    corner order; table is the corner table the backward takes.  No
-    per-point read is kept.
+    lie outside [0, 1]^2; out-of-range corners contribute zero.  Level l's
+    reads, corner weight * point weight * corner row summed over its points
+    and corners, are added into outs[l], an (R, heads, d_l) array; a gathered
+    level adds its corners in corner order.  The same array may serve
+    several levels, which then add into it in level order.  Without `outs`
+    every level adds into one new zero array, so the levels must share one
+    width.  Returns (out, table): out is that array, or `outs` when given;
+    table is the corner table the backward takes.  No per-point read is
+    kept.
 
     A level of at most `dense_pixels` pixels is read densely, a block of
     _DENSE_ROWS query rows at a time: one `np.add.at` over the block's
@@ -272,24 +277,24 @@ def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray, dense_pi
     gathered, a corner at a time in corner order.
     """
     locs = np.asarray(locs, dtype=np.float64)
-    d = levels[0].shape[-1]
     table = _corner_table(levels, locs)
     _, cw = _corner_weights(table, weights)
-    out = np.zeros(locs.shape[:2] + (d,))
-    blocks = _row_blocks(weights.shape, d)
-    for l, lev in enumerate(levels):
-        pixels = lev.shape[0] * lev.shape[1]
+    shared = outs is None
+    if shared:
+        outs = [np.zeros(locs.shape[:2] + levels[0].shape[-1:])] * len(levels)
+    for l, (lev, out) in enumerate(zip(levels, outs)):
+        pixels, d = lev.shape[0] * lev.shape[1], lev.shape[-1]
         if pixels <= dense_pixels:
             v = _heads_first(lev)
             for b, a, _ in _dense_blocks(table.rows[:, :, :, l], cw[:, :, :, l], pixels):
                 out[b] += np.matmul(a, v).transpose(1, 0, 2)
             continue
         flat = lev.reshape(-1, d)
-        for b in blocks:
+        for b in _row_blocks(weights.shape, d):
             for k in range(4):
                 vals = flat.take(table.rows[k, b, :, l], axis=0)
                 out[b] += np.einsum("rhpc,rhp->rhc", vals, cw[k, b, :, l])
-    return out, table
+    return outs[0] if shared else outs, table
 
 
 def bilinear_sample_many_backward(levels, weights, table: CornerTable, dout,
@@ -298,9 +303,10 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, dout,
     the point weights.
 
     `weights` and `table` are the forward's weights and returned corner
-    table; `dout` is (R, heads, d), shaped like the forward's output.
-    Returns (dlevels, one array per level shaped like it; dlocs
-    (R, heads, L, points, 2); dweights shaped like `weights`).  The
+    table; `dout` is the gradient of its output: one (R, heads, d) array that
+    every level read into, or a list holding level l's (R, heads, d_l)
+    gradient at l.  Returns (dlevels, one array per level shaped like it;
+    dlocs (R, heads, L, points, 2); dweights shaped like `weights`).  The
     interpolant has kinks on cell boundaries; gradients there follow the
     floor-based cell choice.
 
@@ -321,14 +327,14 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, dout,
     """
     rows = table.rows
     wt, cw = _corner_weights(table, weights)
-    d = dout.shape[-1]
-    dout = np.ascontiguousarray(dout)
-    dout_t = np.ascontiguousarray(dout.transpose(2, 0, 1)).reshape(d, -1)
+    douts = dout if isinstance(dout, list) else [dout] * len(levels)
     contrib = np.empty(rows.shape)  # v . dout of every corner read
-    blocks = _row_blocks(weights.shape, d)
     dlevels = []
     for l, lev in enumerate(levels):
-        pixels = lev.shape[0] * lev.shape[1]
+        pixels, d = lev.shape[0] * lev.shape[1], lev.shape[-1]
+        if l == 0 or douts[l] is not douts[l - 1]:
+            dout = np.ascontiguousarray(douts[l])
+            dout_t = np.ascontiguousarray(dout.transpose(2, 0, 1)).reshape(d, -1)
         if pixels <= dense_pixels:
             v = _heads_first(lev)
             dv = np.zeros(v.shape)
@@ -340,7 +346,7 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, dout,
             dlevels.append(dv.transpose(1, 0, 2).reshape(lev.shape))
             continue
         flat = lev.reshape(-1, d)
-        for b in blocks:
+        for b in _row_blocks(weights.shape, d):
             for k in range(4):
                 vals = flat.take(rows[k, b, :, l], axis=0)
                 # both operands have contiguous channel rows, so the dot

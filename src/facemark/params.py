@@ -69,9 +69,9 @@ def flat_views(shapes: dict[str, tuple[int, ...]]) -> tuple[np.ndarray, Params]:
     return flat, views
 
 
-def count_parameters(params: Params) -> tuple[dict[str, int], int]:
-    """Exact element count per parameter path and the total."""
-    per_path = {k: int(v.size) for k, v in sorted(params.items())}
+def count_parameters(shapes: dict[str, tuple[int, ...]]) -> tuple[dict[str, int], int]:
+    """Exact element count per parameter path of {path: shape} and the total."""
+    per_path = {k: math.prod(shape) for k, shape in sorted(shapes.items())}
     return per_path, sum(per_path.values())
 
 

@@ -543,35 +543,59 @@ def _ffn_params(rng, dim):
 
 
 def _block_config(points=2) -> ModelConfig:
-    """A basic decoder of width 8, 2 heads and 2 levels over 32 px images,
-    without self-attention: its layer is the deformable block, i.e. the
-    sample-then-project read, residual + layer norm, FFN."""
+    """A basic decoder of width 8, 2 heads and 2 levels of 4 and 8 channels
+    over 32 px images, without self-attention: its layer is the deformable
+    block, i.e. the sample-then-project read, residual + layer norm, FFN."""
     return ModelConfig(dim=8, heads=2, levels=2, points=points, image_side=32,
-                       stage_channels=(8, 8), self_attention=False)
+                       stage_channels=(4, 8), self_attention=False)
 
 
-def _block_fwd(x, refs, memory, p, ffn_p, cfg):
+def _features_fixture(rng, cfg, batch=1):
+    """The basic read's memory for `batch` images: one (h, w, B, ch_l)
+    feature array per level and the stacked level projections, the rows of
+    each W_l and then each b_l."""
+    feats = [rng.normal(size=(h, w, batch, c))
+             for (h, w), c in zip(cfg.layout.levels, cfg.stage_channels)]
+    proj = rng.normal(size=(sum(cfg.stage_channels) + cfg.levels, cfg.dim)) * 0.3
+    return feats, proj
+
+
+def _projected_memory(feats, proj, cfg):
+    """The (M * B, C) memory rows the basic read reads without building:
+    feat_l @ W_l + b_l, level after level, row m of image b at m * B + b."""
+    blocks, row = [], 0
+    for l, f in enumerate(feats):
+        c = f.shape[-1]
+        blocks.append(f.reshape(-1, c) @ proj[row:row + c] + proj[l - cfg.levels])
+        row += c
+    return np.concatenate(blocks)
+
+
+def _block_fwd(x, refs, state, p, ffn_p, cfg):
     """The decoder layer of `cfg`, a `_block_config`, on (N, B, C) queries x
-    at reference points refs: its output and a cache for `_block_bwd`."""
+    at reference points refs over the (feats, proj) memory `state`: its
+    output and a cache for `_block_bwd`."""
     lp = {"deform": p, "ffn": ffn_p}
-    out, mem_next, cache = _layer_fwd(x, refs, memory, None, lp, None, cfg)
-    assert mem_next is memory  # the basic read passes the memory through
-    return out, (cache, cfg, memory.shape)
+    out, mem_next, cache = _layer_fwd(x, refs, state, None, lp, None, cfg)
+    assert mem_next is state  # the basic read passes the memory through
+    return out, (cache, cfg, state)
 
 
 def _block_bwd(dout, cache):
-    """(dx, drefs, dmemory, dparams, dffn) of `_block_fwd`."""
-    layer_cache, block, mem_shape = cache
+    """(dx, drefs, dfeats, dproj, dparams, dffn) of `_block_fwd`; dproj
+    holds each image's gradient of the stacked projections."""
+    layer_cache, block, (feats, proj) = cache
     flat, grads = flat_views(param_shapes(block))
     flat.fill(0.0)
+    dstate = ([np.zeros(f.shape) for f in feats], np.zeros((feats[0].shape[2],) + proj.shape))
     # no self-attention and a basic read: no query_pos or level_emb gradient
-    dx, drefs, dmem = _layer_bwd(dout, np.zeros(mem_shape), None, None,
-                                 _layer_params(grads, 0, block), layer_cache, block)
+    dx, drefs, dstate = _layer_bwd(dout, dstate, None, None,
+                                   _layer_params(grads, 0, block), layer_cache, block)
 
     def group(name):
         pre = f"layers.0.{name}."
         return {k[len(pre):]: v for k, v in grads.items() if k.startswith(pre)}
-    return dx, drefs, dmem, group("deform"), group("ffn")
+    return (dx, drefs) + dstate + (group("deform"), group("ffn"))
 
 
 def test_full_deformable_block_backward_matches_fd():
@@ -579,25 +603,26 @@ def test_full_deformable_block_backward_matches_fd():
     cfg = _block_config()
     p = _deform_params(rng, cfg)
     ffn_p = _ffn_params(rng, 8)
-    # two images: (rows, B, C) queries against their (M * B, C) memory
-    memory = _memory_fixture(rng, cfg, batch=2)
+    # two images: (rows, B, C) queries against their features
+    feats, proj = state = _features_fixture(rng, cfg, batch=2)
     x = rng.normal(size=(4, 2, 8))
     refs = rng.uniform(0.2, 0.8, (4, 2, 2))
     mix = rng.normal(size=(4, 2, 8))
-    out, cache = _block_fwd(x, refs, memory, p, ffn_p, cfg)
+    out, cache = _block_fwd(x, refs, state, p, ffn_p, cfg)
     assert out.shape == (4, 2, 8)
-    dx, drefs, dmem, dp, dffn = _block_bwd(mix, cache)
+    dx, drefs, dfeats, dproj, dp, dffn = _block_bwd(mix, cache)
     assert set(dp) == set(p)
     assert set(dffn) == set(ffn_p)
 
     def loss():
-        out2, _ = _block_fwd(x, refs, memory, p, ffn_p, cfg)
+        out2, _ = _block_fwd(x, refs, state, p, ffn_p, cfg)
         return (out2 * mix).sum()
 
-    names = [("x", x), ("refs", refs), ("memory", memory)]
+    names = [("x", x), ("refs", refs), ("proj", proj)]
+    names += [(f"feats[{l}]", f) for l, f in enumerate(feats)]
     names += [(f"p.{k}", p[k]) for k in sorted(p)]
     names += [(f"ffn.{k}", ffn_p[k]) for k in sorted(ffn_p)]
-    analytic = [dx, drefs, dmem]
+    analytic = [dx, drefs, dproj.sum(axis=0)] + dfeats
     analytic += [dp[k] for k in sorted(p)]
     analytic += [dffn[k] for k in sorted(ffn_p)]
     _fd_check(names, analytic, loss, n=4)
@@ -625,55 +650,74 @@ def _assert_rel_close(a, b, name):
 
 def test_sample_then_project_matches_project_first():
     # 3 images of 5 queries; reference points inside, on the border and far
-    # outside [0, 1] so that in-bounds corner masses run from 0 to 1
+    # outside [0, 1] so that in-bounds corner masses run from 0 to 1.  The
+    # read of the features through the composed maps equals projecting the
+    # memory rows feat_l @ W_l + b_l and then every value row.
     rng = np.random.default_rng(16)
     cfg = _block_config(points=3)
     p = _deform_params(rng, cfg)
     ffn_p = _ffn_params(rng, 8)
-    memory = _memory_fixture(rng, cfg, batch=3)
+    feats, proj = state = _features_fixture(rng, cfg, batch=3)
     x = rng.normal(size=(5, 3, 8))
     x[0] *= 0.1  # small offsets around the center
     refs = rng.uniform(-0.6, 1.6, (5, 3, 2))
     refs[0] = 0.5
     refs[1] = [-3.0, 0.5]
     dout = rng.normal(size=(5, 3, 8))
-    out, cache = _block_fwd(x, refs, memory, p, ffn_p, cfg)
-    masses = cache[0].read.mass
+    out, cache = _block_fwd(x, refs, state, p, ffn_p, cfg)
+    # each level's mass closes the read's stacked columns; sum over the levels
+    masses = cache[0].read.agg[..., -cfg.levels:].sum(axis=-1)
     assert masses.min() < 1e-12 and masses.max() > 0.99
     assert ((masses > 0.05) & (masses < 0.95)).any()
-    grads = _block_bwd(dout, cache)
-    ref_out, ref_grads = _project_first_block(x, refs, memory, p, ffn_p, cfg, dout)
+    dx, drefs, dfeats, dproj, dp, dffn = _block_bwd(dout, cache)
+    memory = _projected_memory(feats, proj, cfg)
+    ref_out, (ref_dx, ref_drefs, dmem, ref_dp, ref_dffn) = _project_first_block(
+        x, refs, memory, p, ffn_p, cfg, dout)
+    # the memory gradient taken back through each level's projection
+    ref_dfeats, ref_dproj, row = [], np.zeros(proj.shape), 0
+    for l, (f, sl) in enumerate(zip(feats, cfg.layout.block_slices(3))):
+        c = f.shape[-1]
+        ref_dfeats.append((dmem[sl] @ proj[row:row + c].T).reshape(f.shape))
+        ref_dproj[row:row + c] = f.reshape(-1, c).T @ dmem[sl]
+        ref_dproj[l - cfg.levels] = dmem[sl].sum(axis=0)
+        row += c
     _assert_rel_close(out, ref_out, "out")
-    for name, g, ref in zip(("dx", "drefs", "dmemory"), grads[:3], ref_grads[:3]):
-        _assert_rel_close(g, ref, name)
-    for got, want in zip(grads[3:], ref_grads[3:]):
+    _assert_rel_close(dx, ref_dx, "dx")
+    _assert_rel_close(drefs, ref_drefs, "drefs")
+    _assert_rel_close(dproj.sum(axis=0), ref_dproj, "dproj")
+    for l, (got, want) in enumerate(zip(dfeats, ref_dfeats)):
+        _assert_rel_close(got, want, f"dfeats[{l}]")
+    for got, want in ((dp, ref_dp), (dffn, ref_dffn)):
         assert set(got) == set(want)
         for k in want:
             _assert_rel_close(got[k], want[k], k)
 
 
 def test_deformable_block_chunk_of_three_equals_single_images():
-    # one GEMM per image and head, gradients summed per image and then over
-    # the images in order: a chunk gives a per-image loop's bits
+    # one GEMM per image, head and level, gradients summed per image and
+    # then over the images in order: a chunk gives a per-image loop's bits
     rng = np.random.default_rng(17)
     cfg = _block_config()
     p = _deform_params(rng, cfg)
     ffn_p = _ffn_params(rng, 8)
-    memory = _memory_fixture(rng, cfg, batch=3)
+    feats, proj = state = _features_fixture(rng, cfg, batch=3)
     x = rng.normal(size=(4, 3, 8))
     refs = rng.uniform(-0.2, 1.2, (4, 3, 2))
     dout = rng.normal(size=(4, 3, 8))
-    out, cache = _block_fwd(x, refs, memory, p, ffn_p, cfg)
-    dx, drefs, dmem, dp, dffn = _block_bwd(dout, cache)
+    out, cache = _block_fwd(x, refs, state, p, ffn_p, cfg)
+    dx, drefs, dfeats, dproj, dp, dffn = _block_bwd(dout, cache)
     dp_sum = dffn_sum = None
     for b in range(3):
         sl = slice(b, b + 1)
-        out_b, cache_b = _block_fwd(x[:, sl], refs[:, sl], memory[b::3], p, ffn_p, cfg)
+        state_b = ([np.ascontiguousarray(f[:, :, sl]) for f in feats], proj)
+        out_b, cache_b = _block_fwd(x[:, sl], refs[:, sl], state_b, p, ffn_p, cfg)
         npt.assert_array_equal(out[:, sl], out_b)
-        dx_b, drefs_b, dmem_b, dp_b, dffn_b = _block_bwd(dout[:, sl], cache_b)
+        dx_b, drefs_b, dfeats_b, dproj_b, dp_b, dffn_b = _block_bwd(dout[:, sl], cache_b)
         npt.assert_array_equal(dx[:, sl], dx_b)
         npt.assert_array_equal(drefs[:, sl], drefs_b)
-        npt.assert_array_equal(dmem[b::3], dmem_b)
+        for got, want in zip(dfeats, dfeats_b):
+            npt.assert_array_equal(got[:, :, sl], want)
+        npt.assert_array_equal(dproj[sl], dproj_b)
         dp_sum = dp_b if dp_sum is None else {k: dp_sum[k] + dp_b[k] for k in dp_b}
         dffn_sum = dffn_b if dffn_sum is None else {k: dffn_sum[k] + dffn_b[k] for k in dffn_b}
     for got, want in ((dp, dp_sum), (dffn, dffn_sum)):

@@ -9,7 +9,7 @@ import pytest
 import facemark
 from facemark import cli
 from facemark.cli import main
-from facemark.config import ENV_CONFIG
+from facemark.config import ENV_CONFIG, load_run_config
 from facemark.decoder import TINY, DecoderState
 from facemark.io import read_landmarks, read_ppm, write_bbox, write_landmarks, write_ppm
 
@@ -153,6 +153,28 @@ def test_odd_dim_with_the_parallel_decoder_fails_before_training(tmp_path, capsy
     err = capsys.readouterr().err
     assert "dim 9 must be even" in err and data not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_reports_stamp_the_checkpoints_model(tmp_path, capsys):
+    # the model scored comes from the checkpoint, so [model] keys that
+    # disagree with it change neither report; other keys still do
+    data = str(tmp_path / "ds")
+    ckpt = str(tmp_path / "m.ckpt")
+    main(["gen-data", "--out", data, *TINY_MODEL, "--set", "data.count=2"])
+    DecoderState.init(TINY, seed=3).save(ckpt)
+    runs = {"as_trained": TINY_MODEL,
+            "model_keys": [*TINY_MODEL, "--set", "model.dim=64", "--set", "model.parallel=true"],
+            "eval_key": [*TINY_MODEL, "--set", "eval.left_eye=2"]}
+    reports = {}
+    for name, sets in runs.items():
+        prefix = str(tmp_path / name)
+        assert main(["eval", "--ckpt", ckpt, "--data", data, "--out", prefix, *sets]) == 0
+        reports[name] = [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("txt", "tsv")]
+    capsys.readouterr()
+    assert reports["model_keys"] == reports["as_trained"]
+    # the normalizer is image_size, so only the stamp differs
+    assert reports["eval_key"][0].splitlines()[1:] == reports["as_trained"][0].splitlines()[1:]
+    assert reports["eval_key"][0].splitlines()[0] != reports["as_trained"][0].splitlines()[0]
 
 
 @pytest.mark.parametrize("verb", ["train", "eval"])
@@ -403,6 +425,29 @@ def test_gradcheck_fault_injection_fails_with_code_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "overall: FAIL" in (tmp_path / "gc.txt").read_text()
+
+
+@pytest.mark.parametrize("scale", ["tiny", "default"])
+def test_params_counts_match_the_initialized_parameters(capsys, scale):
+    # the counts come from the declared shapes; they are those of the
+    # arrays that init draws, for both flavors
+    model = TINY_MODEL if scale == "tiny" else []
+    for parallel in ("false", "true"):
+        rc = main(["params", "--compare", *model, "--set", f"model.parallel={parallel}"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        counts = {}
+        for flag in ("false", "true"):
+            sets = [*model, "--set", f"model.parallel={flag}"][1::2]  # the --set values
+            cfg = load_run_config(None, sets).model
+            counts[flag] = {k: v.size for k, v in DecoderState.init(cfg).params.items()}
+        own = counts[parallel]
+        width = max(len(k) for k in own)
+        want = [f"{k:<{width}}  {n}" for k, n in sorted(own.items())]
+        want.append(f"{'total':<{width}}  {sum(own.values())}")
+        par, basic = sum(counts["true"].values()), sum(counts["false"].values())
+        want.append(f"parallel total {par}; basic total {basic}; delta {par - basic}")
+        assert lines == want
 
 
 def test_params_reports_totals_and_delta(capsys):

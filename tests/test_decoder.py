@@ -122,17 +122,15 @@ def test_parallel_paths_extend_basic_by_image_norms():
 
 def test_parameter_parity_is_layers_times_two_norms():
     for cfg in (TINY, dataclasses.replace(TINY, dim=32, stage_channels=(8, 32))):
-        basic = count_parameters(init_params(cfg))[1]
-        par = count_parameters(
-            init_params(dataclasses.replace(cfg, parallel=True))
-        )[1]
+        basic = count_parameters(param_shapes(cfg))[1]
+        par = count_parameters(param_shapes(dataclasses.replace(cfg, parallel=True)))[1]
         assert par - basic == cfg.num_layers * 2 * cfg.dim
 
 
 def test_parameter_parity_full_scale_value():
     cfg = ModelConfig()  # 68 points, C=256, T=3
-    basic = count_parameters(init_params(cfg))[1]
-    par = count_parameters(init_params(dataclasses.replace(cfg, parallel=True)))[1]
+    basic = count_parameters(param_shapes(cfg))[1]
+    par = count_parameters(param_shapes(dataclasses.replace(cfg, parallel=True)))[1]
     assert par - basic == 3 * 2 * 256 == 1536
 
 
@@ -546,6 +544,33 @@ def test_default_inference_forward_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 30 * 2**20
+
+
+def _arrays(obj):
+    """Every numpy array inside nested tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("scale", ["tiny", "default"])
+def test_basic_forward_cache_holds_no_memory_rows(scale):
+    # the basic read samples the backbone features: no array of the cache
+    # has the (M * B) x dim values of the memory, while the parallel
+    # decoder's cache does (at 64 px for the default width)
+    base = TINY if scale == "tiny" else ModelConfig()
+    bsz = 2
+    for cfg in (base, dataclasses.replace(base, parallel=True,
+                                          image_side=min(base.image_side, 64))):
+        side = cfg.image_side
+        images = np.random.default_rng(0).uniform(0, 1, (bsz, 3, side, side))
+        _, cache = forward(init_params(cfg, seed=0), images, cfg)
+        rows = cfg.layout.total_len * bsz
+        memory_like = [a.shape for a in _arrays(cache)
+                       if a.shape[-1:] == (cfg.dim,) and a.size == rows * cfg.dim]
+        assert bool(memory_like) == cfg.parallel, memory_like
 
 
 def test_load_rejects_extra_params(tmp_path, tiny_state):

@@ -288,6 +288,39 @@ def test_bilinear_awkward_points_match_scalar_oracle():
             npt.assert_allclose(dmap, dmap_ref, rtol=0, atol=1e-12)
 
 
+def test_levels_of_unequal_width_match_scalar_oracle():
+    # each level reads into its own output of its own width, and takes its
+    # own upstream gradient; the 6 x 5 level is gathered, the 3 x 3 and
+    # 1 x 2 levels are read densely, and some points lie far outside
+    rng = np.random.default_rng(21)
+    heads, n_points, r = 2, 2, 7
+    shapes = [(6, 5, 3), (3, 3, 5), (1, 2, 2)]
+    levels = [rng.normal(size=(h, w, heads, d)) for h, w, d in shapes]
+    locs = rng.uniform(-0.3, 1.3, (r, heads, len(levels), n_points, 2))
+    locs[0, :, :, 0] = [-1e3, 0.5]
+    locs[1, :, :, 1] = [0.5, 1e3]
+    weights = rng.uniform(0.1, 1.0, (r, heads, len(levels), n_points))
+    douts = [rng.normal(size=(r, heads, d)) for _, _, d in shapes]
+    outs = [np.zeros((r, heads, d)) for _, _, d in shapes]
+    got, table = bilinear_sample_many(levels, locs, weights, 9, outs)
+    assert got is outs
+    dlevels, dlocs, dweights = bilinear_sample_many_backward(levels, weights, table, douts, 9)
+    for l, lev in enumerate(levels):
+        out_ref = np.zeros(outs[l].shape)
+        dlev_ref = np.zeros(lev.shape)
+        for i, k, p in np.ndindex(r, heads, n_points):
+            wgt = weights[i, k, l, p]
+            read, dmap, duv = _scalar_oracle(lev[:, :, k], *locs[i, k, l, p], douts[l][i, k])
+            out_ref[i, k] += wgt * read
+            dlev_ref[:, :, k] += wgt * dmap
+            npt.assert_allclose(dlocs[i, k, l, p], wgt * duv, rtol=0, atol=1e-9)
+            npt.assert_allclose(dweights[i, k, l, p], read @ douts[l][i, k], rtol=0, atol=1e-12)
+        npt.assert_allclose(got[l], out_ref, rtol=0, atol=1e-12)
+        npt.assert_allclose(dlevels[l], dlev_ref, rtol=0, atol=1e-12)
+    # the far points pass nothing back
+    assert not dlocs[0, :, :, 0].any() and not dlocs[1, :, :, 1].any()
+
+
 def test_bilinear_fully_outside_points_read_and_pass_back_exact_zero():
     for dense_pixels in (0, DENSE_PIXELS):
         rng = np.random.default_rng(12)

@@ -147,8 +147,7 @@ def test_grad_buffer_helpers():
 
 
 def test_count_parameters_hand_case():
-    p = {"b.w": np.zeros((2, 3)), "a.v": np.zeros(5)}
-    per_path, total = count_parameters(p)
+    per_path, total = count_parameters({"b.w": (2, 3), "a.v": (5,)})
     assert per_path == {"a.v": 5, "b.w": 6}
     assert list(per_path) == ["a.v", "b.w"]  # sorted
     assert total == 11

@@ -251,18 +251,44 @@ print(h.hexdigest())
 """
 
 
+def _digests_at_one_and_two_blas_threads(script):
+    """What `script` prints, run in a fresh interpreter at 1 and at 2
+    OpenBLAS threads."""
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(facemark.__file__))}
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.strip())
+    return digests
+
+
 def test_parallel_gradients_do_not_depend_on_the_blas_thread_count():
     # the parallel decoder's reads and weight gradients sum over 408 query
     # rows at 64 px, where a single BLAS call may sum in another order on
     # another thread count.  Two threads are the most a 2-core machine
     # tests; the kernels OpenBLAS picks on other CPUs are untested.
-    digests = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.path.dirname(os.path.dirname(facemark.__file__))}
-        run = subprocess.run([sys.executable, "-c", _GRADIENT_DIGEST], env=env,
-                             capture_output=True, text=True, check=True)
-        digests.append(run.stdout.strip())
+    digests = _digests_at_one_and_two_blas_threads(_GRADIENT_DIGEST)
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
+# the same digest for three 256 px faces through the default basic decoder,
+# one chunk
+_BASIC_GRADIENT_DIGEST = _GRADIENT_DIGEST.replace(
+    "ModelConfig(image_side=64, parallel=True)", "ModelConfig()").replace(
+    "SyntheticFaceSpec(image_side=64), 2, 3", "SyntheticFaceSpec(), 3, 3")
+
+
+def test_basic_gradients_do_not_depend_on_the_blas_thread_count():
+    # the basic read's composed maps sum over the stacked projection rows
+    # (244 at the default width) and over dim, image by image; the query
+    # init's weight gradient read other bits at 2 threads until its product
+    # was taken as (N, C) @ (C, M_last)
+    assert "ModelConfig()" in _BASIC_GRADIENT_DIGEST
+    assert "SyntheticFaceSpec(), 3, 3" in _BASIC_GRADIENT_DIGEST
+    digests = _digests_at_one_and_two_blas_threads(_BASIC_GRADIENT_DIGEST)
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
 
