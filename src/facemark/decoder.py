@@ -26,7 +26,10 @@ Every image of a chunk gets the arithmetic it would get alone, and the
 parameter gradients add the images in order, so a chunk gives the bits of
 a loop over its images.  Callers split a larger stack into chunks of
 `images_per_chunk` images, so that a deformable pass holds about
-CHUNK_ROWS query rows.
+CHUNK_ROWS query rows.  `forward` and `backward` write into no parameter,
+so training runs the next chunk's forward on a worker thread beside this
+chunk's backward; each backward still adds into the gradients on one
+thread, in chunk order, so the overlap moves no bit.
 
 `ModelConfig` is the one model config: the attention and backbone
 functions read their geometry from it, and it is validated in one place.
@@ -154,7 +157,9 @@ TINY = ModelConfig(
 # Query rows per image of one deformable pass: the N landmark queries, plus
 # the M memory rows in the parallel flavor.  A chunk holds
 # max(1, CHUNK_ROWS // rows) images, which batches small models and keeps
-# the parallel flavor's forward cache, which grows with B, to one image.
+# the parallel flavor's forward cache, which grows with B, to one image per
+# chunk.  Training holds two chunks' caches at once: the one its backward
+# reads and the next, which a worker's forward builds meanwhile.
 CHUNK_ROWS = 256
 
 

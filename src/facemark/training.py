@@ -6,15 +6,22 @@ Sizes here are desk scale: datasets are lists of Sample tuples held in
 memory, batches are plain index lists, and the schedule is counted in
 optimizer steps (a step over the full batch stands in for an epoch).  A
 batch runs through the model one chunk of images at a time
-(`decoder.chunk_slices`), one forward and one backward per chunk.
+(`decoder.chunk_slices`), one forward and one backward per chunk.  While
+the calling thread runs a chunk's loss and backward, one worker thread
+runs the next chunk's forward, so a batch of several chunks keeps a second
+core busy.  The forward only reads the parameters and the backward adds
+into the gradient buffer on the calling thread alone, in chunk order, so
+losses, gradients and checkpoints keep the bits of a serial loop.
 """
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import functools
 import math
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,17 +63,38 @@ def batch_loss_and_grads(params: Params, cfg: ModelConfig, images, targets,
     (B, 3, side, side) and targets (B, N, 2): (loss, flat gradient vector,
     its {path: view} dict), laid out by `flat_views`.  The gradients go
     into `buffer`, a (vector, views) pair from `flat_views`, if given, else
-    into a new one; either is zero-filled first."""
+    into a new one; either is zero-filled first.
+
+    A batch of several chunks runs every chunk's forward on one worker
+    thread, chunk i + 1's while this thread runs chunk i's loss and
+    backward (module docstring).  The worker runs in a copy of this
+    thread's context, so `np.errstate` holds there too, and lives only for
+    the call: an error from either thread is raised as it is, after the
+    forward in flight has finished or been cancelled."""
     images, targets = np.asarray(images), np.asarray(targets)
     scale = 1.0 / len(images)
     total = 0.0
     flat, grads = buffer or flat_views({k: v.shape for k, v in params.items()})
     flat.fill(0.0)
-    for sl in chunk_slices(len(images), cfg):
-        ys, cache = forward(params, images[sl], cfg)
-        loss, dys = landmark_loss(ys, targets[sl])
-        total += loss
-        backward([dy * scale for dy in dys], params, cfg, cache, grads)
+    slices = chunk_slices(len(images), cfg)
+    pool = ThreadPoolExecutor(max_workers=1)  # its thread starts at the first submit
+
+    def ahead(sl):
+        return pool.submit(contextvars.copy_context().run, forward, params, images[sl], cfg)
+
+    try:
+        # chunk 0's forward runs on the worker too: a cache built here would
+        # sit in this thread's malloc arena, which the worker's forwards do
+        # not reuse (64 px parallel peaked 28 MB higher)
+        pending = ahead(slices[0]) if len(slices) > 1 else None
+        for i, sl in enumerate(slices):
+            ys, cache = forward(params, images[sl], cfg) if pending is None else pending.result()
+            pending = ahead(slices[i + 1]) if i + 1 < len(slices) else None
+            loss, dys = landmark_loss(ys, targets[sl])
+            total += loss
+            backward([dy * scale for dy in dys], params, cfg, cache, grads)
+    finally:
+        pool.shutdown(cancel_futures=True)
     return total / len(images), flat, grads
 
 

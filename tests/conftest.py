@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import facemark
 from facemark.backbone import backbone_rows
 from facemark.decoder import TINY, DecoderState
 from facemark.params import draw
@@ -31,3 +36,16 @@ def backbone_params(rng, cfg):
     """The backbone's parameters, drawn from `rng` row by row as the
     model's init draws them."""
     return {path: draw(rng, shape, init) for path, shape, init in backbone_rows(cfg)}
+
+
+def digests_at_one_and_two_blas_threads(script):
+    """What `script` prints, run in a fresh interpreter at 1 and at 2
+    OpenBLAS threads."""
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(facemark.__file__))}
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.strip())
+    return digests

@@ -38,7 +38,7 @@ from facemark.training import (
     train,
 )
 
-from conftest import TINY_SPEC, jitter_params
+from conftest import TINY_SPEC, digests_at_one_and_two_blas_threads, jitter_params
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -251,25 +251,12 @@ print(h.hexdigest())
 """
 
 
-def _digests_at_one_and_two_blas_threads(script):
-    """What `script` prints, run in a fresh interpreter at 1 and at 2
-    OpenBLAS threads."""
-    digests = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.path.dirname(os.path.dirname(facemark.__file__))}
-        run = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, check=True)
-        digests.append(run.stdout.strip())
-    return digests
-
-
 def test_parallel_gradients_do_not_depend_on_the_blas_thread_count():
     # the parallel decoder's reads and weight gradients sum over 408 query
     # rows at 64 px, where a single BLAS call may sum in another order on
     # another thread count.  Two threads are the most a 2-core machine
     # tests; the kernels OpenBLAS picks on other CPUs are untested.
-    digests = _digests_at_one_and_two_blas_threads(_GRADIENT_DIGEST)
+    digests = digests_at_one_and_two_blas_threads(_GRADIENT_DIGEST)
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
 
@@ -288,7 +275,7 @@ def test_basic_gradients_do_not_depend_on_the_blas_thread_count():
     # was taken as (N, C) @ (C, M_last)
     assert "ModelConfig()" in _BASIC_GRADIENT_DIGEST
     assert "SyntheticFaceSpec(), 3, 3" in _BASIC_GRADIENT_DIGEST
-    digests = _digests_at_one_and_two_blas_threads(_BASIC_GRADIENT_DIGEST)
+    digests = digests_at_one_and_two_blas_threads(_BASIC_GRADIENT_DIGEST)
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
 
