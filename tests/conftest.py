@@ -12,6 +12,10 @@ from facemark.params import draw
 from facemark.training import SyntheticFaceSpec, gen_synthetic
 
 TINY_SPEC = SyntheticFaceSpec(num_landmarks=5, image_side=32, blob_sigma=0.05)
+# ModelConfig overrides of each model flavor
+FLAVORS = {"basic": {}, "parallel": {"parallel": True},
+           "no_self_attention": {"self_attention": False},
+           "embedded_query_init": {"learned_query_init": False}}
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,7 @@ from facemark.training import (
     train,
 )
 
-from conftest import TINY_SPEC, digests_at_one_and_two_blas_threads, jitter_params
+from conftest import FLAVORS, TINY_SPEC, digests_at_one_and_two_blas_threads, jitter_params
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 TINY_PARALLEL = dataclasses.replace(TINY, parallel=True)
@@ -59,15 +59,17 @@ def _digest(loss, flat):
     return hashlib.sha256(np.float64(loss).tobytes() + flat.tobytes()).hexdigest()
 
 
+# (config, face spec, batch size) of each multi-chunk batch
+_CASES = {"tiny-parallel": (TINY_PARALLEL, TINY_SPEC, 8),
+          "tiny-basic": (TINY, TINY_SPEC, 60),
+          "parallel-64": (ModelConfig(image_side=64, parallel=True),
+                          SyntheticFaceSpec(image_side=64), 4)}
+
+
 def _case(name):
-    """(params, cfg, images, targets) of a multi-chunk batch, with jittered
+    """(params, cfg, images, targets) of a `_CASES` batch, with jittered
     parameters so that the zero-initialized heads carry gradients."""
-    if name == "parallel-64":
-        cfg, spec = ModelConfig(image_side=64, parallel=True), SyntheticFaceSpec(image_side=64)
-        count = 4
-    else:
-        cfg, spec = (TINY_PARALLEL, TINY_SPEC) if name == "tiny-parallel" else (TINY, TINY_SPEC)
-        count = 8 if name == "tiny-parallel" else 60
+    cfg, spec, count = _CASES[name]
     params = jitter_params(DecoderState.init(cfg, 0)).params
     faces = gen_synthetic(spec, count, 3)
     return (params, cfg, np.stack([f.image for f in faces]),
@@ -83,7 +85,7 @@ def _chunk_sizes(count, cfg):
 def test_overlapped_chunks_keep_the_serial_loops_bits(name, sizes):
     params, cfg, images, targets = _case(name)
     assert _chunk_sizes(len(images), cfg) == sizes
-    # the threads trade the interpreter lock every few microseconds
+    # the two threads hand the interpreter lock over every microsecond
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -197,11 +199,6 @@ def test_train_leaves_no_thread_running():
     assert threading.active_count() == before
 
 
-_FLAVORS = {"basic": {}, "parallel": {"parallel": True},
-            "no_self_attention": {"self_attention": False},
-            "embedded_query_init": {"learned_query_init": False}}
-
-
 def _read_only(params):
     flat, views = flat_views({k: v.shape for k, v in params.items()})
     for k, v in params.items():
@@ -211,7 +208,7 @@ def _read_only(params):
     return views
 
 
-@pytest.mark.parametrize("flavor", sorted(_FLAVORS) + ["parallel-64"])
+@pytest.mark.parametrize("flavor", sorted(FLAVORS) + ["parallel-64"])
 def test_a_step_only_reads_the_parameters(flavor):
     # the worker's forward reads the parameters while the backward runs, so
     # neither may write them; on read-only views any write would raise
@@ -219,7 +216,7 @@ def test_a_step_only_reads_the_parameters(flavor):
         params, cfg, images, targets = _case("parallel-64")
         images, targets = images[:2], targets[:2]
     else:
-        cfg = dataclasses.replace(TINY, **_FLAVORS[flavor])
+        cfg = dataclasses.replace(TINY, **FLAVORS[flavor])
         params = jitter_params(DecoderState.init(cfg, 0)).params
         faces = gen_synthetic(TINY_SPEC, images_per_chunk(cfg) + 1, 3)
         images = np.stack([f.image for f in faces])

@@ -25,7 +25,7 @@ from facemark.geometry import sigmoid
 from facemark.params import count_parameters, flat_views
 from facemark.training import gen_synthetic
 
-from conftest import TINY_SPEC, jitter_params
+from conftest import FLAVORS, TINY_SPEC, jitter_params
 
 
 # ---------------------------------------------------------------------------
@@ -625,15 +625,10 @@ _INIT_SHA256 = {
     ("default", "basic", 0): "8ce0ac769073a17083387288ad6c56c1eeacfdfb2a9b658087ceba91da225074",
     ("default", "parallel", 0): "bf5f65fbdcafe558ae24f76a7eeaa23b694d4fdce166ea8d9c6ba0d9875ba7d0",
 }
-_FLAVORS = {"basic": {}, "parallel": {"parallel": True},
-            "no_self_attention": {"self_attention": False},
-            "embedded_query_init": {"learned_query_init": False}}
-
-
 @pytest.mark.parametrize("scale, flavor, seed", sorted(_INIT_SHA256))
 def test_initial_parameters_are_pinned(scale, flavor, seed):
     base = TINY if scale == "tiny" else ModelConfig()
-    params = init_params(dataclasses.replace(base, **_FLAVORS[flavor]), seed)
+    params = init_params(dataclasses.replace(base, **FLAVORS[flavor]), seed)
     flat, views = flat_views({k: v.shape for k, v in params.items()})
     for k, v in params.items():
         views[k][...] = v
