@@ -23,6 +23,16 @@ Self-attention mixes the N queries of each image only.  The deformable
 functions take the decoder's `ModelConfig` for their head, level and point
 counts.
 
+A weight gradient that lands directly in the flat gradient buffer goes
+through `add_weight_grad` (`linear_bwd`'s, and `backbone.conv2d_bwd`'s).
+Nothing later in the backward reads it, so while `WEIGHT_GRADS` is set the
+product runs as a task on the training worker (`training`), off the
+backward's critical path; unset, the same helper runs inline.  The worker
+runs its tasks in the order they were queued, so each parameter receives
+its adds in the order of a serial loop.  A product into a per-image
+intermediate that the backward reads later, such as `linear_bwd` into a
+(B, C, K) view, always runs inline.
+
 The deformable core (bilinear reads weighted by the softmaxed attention
 weights, summed per head) is the fused `geometry.bilinear_sample_many` and
 its backward, each called once per pass; `deform_core_fwd`/`_bwd` only
@@ -44,6 +54,7 @@ projection; see the comment above `_bias_mass`.
 
 from __future__ import annotations
 
+import contextvars
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
@@ -90,6 +101,28 @@ def _matmul_rows(a, b):
     return out
 
 
+# The function that queues a task on the training worker, while
+# `training.batch_loss_and_grads` runs one beside its backward.
+WEIGHT_GRADS = contextvars.ContextVar("WEIGHT_GRADS", default=None)
+
+
+def add_weight_grad(product, gw, *args):
+    """Run product(gw, *args), which adds a weight gradient into gw, a view
+    of the flat gradient buffer: here, or queued on the training worker
+    while `WEIGHT_GRADS` is set.  The arrays in args must not change
+    afterwards."""
+    submit = WEIGHT_GRADS.get()
+    if submit is None:
+        product(gw, *args)
+    else:
+        submit(product, gw, *args)
+
+
+def _linear_weight_grad(gw, x3, dout_b):
+    dws = _matmul_rows(x3.transpose(1, 2, 0), dout_b)
+    gw += dws[0] if len(dws) == 1 else np.add.reduce(dws, axis=0)
+
+
 def linear_fwd(x, w, b, out=None):
     """x @ w + b over the last axis of (R, C) rows or an (R, B, C) stack,
     as one matmul call holding one (R, C) @ (C, K) product per image.  The
@@ -104,18 +137,18 @@ def linear_fwd(x, w, b, out=None):
 
 def linear_bwd(dout, cache, gw, gb):
     """The input gradient; adds the weight and bias gradients into gw and
-    gb, summed over the images, or image by image into gw (B, C, K) and
-    gb (B, K), views with a leading image axis."""
+    gb, summed over the images (the weight's through `add_weight_grad`),
+    or image by image into gw (B, C, K) and gb (B, K), views with a
+    leading image axis, inline."""
     x3, w = cache
     dout3 = dout.reshape(x3.shape[:2] + w.shape[1:])
     dout_b = dout3.transpose(1, 0, 2)
     dx = np.matmul(dout_b, w.T).transpose(1, 0, 2)
-    dws = _matmul_rows(x3.transpose(1, 2, 0), dout_b)
     if gw.ndim == 3:
-        gw += dws
+        gw += _matmul_rows(x3.transpose(1, 2, 0), dout_b)
         gb += np.add.reduce(dout3, axis=0)
     else:
-        gw += dws[0] if len(dws) == 1 else np.add.reduce(dws, axis=0)
+        add_weight_grad(_linear_weight_grad, gw, x3, dout_b)
         gb += _sum_rows(dout)
     return dx.reshape(dout.shape[:-1] + w.shape[:1])
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .attention import linear_bwd, linear_fwd, relu_fwd
+from .attention import add_weight_grad, linear_bwd, linear_fwd, relu_fwd
 from .errors import ConfigError
 from .params import Params, Row
 
@@ -79,15 +79,20 @@ def conv2d_fwd(x, w, b, stride):
     return out, ConvCache(cols, w, stride, x.shape, (ho, wo))
 
 
+def _conv_weight_grad(gw, dout3, cols):
+    gw += np.add.reduce(np.matmul(dout3, cols), axis=0).reshape(gw.shape)
+
+
 def conv2d_bwd(dout, cache: ConvCache, gw, gb, input_grad=True):
     """The input gradient; the parameter gradients, which sum each image's
-    positions and then the images in order, are added into gw and gb.
+    positions and then the images in order, are added into gw (through
+    `attention.add_weight_grad`) and gb.
     With input_grad=False the input gradient is not computed and comes
     back as None."""
     cols, w, stride, (bsz, cin, hi, wi), (ho, wo) = cache
     cout = w.shape[0]
     dout3 = dout.reshape(bsz, cout, ho * wo)
-    gw += np.add.reduce(np.matmul(dout3, cols), axis=0).reshape(w.shape)
+    add_weight_grad(_conv_weight_grad, gw, dout3, cols)
     gb += np.add.reduce(np.add.reduce(dout3, axis=2), axis=0)
     if not input_grad:
         return None

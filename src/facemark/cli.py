@@ -13,6 +13,8 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
+
 from . import io as fio
 from .config import ENV_CONFIG, load_run_config, model_hash
 from .decoder import DecoderState, param_shapes
@@ -128,6 +130,8 @@ def cmd_eval(args):
         )
     except ConfigError as e:  # the normalizer's checks of the samples and keys
         raise ConfigError(f"{args.data}: {e}") from None
+    except NumericError as e:  # the checkpoint's predictions
+        raise NumericError(f"{args.ckpt} on {args.data}: {e}") from None
     text = report_text(result)
     print(text, end="")
     # the model scored is the checkpoint's, whatever [model] says
@@ -158,6 +162,10 @@ def cmd_predict(args):
             )
         gt = gt / side
     pred = state.predict(image[None])[-1][0]
+    if not np.isfinite(pred).all():
+        i = np.flatnonzero(~np.isfinite(pred).all(axis=1))[0]
+        raise NumericError(f"{args.ckpt} on {args.image}: landmark {i} is predicted "
+                           f"at {pred[i, 0]} {pred[i, 1]}, not a finite point")
     fio.write_landmarks(args.out + ".txt", pred * side)
     tag = extra.get("config_hash", "unhashed")
     fio.write_overlay(args.out + ".ppm", image, pred, gt, comment=f"config {tag}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import DecoderState
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 FR_THRESHOLDS = (0.08, 0.10)
 AUC_CUTOFF = 0.07
@@ -73,7 +73,8 @@ def resolve_normalizer(kind, gt=None, pixel_scale=None, bbox=None,
 
     inter_ocular: pixel distance between two configured ground-truth
     landmarks; image_size: the image side; bbox_geometric_mean:
-    sqrt(width * height) of the ground-truth box.  Stacks of ground truth
+    sqrt(width * height) of the ground-truth box (x0, y0, x1, y1), which
+    needs x0 < x1 and y0 < y1.  Stacks of ground truth
     (..., N, 2) or boxes (..., 4) give one distance per sample; an error
     names the first sample at fault, or the eval key.
     """
@@ -105,12 +106,14 @@ def resolve_normalizer(kind, gt=None, pixel_scale=None, bbox=None,
         if bbox is None:
             raise ConfigError("bbox normalizer needs a ground-truth box")
         box = np.asarray(bbox, dtype=float)
-        area = (box[..., 2] - box[..., 0]) * (box[..., 3] - box[..., 1])
-        if np.any(area <= 0):
-            i = np.flatnonzero(np.ravel(area) <= 0)[0]
+        # two negative sides would give a positive area: test each side
+        ok = (box[..., 0] < box[..., 2]) & (box[..., 1] < box[..., 3])
+        if not ok.all():
+            i = np.flatnonzero(~np.ravel(ok))[0]
             corners = " ".join(f"{v:g}" for v in box.reshape(-1, 4)[i])
-            raise ConfigError(f"sample {i} has a degenerate box {corners}")
-        return _scalar(np.sqrt(area))
+            raise ConfigError(f"sample {i} has a degenerate box {corners}; "
+                              f"a box needs x0 < x1 and y0 < y1")
+        return _scalar(np.sqrt((box[..., 2] - box[..., 0]) * (box[..., 3] - box[..., 1])))
     raise ConfigError(f"unknown normalizer: {kind} (choose from {NORMALIZERS})")
 
 
@@ -136,7 +139,9 @@ def evaluate(state: DecoderState, dataset, normalizer="image_size",
     """Run the model over a dataset and score every supervision stage.
 
     Headline numbers (per-sample NME, FR, AUC) use the last stage, which is
-    what the model reports at inference time.
+    what the model reports at inference time.  A non-finite NME at any
+    stage is a NumericError naming the first sample that has one: a NaN
+    would otherwise count as a success in the failure rate.
     """
     if len(dataset) == 0:
         raise ConfigError("evaluation dataset is empty")
@@ -157,6 +162,12 @@ def evaluate(state: DecoderState, dataset, normalizer="image_size",
     # (samples, stages): summing over axis 0 adds the samples in order
     errs = nme(pred, np.broadcast_to(gt[:, None], pred.shape),
                np.reshape(d, (-1, 1)), scale)
+    finite = np.isfinite(errs).all(axis=1)
+    if not finite.all():
+        i = np.flatnonzero(~finite)[0]
+        stage = np.flatnonzero(~np.isfinite(errs[i]))[0]
+        raise NumericError(f"sample {i} has a non-finite NME ({errs[i, stage]}) "
+                           f"at stage {stage}")
     per_sample = errs[:, -1]
     per_stage = errs.sum(axis=0) / len(dataset)
     return EvalResult(

@@ -8,10 +8,16 @@ optimizer steps (a step over the full batch stands in for an epoch).  A
 batch runs through the model one chunk of images at a time
 (`decoder.chunk_slices`), one forward and one backward per chunk.  While
 the calling thread runs a chunk's loss and backward, one worker thread
-runs the next chunk's forward, so a batch of several chunks keeps a second
-core busy.  The forward only reads the parameters and the backward adds
-into the gradient buffer on the calling thread alone, in chunk order, so
-losses, gradients and checkpoints keep the bits of a serial loop.
+runs the next chunk's forward and then that backward's weight-gradient
+products (`attention.add_weight_grad`), so a batch of several chunks keeps
+a second core busy.  The worker runs its tasks in the order they were
+queued: chunk i + 1's forward, then chunk i's weight products in the
+backward's order.  The forward only reads the parameters; each gradient
+entry is added either only on the calling thread or only on the worker,
+in chunk order either way.  So losses, gradients and checkpoints keep the
+bits of a serial loop.  Only a product that lands directly in the flat
+gradient buffer may run on the worker: one into a per-image intermediate
+that the backward reads later would race with that read.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .attention import WEIGHT_GRADS
 from .decoder import DecoderState, ModelConfig, backward, chunk_slices, forward
 from .errors import ConfigError, NumericError
 from .geometry import bilinear_sample_many
@@ -67,10 +74,12 @@ def batch_loss_and_grads(params: Params, cfg: ModelConfig, images, targets,
 
     A batch of several chunks runs every chunk's forward on one worker
     thread, chunk i + 1's while this thread runs chunk i's loss and
-    backward (module docstring).  The worker runs in a copy of this
-    thread's context, so `np.errstate` holds there too, and lives only for
-    the call: an error from either thread is raised as it is, after the
-    forward in flight has finished or been cancelled."""
+    backward, and queues that backward's weight-gradient products behind it
+    (module docstring).  Every task runs in a copy of this thread's
+    context, so `np.errstate` holds there too.  The worker lives only for
+    the call, which returns once every task has finished: an error from
+    either thread is raised as it is, after the task in flight has
+    finished and the queued ones have been cancelled."""
     images, targets = np.asarray(images), np.asarray(targets)
     scale = 1.0 / len(images)
     total = 0.0
@@ -78,22 +87,33 @@ def batch_loss_and_grads(params: Params, cfg: ModelConfig, images, targets,
     flat.fill(0.0)
     slices = chunk_slices(len(images), cfg)
     pool = ThreadPoolExecutor(max_workers=1)  # its thread starts at the first submit
+    tasks = []
 
-    def ahead(sl):
-        return pool.submit(contextvars.copy_context().run, forward, params, images[sl], cfg)
+    def submit(fn, *args):
+        tasks.append(pool.submit(contextvars.copy_context().run, fn, *args))
+        return tasks[-1]
 
+    def ahead(i):
+        return submit(forward, params, images[slices[i]], cfg) if i < len(slices) else None
+
+    # a batch of one chunk runs inline: no thread, no hook
+    hook = WEIGHT_GRADS.set(submit) if len(slices) > 1 else None
     try:
         # chunk 0's forward runs on the worker too: a cache built here would
         # sit in this thread's malloc arena, which the worker's forwards do
         # not reuse (64 px parallel peaked 28 MB higher)
-        pending = ahead(slices[0]) if len(slices) > 1 else None
+        pending = ahead(0) if hook is not None else None
         for i, sl in enumerate(slices):
             ys, cache = forward(params, images[sl], cfg) if pending is None else pending.result()
-            pending = ahead(slices[i + 1]) if i + 1 < len(slices) else None
+            pending = ahead(i + 1)
             loss, dys = landmark_loss(ys, targets[sl])
             total += loss
             backward([dy * scale for dy in dys], params, cfg, cache, grads)
+        for task in tasks:
+            task.result()
     finally:
+        if hook is not None:
+            WEIGHT_GRADS.reset(hook)
         pool.shutdown(cancel_futures=True)
     return total / len(images), flat, grads
 
@@ -284,6 +304,8 @@ class SyntheticFaceSpec:
             raise ConfigError(f"data.blob_sigma must be > 0, got {self.blob_sigma}")
         if not self.noise_level >= 0.0:
             raise ConfigError(f"data.noise_level must be >= 0, got {self.noise_level}")
+        if not self.bbox_enlarge > -1.0:  # else the box's sides turn negative
+            raise ConfigError(f"data.bbox_enlarge must be > -1, got {self.bbox_enlarge}")
 
 
 def canonical_layout(n: int):

@@ -1,13 +1,14 @@
 """`training.batch_loss_and_grads` against the plain chunk loop it replaced.
 
 A batch of several chunks runs chunk i + 1's forward on a worker thread
-while the calling thread runs chunk i's loss and backward.  The loop that
-ran every chunk's forward and backward in turn on one thread lives here
-only, as a reference (`_serial_loss_and_grads`): the loss and the flat
-gradient vector must keep its bits.  The other tests pin what the worker
-must not change: the caller's numpy error state, the errors a call raises,
-the threads left running, and the parameters, which nothing may write
-during a step.
+while the calling thread runs chunk i's loss and backward; the worker then
+runs that backward's weight-gradient products (`attention.add_weight_grad`).
+The loop that ran every chunk's forward and backward in turn on one thread
+lives here only, as a reference (`_serial_loss_and_grads`): the loss and
+the flat gradient vector must keep its bits.  The other tests pin what the
+worker must not change: the caller's numpy error state, the errors a call
+raises, the threads left running, and the parameters, which nothing may
+write during a step.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from facemark import training
+from facemark import attention, backbone, training
 from facemark.decoder import (TINY, DecoderState, ModelConfig, backward, chunk_slices, forward,
                               images_per_chunk)
 from facemark.errors import ConfigError
@@ -62,6 +63,7 @@ def _digest(loss, flat):
 # (config, face spec, batch size) of each multi-chunk batch
 _CASES = {"tiny-parallel": (TINY_PARALLEL, TINY_SPEC, 8),
           "tiny-basic": (TINY, TINY_SPEC, 60),
+          "basic-64": (ModelConfig(image_side=64), SyntheticFaceSpec(image_side=64), 8),
           "parallel-64": (ModelConfig(image_side=64, parallel=True),
                           SyntheticFaceSpec(image_side=64), 4)}
 
@@ -95,25 +97,34 @@ def test_overlapped_chunks_keep_the_serial_loops_bits(name, sizes):
     assert _digest(loss, flat) == _digest(*_serial_loss_and_grads(params, cfg, images, targets))
 
 
-# the serial and the overlapped digests of the 64 px parallel batch of four
-_PARALLEL_64_DIGESTS = f"""
+# the serial and the overlapped digests of each case, one line per case
+_BLAS_CASES = {"tiny-parallel": [3, 3, 2], "basic-64": [3, 3, 2], "parallel-64": [1, 1, 1, 1]}
+_DIGESTS = f"""
 import sys
 sys.path.insert(0, {TESTS!r})
-from test_chunk_overlap import _case, _digest, _serial_loss_and_grads
+from test_chunk_overlap import _BLAS_CASES, _case, _digest, _serial_loss_and_grads
 from facemark.training import batch_loss_and_grads
-params, cfg, images, targets = _case("parallel-64")
-print(_digest(*_serial_loss_and_grads(params, cfg, images, targets)),
-      _digest(*batch_loss_and_grads(params, cfg, images, targets)[:2]))
+for name in _BLAS_CASES:
+    params, cfg, images, targets = _case(name)
+    print(_digest(*_serial_loss_and_grads(params, cfg, images, targets)),
+          _digest(*batch_loss_and_grads(params, cfg, images, targets)[:2]))
 """
 
 
 def test_overlapped_chunks_keep_the_bits_at_one_and_two_blas_threads():
-    # at 2 OpenBLAS threads the worker's forward and this thread's backward
-    # call OpenBLAS at once; the gradients must still be the 1-thread bits
-    assert _chunk_sizes(4, _case("parallel-64")[1]) == [1, 1, 1, 1]
-    one, two = (line.split() for line in digests_at_one_and_two_blas_threads(_PARALLEL_64_DIGESTS))
-    assert len(one[0]) == 64
-    assert one[1] == one[0] and two == one
+    # at 2 OpenBLAS threads the worker's forwards and weight products and
+    # this thread's backward call OpenBLAS at once; the gradients must still
+    # be the 1-thread bits.  basic-64 is the basic read's case: its per-image
+    # projection gradients (`dproj`) are read later in the backward, so
+    # their products stay on this thread
+    for name, sizes in _BLAS_CASES.items():
+        cfg, _, count = _CASES[name]
+        assert _chunk_sizes(count, cfg) == sizes
+    one, two = ([line.split() for line in out.splitlines()]
+                for out in digests_at_one_and_two_blas_threads(_DIGESTS))
+    assert len(one) == len(_BLAS_CASES) and all(len(d) == 64 for d, _ in one)
+    assert all(serial == overlapped for serial, overlapped in one)
+    assert two == one
 
 
 def _recording_forward(monkeypatch, on_call=None):
@@ -133,6 +144,81 @@ def _recording_forward(monkeypatch, on_call=None):
 
     monkeypatch.setattr(training, "forward", recording)
     return calls
+
+
+def _recording_weight_grads(monkeypatch, on_call=None):
+    """Patch the linear and convolution weight-gradient products with ones
+    that record, for each call, its thread, the weight-gradient hook it
+    sees, numpy's error state and the address of the gradient it adds
+    into, and list in `finished` the calls in the order they returned;
+    `on_call(i)` runs first in call i."""
+    calls, finished = [], []
+
+    def wrap(product):
+        def recording(gw, *args):
+            i = len(calls)
+            calls.append({"thread": threading.current_thread(),
+                          "hook": attention.WEIGHT_GRADS.get(), "errstate": np.geterr(),
+                          "address": gw.__array_interface__["data"][0]})
+            if on_call is not None:
+                on_call(i)
+            product(gw, *args)
+            finished.append(i)
+        return recording
+
+    monkeypatch.setattr(attention, "_linear_weight_grad", wrap(attention._linear_weight_grad))
+    monkeypatch.setattr(backbone, "_conv_weight_grad", wrap(backbone._conv_weight_grad))
+    return calls, finished
+
+
+def test_weight_products_run_on_the_worker_in_the_callers_error_state(monkeypatch):
+    params, cfg, images, targets = _case("tiny-parallel")
+    calls, _ = _recording_weight_grads(monkeypatch)
+    with np.errstate(over="raise", divide="warn", invalid="call", under="ignore"):
+        expected = np.geterr()
+        batch_loss_and_grads(params, cfg, images, targets)
+    assert calls and all(c["thread"] is not threading.current_thread() for c in calls)
+    assert all(c["errstate"] == expected for c in calls)
+    assert attention.WEIGHT_GRADS.get() is None
+
+
+def test_the_worker_adds_the_weight_gradients_in_the_serial_loops_order(monkeypatch):
+    # every other product is slow: a second worker, or a task run out of
+    # turn, would finish the next one first
+    params, cfg, images, targets = _case("tiny-parallel")
+    calls, finished = _recording_weight_grads(
+        monkeypatch, lambda i: time.sleep(0.002) if i % 2 == 0 else None)
+    orders = []
+    for run in (_serial_loss_and_grads, batch_loss_and_grads):
+        start = len(calls)
+        flat = run(params, cfg, images, targets)[1]
+        base = flat.__array_interface__["data"][0]
+        orders.append([calls[i]["address"] - base for i in finished[start:]])
+    assert orders[0] and orders[1] == orders[0]
+
+
+def test_an_error_in_a_weight_product_is_raised_and_no_thread_is_left(monkeypatch):
+    params, cfg, images, targets = _case("tiny-parallel")
+
+    def fail(i):
+        if i == 5:
+            raise FloatingPointError("weight product 5")
+
+    calls, _ = _recording_weight_grads(monkeypatch, fail)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="^weight product 5$"):
+        batch_loss_and_grads(params, cfg, images, targets)
+    assert calls[5]["thread"] is not threading.current_thread()
+    assert threading.active_count() == before
+    assert attention.WEIGHT_GRADS.get() is None
+
+
+def test_a_single_chunk_batch_leaves_the_hook_unset(monkeypatch):
+    params, cfg, images, targets = _case("tiny-basic")
+    calls, _ = _recording_weight_grads(monkeypatch)
+    batch_loss_and_grads(params, cfg, images[:8], targets[:8])
+    assert calls
+    assert all(c["hook"] is None and c["thread"] is threading.current_thread() for c in calls)
 
 
 def test_a_single_chunk_batch_starts_no_thread(monkeypatch):

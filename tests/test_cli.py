@@ -228,6 +228,11 @@ def _flat_box(data):
     write_bbox(data / "face_00001.bbox", (10.0, 12.0, 10.0, 30.0))
 
 
+def _inverted_box(data):
+    # what gen-data once wrote with data.bbox_enlarge=-5
+    write_bbox(data / "face_00001.bbox", (34.409109, 38.836426, -0.404867, -4.54839))
+
+
 def _shared_eyes(data):
     pts = read_landmarks(data / "face_00001.txt")
     pts[1] = pts[0]
@@ -237,10 +242,13 @@ def _shared_eyes(data):
 @pytest.mark.parametrize("normalizer, edit, extra, named", [
     ("bbox_geometric_mean", _no_box, [], "sample 1 has no bounding box"),
     ("bbox_geometric_mean", _flat_box, [], "sample 1 has a degenerate box 10 12 10 30"),
+    ("bbox_geometric_mean", _inverted_box, [],
+     "sample 1 has a degenerate box 34.4091 38.8364 -0.404867 -4.54839"),
     ("inter_ocular", _shared_eyes, [], "sample 1 has eye landmarks 0 and 1 at one point"),
     ("inter_ocular", None, ["--set", "eval.left_eye=5"], "eval.left_eye 5 is out of range"),
     ("inter_ocular", None, ["--set", "eval.right_eye=-1"], "eval.right_eye -1 is out of range"),
-], ids=["no_box", "degenerate_box", "coinciding_eyes", "left_eye", "right_eye"])
+], ids=["no_box", "degenerate_box", "inverted_box", "coinciding_eyes", "left_eye",
+        "right_eye"])
 def test_eval_normalizer_errors_name_the_dataset_and_the_fault(
         tmp_path, capsys, normalizer, edit, extra, named):
     data = tmp_path / "ds"
@@ -257,6 +265,58 @@ def test_eval_normalizer_errors_name_the_dataset_and_the_fault(
     assert err.count("\n") == 1  # one line
     assert f"{data}: {named}" in err
     assert not (tmp_path / "r.txt").exists()
+
+
+def test_gen_data_rejects_a_box_enlargement_that_inverts_boxes(tmp_path):
+    data = tmp_path / "ds"
+    proc = _run_facemark("gen-data", "--out", str(data), *TINY_MODEL,
+                         "--set", "data.bbox_enlarge=-5")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "data.bbox_enlarge must be > -1, got -5.0" in proc.stderr
+    assert not data.exists()
+
+
+def _nan_checkpoint(path):
+    """A TINY checkpoint whose first offset head has one NaN weight, so every
+    landmark's x coordinate is NaN from stage 1 on; stage 0, the initial
+    estimate, is finite."""
+    state = DecoderState.init(TINY)
+    state.params["layers.0.head.w3"][0, 0] = np.nan
+    state.save(path)
+
+
+def test_eval_of_a_non_finite_prediction_is_a_numeric_error(tmp_path):
+    # a NaN NME once counted as a success in the failure rate: exit 0 with
+    # "NME: nan" and "FR@0.1: 0.000000"
+    data = tmp_path / "ds"
+    main(["gen-data", "--out", str(data), *TINY_MODEL, "--set", "data.count=3"])
+    ckpt = tmp_path / "m.ckpt"
+    _nan_checkpoint(ckpt)
+    prefix = tmp_path / "r"
+    proc = _run_facemark("eval", "--ckpt", str(ckpt), "--data", str(data),
+                         "--out", str(prefix), *TINY_MODEL)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"error: {ckpt} on {data}: sample 0 has a non-finite NME (nan) at stage 1" \
+        in proc.stderr
+    assert not os.path.exists(f"{prefix}.txt") and not os.path.exists(f"{prefix}.tsv")
+
+
+def test_predict_of_a_non_finite_point_writes_nothing(tmp_path):
+    # the .txt of NaN coordinates was once written before the overlay's
+    # integer cast failed naming no file
+    image = tmp_path / "face.ppm"
+    write_ppm(image, np.full((3, 32, 32), 0.5))
+    ckpt = tmp_path / "m.ckpt"
+    _nan_checkpoint(ckpt)
+    out = tmp_path / "pred"
+    proc = _run_facemark("predict", "--ckpt", str(ckpt), "--image", str(image),
+                         "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"error: {ckpt} on {image}: landmark 0 is predicted at nan" in proc.stderr
+    assert not os.path.exists(f"{out}.txt") and not os.path.exists(f"{out}.ppm")
 
 
 @pytest.mark.parametrize("make", [

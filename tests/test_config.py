@@ -84,6 +84,8 @@ def test_bad_value_and_bad_override_shape():
 @pytest.mark.parametrize("override, key", [
     ("data.blob_sigma=0", "data.blob_sigma"),
     ("data.noise_level=-3", "data.noise_level"),
+    ("data.bbox_enlarge=-5", "data.bbox_enlarge"),
+    ("data.bbox_enlarge=-1", "data.bbox_enlarge"),
 ])
 def test_face_spec_values_checked_at_load(override, key):
     with pytest.raises(ConfigError, match=key):

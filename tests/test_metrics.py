@@ -117,6 +117,17 @@ def test_resolve_normalizer_errors():
         resolve_normalizer("mystery")
 
 
+def test_bbox_normalizer_rejects_an_inverted_box_and_names_the_sample():
+    # both sides negative: the product of the sides, 14.6 * 43.4, is positive
+    boxes = np.array([[10.0, 20.0, 110.0, 84.0], [34.4, 38.8, -0.4, -4.5]])
+    with pytest.raises(ConfigError, match=r"^sample 1 has a degenerate box "
+                                          r"34\.4 38\.8 -0\.4 -4\.5"):
+        resolve_normalizer("bbox_geometric_mean", bbox=boxes)
+    for box in ([0.0, 0.0, -1.0, 5.0], [0.0, 0.0, 5.0, np.nan]):  # one side bad
+        with pytest.raises(ConfigError, match="sample 0 has a degenerate box"):
+            resolve_normalizer("bbox_geometric_mean", bbox=[box])
+
+
 # ---------------------------------------------------------------------------
 # brute-force reimplementation
 # ---------------------------------------------------------------------------
