@@ -162,8 +162,9 @@ def cmd_predict(args):
             )
         gt = gt / side
     pred = state.predict(image[None])[-1][0]
-    if not np.isfinite(pred).all():
-        i = np.flatnonzero(~np.isfinite(pred).all(axis=1))[0]
+    bad = ~np.isfinite(pred).all(axis=1)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
         raise NumericError(f"{args.ckpt} on {args.image}: landmark {i} is predicted "
                            f"at {pred[i, 0]} {pred[i, 1]}, not a finite point")
     fio.write_landmarks(args.out + ".txt", pred * side)

@@ -213,19 +213,16 @@ def test_an_error_in_a_weight_product_is_raised_and_no_thread_is_left(monkeypatc
     assert attention.WEIGHT_GRADS.get() is None
 
 
-def test_a_single_chunk_batch_leaves_the_hook_unset(monkeypatch):
-    params, cfg, images, targets = _case("tiny-basic")
-    calls, _ = _recording_weight_grads(monkeypatch)
-    batch_loss_and_grads(params, cfg, images[:8], targets[:8])
-    assert calls
-    assert all(c["hook"] is None and c["thread"] is threading.current_thread() for c in calls)
-
-
 def test_a_single_chunk_batch_starts_no_thread(monkeypatch):
+    # and leaves the weight-gradient hook unset: its products run inline
     params, cfg, images, targets = _case("tiny-basic")
     calls = _recording_forward(monkeypatch)
+    products, _ = _recording_weight_grads(monkeypatch)
     batch_loss_and_grads(params, cfg, images[:8], targets[:8])
     assert [c["thread"] for c in calls] == [threading.current_thread()]
+    assert products
+    assert all(c["hook"] is None and c["thread"] is threading.current_thread()
+               for c in products)
 
 
 def test_the_worker_keeps_the_callers_numpy_error_state():
