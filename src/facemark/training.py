@@ -87,17 +87,19 @@ def batch_loss_and_grads(params: Params, cfg: ModelConfig, images, targets,
     flat.fill(0.0)
     slices = chunk_slices(len(images), cfg)
     pool = ThreadPoolExecutor(max_workers=1)  # its thread starts at the first submit
-    tasks = []
+    products = []  # the weight products' futures, not the forwards': those hold caches
 
     def submit(fn, *args):
-        tasks.append(pool.submit(contextvars.copy_context().run, fn, *args))
-        return tasks[-1]
+        return pool.submit(contextvars.copy_context().run, fn, *args)
 
     def ahead(i):
         return submit(forward, params, images[slices[i]], cfg) if i < len(slices) else None
 
+    def defer(product, *args):
+        products.append(submit(product, *args))
+
     # a batch of one chunk runs inline: no thread, no hook
-    hook = WEIGHT_GRADS.set(submit) if len(slices) > 1 else None
+    hook = WEIGHT_GRADS.set(defer) if len(slices) > 1 else None
     try:
         # chunk 0's forward runs on the worker too: a cache built here would
         # sit in this thread's malloc arena, which the worker's forwards do
@@ -109,8 +111,8 @@ def batch_loss_and_grads(params: Params, cfg: ModelConfig, images, targets,
             loss, dys = landmark_loss(ys, targets[sl])
             total += loss
             backward([dy * scale for dy in dys], params, cfg, cache, grads)
-        for task in tasks:
-            task.result()
+        for product in products:
+            product.result()
     finally:
         if hook is not None:
             WEIGHT_GRADS.reset(hook)

@@ -17,6 +17,7 @@ import os
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -272,6 +273,29 @@ def test_an_error_in_the_backward_waits_for_the_forward_in_flight(monkeypatch):
     assert e.value.args == ("level_emb",)
     assert all(c["done"] for c in calls) and len(calls) == 2
     assert threading.active_count() == before
+
+
+def test_a_finished_chunks_forward_cache_is_freed(monkeypatch):
+    # a forward's future holds its (ys, cache) result: futures kept until
+    # the call returned once kept every chunk's cache alive (64 px
+    # parallel: tracemalloc peak 97 -> 160 MB)
+    params, cfg, images, targets = _case("tiny-parallel")
+    caches, alive = [], []
+
+    def recording_forward(params, images, cfg):
+        out = forward(params, images, cfg)
+        caches.append(weakref.ref(out[1].ys[0]))
+        return out
+
+    def recording_backward(*args):
+        alive.append([ref() is not None for ref in caches[:len(alive)]])
+        backward(*args)
+
+    monkeypatch.setattr(training, "forward", recording_forward)
+    monkeypatch.setattr(training, "backward", recording_backward)
+    batch_loss_and_grads(params, cfg, images, targets)
+    # at chunk i's backward, no earlier chunk's cache is alive
+    assert alive == [[], [False], [False, False]]
 
 
 def test_train_leaves_no_thread_running():
