@@ -35,15 +35,17 @@ intermediate that the backward reads later, such as `linear_bwd` into a
 
 The deformable core (bilinear reads weighted by the softmaxed attention
 weights, summed per head) is the fused `geometry.bilinear_sample_many` and
-its backward, each called once per pass; `deform_core_fwd`/`_bwd` only
-reshape around them, and the core's cache holds the kernel's corner table
-rather than any per-point read.  The images fold into the kernel's head
-axis.  The decoder layer's read comes in two orders.  The parallel
-decoder projects every memory row first (`project_value`, then
-`deform_project_fwd`) and views the value tensor of level l, without a
-copy, as (h_l, w_l, B * heads, head_dim): image b's head k is head
-b * heads + k, and the sampling locations (R, B * heads, levels, points, 2)
-follow the same fold.  This read asks the kernel for dense reads of the
+its backward, each called once per pass through `deform_core_fwd`/`_bwd`.
+Both reads hand the core one output per level, which they own, and take
+one gradient per level back; the core's cache holds the kernel's corner
+table, which records how each level was read, rather than any per-point
+read.  The images fold into the kernel's head axis.  The decoder layer's
+read comes in two orders.  The parallel decoder projects every memory row
+first (`project_value`, then `deform_project_fwd`) and views the value
+tensor of level l, without a copy, as (h_l, w_l, B * heads, head_dim):
+image b's head k is head b * heads + k, and the sampling locations
+(R, B * heads, levels, points, 2) follow the same fold.  Every level adds
+into one shared output.  This read asks the kernel for dense reads of the
 levels of at most DENSE_PIXELS pixels (one GEMM per image and head instead
 of a gather/scatter).  The basic decoder's read (`_sample_project_fwd`)
 keeps the gather on every level and builds no memory: it samples each
@@ -321,77 +323,62 @@ def project_value_bwd(dlevels, cache: ValueCache, g):
 FieldCache = namedtuple("FieldCache", "coff cwgt beta lead")
 
 
-def sampling_fields(x, p, cfg: ModelConfig):
-    """Predict per-row sampling offsets and softmaxed attention weights.
+def sampling_fields(x, refs, p, cfg: ModelConfig):
+    """Sampling locations and softmaxed attention weights of query rows x
+    at reference points refs.
 
-    x is (..., C); offsets come out (..., heads, levels, points, 2) and
-    weights (..., heads, levels, points).  Offsets are
-    normalized-image-coordinate displacements shared across the levels'
-    common frame; weights are softmaxed per head over its levels*points
-    slots.
+    x is (..., C) and refs (..., 2); the locations, refs plus predicted
+    offsets, come out (..., heads, levels, points, 2) and the weights
+    (..., heads, levels, points).  Offsets are normalized-image-coordinate
+    displacements shared across the levels' common frame; weights are
+    softmaxed per head over its levels*points slots.
     """
+    if x.shape[:-1] != refs.shape[:-1]:
+        raise ValueError(
+            f"deformable attention: {x.shape[:-1]} query rows but "
+            f"{refs.shape[:-1]} reference points"
+        )
     lead = x.shape[:-1]
     off_flat, coff = linear_fwd(x, p["w_off"], p["b_off"])
     offsets = off_flat.reshape(lead + (cfg.heads, cfg.levels, cfg.points, 2))
     wgt_flat, cwgt = linear_fwd(x, p["w_wgt"], p["b_wgt"])
     beta = softmax(wgt_flat.reshape(lead + (cfg.heads, cfg.levels * cfg.points)))
     weights = beta.reshape(lead + (cfg.heads, cfg.levels, cfg.points))
-    return offsets, weights, FieldCache(coff, cwgt, beta, lead)
+    return refs[..., None, None, None, :] + offsets, weights, FieldCache(coff, cwgt, beta, lead)
 
 
-def sampling_fields_bwd(doffsets, dweights, cache: FieldCache, g):
+def sampling_fields_bwd(dlocs, dweights, cache: FieldCache, g):
+    """Returns (dx, drefs)."""
+    drefs = np.add.reduce(dlocs, axis=(-4, -3, -2))
     dbeta = dweights.reshape(cache.beta.shape)
     dwgt_flat = softmax_bwd(dbeta, cache.beta).reshape(cache.lead + (-1,))
     dx_w = linear_bwd(dwgt_flat, cache.cwgt, g["w_wgt"], g["b_wgt"])
-    dx_o = linear_bwd(doffsets.reshape(cache.lead + (-1,)), cache.coff, g["w_off"], g["b_off"])
-    return dx_o + dx_w
+    dx_o = linear_bwd(dlocs.reshape(cache.lead + (-1,)), cache.coff, g["w_off"], g["b_off"])
+    return dx_o + dx_w, drefs
 
 
-CoreCache = namedtuple("CoreCache", "value_levels locs weights table dense_pixels")
+CoreCache = namedtuple("CoreCache", "value_levels locs weights table")
 
 
-def deform_core_fwd(value_levels, locs, weights, dense_pixels=0, outs=None):
+def deform_core_fwd(value_levels, locs, weights, outs, dense_pixels=0):
     """Weighted sum of bilinear reads from the per-level value tensors.
 
     value_levels: per level (h, w, heads, d_l)
     locs:         (R, heads, levels, points, 2) normalized sampling points
     weights:      (R, heads, levels, points), already softmaxed
-    Returns (R, heads * head_dim), the sum over the levels, which must share
-    one width; given `outs`, one (R, heads, d_l) array per level, each
-    level's reads are added into its own array and `outs` is returned.
-    Levels of at most `dense_pixels` pixels are read by GEMM (see
-    `bilinear_sample_many`).
+    outs:         per level an (R, heads, d_l) array that level l's reads
+                  are added into; levels may share one array
+    Returns the cache.  Levels of at most `dense_pixels` pixels are read by
+    GEMM (see `bilinear_sample_many`).
     """
-    out, table = bilinear_sample_many(value_levels, locs, weights, dense_pixels, outs)
-    if outs is None:
-        out = out.reshape(locs.shape[0], -1)
-    return out, CoreCache(value_levels, locs, weights, table, dense_pixels)
+    table = bilinear_sample_many(value_levels, locs, weights, outs, dense_pixels)
+    return CoreCache(value_levels, locs, weights, table)
 
 
-def deform_core_bwd(dout, cache: CoreCache):
-    """dout is (R, heads * head_dim), or the list of per-level (R, heads, d_l)
-    gradients of a forward given `outs`."""
-    if not isinstance(dout, list):
-        dout = dout.reshape(cache.locs.shape[:2] + (-1,))
-    return bilinear_sample_many_backward(
-        cache.value_levels, cache.weights, cache.table, dout, cache.dense_pixels)
-
-
-def _sampling_points(x_rows, refs_rows, p, cfg: ModelConfig):
-    """Sampling locations refs + offsets, (..., heads, levels, points, 2),
-    and softmaxed weights of the query rows."""
-    if x_rows.shape[:-1] != refs_rows.shape[:-1]:
-        raise ValueError(
-            f"deformable attention: {x_rows.shape[:-1]} query rows but "
-            f"{refs_rows.shape[:-1]} reference points"
-        )
-    offsets, weights, cf = sampling_fields(x_rows, p, cfg)
-    return refs_rows[..., None, None, None, :] + offsets, weights, cf
-
-
-def _sampling_points_bwd(dlocs, dweights, cache: FieldCache, g):
-    drefs = np.add.reduce(dlocs, axis=(-4, -3, -2))
-    return sampling_fields_bwd(dlocs, dweights, cache, g), drefs
+def deform_core_bwd(douts, cache: CoreCache):
+    """douts holds the (R, heads, d_l) gradient of the forward's outs[l] at
+    l; returns (dlevels, dlocs, dweights)."""
+    return bilinear_sample_many_backward(cache.value_levels, cache.weights, cache.table, douts)
 
 
 DeformCache = namedtuple("DeformCache", "fields core cout")
@@ -402,23 +389,26 @@ def deform_project_fwd(x_rows, refs_rows, value_levels, p, cfg: ModelConfig):
     projection for an arbitrary set of query rows (pre-residual output).
 
     x_rows (R, B, C) and refs_rows (R, B, 2) read the (h, w, B * heads,
-    head_dim) value levels of `project_value`; (R, C) and (R, 2) read
-    single-image levels.
+    head_dim) value levels of `project_value`; every level adds into one
+    (R, B * heads, head_dim) output.
     """
-    locs, weights, cf = _sampling_points(x_rows, refs_rows, p, cfg)
+    locs, weights, cf = sampling_fields(x_rows, refs_rows, p, cfg)
     # fold the images into the head axis: a reshape of a fresh array
     locs = locs.reshape((x_rows.shape[0], -1) + locs.shape[-3:])
-    merged, cc = deform_core_fwd(value_levels, locs, weights.reshape(locs.shape[:-1]),
-                                 DENSE_PIXELS)
+    merged = np.zeros(locs.shape[:2] + value_levels[0].shape[-1:])
+    cc = deform_core_fwd(value_levels, locs, weights.reshape(locs.shape[:-1]),
+                         [merged] * len(value_levels), DENSE_PIXELS)
     y, co = linear_fwd(merged.reshape(x_rows.shape), p["w_out"], p["b_out"])
     return y, DeformCache(cf, cc, co)
 
 
 def deform_project_bwd(dout, cache: DeformCache, g):
     dmerged = linear_bwd(dout, cache.cout, g["w_out"], g["b_out"])
-    dlevels, dlocs, dweights = deform_core_bwd(dmerged, cache.core)
+    dmerged = dmerged.reshape(cache.core.locs.shape[:2] + (-1,))
+    dlevels, dlocs, dweights = deform_core_bwd(
+        [dmerged] * len(cache.core.value_levels), cache.core)
     dlocs = dlocs.reshape(cache.fields.lead + (-1,) + dlocs.shape[2:])
-    dx, drefs = _sampling_points_bwd(dlocs, dweights, cache.fields, g)
+    dx, drefs = sampling_fields_bwd(dlocs, dweights, cache.fields, g)
     return dx, drefs, dlevels
 
 
@@ -477,14 +467,14 @@ def _sample_project_fwd(x, refs, feats, proj, p, cfg: ModelConfig):
     projections."""
     n, bsz, dim = x.shape
     heads = cfg.heads
-    locs, weights, cf = _sampling_points(x, refs, p, cfg)
+    locs, weights, cf = sampling_fields(x, refs, p, cfg)
     # (N, B, heads, ...) -> (N * heads, B, ...)
     locs = locs.swapaxes(1, 2).reshape((n * heads, bsz) + locs.shape[3:])
     weights = weights.swapaxes(1, 2).reshape(locs.shape[:-1])
     # what each (query, head) read, in the order of the stacked rows: every
     # level's features side by side, then each level's mass
     outs = [np.zeros(locs.shape[:2] + f.shape[-1:]) for f in feats]
-    _, cc = deform_core_fwd(feats, locs, weights, outs=outs)
+    cc = deform_core_fwd(feats, locs, weights, outs)
     agg = np.concatenate(outs + [_bias_mass(cc.table, weights)], axis=-1)
     # (B, heads, N, rows) view: one GEMM per image and head
     agg = agg.reshape(n, heads, bsz, -1).transpose(2, 1, 0, 3)
@@ -531,5 +521,5 @@ def _sample_project_bwd(dout, cache: SampleCache, g, dfeats, dproj):
     # (N * heads, B, ...) -> (N, B, heads, ...)
     dlocs = dlocs.reshape((n, heads) + dlocs.shape[1:]).swapaxes(1, 2)
     dweights = dweights.reshape((n, heads) + dweights.shape[1:]).swapaxes(1, 2)
-    return _sampling_points_bwd(
+    return sampling_fields_bwd(
         np.ascontiguousarray(dlocs), np.ascontiguousarray(dweights), cache.fields, g)

@@ -5,19 +5,21 @@ kernel: rotation augmentation and multi-scale deformable attention both
 read through them.  They take a list of (h, w, heads, d_l) levels,
 (R, heads, levels, points, 2) locations and (R, heads, levels, points)
 point weights, so one call covers a whole deformable pass.  The kernel is
-fused: it returns the weighted sum (R, heads, d) and never stores a
-per-point read.  Levels may differ in width when each level reads into
-its own (R, heads, d_l) output; the same output may serve every level.
-The forward builds a corner table that gives every corner its row and
-weight, and the backward takes that table back instead of rebuilding it.  Out-of-bounds corners read a clamped row with weight zero
-instead of being masked out.
+fused: it adds the weighted sum of level l's reads into the caller's
+(R, heads, d_l) outs[l] and never stores a per-point read.  Levels may
+differ in width; levels of one width may share one output.  The forward
+returns a corner table that gives every corner its row and weight and
+records how each level was read; the backward takes that table and one
+upstream gradient per level, and reads each level the way the table says.
+Out-of-bounds corners read a clamped row with weight zero instead of being
+masked out.
 
 Each level is read one of two ways.  By default it is gathered: the
 forward gathers corner rows, and the backward scatters with one
 `np.bincount` per block of channels, in corner order.  With one point of
 weight 1 per row (rotation), both keep the summation order of a masked
 kernel with a corner-by-corner scatter-add, so their bits match it.  A
-level of at most `dense_pixels` pixels, a call argument that only the
+level of at most `dense_pixels` pixels, a forward argument that only the
 parallel decoder sets (to DENSE_PIXELS = 256), is read by GEMM instead:
 each block of 64 query rows builds its (rows, h * w) interpolation
 matrices from the corner table, the forward adds A @ V and the backward
@@ -138,11 +140,12 @@ def level_of_row(layout: PyramidLayout) -> np.ndarray:
 # Bilinear sampling
 # ---------------------------------------------------------------------------
 
-CornerTable = namedtuple("CornerTable", "rows wy wx oky okx")
+CornerTable = namedtuple("CornerTable", "rows wy wx oky okx dense")
 
 
-def _corner_table(levels, locs):
-    """Row, axis weights and in-bounds flags of every bilinear corner read.
+def _corner_table(levels, locs, dense_pixels):
+    """Row, axis weights and in-bounds flags of every bilinear corner read,
+    and the read strategy of every level.
 
     `locs` is (R, heads, L, points, 2); point (r, k, l, p) reads head k of
     level l.  Returns, for all levels in one step, a CornerTable of
@@ -152,7 +155,9 @@ def _corner_table(levels, locs):
       into the level so that every row is a valid read;
     * wy, wx (2, R, heads, L, points): the row and column weight of corner
       offset 0 and 1, zero where that row or column lies outside the level;
-    * oky, okx (2, R, heads, L, points) bool: whether it lies inside.
+    * oky, okx (2, R, heads, L, points) bool: whether it lies inside;
+    * dense, one bool per level: whether the level, of at most
+      `dense_pixels` pixels, is read by GEMM rather than gathered.
 
     A corner's weight is wy[dy] * wx[dx], which is exactly zero for a
     clamped read, so the read adds a zero term and changes no sum.
@@ -179,7 +184,8 @@ def _corner_table(levels, locs):
     rows *= heads
     rows += np.arange(heads)[:, None, None]
     rows = rows.reshape((4,) + gx.shape)
-    return CornerTable(rows, wy, wx, oky, okx)
+    dense = tuple(lev.shape[0] * lev.shape[1] <= dense_pixels for lev in levels)
+    return CornerTable(rows, wy, wx, oky, okx, dense)
 
 
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -250,8 +256,7 @@ def _heads_first(lev):
     return lev.reshape(h * w, heads, d).transpose(1, 0, 2)
 
 
-def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray, dense_pixels=0,
-                         outs=None):
+def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray, outs, dense_pixels=0):
     """Weighted sum of bilinear reads from a pyramid of maps, zero padding
     outside.
 
@@ -260,13 +265,11 @@ def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray, dense_pi
     l; `weights` (R, heads, L, points) scales each point's read.  Points may
     lie outside [0, 1]^2; out-of-range corners contribute zero.  Level l's
     reads, corner weight * point weight * corner row summed over its points
-    and corners, are added into outs[l], an (R, heads, d_l) array; a gathered
-    level adds its corners in corner order.  The same array may serve
-    several levels, which then add into it in level order.  Without `outs`
-    every level adds into one new zero array, so the levels must share one
-    width.  Returns (out, table): out is that array, or `outs` when given;
-    table is the corner table the backward takes.  No per-point read is
-    kept.
+    and corners, are added into outs[l], an (R, heads, d_l) array that the
+    caller owns; a gathered level adds its corners in corner order.  The
+    same array may serve several levels, which then add into it in level
+    order.  Returns the corner table, which the backward takes; no
+    per-point read is kept.
 
     A level of at most `dense_pixels` pixels is read densely, a block of
     _DENSE_ROWS query rows at a time: one `np.add.at` over the block's
@@ -277,14 +280,11 @@ def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray, dense_pi
     gathered, a corner at a time in corner order.
     """
     locs = np.asarray(locs, dtype=np.float64)
-    table = _corner_table(levels, locs)
+    table = _corner_table(levels, locs, dense_pixels)
     _, cw = _corner_weights(table, weights)
-    shared = outs is None
-    if shared:
-        outs = [np.zeros(locs.shape[:2] + levels[0].shape[-1:])] * len(levels)
     for l, (lev, out) in enumerate(zip(levels, outs)):
         pixels, d = lev.shape[0] * lev.shape[1], lev.shape[-1]
-        if pixels <= dense_pixels:
+        if table.dense[l]:
             v = _heads_first(lev)
             for b, a, _ in _dense_blocks(table.rows[:, :, :, l], cw[:, :, :, l], pixels):
                 out[b] += np.matmul(a, v).transpose(1, 0, 2)
@@ -294,21 +294,20 @@ def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray, dense_pi
             for k in range(4):
                 vals = flat.take(table.rows[k, b, :, l], axis=0)
                 out[b] += np.einsum("rhpc,rhp->rhc", vals, cw[k, b, :, l])
-    return outs[0] if shared else outs, table
+    return table
 
 
-def bilinear_sample_many_backward(levels, weights, table: CornerTable, dout,
-                                  dense_pixels=0):
+def bilinear_sample_many_backward(levels, weights, table: CornerTable, douts):
     """Gradients of `bilinear_sample_many` w.r.t. the maps, the points and
     the point weights.
 
     `weights` and `table` are the forward's weights and returned corner
-    table; `dout` is the gradient of its output: one (R, heads, d) array that
-    every level read into, or a list holding level l's (R, heads, d_l)
-    gradient at l.  Returns (dlevels, one array per level shaped like it;
-    dlocs (R, heads, L, points, 2); dweights shaped like `weights`).  The
-    interpolant has kinks on cell boundaries; gradients there follow the
-    floor-based cell choice.
+    table; `douts` holds level l's (R, heads, d_l) upstream gradient at l,
+    the gradient of the forward's outs[l].  Levels that shared one output
+    share one gradient array, which is made contiguous once.  Returns
+    (dlevels, one array per level shaped like it; dlocs (R, heads, L,
+    points, 2); dweights shaped like `weights`).  The interpolant has kinks
+    on cell boundaries; gradients there follow the floor-based cell choice.
 
     Both strategies give each corner read's row dotted with the point's
     upstream gradient (`contrib`), from which `_point_grads` forms dweights
@@ -322,12 +321,10 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, dout,
     scatter-add (`ufunc.at`) run corner by corner would.  A dense level
     rebuilds each block's A: dA = dout @ V^T, read at the block's corners,
     gives `contrib`, and the map gradient adds A^T @ dout block by block.
-    `dense_pixels` takes the forward's value; the other value gives the same
-    gradients up to rounding.
+    Each level is read the way the forward read it, as the table records.
     """
     rows = table.rows
     wt, cw = _corner_weights(table, weights)
-    douts = dout if isinstance(dout, list) else [dout] * len(levels)
     contrib = np.empty(rows.shape)  # v . dout of every corner read
     dlevels = []
     for l, lev in enumerate(levels):
@@ -335,7 +332,7 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, dout,
         if l == 0 or douts[l] is not douts[l - 1]:
             dout = np.ascontiguousarray(douts[l])
             dout_t = np.ascontiguousarray(dout.transpose(2, 0, 1)).reshape(d, -1)
-        if pixels <= dense_pixels:
+        if table.dense[l]:
             v = _heads_first(lev)
             dv = np.zeros(v.shape)
             for b, a, idx in _dense_blocks(rows[:, :, :, l], cw[:, :, :, l], pixels):

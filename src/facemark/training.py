@@ -266,7 +266,8 @@ def _rotate_image(img, theta):
     src = np.stack([c * u - s * v + 0.5, s * u + c * v + 0.5], axis=1)
     fmap = img.transpose(1, 2, 0)[:, :, None, :]  # one level, one head
     locs = src[:, None, None, None, :]  # one point of weight 1 per pixel
-    out, _ = bilinear_sample_many([fmap], locs, np.ones(locs.shape[:-1]))
+    out = np.zeros((h * w, 1, img.shape[0]))
+    bilinear_sample_many([fmap], locs, np.ones(locs.shape[:-1]), [out])
     return out.reshape(h, w, img.shape[0]).transpose(2, 0, 1)
 
 
@@ -304,6 +305,14 @@ class SyntheticFaceSpec:
             raise ConfigError("image side too small")
         if not self.blob_sigma > 0.0:
             raise ConfigError(f"data.blob_sigma must be > 0, got {self.blob_sigma}")
+        # render_face divides squared pixel distances, up to about 2 * side^2
+        # at the far corner, by 2 sigma^2 (sigma in pixels); both must stay
+        # finite and non-zero, or the blobs vanish or fill the image
+        sigma = self.blob_sigma * self.image_side
+        two_s2 = 2.0 * sigma * sigma
+        if not (0.0 < two_s2 < math.inf and 0.0 < 2.0 * self.image_side ** 2 / two_s2 < math.inf):
+            raise ConfigError(f"data.blob_sigma = {self.blob_sigma} cannot be drawn at "
+                              f"image side {self.image_side}")
         if not self.noise_level >= 0.0:
             raise ConfigError(f"data.noise_level must be >= 0, got {self.noise_level}")
         if not self.bbox_enlarge > -1.0:  # else the box's sides turn negative

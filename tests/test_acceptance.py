@@ -20,7 +20,6 @@ import pytest
 from facemark.cli import main
 from facemark.config import ENV_CONFIG
 from facemark.decoder import TINY, DecoderState, ModelConfig, init_params
-from facemark.attention import deform_core_fwd
 from facemark.metrics import auc, evaluate, failure_rate, nme, resolve_normalizer
 from facemark.params import count_parameters
 from facemark.training import (
@@ -34,7 +33,7 @@ from facemark.training import (
 )
 
 from conftest import TINY_SPEC, jitter_params
-from test_attention import DENSE_CHOICES, _random_instance, _scalar_deform
+from test_attention import DENSE_CHOICES, _core_read, _random_instance, _scalar_deform
 from test_metrics import _auc_ref, _fr_ref, _nme_ref
 
 pytestmark = pytest.mark.acceptance
@@ -133,7 +132,7 @@ def test_05_batched_kernel_equals_scalar_reference():
         slow = _scalar_deform(value_levels, locs, weights)
         # gathered, mixed and dense reads of the same instance
         for dense_pixels in DENSE_CHOICES:
-            fast, _ = deform_core_fwd(value_levels, locs, weights, dense_pixels)
+            fast, _ = _core_read(value_levels, locs, weights, dense_pixels)
             worst = max(worst, float(np.abs(fast - slow).max()))
     ok = worst <= 1e-10
     assert _verdict(

@@ -410,13 +410,27 @@ def _random_instance(rng):
 DENSE_CHOICES = (0, 12, DENSE_PIXELS)
 
 
+def _core_read(value_levels, locs, weights, dense_pixels):
+    """`deform_core_fwd` with every level adding into one new output:
+    ((R, heads * head_dim) output, cache)."""
+    out = np.zeros(locs.shape[:2] + value_levels[0].shape[-1:])
+    cache = deform_core_fwd(value_levels, locs, weights, [out] * len(value_levels), dense_pixels)
+    return out.reshape(locs.shape[0], -1), cache
+
+
+def _core_grads(dout, cache):
+    """`deform_core_bwd` of an (R, heads * head_dim) gradient of `_core_read`."""
+    dout = dout.reshape(cache.locs.shape[:2] + (-1,))
+    return deform_core_bwd([dout] * len(cache.value_levels), cache)
+
+
 def test_deform_core_matches_scalar_reference_50_instances():
     rng = np.random.default_rng(42)
     for _ in range(50):
         value_levels, locs, weights = _random_instance(rng)
         slow = _scalar_deform(value_levels, locs, weights)
         for dense_pixels in DENSE_CHOICES:
-            fast, _ = deform_core_fwd(value_levels, locs, weights, dense_pixels)
+            fast, _ = _core_read(value_levels, locs, weights, dense_pixels)
             assert np.abs(fast - slow).max() <= 1e-10
 
 
@@ -432,11 +446,11 @@ def test_deform_core_backward_matches_fd():
             r, heads, n_levels, n_points
         )
         mix = rng.normal(size=(r, heads * d))
-        out, cache = deform_core_fwd(value_levels, locs, weights, dense_pixels)
-        dlevels, dlocs, dweights = deform_core_bwd(mix, cache)
+        out, cache = _core_read(value_levels, locs, weights, dense_pixels)
+        dlevels, dlocs, dweights = _core_grads(mix, cache)
 
         def loss():
-            return (deform_core_fwd(value_levels, locs, weights, dense_pixels)[0]
+            return (_core_read(value_levels, locs, weights, dense_pixels)[0]
                     * mix).sum()
 
         names = [("lev0", value_levels[0]), ("lev1", value_levels[1]),
@@ -470,11 +484,11 @@ def test_deform_core_keeps_no_per_point_samples():
     for dense_pixels in (0, 64, DENSE_PIXELS):
         tracemalloc.start()
         try:
-            _, cache = deform_core_fwd(value_levels, locs, weights, dense_pixels)
+            _, cache = _core_read(value_levels, locs, weights, dense_pixels)
             _, fwd_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             live, _ = tracemalloc.get_traced_memory()
-            deform_core_bwd(dout, cache)
+            _core_grads(dout, cache)
             _, bwd_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -510,8 +524,8 @@ def test_sampling_fields_weights_normalized_per_head():
     cfg = _block_config(points=3)
     p = _deform_params(rng, cfg)
     x = rng.normal(size=(4, 8))
-    offsets, weights, _ = sampling_fields(x, p, cfg)
-    assert offsets.shape == (4, 2, 2, 3, 2)
+    locs, weights, _ = sampling_fields(x, rng.uniform(0, 1, (4, 2)), p, cfg)
+    assert locs.shape == (4, 2, 2, 3, 2)
     assert weights.shape == (4, 2, 2, 3)
     # each head's weights over its level*point slots form a distribution
     npt.assert_allclose(weights.sum(axis=(2, 3)), 1.0, atol=1e-12)
@@ -522,8 +536,10 @@ def test_sampling_fields_zero_projection_uniform():
     p = {"w_off": np.zeros((8, 16)), "b_off": np.zeros(16),
          "w_wgt": np.zeros((8, 8)), "b_wgt": np.zeros(8)}
     x = np.random.default_rng(0).normal(size=(3, 8))
-    offsets, weights, _ = sampling_fields(x, p, cfg)
-    npt.assert_array_equal(offsets, 0.0)
+    refs = np.random.default_rng(1).uniform(0, 1, (3, 2))
+    locs, weights, _ = sampling_fields(x, refs, p, cfg)
+    # zero offsets: every point sits at its reference point
+    npt.assert_array_equal(locs, np.broadcast_to(refs[:, None, None, None], locs.shape))
     npt.assert_allclose(weights, 1.0 / 4.0)
 
 

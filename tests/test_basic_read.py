@@ -15,8 +15,6 @@ import numpy as np
 import pytest
 
 from facemark.attention import (
-    _sampling_points,
-    _sampling_points_bwd,
     deform_core_bwd,
     deform_core_fwd,
     ffn_bwd,
@@ -25,6 +23,8 @@ from facemark.attention import (
     layer_norm_fwd,
     linear_bwd,
     linear_fwd,
+    sampling_fields,
+    sampling_fields_bwd,
     self_attention_bwd,
     self_attention_fwd,
 )
@@ -68,12 +68,13 @@ def _memory_mass_bwd(dmass, cache, dlocs, dweights):
 
 def _memory_read_fwd(x, refs, memory, p, cfg):
     n, bsz, dim = x.shape
-    locs, weights, cf = _sampling_points(x, refs, p, cfg)
+    locs, weights, cf = sampling_fields(x, refs, p, cfg)
     locs = locs.swapaxes(1, 2).reshape((n * cfg.heads, bsz) + locs.shape[3:])
     weights = weights.swapaxes(1, 2).reshape(locs.shape[:-1])
     slices = cfg.layout.block_slices(bsz)
     levels = [memory[sl].reshape(h, w, bsz, dim) for (h, w), sl in zip(cfg.layout.levels, slices)]
-    agg, cc = deform_core_fwd(levels, locs, weights)
+    agg = np.zeros(locs.shape[:2] + (dim,))
+    cc = deform_core_fwd(levels, locs, weights, [agg] * len(levels))
     agg = agg.reshape(n, cfg.heads, bsz, dim).transpose(2, 1, 0, 3)
     mass = _memory_mass(cc.table, weights).reshape(n, cfg.heads, bsz).T
     mass = np.ascontiguousarray(mass)[..., None]
@@ -97,15 +98,15 @@ def _memory_read_bwd(dout, cache, g, dmemory):
     g["b_val"] += db_h.reshape(dim)
     dagg = np.matmul(dvalue, cache.w_h.swapaxes(-1, -2))
     dmass = np.matmul(dvalue, cache.b_h.swapaxes(-1, -2))
-    dagg = dagg.transpose(2, 1, 0, 3).reshape(n * heads, bsz * dim)
-    dlevels, dlocs, dweights = deform_core_bwd(dagg, cache.core)
+    dagg = dagg.transpose(2, 1, 0, 3).reshape(n * heads, bsz, dim)
+    dlevels, dlocs, dweights = deform_core_bwd([dagg] * len(cache.slices), cache.core)
     dmass = dmass.reshape(bsz, heads, n).T.reshape(n * heads, bsz)
     _memory_mass_bwd(dmass, cache.core, dlocs, dweights)
     for dlev, sl in zip(dlevels, cache.slices):
         dmemory[sl] += dlev.reshape(-1, dim)
     dlocs = dlocs.reshape((n, heads) + dlocs.shape[1:]).swapaxes(1, 2)
     dweights = dweights.reshape((n, heads) + dweights.shape[1:]).swapaxes(1, 2)
-    return _sampling_points_bwd(
+    return sampling_fields_bwd(
         np.ascontiguousarray(dlocs), np.ascontiguousarray(dweights), cache.fields, g)
 
 

@@ -277,6 +277,20 @@ def test_gen_data_rejects_a_box_enlargement_that_inverts_boxes(tmp_path):
     assert not data.exists()
 
 
+@pytest.mark.parametrize("sigma", ["1e-300", "1e300"])
+def test_gen_data_rejects_a_blob_sigma_it_cannot_draw(tmp_path, sigma):
+    # once: numpy's divide-by-zero warning and images of noise only, or
+    # all-white images, both with exit 0
+    data = tmp_path / "ds"
+    proc = _run_facemark("gen-data", "--out", str(data), *TINY_MODEL,
+                         "--set", f"data.blob_sigma={sigma}")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "data.blob_sigma" in proc.stderr
+    assert not data.exists()
+
+
 def _nan_checkpoint(path):
     """A TINY checkpoint whose first offset head has one NaN weight, so every
     landmark's x coordinate is NaN from stage 1 on; stage 0, the initial

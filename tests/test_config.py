@@ -83,6 +83,8 @@ def test_bad_value_and_bad_override_shape():
 
 @pytest.mark.parametrize("override, key", [
     ("data.blob_sigma=0", "data.blob_sigma"),
+    ("data.blob_sigma=1e-300", "data.blob_sigma"),  # 2 sigma^2 is zero
+    ("data.blob_sigma=1e300", "data.blob_sigma"),  # 2 sigma^2 overflows
     ("data.noise_level=-3", "data.noise_level"),
     ("data.bbox_enlarge=-5", "data.bbox_enlarge"),
     ("data.bbox_enlarge=-1", "data.bbox_enlarge"),

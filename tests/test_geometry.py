@@ -130,19 +130,25 @@ def _unit_weights(locs):
     return np.ones(np.shape(locs)[:-1])
 
 
+def _read(levels, locs, weights, dense_pixels=0):
+    """The kernel's forward with every level adding into one new output:
+    (out (R, heads, d), corner table)."""
+    out = np.zeros(np.shape(locs)[:2] + levels[0].shape[-1:])
+    return out, bilinear_sample_many(levels, locs, weights, [out] * len(levels), dense_pixels)
+
+
 def _sample(fmap, uvs, dense_pixels=0):
     """Single-point reads: one level, one head, one point of weight 1."""
     locs = _as_locs(uvs)
-    return bilinear_sample_many(
-        _one_level(fmap), locs, _unit_weights(locs), dense_pixels)[0][:, 0]
+    return _read(_one_level(fmap), locs, _unit_weights(locs), dense_pixels)[0][:, 0]
 
 
 def _sample_backward(fmap, uvs, dout, dense_pixels=0):
     levels, locs = _one_level(fmap), _as_locs(uvs)
     weights = _unit_weights(locs)
-    _, table = bilinear_sample_many(levels, locs, weights, dense_pixels)
+    _, table = _read(levels, locs, weights, dense_pixels)
     dlevels, dlocs, _ = bilinear_sample_many_backward(
-        levels, weights, table, dout[:, None, :], dense_pixels
+        levels, weights, table, [dout[:, None, :]]
     )
     return dlevels[0][:, :, 0, :], dlocs[:, 0, 0, 0]
 
@@ -216,8 +222,8 @@ def test_bilinear_head_index_reads_that_heads_slice():
     locs = rng.uniform(-0.3, 1.3, (20, 3, 1, 1, 2))
     weights = _unit_weights(locs)
     dout = rng.normal(size=(20, 3, 2))
-    out, table = bilinear_sample_many([fmap], locs, weights)
-    dlevels, dlocs, _ = bilinear_sample_many_backward([fmap], weights, table, dout)
+    out, table = _read([fmap], locs, weights)
+    dlevels, dlocs, _ = bilinear_sample_many_backward([fmap], weights, table, [dout])
     for k in range(3):
         uvs = locs[:, k].reshape(-1, 2)
         g = dout[:, k]
@@ -302,9 +308,10 @@ def test_levels_of_unequal_width_match_scalar_oracle():
     weights = rng.uniform(0.1, 1.0, (r, heads, len(levels), n_points))
     douts = [rng.normal(size=(r, heads, d)) for _, _, d in shapes]
     outs = [np.zeros((r, heads, d)) for _, _, d in shapes]
-    got, table = bilinear_sample_many(levels, locs, weights, 9, outs)
-    assert got is outs
-    dlevels, dlocs, dweights = bilinear_sample_many_backward(levels, weights, table, douts, 9)
+    table = bilinear_sample_many(levels, locs, weights, outs, 9)
+    # the 3 x 3 level sits at the threshold, which is inclusive
+    assert table.dense == (False, True, True)
+    dlevels, dlocs, dweights = bilinear_sample_many_backward(levels, weights, table, douts)
     for l, lev in enumerate(levels):
         out_ref = np.zeros(outs[l].shape)
         dlev_ref = np.zeros(lev.shape)
@@ -315,7 +322,7 @@ def test_levels_of_unequal_width_match_scalar_oracle():
             dlev_ref[:, :, k] += wgt * dmap
             npt.assert_allclose(dlocs[i, k, l, p], wgt * duv, rtol=0, atol=1e-9)
             npt.assert_allclose(dweights[i, k, l, p], read @ douts[l][i, k], rtol=0, atol=1e-12)
-        npt.assert_allclose(got[l], out_ref, rtol=0, atol=1e-12)
+        npt.assert_allclose(outs[l], out_ref, rtol=0, atol=1e-12)
         npt.assert_allclose(dlevels[l], dlev_ref, rtol=0, atol=1e-12)
     # the far points pass nothing back
     assert not dlocs[0, :, :, 0].any() and not dlocs[1, :, :, 1].any()
@@ -379,8 +386,8 @@ def test_bilinear_matches_masked_add_at_kernel_bit_for_bit():
 
 
 def _fused(levels, locs, weights, dout, dense_pixels=0):
-    out, table = bilinear_sample_many(levels, locs, weights, dense_pixels)
-    return (out,) + bilinear_sample_many_backward(levels, weights, table, dout, dense_pixels)
+    out, table = _read(levels, locs, weights, dense_pixels)
+    return (out,) + bilinear_sample_many_backward(levels, weights, table, [dout] * len(levels))
 
 
 def test_bilinear_multi_level_call_equals_per_level_calls():

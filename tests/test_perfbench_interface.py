@@ -5,9 +5,9 @@ and derives work counts from their arguments by position: `project_value`'s
 memory (args[0]) and parameters (args[2]), `deform_core_fwd`'s value levels
 and locations (args[0], args[1]), and the `value_levels` and `locs` fields
 of the cache that `deform_core_bwd` takes.  A refactor that moves one of
-them breaks the benchmark's per-layer counts; this test runs the tracer,
-loaded from its file unchanged, around one training batch so that tier-1
-catches it.
+them breaks the benchmark's per-layer counts; these tests run the tracer,
+loaded from its file unchanged, around one training batch of each read so
+that tier-1 catches it.
 """
 
 import dataclasses
@@ -29,8 +29,8 @@ def _load_tracing():
     return module
 
 
-def test_tracer_counts_the_deformable_layers_of_a_parallel_batch(tiny_batch):
-    cfg = dataclasses.replace(TINY, parallel=True)
+def _traced_counts(cfg, tiny_batch):
+    """The tracer's counts of one training batch of `cfg`, by name."""
     state = DecoderState.init(cfg, seed=0)
     images = np.stack([s.image for s in tiny_batch])
     targets = np.stack([s.landmarks for s in tiny_batch])
@@ -44,7 +44,19 @@ def test_tracer_counts_the_deformable_layers_of_a_parallel_batch(tiny_batch):
     finally:
         tracer.uninstall()
     assert attention.project_value is original
-    counts = {name: v for (op, name), v in tracer.counts.items()}
+    return {name: v for (op, name), v in tracer.counts.items()}
+
+
+def test_tracer_counts_the_deformable_layers_of_a_parallel_batch(tiny_batch):
+    counts = _traced_counts(dataclasses.replace(TINY, parallel=True), tiny_batch)
     for name in ("attention.project_value.flops", "attention.deform_core_fwd.samples",
                  "attention.deform_core_bwd.scatter_bytes"):
+        assert counts.get(name, 0) > 0, name
+
+
+def test_tracer_counts_the_deformable_core_of_a_basic_batch(tiny_batch):
+    # the basic read hands the core one output per level, as the parallel
+    # read and rotation do; train-tiny and predict-default run only this read
+    counts = _traced_counts(TINY, tiny_batch)
+    for name in ("attention.deform_core_fwd.samples", "attention.deform_core_bwd.scatter_bytes"):
         assert counts.get(name, 0) > 0, name
