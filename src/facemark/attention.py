@@ -29,9 +29,11 @@ Nothing later in the backward reads it, so while `WEIGHT_GRADS` is set the
 product runs as a task on the training worker (`training`), off the
 backward's critical path; unset, the same helper runs inline.  The worker
 runs its tasks in the order they were queued, so each parameter receives
-its adds in the order of a serial loop.  A product into a per-image
-intermediate that the backward reads later, such as `linear_bwd` into a
-(B, C, K) view, always runs inline.
+its adds in the order of a serial loop.  `linear_bwd` takes no other kind
+of view, so every product it forms is deferrable; a product into a
+per-image intermediate that the backward reads later, such as the level
+projections' in `backbone.extract_memory_bwd`, is formed where it is read,
+inline.
 
 The deformable core (bilinear reads weighted by the softmaxed attention
 weights, summed per head) is the fused `geometry.bilinear_sample_many` and
@@ -138,20 +140,13 @@ def linear_fwd(x, w, b, out=None):
 
 
 def linear_bwd(dout, cache, gw, gb):
-    """The input gradient; adds the weight and bias gradients into gw and
-    gb, summed over the images (the weight's through `add_weight_grad`),
-    or image by image into gw (B, C, K) and gb (B, K), views with a
-    leading image axis, inline."""
+    """The input gradient; adds the weight and bias gradients, summed over
+    the images, into gw (through `add_weight_grad`) and gb."""
     x3, w = cache
-    dout3 = dout.reshape(x3.shape[:2] + w.shape[1:])
-    dout_b = dout3.transpose(1, 0, 2)
+    dout_b = dout.reshape(x3.shape[:2] + w.shape[1:]).transpose(1, 0, 2)
     dx = np.matmul(dout_b, w.T).transpose(1, 0, 2)
-    if gw.ndim == 3:
-        gw += _matmul_rows(x3.transpose(1, 2, 0), dout_b)
-        gb += np.add.reduce(dout3, axis=0)
-    else:
-        add_weight_grad(_linear_weight_grad, gw, x3, dout_b)
-        gb += _sum_rows(dout)
+    add_weight_grad(_linear_weight_grad, gw, x3, dout_b)
+    gb += _sum_rows(dout)
     return dx.reshape(dout.shape[:-1] + w.shape[:1])
 
 

@@ -9,8 +9,10 @@ the flattened memory.  The memory of the B images is one (M * B, dim)
 matrix whose row m * B + b is memory row m of image b; the parallel decoder
 reads it whole.  The basic decoder reads each level's features instead, as
 an (h, w, B, ch) array, through `stack_projections`, and projects only the
-last level's rows for its query init.  `backbone_rows` declares the
-parameters, as the rows that `decoder.param_rows` starts with.
+last level's rows for its query init.  Both decoders' backward hands
+`extract_memory_bwd` the features' gradients and each image's gradient of
+that stack, which it adds the memory rows' gradients into.  `backbone_rows`
+declares the parameters, as the rows that `decoder.param_rows` starts with.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .attention import add_weight_grad, linear_bwd, linear_fwd, relu_fwd
+from .attention import _matmul_rows, add_weight_grad, linear_fwd, relu_fwd
 from .errors import ConfigError
 from .params import Params, Row
 
@@ -158,38 +160,34 @@ def extract_memory(images, params: Params, cfg: ModelConfig, first: int = 0):
     return memory, BackboneCache(stages, feats, projections, first)
 
 
-def extract_memory_bwd(ddata, cache: BackboneCache, grads: Params, dfeats=None,
-                       dproj=None):
+def extract_memory_bwd(ddata, cache: BackboneCache, grads: Params, dfeats, dproj):
     """Backward through projections and stages, given the gradient of the
-    memory rows and, optionally, of the features: one (h, w, B, ch) array
-    per level, which is added.  Adds the parameter gradients, summed over
-    the batch, into `grads` by full parameter path, one add per path; the
-    image gradient is never computed.  `dproj`, if given, holds each
-    image's gradient of `stack_projections`' matrix, (B, rows, dim): the
-    memory rows' projection gradients join it image by image, and its sum
-    over the images goes into `grads`.
+    projected memory rows, `ddata`, and the caller's gradients of the
+    features, `dfeats` (one (h, w, B, ch) array per level), and of
+    `stack_projections`' matrix per image, `dproj` (B, rows, dim).  Each
+    projected level's row gradient is added into its `dfeats` array and
+    each image's projection gradient into `dproj`; then `dproj`'s sum over
+    the images goes into `grads`, as do the stages' parameter gradients,
+    one add per path.  The image gradient is never computed.
     """
-    dfeats = list(dfeats or [None] * len(cache.feats))
     levels = len(cache.feats)
     row, first_row = 0, sum(f.shape[-1] for f in cache.feats[:cache.first])
-    for i, lin in enumerate(cache.projections, start=cache.first):
+    for i, (x3, wp) in enumerate(cache.projections, start=cache.first):
         h, w, bsz, ch = cache.feats[i].shape
-        if dproj is None:
-            gw, gb = grads[f"project.l{i + 1}.w"], grads[f"project.l{i + 1}.b"]
-        else:
-            gw, gb = dproj[:, first_row:first_row + ch], dproj[:, i - levels]
-        drows = linear_bwd(ddata[row:row + h * w * bsz].reshape(h * w, bsz, -1), lin,
-                           gw, gb).reshape(h, w, bsz, -1)
-        dfeats[i] = drows if dfeats[i] is None else dfeats[i] + drows
+        dout3 = ddata[row:row + h * w * bsz].reshape(h * w, bsz, -1)
+        dout_b = dout3.transpose(1, 0, 2)
+        # each image's product, which the sum over the images reads below
+        dproj[:, first_row:first_row + ch] += _matmul_rows(x3.transpose(1, 2, 0), dout_b)
+        dproj[:, i - levels] += np.add.reduce(dout3, axis=0)
+        dfeats[i] += np.matmul(dout_b, wp.T).transpose(1, 0, 2).reshape(h, w, bsz, ch)
         row += h * w * bsz
         first_row += ch
-    if dproj is not None:
-        dstack, row = np.add.reduce(dproj, axis=0), 0
-        for i, f in enumerate(cache.feats):
-            ch = f.shape[-1]
-            grads[f"project.l{i + 1}.w"] += dstack[row:row + ch]
-            grads[f"project.l{i + 1}.b"] += dstack[i - levels]
-            row += ch
+    dstack, row = np.add.reduce(dproj, axis=0), 0
+    for i, f in enumerate(cache.feats):
+        ch = f.shape[-1]
+        grads[f"project.l{i + 1}.w"] += dstack[row:row + ch]
+        grads[f"project.l{i + 1}.b"] += dstack[i - levels]
+        row += ch
     dx = None
     for i in range(len(cache.stages) - 1, -1, -1):
         pre = f"backbone.s{i + 1}"

@@ -438,13 +438,13 @@ def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache, grads: 
     dlogits = np.zeros_like(ys[0])
     dq = np.zeros(ys[0].shape[:2] + (cfg.dim,))
     bsz, (h_last, w_last) = dq.shape[1], cfg.layout.levels[-1]
-    # the gradient of the layers' memory: the memory rows, or for the basic
-    # read (dfeats, dproj), each image's gradient of the stacked projections
-    if cfg.parallel:
-        dstate = np.zeros((cfg.layout.total_len * bsz, cfg.dim))
-    else:
-        dstate = ([np.zeros(f.shape) for f in cache.backbone.feats],
-                  np.zeros((bsz, sum(cfg.stage_channels) + cfg.levels, cfg.dim)))
+    # the gradients of the backbone's features and, per image, of the
+    # stacked projections; the layers' memory gradient is the memory rows',
+    # or for the basic read this pair
+    dfeats = [np.zeros(f.shape) for f in cache.backbone.feats]
+    dproj = np.zeros((bsz, sum(cfg.stage_channels) + cfg.levels, cfg.dim))
+    dstate = (np.zeros((cfg.layout.total_len * bsz, cfg.dim)) if cfg.parallel
+              else (dfeats, dproj))
     # query_pos and level_emb gradients per image, summed over the layers
     dpos, dlevel = np.zeros_like(dq), np.zeros((cfg.levels,) + dq.shape[1:])
     for t in range(cfg.num_layers - 1, -1, -1):
@@ -475,10 +475,7 @@ def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache, grads: 
     if cfg.self_attention:
         grads["query_pos"] += dpos.sum(axis=1)
     grads["level_emb"] += dlevel.sum(axis=1)
-    if cfg.parallel:
-        extract_memory_bwd(dmem, cache.backbone, grads)
-    else:
-        extract_memory_bwd(dmem, cache.backbone, grads, *dstate)
+    extract_memory_bwd(dmem, cache.backbone, grads, dfeats, dproj)
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,9 @@ def _parse_header(lines: list[str]):
 
 def load_checkpoint(path: str) -> tuple[Params, dict[str, str]]:
     """(params, meta) of a checkpoint.  The payload is read once, into the
-    vector of `flat_views`; every parameter is a writable view of it."""
+    vector of `flat_views`; every parameter is a writable view of it.  A
+    payload with a non-finite value is a ConfigError naming the first such
+    parameter in sorted order."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         lines = []
@@ -167,6 +169,14 @@ def load_checkpoint(path: str) -> tuple[Params, dict[str, str]]:
         buf, params = flat_views(shapes)
         if fh.readinto(buf) != found:
             raise ConfigError(f"checkpoint payload of {path} changed while reading")
+    # one cheap pass: the dot is finite unless an entry is not, or a finite
+    # entry's square (|x| > ~1e154) or the sum overflows; the scan decides
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(np.dot(buf, buf))
+    if not finite:
+        bad = next((k for k, v in params.items() if not np.isfinite(v).all()), None)
+        if bad is not None:
+            raise ConfigError(f"{path}: parameter {bad} holds a non-finite value")
     return params, meta
 
 

@@ -15,9 +15,10 @@ queued: chunk i + 1's forward, then chunk i's weight products in the
 backward's order.  The forward only reads the parameters; each gradient
 entry is added either only on the calling thread or only on the worker,
 in chunk order either way.  So losses, gradients and checkpoints keep the
-bits of a serial loop.  Only a product that lands directly in the flat
-gradient buffer may run on the worker: one into a per-image intermediate
-that the backward reads later would race with that read.
+bits of a serial loop.  Only products that land directly in the flat
+gradient buffer go through that helper, so only they run on the worker:
+one into a per-image intermediate that the backward reads later would race
+with that read.
 """
 
 from __future__ import annotations
@@ -118,15 +119,6 @@ def batch_loss_and_grads(params: Params, cfg: ModelConfig, images, targets,
             WEIGHT_GRADS.reset(hook)
         pool.shutdown(cancel_futures=True)
     return total / len(images), flat, grads
-
-
-def batch_loss(params: Params, cfg: ModelConfig, images, targets):
-    images, targets = np.asarray(images), np.asarray(targets)
-    total = 0.0
-    for sl in chunk_slices(len(images), cfg):
-        ys, _ = forward(params, images[sl], cfg, keep_cache=False)
-        total += landmark_loss(ys, targets[sl])[0]
-    return total / len(images)
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +565,14 @@ def grad_check(state: DecoderState, batch, step=1e-5, threshold=1e-4,
     """Finite-difference check of the full model loss on a batch of
     (image, landmarks) samples.  Covers every parameter path.
     """
-    images = [s.image for s in batch]
-    targets = [s.landmarks for s in batch]
+    images = np.stack([s.image for s in batch])
+    targets = np.stack([s.landmarks for s in batch])
     params = {k: v.copy() for k, v in state.params.items()}
     _, _, analytic = batch_loss_and_grads(params, state.config, images, targets)
 
     def loss_fn(p):
-        return batch_loss(p, state.config, images, targets)
+        ys = DecoderState(state.config, p).predict(images)
+        return landmark_loss(ys, targets)[0] / len(images)
 
     return check_against_fd(
         params, loss_fn, analytic, step=step, threshold=threshold,

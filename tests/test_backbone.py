@@ -182,7 +182,8 @@ def test_memory_backward_matches_fd():
     mix = rng.normal(size=((4 * 4 + 2 * 2) * 2, 8))
     mem, cache = extract_memory(img, params, cfg)
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    extract_memory_bwd(mix, cache, grads)
+    extract_memory_bwd(mix, cache, grads, [np.zeros(f.shape) for f in cache.feats],
+                       np.zeros((2, 4 + 8 + 2, 8)))
     assert set(grads) == set(params) and all(g.any() for g in grads.values())
     h = 1e-6
     rng_pick = np.random.default_rng(11)

@@ -171,7 +171,8 @@ def _memory_model(params, images, cfg, dys):
         grads["query_embed"] += dq0.sum(axis=0)
     if cfg.self_attention:
         grads["query_pos"] += dpos.sum(axis=1)
-    extract_memory_bwd(dmem, c_bb, grads)
+    extract_memory_bwd(dmem, c_bb, grads, [np.zeros(f.shape) for f in c_bb.feats],
+                       np.zeros((bsz, sum(cfg.stage_channels) + cfg.levels, cfg.dim)))
     return [y.transpose(1, 0, 2) for y in ys], grads
 
 

@@ -292,12 +292,41 @@ def test_gen_data_rejects_a_blob_sigma_it_cannot_draw(tmp_path, sigma):
 
 
 def _nan_checkpoint(path):
-    """A TINY checkpoint whose first offset head has one NaN weight, so every
-    landmark's x coordinate is NaN from stage 1 on; stage 0, the initial
-    estimate, is finite."""
+    """A TINY checkpoint of finite values whose first offset head overflows:
+    its hidden units read about 1e300 and two of them map to x with weights
+    +-1e300, so every landmark's x coordinate is inf - inf = NaN from stage 1
+    on; stage 0, the initial estimate, is finite.  (A NaN in the payload
+    itself is rejected on load.)"""
     state = DecoderState.init(TINY)
-    state.params["layers.0.head.w3"][0, 0] = np.nan
+    state.params["layers.0.head.b2"][:] = 1e300
+    state.params["layers.0.head.w3"][:2, 0] = 1e300, -1e300
     state.save(path)
+
+
+@pytest.mark.parametrize("name, value", [("layers.0.deform.b_off", np.inf),
+                                         ("layers.0.head.w3", np.nan)],
+                         ids=["inf_offset_bias", "nan_head_weight"])
+@pytest.mark.parametrize("verb", ["predict", "eval"])
+def test_a_non_finite_checkpoint_payload_is_a_config_error(tmp_path, verb, name, value):
+    # both once ran on: the inf to exit 0 with a report, the NaN to a
+    # NumericError naming no parameter, each after numpy's warnings
+    ckpt, out = tmp_path / "m.ckpt", tmp_path / "out"
+    state = DecoderState.init(TINY)
+    state.params[name].flat[0] = value
+    state.save(ckpt)
+    if verb == "predict":
+        image = tmp_path / "face.ppm"
+        write_ppm(image, np.full((3, 32, 32), 0.5))
+        args, artifacts = ["--image", str(image)], (".txt", ".ppm")
+    else:
+        data = tmp_path / "ds"
+        main(["gen-data", "--out", str(data), *TINY_MODEL, "--set", "data.count=2"])
+        args, artifacts = ["--data", str(data), *TINY_MODEL], (".txt", ".tsv")
+    proc = _run_facemark(verb, "--ckpt", str(ckpt), *args, "--out", str(out))
+    assert proc.returncode == 1
+    assert f"{ckpt}: parameter {name} holds a non-finite value" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not any(os.path.exists(f"{out}{ext}") for ext in artifacts)
 
 
 def test_eval_of_a_non_finite_prediction_is_a_numeric_error(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -54,7 +56,8 @@ def _linear_case(rng):
     w, b = rng.normal(size=(3, 5)), rng.normal(size=5)
     _, cache = linear_fwd(rng.normal(size=(4, 2, 3)), w, b)
     dout = rng.normal(size=(4, 2, 5))
-    return {"lin.w": w, "lin.b": b}, lambda g: linear_bwd(dout, cache, g["lin.w"], g["lin.b"])
+    return ({"lin.w": w, "lin.b": b},
+            lambda g, _: linear_bwd(dout, cache, g["lin.w"], g["lin.b"]), [])
 
 
 def _layer_norm_case(rng):
@@ -62,7 +65,7 @@ def _layer_norm_case(rng):
     _, cache = layer_norm_fwd(rng.normal(size=(4, 2, 6)), gain, bias)
     dout = rng.normal(size=(4, 2, 6))
     return ({"ln.g": gain, "ln.b": bias},
-            lambda g: layer_norm_bwd(dout, cache, g["ln.g"], g["ln.b"]))
+            lambda g, _: layer_norm_bwd(dout, cache, g["ln.g"], g["ln.b"]), [])
 
 
 def _conv_case(rng):
@@ -70,7 +73,7 @@ def _conv_case(rng):
     _, cache = conv2d_fwd(rng.normal(size=(2, 2, 4, 4)), w, b, 2)
     dout = rng.normal(size=(2, 3, 2, 2))
     return ({"conv.w": w, "conv.b": b},
-            lambda g: conv2d_bwd(dout, cache, g["conv.w"], g["conv.b"]))
+            lambda g, _: conv2d_bwd(dout, cache, g["conv.w"], g["conv.b"]), [])
 
 
 def _ffn_case(rng):
@@ -80,7 +83,7 @@ def _ffn_case(rng):
     _, cache = ffn_fwd(rng.normal(size=(4, 2, 6)), p)
     dout = rng.normal(size=(4, 2, 6))
     return ({f"ffn.{k}": v for k, v in p.items()},
-            lambda g: ffn_bwd(dout, cache, _group(g, "ffn.", p)))
+            lambda g, _: ffn_bwd(dout, cache, _group(g, "ffn.", p)), [])
 
 
 def _self_attention_case(rng):
@@ -90,7 +93,7 @@ def _self_attention_case(rng):
                                   p, 2)
     dout = rng.normal(size=(4, 2, 8))
     return ({f"sa.{k}": v for k, v in p.items()},
-            lambda g: self_attention_bwd(dout, cache, _group(g, "sa.", p)))
+            lambda g, _: self_attention_bwd(dout, cache, _group(g, "sa.", p)), [])
 
 
 def _extract_memory_case(rng):
@@ -98,7 +101,9 @@ def _extract_memory_case(rng):
     params = backbone_params(rng, cfg)
     mem, cache = extract_memory(rng.uniform(0, 1, (2, 3, 16, 16)), params, cfg)
     dmem = rng.normal(size=mem.shape)
-    return params, lambda g: extract_memory_bwd(dmem, cache, g)
+    # the caller's feature gradients and per-image projection gradients
+    handed = [rng.normal(size=f.shape) for f in cache.feats] + [rng.normal(size=(2, 14, 8))]
+    return params, lambda g, h: extract_memory_bwd(dmem, cache, g, h[:-1], h[-1]), handed
 
 
 @pytest.mark.parametrize("case", [_linear_case, _layer_norm_case, _conv_case, _ffn_case,
@@ -108,19 +113,25 @@ def _extract_memory_case(rng):
 def test_backward_adds_into_the_views_it_is_handed(case):
     # a backward's one add per path: into a buffer that already holds a
     # running sum it lands exactly where the same call into zeros does,
-    # plus that sum; a view it is not handed keeps its bits
-    params, run = case(np.random.default_rng(5))
+    # plus that sum; a view it is not handed keeps its bits.  So do its
+    # adds into the other gradient arrays the caller hands it.
+    params, run, handed = case(np.random.default_rng(5))
     shapes = {k: v.shape for k, v in params.items()} | {"other": (3,)}
     fresh, fresh_views = flat_views(shapes)
     fresh.fill(0.0)
-    run(fresh_views)
+    run(fresh_views, [a.copy() for a in handed])
     flat, views = flat_views(shapes)
     flat[:] = np.random.default_rng(6).normal(size=flat.size)
     start = flat.copy()
-    run(views)
+    into = [a.copy() for a in handed]
+    run(views, into)
     assert flat.tobytes() == (start + fresh).tobytes()
     assert not fresh_views["other"].any()
     assert all(fresh_views[k].any() for k in params)
+    zeros = [np.zeros_like(a) for a in handed]
+    run(fresh_views, zeros)
+    assert all(z.any() for z in zeros)
+    assert all(a.tobytes() == (h + z).tobytes() for a, h, z in zip(into, handed, zeros))
 
 
 def test_grad_buffer_helpers():
@@ -164,6 +175,24 @@ def _sample_params():
         "layer.b": rng.normal(size=4),
         "deep.nest.scale": rng.normal(size=(2, 2, 2)),
     }
+
+
+def test_checkpoint_with_a_non_finite_value_names_the_first_path(tmp_path):
+    path = tmp_path / "p.ckpt"
+    p = _sample_params()
+    p["layer.w"][1, 2], p["layer.b"][0] = np.inf, np.nan
+    save_checkpoint(path, p)
+    with pytest.raises(ConfigError, match=f"{path}: parameter layer.b holds a non-finite"):
+        load_checkpoint(path)
+    # a finite value whose square overflows the quick pass goes to the scan,
+    # which accepts it
+    p = _sample_params()
+    p["deep.nest.scale"][1, 0, 1] = -1e200
+    save_checkpoint(path, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded, _ = load_checkpoint(path)
+    assert all(loaded[k].tobytes() == v.tobytes() for k, v in p.items())
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
