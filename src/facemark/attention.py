@@ -38,22 +38,24 @@ inline.
 The deformable core (bilinear reads weighted by the softmaxed attention
 weights, summed per head) is the fused `geometry.bilinear_sample_many` and
 its backward, each called once per pass through `deform_core_fwd`/`_bwd`.
-Both reads hand the core one output per level, which they own, and take
-one gradient per level back; the core's cache holds the kernel's corner
-table, which records how each level was read, rather than any per-point
-read.  The images fold into the kernel's head axis.  The decoder layer's
-read comes in two orders.  The parallel decoder projects every memory row
-first (`project_value`, then `deform_project_fwd`) and views the value
-tensor of level l, without a copy, as (h_l, w_l, B * heads, head_dim):
-image b's head k is head b * heads + k, and the sampling locations
-(R, B * heads, levels, points, 2) follow the same fold.  Every level adds
-into one shared output.  This read asks the kernel for dense reads of the
-levels of at most DENSE_PIXELS pixels (one GEMM per image and head instead
-of a gather/scatter).  The basic decoder's read (`_sample_project_fwd`)
-keeps the gather on every level and builds no memory: it samples each
-level's ch_l-wide backbone features into that level's own output and maps
-what its queries read through the level projection composed with the value
-projection; see the comment above `_bias_mass`.
+Both reads hand the core arrays they own, one per level, to add into:
+level l's reads in the forward, its map gradient in the backward.  The
+core's cache holds the kernel's corner table, which records how each level
+was read, rather than any per-point read.  The images fold into the
+kernel's head axis.  The decoder layer's read comes in two orders.  The
+parallel decoder projects every memory row first (`project_value`, then
+`deform_project_fwd`) and views the value tensor of level l, without a
+copy, as (h_l, w_l, B * heads, head_dim) (`level_views`): image b's head k
+is head b * heads + k, and the sampling locations (R, B * heads, levels,
+points, 2) follow the same fold.  Every level adds into one shared output,
+and its gradient into the level views of one value gradient.  This read
+asks the kernel for dense reads of the levels of at most DENSE_PIXELS
+pixels (one GEMM per image and head instead of a gather/scatter).  The
+basic decoder's read (`_sample_project_fwd`) keeps the gather on every
+level and builds no memory: it samples each level's ch_l-wide backbone
+features into that level's own output (and back into their gradient),
+and maps what its queries read through the level projection composed with
+the value projection; see the comment above `_bias_mass`.
 """
 
 from __future__ import annotations
@@ -289,30 +291,23 @@ def self_attention_bwd(dout, cache, g):
 # Multi-scale deformable attention
 # ---------------------------------------------------------------------------
 
-ValueCache = namedtuple("ValueCache", "lin slices")
+def level_views(rows, layout: PyramidLayout, head_dim):
+    """Each level of an (M, B, C) array as an (h, w, B * heads, head_dim) view."""
+    return [rows[sl].reshape(h, w, -1, head_dim)
+            for (h, w), sl in zip(layout.levels, layout.block_slices())]
 
 
 def project_value(memory_data, layout: PyramidLayout, p, cfg: ModelConfig):
-    """Project the (M * B, C) memory rows of B images and view each level,
-    without a copy, as (h, w, B * heads, head_dim)."""
-    bsz = memory_data.shape[0] // layout.total_len
-    rows = memory_data.reshape(layout.total_len, bsz, -1)
+    """Project the (M * B, C) memory rows of B images: the `level_views` of
+    the (M, B, C) value, and the cache."""
+    rows = memory_data.reshape(layout.total_len, -1, memory_data.shape[-1])
     value, lin = linear_fwd(rows, p["w_val"], p["b_val"])
-    value = value.reshape(memory_data.shape[0], -1)
-    slices = layout.block_slices(bsz)
-    levels = [value[sl].reshape(h, w, -1, cfg.dim // cfg.heads)
-              for (h, w), sl in zip(layout.levels, slices)]
-    return levels, ValueCache(lin, slices)
+    return level_views(value, layout, cfg.dim // cfg.heads), lin
 
 
-def project_value_bwd(dlevels, cache: ValueCache, g):
-    rows, w = cache.lin
-    dvalue = np.empty(rows.shape[:2] + w.shape[1:])
-    flat = dvalue.reshape(-1, w.shape[1])
-    for dlev, sl in zip(dlevels, cache.slices):
-        flat[sl] = dlev.reshape(-1, w.shape[1])
-    dmemory = linear_bwd(dvalue, cache.lin, g["w_val"], g["b_val"])
-    return dmemory.reshape(flat.shape[0], -1)
+def project_value_bwd(dvalue, cache, g):
+    """The (M * B, C) memory rows' gradient, given the (M, B, C) value's."""
+    return linear_bwd(dvalue, cache, g["w_val"], g["b_val"]).reshape(-1, dvalue.shape[-1])
 
 
 FieldCache = namedtuple("FieldCache", "coff cwgt beta lead")
@@ -370,10 +365,12 @@ def deform_core_fwd(value_levels, locs, weights, outs, dense_pixels=0):
     return CoreCache(value_levels, locs, weights, table)
 
 
-def deform_core_bwd(douts, cache: CoreCache):
+def deform_core_bwd(douts, cache: CoreCache, dlevels):
     """douts holds the (R, heads, d_l) gradient of the forward's outs[l] at
-    l; returns (dlevels, dlocs, dweights)."""
-    return bilinear_sample_many_backward(cache.value_levels, cache.weights, cache.table, douts)
+    l.  Adds level l's map gradient into dlevels[l], shaped like the level;
+    returns (dlocs, dweights)."""
+    return bilinear_sample_many_backward(cache.value_levels, cache.weights, cache.table, douts,
+                                         dlevels)
 
 
 DeformCache = namedtuple("DeformCache", "fields core cout")
@@ -397,14 +394,14 @@ def deform_project_fwd(x_rows, refs_rows, value_levels, p, cfg: ModelConfig):
     return y, DeformCache(cf, cc, co)
 
 
-def deform_project_bwd(dout, cache: DeformCache, g):
+def deform_project_bwd(dout, cache: DeformCache, g, dlevels):
+    """Returns (dx, drefs); adds level l's value gradient into dlevels[l],
+    e.g. the `level_views` of the value gradient."""
     dmerged = linear_bwd(dout, cache.cout, g["w_out"], g["b_out"])
     dmerged = dmerged.reshape(cache.core.locs.shape[:2] + (-1,))
-    dlevels, dlocs, dweights = deform_core_bwd(
-        [dmerged] * len(cache.core.value_levels), cache.core)
+    dlocs, dweights = deform_core_bwd([dmerged] * len(dlevels), cache.core, dlevels)
     dlocs = dlocs.reshape(cache.fields.lead + (-1,) + dlocs.shape[2:])
-    dx, drefs = sampling_fields_bwd(dlocs, dweights, cache.fields, g)
-    return dx, drefs, dlevels
+    return sampling_fields_bwd(dlocs, dweights, cache.fields, g)
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +506,8 @@ def _sample_project_bwd(dout, cache: SampleCache, g, dfeats, dproj):
     for f in dfeats:
         douts.append(dagg[..., row:row + f.shape[-1]])
         row += f.shape[-1]
-    dlevels, dlocs, dweights = deform_core_bwd(douts, cache.core)
+    dlocs, dweights = deform_core_bwd(douts, cache.core, dfeats)
     _bias_mass_bwd(dagg[..., row:], cache.core, dlocs, dweights)
-    for df, dlev in zip(dfeats, dlevels):
-        df += dlev
     # (N * heads, B, ...) -> (N, B, heads, ...)
     dlocs = dlocs.reshape((n, heads) + dlocs.shape[1:]).swapaxes(1, 2)
     dweights = dweights.reshape((n, heads) + dweights.shape[1:]).swapaxes(1, 2)

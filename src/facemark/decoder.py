@@ -59,6 +59,7 @@ from .attention import (
     ffn_bwd,
     layer_norm_fwd,
     layer_norm_bwd,
+    level_views,
     linear_fwd,
     linear_bwd,
     project_value,
@@ -321,15 +322,17 @@ def _read_bwd(dattn, dmem_next, dlevel, lg, cache, cfg):
         dq, drefs = _sample_project_bwd(dattn, cache, g, *dmem_next)
         return dq, drefs, dmem_next
     c_v, c_p, c_li = cache
-    if c_li is None:
-        dq, drefs, dlevels = deform_project_bwd(dattn, c_p, g)
-        return dq, drefs, project_value_bwd(dlevels, c_v, g)
     n_mem = cfg.layout.total_len
+    dvalue = np.zeros((n_mem, dattn.shape[1], cfg.dim))
+    dlevels = level_views(dvalue, cfg.layout, cfg.dim // cfg.heads)
+    if c_li is None:
+        dq, drefs = deform_project_bwd(dattn, c_p, g, dlevels)
+        return dq, drefs, project_value_bwd(dvalue, c_v, g)
     dsum_img = layer_norm_bwd(dmem_next.reshape(n_mem, -1, cfg.dim), c_li,
                               lg["ln_img"]["g"], lg["ln_img"]["b"])
     dattn = np.concatenate([dsum_img, dattn], axis=0)
-    drows, drefs_all, dlevels = deform_project_bwd(dattn, c_p, g)
-    dmem_value = project_value_bwd(dlevels, c_v, g)
+    drows, drefs_all = deform_project_bwd(dattn, c_p, g, dlevels)
+    dmem_value = project_value_bwd(dvalue, c_v, g)
     dmem = dsum_img.reshape(dmem_value.shape) + dmem_value
     dmem += drows[:n_mem].reshape(dmem.shape)
     dlevel += np.stack([drows[sl].sum(axis=0) for sl in cfg.layout.block_slices()])
@@ -495,9 +498,12 @@ class DecoderState:
 
     def predict(self, images):
         """Stage estimates [Y_0, ..., Y_T], each (B, N, 2), for a
-        (B, 3, side, side) stack, run one chunk at a time."""
-        parts = [forward(self.params, images[sl], self.config, keep_cache=False)[0]
-                 for sl in chunk_slices(len(images), self.config)]
+        (B, 3, side, side) stack, run one chunk at a time with numpy's
+        overflow and invalid-value warnings off: `cli.cmd_predict` and
+        `metrics.evaluate` turn a non-finite estimate into a NumericError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = [forward(self.params, images[sl], self.config, keep_cache=False)[0]
+                     for sl in chunk_slices(len(images), self.config)]
         return [np.concatenate(stage) for stage in zip(*parts)]
 
     def save(self, path, extra_meta: dict[str, str] | None = None):

@@ -9,10 +9,10 @@ fused: it adds the weighted sum of level l's reads into the caller's
 (R, heads, d_l) outs[l] and never stores a per-point read.  Levels may
 differ in width; levels of one width may share one output.  The forward
 returns a corner table that gives every corner its row and weight and
-records how each level was read; the backward takes that table and one
-upstream gradient per level, and reads each level the way the table says.
-Out-of-bounds corners read a clamped row with weight zero instead of being
-masked out.
+records how each level was read; the backward reads each level the way
+that table says and adds level l's map gradient into the caller's
+dlevels[l].  Out-of-bounds corners read a clamped row with weight zero
+instead of being masked out.
 
 Each level is read one of two ways.  By default it is gathered: the
 forward gathers corner rows, and the backward scatters with one
@@ -39,7 +39,7 @@ Conventions used by every module in this package:
   use zero padding.
 
 All functions here are pure and safe to call concurrently on shared
-immutable inputs.
+immutable inputs into distinct output arrays.
 """
 
 from __future__ import annotations
@@ -297,17 +297,19 @@ def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray, outs, de
     return table
 
 
-def bilinear_sample_many_backward(levels, weights, table: CornerTable, douts):
+def bilinear_sample_many_backward(levels, weights, table: CornerTable, douts, dlevels):
     """Gradients of `bilinear_sample_many` w.r.t. the maps, the points and
     the point weights.
 
     `weights` and `table` are the forward's weights and returned corner
     table; `douts` holds level l's (R, heads, d_l) upstream gradient at l,
     the gradient of the forward's outs[l].  Levels that shared one output
-    share one gradient array, which is made contiguous once.  Returns
-    (dlevels, one array per level shaped like it; dlocs (R, heads, L,
-    points, 2); dweights shaped like `weights`).  The interpolant has kinks
-    on cell boundaries; gradients there follow the floor-based cell choice.
+    share one gradient array, which is made contiguous once.  Adds level
+    l's map gradient into the caller's dlevels[l], shaped like level l (a
+    dense level's must reshape without a copy); returns (dlocs (R, heads,
+    L, points, 2), dweights shaped like `weights`).  The interpolant has
+    kinks on cell boundaries; gradients there follow the floor-based cell
+    choice.
 
     Both strategies give each corner read's row dotted with the point's
     upstream gradient (`contrib`), from which `_point_grads` forms dweights
@@ -326,21 +328,18 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, douts):
     rows = table.rows
     wt, cw = _corner_weights(table, weights)
     contrib = np.empty(rows.shape)  # v . dout of every corner read
-    dlevels = []
-    for l, lev in enumerate(levels):
+    for l, (lev, dlev) in enumerate(zip(levels, dlevels)):
         pixels, d = lev.shape[0] * lev.shape[1], lev.shape[-1]
         if l == 0 or douts[l] is not douts[l - 1]:
             dout = np.ascontiguousarray(douts[l])
             dout_t = np.ascontiguousarray(dout.transpose(2, 0, 1)).reshape(d, -1)
         if table.dense[l]:
-            v = _heads_first(lev)
-            dv = np.zeros(v.shape)
+            v, dv = _heads_first(lev), _heads_first(dlev)
             for b, a, idx in _dense_blocks(rows[:, :, :, l], cw[:, :, :, l], pixels):
                 dout_h = dout[b].transpose(1, 0, 2)
                 dv += np.matmul(a.transpose(0, 2, 1), dout_h)
                 da = np.matmul(dout_h, v.transpose(0, 2, 1), out=a)  # A is spent
                 contrib[:, b, :, l] = da.take(idx).reshape(contrib[:, b, :, l].shape)
-            dlevels.append(dv.transpose(1, 0, 2).reshape(lev.shape))
             continue
         flat = lev.reshape(-1, d)
         for b in _row_blocks(weights.shape, d):
@@ -367,9 +366,8 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, douts):
             dflat[c0:c0 + k] = np.bincount(
                 idx_block[:k * idx.size],
                 (cl * dout_t[c0:c0 + k, None, None]).ravel(), k * n).reshape(k, n)
-        dlevels.append(dflat.T.reshape(lev.shape))
-    dlocs, dweights = _point_grads(levels, table, weights, wt, contrib)
-    return dlevels, dlocs, dweights
+        dlev += dflat.T.reshape(lev.shape)
+    return _point_grads(levels, table, weights, wt, contrib)
 
 
 def _point_grads(levels, table: CornerTable, weights, wt, contrib):

@@ -8,6 +8,7 @@ import pytest
 import facemark
 from facemark.backbone import backbone_rows
 from facemark.decoder import TINY, DecoderState
+from facemark.io import write_bbox
 from facemark.params import draw
 from facemark.training import SyntheticFaceSpec, gen_synthetic
 
@@ -53,3 +54,30 @@ def digests_at_one_and_two_blas_threads(script):
                              capture_output=True, text=True, check=True)
         digests.append(run.stdout.strip())
     return digests
+
+
+def overflow_checkpoint(path):
+    """A TINY checkpoint of finite values whose first offset head overflows:
+    its hidden units read about 1e300 and two of them map to x with weights
+    +-1e300, so every landmark's x coordinate is inf - inf = NaN from stage 1
+    on; stage 0, the initial estimate, is finite.  (A NaN in the payload
+    itself is rejected on load.)"""
+    state = DecoderState.init(TINY)
+    state.params["layers.0.head.b2"][:] = 1e300
+    state.params["layers.0.head.w3"][:2, 0] = 1e300, -1e300
+    state.save(path)
+
+
+def non_finite_checkpoint(path, name, value):
+    """A TINY checkpoint whose parameter `name` holds `value`, an inf or a
+    NaN, in its first entry."""
+    state = DecoderState.init(TINY)
+    state.params[name].flat[0] = value
+    state.save(path)
+
+
+def inverted_box(data):
+    """Give sample 1 of dataset `data` the box gen-data once wrote with
+    data.bbox_enlarge=-5: its right and bottom edges lie left of and above
+    its left and top."""
+    write_bbox(data / "face_00001.bbox", (34.409109, 38.836426, -0.404867, -4.54839))

@@ -14,6 +14,7 @@ from facemark.attention import (
     ffn_fwd,
     layer_norm_bwd,
     layer_norm_fwd,
+    level_views,
     linear_bwd,
     linear_fwd,
     project_value,
@@ -419,9 +420,11 @@ def _core_read(value_levels, locs, weights, dense_pixels):
 
 
 def _core_grads(dout, cache):
-    """`deform_core_bwd` of an (R, heads * head_dim) gradient of `_core_read`."""
+    """`deform_core_bwd` of an (R, heads * head_dim) gradient of `_core_read`:
+    (dlevels, dlocs, dweights)."""
     dout = dout.reshape(cache.locs.shape[:2] + (-1,))
-    return deform_core_bwd([dout] * len(cache.value_levels), cache)
+    dlevels = [np.zeros_like(lev) for lev in cache.value_levels]
+    return (dlevels,) + deform_core_bwd([dout] * len(dlevels), cache, dlevels)
 
 
 def test_deform_core_matches_scalar_reference_50_instances():
@@ -654,8 +657,10 @@ def _project_first_block(x, refs, memory, p, ffn_p, cfg, dout):
     dp, dffn = _zero_grads(p), _zero_grads(ffn_p)
     dz = ffn_bwd(dout, cffn, dffn)
     dsum = layer_norm_bwd(dz, cln, dp["ln_g"], dp["ln_b"])
-    dx, drefs, dlevels = deform_project_bwd(dsum, cp, dp)
-    dmem = project_value_bwd(dlevels, cv, dp)
+    dvalue = np.zeros((cfg.layout.total_len, x.shape[1], cfg.dim))
+    dx, drefs = deform_project_bwd(
+        dsum, cp, dp, level_views(dvalue, cfg.layout, cfg.dim // cfg.heads))
+    dmem = project_value_bwd(dvalue, cv, dp)
     return out, (dx + dsum, drefs, dmem, dp, dffn)
 
 
@@ -760,9 +765,12 @@ def test_project_value_round_trip_gradient():
     memory = _memory_fixture(rng, cfg)
     value_levels, cache = project_value(memory, cfg.layout, p, cfg)
     assert [lev.shape for lev in value_levels] == [(8, 8, 2, 4), (4, 4, 2, 4)]
-    dlevels = [rng.normal(size=lev.shape) for lev in value_levels]
+    dv = np.zeros((cfg.layout.total_len, 1, 8))
+    dlevels = level_views(dv, cfg.layout, 4)
+    for dlev in dlevels:
+        dlev[...] = rng.normal(size=dlev.shape)
     grads = _zero_grads(p)
-    dmem = project_value_bwd(dlevels, cache, grads)
+    dmem = project_value_bwd(dv, cache, grads)
     # value projection is linear, so the gradient identity is exact
     dvalue = np.concatenate([d.reshape(-1, 8) for d in dlevels], axis=0)
     npt.assert_allclose(dmem, dvalue @ p["w_val"].T, atol=1e-12)

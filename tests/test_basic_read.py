@@ -99,11 +99,11 @@ def _memory_read_bwd(dout, cache, g, dmemory):
     dagg = np.matmul(dvalue, cache.w_h.swapaxes(-1, -2))
     dmass = np.matmul(dvalue, cache.b_h.swapaxes(-1, -2))
     dagg = dagg.transpose(2, 1, 0, 3).reshape(n * heads, bsz, dim)
-    dlevels, dlocs, dweights = deform_core_bwd([dagg] * len(cache.slices), cache.core)
+    dlevels = [dmemory[sl].reshape(lev.shape)
+               for sl, lev in zip(cache.slices, cache.core.value_levels)]
+    dlocs, dweights = deform_core_bwd([dagg] * len(dlevels), cache.core, dlevels)
     dmass = dmass.reshape(bsz, heads, n).T.reshape(n * heads, bsz)
     _memory_mass_bwd(dmass, cache.core, dlocs, dweights)
-    for dlev, sl in zip(dlevels, cache.slices):
-        dmemory[sl] += dlev.reshape(-1, dim)
     dlocs = dlocs.reshape((n, heads) + dlocs.shape[1:]).swapaxes(1, 2)
     dweights = dweights.reshape((n, heads) + dweights.shape[1:]).swapaxes(1, 2)
     return sampling_fields_bwd(

@@ -13,6 +13,8 @@ from facemark.config import ENV_CONFIG, load_run_config
 from facemark.decoder import TINY, DecoderState
 from facemark.io import read_landmarks, read_ppm, write_bbox, write_landmarks, write_ppm
 
+from conftest import inverted_box, non_finite_checkpoint, overflow_checkpoint
+
 TINY_MODEL = [
     "--set", "model.num_landmarks=5",
     "--set", "model.dim=16",
@@ -228,11 +230,6 @@ def _flat_box(data):
     write_bbox(data / "face_00001.bbox", (10.0, 12.0, 10.0, 30.0))
 
 
-def _inverted_box(data):
-    # what gen-data once wrote with data.bbox_enlarge=-5
-    write_bbox(data / "face_00001.bbox", (34.409109, 38.836426, -0.404867, -4.54839))
-
-
 def _shared_eyes(data):
     pts = read_landmarks(data / "face_00001.txt")
     pts[1] = pts[0]
@@ -242,7 +239,7 @@ def _shared_eyes(data):
 @pytest.mark.parametrize("normalizer, edit, extra, named", [
     ("bbox_geometric_mean", _no_box, [], "sample 1 has no bounding box"),
     ("bbox_geometric_mean", _flat_box, [], "sample 1 has a degenerate box 10 12 10 30"),
-    ("bbox_geometric_mean", _inverted_box, [],
+    ("bbox_geometric_mean", inverted_box, [],
      "sample 1 has a degenerate box 34.4091 38.8364 -0.404867 -4.54839"),
     ("inter_ocular", _shared_eyes, [], "sample 1 has eye landmarks 0 and 1 at one point"),
     ("inter_ocular", None, ["--set", "eval.left_eye=5"], "eval.left_eye 5 is out of range"),
@@ -291,18 +288,6 @@ def test_gen_data_rejects_a_blob_sigma_it_cannot_draw(tmp_path, sigma):
     assert not data.exists()
 
 
-def _nan_checkpoint(path):
-    """A TINY checkpoint of finite values whose first offset head overflows:
-    its hidden units read about 1e300 and two of them map to x with weights
-    +-1e300, so every landmark's x coordinate is inf - inf = NaN from stage 1
-    on; stage 0, the initial estimate, is finite.  (A NaN in the payload
-    itself is rejected on load.)"""
-    state = DecoderState.init(TINY)
-    state.params["layers.0.head.b2"][:] = 1e300
-    state.params["layers.0.head.w3"][:2, 0] = 1e300, -1e300
-    state.save(path)
-
-
 @pytest.mark.parametrize("name, value", [("layers.0.deform.b_off", np.inf),
                                          ("layers.0.head.w3", np.nan)],
                          ids=["inf_offset_bias", "nan_head_weight"])
@@ -311,9 +296,7 @@ def test_a_non_finite_checkpoint_payload_is_a_config_error(tmp_path, verb, name,
     # both once ran on: the inf to exit 0 with a report, the NaN to a
     # NumericError naming no parameter, each after numpy's warnings
     ckpt, out = tmp_path / "m.ckpt", tmp_path / "out"
-    state = DecoderState.init(TINY)
-    state.params[name].flat[0] = value
-    state.save(ckpt)
+    non_finite_checkpoint(ckpt, name, value)
     if verb == "predict":
         image = tmp_path / "face.ppm"
         write_ppm(image, np.full((3, 32, 32), 0.5))
@@ -335,12 +318,13 @@ def test_eval_of_a_non_finite_prediction_is_a_numeric_error(tmp_path):
     data = tmp_path / "ds"
     main(["gen-data", "--out", str(data), *TINY_MODEL, "--set", "data.count=3"])
     ckpt = tmp_path / "m.ckpt"
-    _nan_checkpoint(ckpt)
+    overflow_checkpoint(ckpt)
     prefix = tmp_path / "r"
     proc = _run_facemark("eval", "--ckpt", str(ckpt), "--data", str(data),
                          "--out", str(prefix), *TINY_MODEL)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
     assert f"error: {ckpt} on {data}: sample 0 has a non-finite NME (nan) at stage 1" \
         in proc.stderr
     assert not os.path.exists(f"{prefix}.txt") and not os.path.exists(f"{prefix}.tsv")
@@ -352,12 +336,13 @@ def test_predict_of_a_non_finite_point_writes_nothing(tmp_path):
     image = tmp_path / "face.ppm"
     write_ppm(image, np.full((3, 32, 32), 0.5))
     ckpt = tmp_path / "m.ckpt"
-    _nan_checkpoint(ckpt)
+    overflow_checkpoint(ckpt)
     out = tmp_path / "pred"
     proc = _run_facemark("predict", "--ckpt", str(ckpt), "--image", str(image),
                          "--out", str(out))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
     assert f"error: {ckpt} on {image}: landmark 0 is predicted at nan" in proc.stderr
     assert not os.path.exists(f"{out}.txt") and not os.path.exists(f"{out}.ppm")
 

@@ -1,24 +1,35 @@
-"""Seeded byte-mutation fuzzing of the file readers.
+"""Seeded byte-mutation fuzzing of the file readers, and every verb of the
+command line on bad input.
 
-Each case flips, replaces, deletes or truncates a few bytes of a valid
-file, mostly inside its text header, and reads the result back.  A reader
-may return or raise ConfigError, which names the file; any other exception
-is a bug, because the command line would show it as a traceback.  A
-dataset's file is its manifest, read with the files it lists.
+Each reader case flips, replaces, deletes or truncates a few bytes of a
+valid file, mostly inside its text header, and reads the result back.  A
+reader may return or raise ConfigError, which names the file; any other
+exception is a bug, because the command line would show it as a traceback.
+A dataset's file is its manifest, read with the files it lists.
+
+Each verb case runs `cli.main` on valid inputs with one fault: a config
+value, a checkpoint or a box file.  The verb must exit 1 or 2 with a
+message naming the fault's key or file, raise nothing, warn nothing and
+write nothing.
 """
 
 import dataclasses
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
+from facemark import cli
+from facemark.config import ENV_CONFIG
 from facemark.decoder import TINY, DecoderState
 from facemark.errors import ConfigError
 from facemark.io import (load_dataset, read_bbox, read_landmarks, read_ppm, write_bbox,
                          write_dataset, write_landmarks, write_ppm)
 from facemark.params import load_checkpoint
 from facemark.training import SyntheticFaceSpec, gen_synthetic
+
+from conftest import TINY_SPEC, inverted_box, non_finite_checkpoint, overflow_checkpoint
 
 CASES = 300
 # bytes that make a mutated token still look like a number or a separator
@@ -107,3 +118,84 @@ def test_mutated_files_raise_only_config_errors(tmp_path, which):
             pytest.fail(f"case {case}: {type(e).__name__}: {e}\n{mutated[:hot]!r}")
     # the mutations reach the parsers' error paths, not just the payload
     assert rejected > CASES // 4
+
+
+# each verb's arguments besides the faulty one, on the valid inputs of
+# `_verb_inputs`; every output path lies in a directory of its own
+VERB_ARGS = {
+    "gen-data": ["--out", "{out}/ds"],
+    "train": ["--data", "{data}", "--out", "{out}/m.ckpt"],
+    "eval": ["--ckpt", "{ckpt}", "--data", "{data}", "--out", "{out}/r"],
+    "predict": ["--ckpt", "{ckpt}", "--image", "{image}", "--out", "{out}/p"],
+    "gradcheck": ["--out", "{out}/gradcheck.txt"],
+    "params": [],
+}
+
+
+def _bad_setting(setting):
+    def fault(paths):
+        return ["--set", setting], setting.split("=")[0]
+    return fault
+
+
+def _bad_checkpoint(write):
+    def fault(paths):
+        write(paths["ckpt"])
+        return [], str(paths["ckpt"])
+    return fault
+
+
+def _inverted_box(paths):
+    inverted_box(paths["data"])
+    return ["--set", "eval.normalizer=bbox_geometric_mean"], str(paths["data"])
+
+
+FAULTS = {
+    "tiny_blob_sigma": _bad_setting("data.blob_sigma=1e-300"),
+    "huge_blob_sigma": _bad_setting("data.blob_sigma=1e300"),
+    "inverting_bbox_enlarge": _bad_setting("data.bbox_enlarge=-5"),
+    "nan_head_weight": _bad_checkpoint(
+        lambda path: non_finite_checkpoint(path, "layers.0.head.w3", np.nan)),
+    "inf_offset_bias": _bad_checkpoint(
+        lambda path: non_finite_checkpoint(path, "layers.0.deform.b_off", np.inf)),
+    "overflowing_head": _bad_checkpoint(overflow_checkpoint),
+    "inverted_box": _inverted_box,
+}
+
+VERB_CASES = (
+    [(verb, fault) for fault in ("tiny_blob_sigma", "huge_blob_sigma", "inverting_bbox_enlarge")
+     for verb in ("gen-data", "train", "eval", "gradcheck", "params")]
+    + [(verb, fault) for fault in ("nan_head_weight", "inf_offset_bias", "overflowing_head")
+       for verb in ("predict", "eval")]
+    + [("eval", "inverted_box")]
+)
+
+
+def _verb_inputs(tmp_path):
+    """Valid inputs for every verb: a TINY dataset, checkpoint and image."""
+    paths = {"data": tmp_path / "ds", "ckpt": tmp_path / "m.ckpt",
+             "image": tmp_path / "face.ppm", "out": tmp_path / "out"}
+    faces = gen_synthetic(TINY_SPEC, 2, 7)
+    write_dataset(paths["data"], faces, "abc", 7)
+    DecoderState.init(TINY).save(paths["ckpt"])
+    write_ppm(paths["image"], faces[0].image)
+    paths["out"].mkdir()
+    return paths
+
+
+@pytest.mark.parametrize("verb, fault", VERB_CASES, ids=[f"{v}-{f}" for v, f in VERB_CASES])
+def test_every_verb_on_bad_input_names_the_fault(tmp_path, capsys, monkeypatch, verb, fault):
+    monkeypatch.delenv(ENV_CONFIG, raising=False)
+    paths = _verb_inputs(tmp_path)
+    extra, named = FAULTS[fault](paths)
+    args = [a.format(**paths) for a in VERB_ARGS[verb]]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([verb, *args, *extra])
+    err = capsys.readouterr().err
+    assert rc in (1, 2), err
+    assert named in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert sorted(tmp_path.rglob("*")) == before

@@ -147,8 +147,9 @@ def _sample_backward(fmap, uvs, dout, dense_pixels=0):
     levels, locs = _one_level(fmap), _as_locs(uvs)
     weights = _unit_weights(locs)
     _, table = _read(levels, locs, weights, dense_pixels)
-    dlevels, dlocs, _ = bilinear_sample_many_backward(
-        levels, weights, table, [dout[:, None, :]]
+    dlevels = [np.zeros_like(lev) for lev in levels]
+    dlocs, _ = bilinear_sample_many_backward(
+        levels, weights, table, [dout[:, None, :]], dlevels
     )
     return dlevels[0][:, :, 0, :], dlocs[:, 0, 0, 0]
 
@@ -223,7 +224,8 @@ def test_bilinear_head_index_reads_that_heads_slice():
     weights = _unit_weights(locs)
     dout = rng.normal(size=(20, 3, 2))
     out, table = _read([fmap], locs, weights)
-    dlevels, dlocs, _ = bilinear_sample_many_backward([fmap], weights, table, [dout])
+    dlevels = [np.zeros_like(fmap)]
+    dlocs, _ = bilinear_sample_many_backward([fmap], weights, table, [dout], dlevels)
     for k in range(3):
         uvs = locs[:, k].reshape(-1, 2)
         g = dout[:, k]
@@ -311,7 +313,8 @@ def test_levels_of_unequal_width_match_scalar_oracle():
     table = bilinear_sample_many(levels, locs, weights, outs, 9)
     # the 3 x 3 level sits at the threshold, which is inclusive
     assert table.dense == (False, True, True)
-    dlevels, dlocs, dweights = bilinear_sample_many_backward(levels, weights, table, douts)
+    dlevels = [np.zeros_like(lev) for lev in levels]
+    dlocs, dweights = bilinear_sample_many_backward(levels, weights, table, douts, dlevels)
     for l, lev in enumerate(levels):
         out_ref = np.zeros(outs[l].shape)
         dlev_ref = np.zeros(lev.shape)
@@ -387,7 +390,9 @@ def test_bilinear_matches_masked_add_at_kernel_bit_for_bit():
 
 def _fused(levels, locs, weights, dout, dense_pixels=0):
     out, table = _read(levels, locs, weights, dense_pixels)
-    return (out,) + bilinear_sample_many_backward(levels, weights, table, [dout] * len(levels))
+    dlevels = [np.zeros_like(lev) for lev in levels]
+    return (out, dlevels) + bilinear_sample_many_backward(
+        levels, weights, table, [dout] * len(levels), dlevels)
 
 
 def test_bilinear_multi_level_call_equals_per_level_calls():

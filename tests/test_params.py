@@ -5,10 +5,17 @@ import numpy.testing as npt
 import pytest
 
 from facemark.attention import (
+    _sample_project_bwd,
+    _sample_project_fwd,
+    deform_core_bwd,
+    deform_core_fwd,
+    deform_project_bwd,
+    deform_project_fwd,
     ffn_bwd,
     ffn_fwd,
     layer_norm_bwd,
     layer_norm_fwd,
+    level_views,
     linear_bwd,
     linear_fwd,
     self_attention_bwd,
@@ -106,10 +113,72 @@ def _extract_memory_case(rng):
     return params, lambda g, h: extract_memory_bwd(dmem, cache, g, h[:-1], h[-1]), handed
 
 
+# The deformable cases read fewer query rows than one dense block of the
+# kernel (64): a dense level of more rows adds one product per block, so
+# into a running sum its bits are those of adding the blocks in order.
+_READ = ModelConfig(dim=8, heads=2, levels=2, points=2, image_side=32, stage_channels=(4, 8))
+
+
+def _read_params(rng, names):
+    """The deformable read's parameters of _READ named in `names`."""
+    k = _READ.heads * _READ.levels * _READ.points
+    shapes = {"w_off": (8, 2 * k), "b_off": (2 * k,), "w_wgt": (8, k), "b_wgt": (k,),
+              "w_val": (8, 8), "b_val": (8,), "w_out": (8, 8), "b_out": (8,)}
+    return {n: rng.normal(size=shapes[n]) * 0.3 for n in names}
+
+
+_FIELDS_AND_OUT = ("w_off", "b_off", "w_wgt", "b_wgt", "w_out", "b_out")
+
+
+def _deform_core_case(rng):
+    # a gathered 5 x 4 level and a dense 3 x 3 one
+    levels = [rng.normal(size=(h, w, 2, 3)) for h, w in ((5, 4), (3, 3))]
+    locs = rng.uniform(-0.1, 1.1, (6, 2, 2, 2, 2))
+    weights = rng.uniform(0.1, 1.0, (6, 2, 2, 2))
+    cache = deform_core_fwd(levels, locs, weights, [np.zeros((6, 2, 3))] * 2, dense_pixels=9)
+    assert cache.table.dense == (False, True)
+    douts = [rng.normal(size=(6, 2, 3)) for _ in levels]
+    handed = [rng.normal(size=lev.shape) for lev in levels]
+    return {}, lambda g, h: deform_core_bwd(douts, cache, h), handed
+
+
+def _deform_project_case(rng):
+    # the parallel read, whose levels are all dense at 32 px: the caller
+    # hands the level views of one (M, B, C) value gradient
+    p = _read_params(rng, _FIELDS_AND_OUT)
+    value = rng.normal(size=(_READ.layout.total_len, 2, 8))
+    _, cache = deform_project_fwd(rng.normal(size=(3, 2, 8)), rng.uniform(0, 1, (3, 2, 2)),
+                                  level_views(value, _READ.layout, 4), p, _READ)
+    dout = rng.normal(size=(3, 2, 8))
+    return ({f"read.{k}": v for k, v in p.items()},
+            lambda g, h: deform_project_bwd(dout, cache, _group(g, "read.", p),
+                                            level_views(h[0], _READ.layout, 4)),
+            [rng.normal(size=value.shape)])
+
+
+def _sample_project_case(rng):
+    # the basic read: the caller hands its feature gradients and per-image
+    # projection gradients
+    p = _read_params(rng, _FIELDS_AND_OUT + ("w_val", "b_val"))
+    feats = [rng.normal(size=(h, w, 2, c))
+             for (h, w), c in zip(_READ.layout.levels, _READ.stage_channels)]
+    proj = rng.normal(size=(14, 8))
+    _, cache = _sample_project_fwd(rng.normal(size=(3, 2, 8)), rng.uniform(0, 1, (3, 2, 2)),
+                                   feats, proj, p, _READ)
+    dout = rng.normal(size=(3, 2, 8))
+    handed = [rng.normal(size=f.shape) for f in feats] + [rng.normal(size=(2, 14, 8))]
+    return ({f"read.{k}": v for k, v in p.items()},
+            lambda g, h: _sample_project_bwd(dout, cache, _group(g, "read.", p), h[:-1], h[-1]),
+            handed)
+
+
 @pytest.mark.parametrize("case", [_linear_case, _layer_norm_case, _conv_case, _ffn_case,
-                                  _self_attention_case, _extract_memory_case],
+                                  _self_attention_case, _extract_memory_case,
+                                  _deform_core_case, _deform_project_case,
+                                  _sample_project_case],
                          ids=["linear_bwd", "layer_norm_bwd", "conv2d_bwd", "ffn_bwd",
-                              "self_attention_bwd", "extract_memory_bwd"])
+                              "self_attention_bwd", "extract_memory_bwd", "deform_core_bwd",
+                              "deform_project_bwd", "_sample_project_bwd"])
 def test_backward_adds_into_the_views_it_is_handed(case):
     # a backward's one add per path: into a buffer that already holds a
     # running sum it lands exactly where the same call into zeros does,
