@@ -35,6 +35,11 @@ per-image intermediate that the backward reads later, such as the level
 projections' in `backbone.extract_memory_bwd`, is formed where it is read,
 inline.
 
+While `REQUEST_WORKER` is set, which `cli` does for a predict or eval
+request only, `linear_fwd`, `backbone.conv2d_fwd` and the basic read's
+value map hand the upper half of a large product's rows to that request's
+worker (`split_rows`); every output row keeps its bits.
+
 The deformable core (bilinear reads weighted by the softmaxed attention
 weights, summed per head) is the fused `geometry.bilinear_sample_many` and
 its backward, each called once per pass through `deform_core_fwd`/`_bwd`.
@@ -62,6 +67,7 @@ from __future__ import annotations
 
 import contextvars
 from collections import namedtuple
+from concurrent import futures
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -92,7 +98,9 @@ def _sum_rows(a):
 # rows, in order.  OpenBLAS may split a longer sum another way when the number
 # of threads changes, which moves the last bits (seen for 388-412, 1224 and
 # 5508 rows); blocks of 256 rows give the same bits at 1 and 2 threads.
-# Measured on OpenBLAS's Haswell kernel only; other CPUs' are untested.
+# Measured on the SkylakeX kernel that OpenBLAS picks at run time on a Xeon
+# (`numpy.show_config()` names Haswell, the build's baseline, not the kernel
+# that runs); other CPUs' kernels are untested.
 _SUM_ROWS = 256
 
 
@@ -124,6 +132,46 @@ def add_weight_grad(product, gw, *args):
         submit(product, gw, *args)
 
 
+# The function that runs a task on the request's worker thread and returns
+# its future, while `cli` serves a predict or eval request.
+REQUEST_WORKER = contextvars.ContextVar("REQUEST_WORKER", default=None)
+
+# A forward product of at least this many multiply-adds computes the upper
+# half of its rows on the request worker.  Each output row is its own dot
+# products, so a row half holds the bits of the whole product: on the
+# SkylakeX kernel the halves of every default-scale product gave the bits of
+# the whole.  Set from a measurement at default scale, one BLAS thread, on a
+# 2-core Xeon, where handing a half to the worker and waiting for it cost
+# 70-100 us: products of 2^21 took about 1.5x as long split, those of
+# 2^22.1-2^22.2 anywhere from 0.8x to 1.5x as fast, those of 2^22.75 and
+# more 1.1-1.8x as fast, and the whole forward was fastest with the
+# crossover between the last two.
+SPLIT_MACS = 3 << 21
+
+
+def both_halves(submit, task, n):
+    """(task(slice(0, n // 2)), task(slice(n // 2, n))), the second run
+    through `submit` on the worker.  Returns once both have finished, even
+    when the first raises."""
+    upper = submit(task, slice(n // 2, n))
+    try:
+        lower = task(slice(0, n // 2))
+    finally:
+        futures.wait([upper])
+    return lower, upper.result()
+
+
+def split_rows(task, rows, macs):
+    """Run task(sl), which fills rows sl of a product's output, over all
+    `rows` rows: here, or, while `REQUEST_WORKER` is set and the product
+    has at least SPLIT_MACS multiply-adds, half of them on the worker."""
+    submit = REQUEST_WORKER.get()
+    if submit is None or macs < SPLIT_MACS:
+        task(slice(0, rows))
+    else:
+        both_halves(submit, task, rows)
+
+
 def _linear_weight_grad(gw, x3, dout_b):
     dws = _matmul_rows(x3.transpose(1, 2, 0), dout_b)
     gw += dws[0] if len(dws) == 1 else np.add.reduce(dws, axis=0)
@@ -131,13 +179,19 @@ def _linear_weight_grad(gw, x3, dout_b):
 
 def linear_fwd(x, w, b, out=None):
     """x @ w + b over the last axis of (R, C) rows or an (R, B, C) stack,
-    as one matmul call holding one (R, C) @ (C, K) product per image.  The
-    products land in `out`, an (R, B, K) array, if given, else in a new
-    C-ordered one, and the bias is added there in place."""
+    as one matmul call holding one (R, C) @ (C, K) product per image, its
+    rows split by `split_rows`.  The products land in `out`, an (R, B, K)
+    array, if given, else in a new C-ordered one, and the bias is added
+    there in place, row by row with its product."""
     x3 = x.reshape(x.shape[0], -1, x.shape[-1])
     y = np.empty(x3.shape[:2] + w.shape[1:]) if out is None else out
-    np.matmul(x3.transpose(1, 0, 2), w, out=y.transpose(1, 0, 2))
-    y += b
+    xb, yb = x3.transpose(1, 0, 2), y.transpose(1, 0, 2)
+
+    def rows(sl):
+        np.matmul(xb[:, sl], w, out=yb[:, sl])
+        y[sl] += b
+
+    split_rows(rows, len(x3), x3.size * w.shape[1])
     return y.reshape(x.shape[:-1] + w.shape[1:]), (x3, w)
 
 
@@ -472,13 +526,14 @@ def _sample_project_fwd(x, refs, feats, proj, p, cfg: ModelConfig):
     agg = agg.reshape(n, heads, bsz, -1).transpose(2, 1, 0, 3)
     # the stacked rows mapped by w_val, b_val added to the bias rows, split
     # into heads: each U_l's rows, then each e_l, (heads, rows, head_dim)
-    u = np.matmul(proj, p["w_val"])
+    w_val, u = p["w_val"], np.empty((len(proj), dim))
+    split_rows(lambda sl: np.matmul(proj[sl], w_val, out=u[sl]), len(proj), proj.size * dim)
     u[-len(feats):] += p["b_val"]
     u = u.reshape(len(proj), heads, -1).transpose(1, 0, 2)
     value = np.matmul(agg, u)
     merged = value.transpose(2, 0, 1, 3).reshape(n, bsz, dim)
     y, co = linear_fwd(merged, p["w_out"], p["b_out"])
-    return y, SampleCache(cf, cc, agg, u, proj, p["w_val"], co)
+    return y, SampleCache(cf, cc, agg, u, proj, w_val, co)
 
 
 def _sample_project_bwd(dout, cache: SampleCache, g, dfeats, dproj):

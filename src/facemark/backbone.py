@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .attention import _matmul_rows, add_weight_grad, linear_fwd, relu_fwd
+from .attention import _matmul_rows, add_weight_grad, linear_fwd, relu_fwd, split_rows
 from .errors import ConfigError
 from .params import Params, Row
 
@@ -61,8 +61,9 @@ ConvCache = namedtuple("ConvCache", "cols w stride in_shape out_hw")
 
 def conv2d_fwd(x, w, b, stride):
     """Convolve a (B, cin, h, w) stack: one zero-padded copy, one im2col and
-    one batched matmul holding each image's GEMM.  Returns (B, cout, ho, wo),
-    laid out channels-last in memory."""
+    one batched matmul holding each image's GEMM, the last two split by
+    output rows (`attention.split_rows`).  Returns (B, cout, ho, wo), laid
+    out channels-last in memory."""
     bsz, cin, hi, wi = x.shape
     cout = w.shape[0]
     # padded channels-last, the layout a previous conv's output has in memory
@@ -70,15 +71,22 @@ def conv2d_fwd(x, w, b, stride):
     xp[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
     ho, wo = (hi - 1) // stride + 1, (wi - 1) // stride + 1
     sb, sy, sx, sc = xp.strides
-    # every 3x3 window as one view, (B, ho, wo, cin, 3, 3); the reshape
-    # copies it into rows of (cin, ky, kx) columns
+    # every 3x3 window as one view, (B, ho, wo, cin, 3, 3), copied into
+    # rows of (cin, ky, kx) columns
     win = as_strided(xp, (bsz, ho, wo, cin, 3, 3),
                      (sb, sy * stride, sx * stride, sc, sy, sx), writeable=False)
-    cols = win.reshape(bsz, ho * wo, cin * 9)
-    out = np.matmul(cols, w.reshape(cout, -1).T)
-    out += b
-    out = out.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2)
-    return out, ConvCache(cols, w, stride, x.shape, (ho, wo))
+    cols, wt = np.empty(win.shape), w.reshape(cout, -1).T
+    out = np.empty((bsz, ho, wo, cout))
+
+    def rows(sl):  # output rows sl of every image: their columns, product and bias
+        cols[:, sl] = win[:, sl]
+        np.matmul(cols[:, sl].reshape(bsz, -1, cin * 9), wt,
+                  out=out[:, sl].reshape(bsz, -1, cout))
+        out[:, sl] += b
+
+    split_rows(rows, ho, cols.size * cout)
+    return out.transpose(0, 3, 1, 2), ConvCache(cols.reshape(bsz, ho * wo, -1), w, stride,
+                                                x.shape, (ho, wo))
 
 
 def _conv_weight_grad(gw, dout3, cols):

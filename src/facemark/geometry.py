@@ -98,13 +98,12 @@ class PyramidLayout:
     def total_len(self) -> int:
         return sum(h * w for (h, w) in self.levels)
 
-    def block_slices(self, batch: int = 1) -> list[slice]:
-        """Row slice of each level inside the flattened memory of `batch`
-        images, whose row m of image b is row m * batch + b."""
+    def block_slices(self) -> list[slice]:
+        """Row slice of each level inside the flattened memory."""
         out, start = [], 0
         for h, w in self.levels:
-            out.append(slice(start, start + h * w * batch))
-            start += h * w * batch
+            out.append(slice(start, start + h * w))
+            start += h * w
         return out
 
     @classmethod
@@ -324,6 +323,12 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, douts, dl
     rebuilds each block's A: dA = dout @ V^T, read at the block's corners,
     gives `contrib`, and the map gradient adds A^T @ dout block by block.
     Each level is read the way the forward read it, as the table records.
+
+    A dense level's map gradient is added into dlevels[l] one block of
+    _DENSE_ROWS query rows at a time, so handing it an array that already
+    holds values does not give the bits of adding a fresh call's result to
+    that array: over more than _DENSE_ROWS rows the running sum takes each
+    block's product in turn.  A gathered level adds its whole result once.
     """
     rows = table.rows
     wt, cw = _corner_weights(table, weights)

@@ -211,16 +211,20 @@ GT_COLOR = (1.0, 0.15, 0.1)
 
 
 def draw_markers(image, points_norm, color, radius=1):
-    """Stamp a filled square marker at each normalized point, in place."""
+    """Stamp a filled square marker at each normalized (finite) point, in
+    place: every offset of the square for all points at once, clipped to
+    the image."""
     _, h, w = image.shape
-    col = np.array(color)
-    for u, v in np.asarray(points_norm):
-        cx = int(np.floor(u * w))
-        cy = int(np.floor(v * h))
-        x0, x1 = max(cx - radius, 0), min(cx + radius + 1, w)
-        y0, y1 = max(cy - radius, 0), min(cy + radius + 1, h)
-        if x0 < x1 and y0 < y1:
-            image[:, y0:y1, x0:x1] = col[:, None, None]
+    size = np.array([w, h])
+    # each marker's centre pixel; clamped to just past the border, which
+    # keeps the int cast of a huge coordinate exact and draws the same pixels
+    with np.errstate(over="ignore"):
+        centre = np.floor(np.asarray(points_norm, dtype=np.float64).reshape(-1, 2) * size)
+    cx, cy = np.clip(centre, -radius - 1, size + radius).astype(np.int64).T
+    d = np.arange(-radius, radius + 1)
+    xs, ys = np.broadcast_arrays((cx[:, None] + d)[:, None], (cy[:, None] + d)[:, :, None])
+    inside = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
+    image[:, ys[inside], xs[inside]] = np.array(color)[:, None]
     return image
 
 

@@ -696,7 +696,9 @@ def test_sample_then_project_matches_project_first():
         x, refs, memory, p, ffn_p, cfg, dout)
     # the memory gradient taken back through each level's projection
     ref_dfeats, ref_dproj, row = [], np.zeros(proj.shape), 0
-    for l, (f, sl) in enumerate(zip(feats, cfg.layout.block_slices(3))):
+    # level l's rows of the (M * 3, C) memory of three images
+    slices = [slice(3 * sl.start, 3 * sl.stop) for sl in cfg.layout.block_slices()]
+    for l, (f, sl) in enumerate(zip(feats, slices)):
         c = f.shape[-1]
         ref_dfeats.append((dmem[sl] @ proj[row:row + c].T).reshape(f.shape))
         ref_dproj[row:row + c] = f.reshape(-1, c).T @ dmem[sl]

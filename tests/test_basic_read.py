@@ -71,7 +71,8 @@ def _memory_read_fwd(x, refs, memory, p, cfg):
     locs, weights, cf = sampling_fields(x, refs, p, cfg)
     locs = locs.swapaxes(1, 2).reshape((n * cfg.heads, bsz) + locs.shape[3:])
     weights = weights.swapaxes(1, 2).reshape(locs.shape[:-1])
-    slices = cfg.layout.block_slices(bsz)
+    # level l's rows of the (M * bsz, dim) memory
+    slices = [slice(bsz * sl.start, bsz * sl.stop) for sl in cfg.layout.block_slices()]
     levels = [memory[sl].reshape(h, w, bsz, dim) for (h, w), sl in zip(cfg.layout.levels, slices)]
     agg = np.zeros(locs.shape[:2] + (dim,))
     cc = deform_core_fwd(levels, locs, weights, [agg] * len(levels))

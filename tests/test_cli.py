@@ -490,6 +490,19 @@ def test_huge_max_degrees_is_a_config_error(tmp_path):
     assert not ckpt.exists()
 
 
+def test_a_set_option_does_not_reach_the_next_call(capsys):
+    # one parser serves every call of the process, and argparse hands each
+    # call the same `append` default list
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["params"]) == 0
+    default = capsys.readouterr().out
+    assert main(["params", "--set", "model.dim=32", "--set", "model.heads=4"]) == 0
+    assert capsys.readouterr().out != default
+    assert main(["params"]) == 0
+    assert capsys.readouterr().out == default
+    assert cli.build_parser().parse_args(["params"]).overrides == []
+
+
 def test_bad_override_is_a_config_error(capsys):
     rc = main(["params", "--set", "model.dim=big"])
     assert rc == 1

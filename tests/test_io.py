@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from facemark.errors import ConfigError
 from facemark.io import (
+    draw_markers,
     load_dataset,
     read_bbox,
     read_landmarks,
@@ -260,3 +263,38 @@ def test_overlay_markers_clamp_at_borders(tmp_path):
     out = read_ppm(path)
     assert out[1, 0, 0] > 0.9
     assert out[1, 15, 15] > 0.9
+
+
+def _draw_markers_loop(image, points_norm, color, radius=1):
+    """The per-point marker loop `draw_markers` replaced, kept as its oracle."""
+    _, h, w = image.shape
+    col = np.array(color)
+    for u, v in np.asarray(points_norm):
+        cx = int(np.floor(u * w))
+        cy = int(np.floor(v * h))
+        x0, x1 = max(cx - radius, 0), min(cx + radius + 1, w)
+        y0, y1 = max(cy - radius, 0), min(cy + radius + 1, h)
+        if x0 < x1 and y0 < y1:
+            image[:, y0:y1, x0:x1] = col[:, None, None]
+    return image
+
+
+@pytest.mark.parametrize("points", [
+    # on, just inside and beyond every border, and corners
+    [[0.0, 0.0], [0.999, 0.999], [1.0, 0.5], [0.5, 1.0], [-0.01, 0.5], [0.5, -0.2],
+     [1.09, 1.09], [1.2, 0.5], [-0.12, -0.12], [-0.2, 1.2]],
+    # overlapping markers
+    [[0.5, 0.5], [0.52, 0.5], [0.5, 0.53], [0.55, 0.55], [0.5, 0.5]],
+    # huge finite coordinates, as a ground-truth file may hold
+    [[1e300, 0.5], [-1e300, 1e300], [0.5, -1e300], [0.3, 0.3]],
+    # a face's worth of random points
+    np.random.default_rng(3).uniform(-0.2, 1.2, (68, 2)),
+], ids=["borders", "overlaps", "huge", "random"])
+@pytest.mark.parametrize("radius", [1, 2])
+def test_draw_markers_match_the_per_point_loop(points, radius):
+    img = np.random.default_rng(1).uniform(size=(3, 12, 14))
+    want = _draw_markers_loop(img.copy(), points, (0.1, 1.0, 0.2), radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = draw_markers(img.copy(), points, (0.1, 1.0, 0.2), radius)
+    assert got.tobytes() == want.tobytes()
