@@ -8,6 +8,7 @@ import contextlib
 import dataclasses
 import hashlib
 import os
+import sys
 import threading
 
 import numpy as np
@@ -24,6 +25,7 @@ from facemark.training import SyntheticFaceSpec, gen_synthetic
 
 from conftest import TINY_SPEC, jitter_params
 from test_cli import TINY_MODEL, _run_facemark
+from test_perfbench_interface import _load_tracing
 
 # TINY's geometry at dim 128: a payload of five read blocks, so the worker
 # reads three of them; its products stay below the split's crossover
@@ -255,3 +257,40 @@ def test_a_request_leaves_no_thread_behind(tmp_path, monkeypatch, verb, bad):
     assert threading.active_count() == before
     assert len(readers) == 2  # the worker did start
     assert attention.REQUEST_WORKER.get() is None
+
+
+def test_no_traced_function_runs_on_the_worker(tmp_path, monkeypatch, default_request):
+    # perfbench's tracer keeps one span stack for all threads, so each
+    # function it wraps must run on the thread that serves the request
+    ckpt, data = default_request
+    ran_on = {}
+    modules = [m for name, m in sys.modules.items() if name.startswith("facemark.")]
+    for mod_name, attr in _load_tracing().TRACED:
+        home = sys.modules.get(f"facemark.{mod_name}")
+        owner, _, name = attr.rpartition(".")
+        original = getattr(getattr(home, owner) if owner else home, name, None)
+        if original is None:
+            continue
+
+        def record(*args, fn=original, label=f"{mod_name}.{attr}", **kwargs):
+            ran_on.setdefault(label, set()).add(threading.current_thread())
+            return fn(*args, **kwargs)
+
+        if owner:
+            monkeypatch.setattr(getattr(home, owner), name, record)
+        for mod in modules:
+            for key, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, key, record)
+    readers = set()
+    real = params._read_payload
+    monkeypatch.setattr(params, "_read_payload",
+                        lambda *a: readers.add(threading.current_thread()) or real(*a))
+    assert cli.main(["predict", "--ckpt", str(ckpt), "--image", str(data / "face_00001.ppm"),
+                     "--out", str(tmp_path / "p")]) == 0
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "e")]) == 0
+    assert len(readers) == 3  # this thread and each request's worker
+    assert {"backbone.conv2d_fwd", "attention.ffn_fwd", "params.load_checkpoint",
+            "metrics.evaluate"} <= ran_on.keys()
+    assert {t for threads in ran_on.values() for t in threads} == {threading.current_thread()}
