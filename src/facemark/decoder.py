@@ -47,6 +47,8 @@ their shapes.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
@@ -104,23 +106,24 @@ class ModelConfig:
         and layout code trust these fields."""
         for name in ("num_landmarks", "num_layers", "dim", "heads", "levels", "points"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ConfigError(f"model.{name} must be >= 1, got {getattr(self, name)}")
         if len(self.stage_channels) != self.levels:
-            raise ConfigError(f"stage_channels has {len(self.stage_channels)} entries "
-                              f"but levels is {self.levels}: one backbone stage per level")
+            raise ConfigError(f"model.stage_channels has {len(self.stage_channels)} entries "
+                              f"but model.levels is {self.levels}: one backbone stage per level")
         if min(self.stage_channels) < 1:
-            raise ConfigError(f"stage_channels must all be >= 1, got {self.stage_channels}")
+            raise ConfigError(f"model.stage_channels must all be >= 1, got {self.stage_channels}")
         if self.dim % self.heads != 0:
-            raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
+            raise ConfigError(f"model.dim {self.dim} not divisible by heads {self.heads}: "
+                              f"model.heads must divide model.dim")
         if self.parallel and self.dim % 2 != 0:
             raise ConfigError(
-                f"dim {self.dim} must be even with parallel = true: the memory "
-                f"rows' positional encoding splits dim into sin/cos pairs"
+                f"model.dim {self.dim} must be even with model.parallel = true: the "
+                f"memory rows' positional encoding splits dim into sin/cos pairs"
             )
         stride = level_stride(self.levels - 1)
         if self.image_side < stride or self.image_side % stride != 0:
             raise ConfigError(
-                f"image_side {self.image_side} is not a positive multiple of "
+                f"model.image_side {self.image_side} is not a positive multiple of "
                 f"the coarsest pyramid stride {stride}"
             )
 
@@ -373,6 +376,17 @@ def _layer_bwd(dout, dmem_next, dpos, dlevel, lg, cache: LayerCache, cfg):
 # Full forward / backward
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _memory_rows(layout: PyramidLayout, dim: int):
+    """The parallel read's fixed inputs for each memory row: its pixel
+    center, its sinusoidal position and its level.  Built once per layout
+    and width and read-only, so that forwards on any thread share them."""
+    arrays = (pixel_centers(layout), build_pixel_positions(layout, dim), level_of_row(layout))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 ForwardCache = namedtuple("ForwardCache", "backbone init_lin q0_source layer_caches ys")
 
 
@@ -409,9 +423,8 @@ def forward(params: Params, images, cfg: ModelConfig, keep_cache=True):
     ys = [sigmoid(logits)]  # each (N, B, 2)
     aux = None  # the parallel read's memory-row reference points and positions
     if cfg.parallel:
-        level_pos = params["level_emb"][level_of_row(layout)]
-        pos_rows = build_pixel_positions(layout, cfg.dim) + level_pos
-        aux = (pixel_centers(layout), pos_rows)
+        centers, positions, row_level = _memory_rows(layout, cfg.dim)
+        aux = (centers, positions + params["level_emb"][row_level])
     layer_caches = []
     for t in range(cfg.num_layers):
         lp = _layer_params(params, t, cfg)
@@ -428,12 +441,21 @@ def forward(params: Params, images, cfg: ModelConfig, keep_cache=True):
     return [y.transpose(1, 0, 2) for y in ys], cache if keep_cache else None
 
 
+# The function that `backward` calls with t once layer t's backward has
+# returned: after that the calling thread adds nothing more into the
+# layers.{t}.* gradients.  `training.batch_loss_and_grads` sets it for the
+# last chunk of a batch that `training.train` runs.
+LAYER_DONE = contextvars.ContextVar("LAYER_DONE", default=None)
+
+
 def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache, grads: Params):
     """Backpropagate per-stage landmark gradients dys (same layout as ys).
 
     Adds the parameter gradients, summed over the chunk's images, into the
-    caller's buffer `grads`, which holds every parameter path.
+    caller's buffer `grads`, which holds every parameter path.  While
+    `LAYER_DONE` is set, calls it with t after layer t's backward.
     """
+    layer_done = LAYER_DONE.get()
     ys = cache.ys
     dys = [dy.transpose(1, 0, 2) for dy in dys]
     # the reference points of layer t are stage t's estimate
@@ -457,6 +479,8 @@ def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache, grads: 
         lg = _layer_params(grads, t, cfg)
         dq_head = _head_bwd(dlogits, c_head, lg["head"])
         dq, drefs, dstate = _layer_bwd(dq + dq_head, dstate, dpos, dlevel, lg, c_layer, cfg)
+        if layer_done is not None:
+            layer_done(t)
     dlogits = dlogits + (dys[0] + drefs) * ys[0] * (1.0 - ys[0])
     # the gradient of the projected memory rows; the basic read's are the
     # last level's, which only the query init reads

@@ -21,10 +21,11 @@ weight 1 per row (rotation), both keep the summation order of a masked
 kernel with a corner-by-corner scatter-add, so their bits match it.  A
 level of at most `dense_pixels` pixels, a forward argument that only the
 parallel decoder sets (to DENSE_PIXELS = 256), is read by GEMM instead:
-each block of 64 query rows builds its (rows, h * w) interpolation
-matrices from the corner table, the forward adds A @ V and the backward
-adds A^T @ dout block by block, in a fixed order that does not depend on
-the BLAS thread count.  The two ways share the corner table, the corner
+each block of 64 query rows builds one interpolation matrix per run of
+consecutive dense levels from the corner table, each level in its own
+columns; the forward adds each level's A @ V and the backward adds
+A^T @ dout block by block, in a fixed order that does not depend on the
+BLAS thread count.  The two ways share the corner table, the corner
 weights and the tail that turns per-corner dot products into location and
 weight gradients, and agree within rounding.
 
@@ -141,6 +142,18 @@ def level_of_row(layout: PyramidLayout) -> np.ndarray:
 
 CornerTable = namedtuple("CornerTable", "rows wy wx oky okx dense")
 
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _level_extents(levels, shape, dtype):
+    """Each level's height and width as two arrays of `shape`, a
+    (heads, L, points) row of the point grid: as operands they keep numpy's
+    inner loops a whole row long, where (L, 1) arrays would cut them to
+    `points` values."""
+    hw = np.array([lev.shape[:2] for lev in levels], dtype=dtype)
+    return (np.ascontiguousarray(np.broadcast_to(hw[:, :1], shape)),
+            np.ascontiguousarray(np.broadcast_to(hw[:, 1:], shape)))
+
 
 def _corner_table(levels, locs, dense_pixels):
     """Row, axis weights and in-bounds flags of every bilinear corner read,
@@ -159,35 +172,42 @@ def _corner_table(levels, locs, dense_pixels):
       `dense_pixels` pixels, is read by GEMM rather than gathered.
 
     A corner's weight is wy[dy] * wx[dx], which is exactly zero for a
-    clamped read, so the read adds a zero term and changes no sum.
+    clamped read, so the read adds a zero term and changes no sum.  The
+    arrays are filled in place; a weight outside the level is set to zero
+    where its flag is false, whatever its value, as `np.where` would.
     """
-    heads = locs.shape[1]
-    hw = np.array([lev.shape[:2] for lev in levels], dtype=np.int64)
-    h, w = hw[:, :1], hw[:, 1:]  # (L, 1), broadcast over (L, points)
-    gx = locs[..., 0] * w - 0.5
-    gy = locs[..., 1] * h - 0.5
-    x0 = np.floor(gx)
-    y0 = np.floor(gy)
-    tx = gx - x0
-    ty = gy - y0
-    step = np.arange(2).reshape(2, 1, 1, 1, 1)
-    xs = x0.astype(np.int64) + step
-    ys = y0.astype(np.int64) + step
-    okx = (xs >= 0) & (xs < w)
-    oky = (ys >= 0) & (ys < h)
-    wx = np.where(okx, np.stack([1 - tx, tx]), 0.0)
-    wy = np.where(oky, np.stack([1 - ty, ty]), 0.0)
-    xs = np.minimum(np.maximum(xs, 0), w - 1)  # np.clip, without its wrappers
-    ys = np.minimum(np.maximum(ys, 0), h - 1)
-    rows = ys[:, None] * w + xs[None]
-    rows *= heads
-    rows += np.arange(heads)[:, None, None]
-    rows = rows.reshape((4,) + gx.shape)
+    shape = locs.shape[:-1]
+    heads = shape[1]
+    h, w = _level_extents(levels, shape[1:], np.int64)
+    rows = np.empty((4,) + shape, dtype=np.int64)
+    corner = [np.empty((2,) + shape, dtype=np.int64) for _ in range(2)]  # ys, xs
+    wy, wx = np.empty((2,) + shape), np.empty((2,) + shape)
+    flags = []
+    for axis, size, ind, wgt in ((1, h, corner[0], wy), (0, w, corner[1], wx)):
+        g = np.multiply(locs[..., axis], size.astype(np.float64))
+        g -= 0.5
+        g0 = np.floor(g)
+        t = np.subtract(g, g0, out=g)
+        ind[0] = g0  # a non-finite point warns here, as `astype` would
+        np.add(ind[0], 1, out=ind[1])
+        ok = ind >= 0
+        ok &= ind < size
+        np.subtract(1, t, out=wgt[0])
+        wgt[1] = t
+        np.copyto(wgt, 0.0, where=~ok)
+        np.maximum(ind, 0, out=ind)  # np.clip, without its wrappers
+        np.minimum(ind, size - 1, out=ind)
+        flags.append(ok)
+    ys, xs = corner
+    # row (y * w + x) * heads + head, in exact integer arithmetic
+    ys *= w * heads
+    ys += np.arange(heads)[:, None, None] + np.zeros_like(w)
+    xs *= heads
+    for k, (dy, dx) in enumerate(_CORNERS):
+        np.add(ys[dy], xs[dx], out=rows[k])
     dense = tuple(lev.shape[0] * lev.shape[1] <= dense_pixels for lev in levels)
-    return CornerTable(rows, wy, wx, oky, okx, dense)
+    return CornerTable(rows, wy, wx, flags[0], flags[1], dense)
 
-
-_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 # Values per block of query rows (256 KB of float64): the gathers, products
 # and sums of one block stay in the second-level cache.
@@ -219,34 +239,54 @@ def _row_blocks(shape, d):
     return [slice(r0, r0 + step) for r0 in range(0, r, step)]
 
 
-def _corner_weights(table, weights):
-    """Bilinear weight wy * wx of every corner, (4, R, heads, L, points), and
-    the same times the point's weight: one product per corner and point."""
-    wt = (table.wy[:, None] * table.wx[None]).reshape(table.rows.shape)
-    return wt, wt * weights
+def _bilinear_weights(table):
+    """Bilinear weight wy * wx of every corner, (4, R, heads, L, points):
+    one product per corner and point."""
+    wt = np.empty(table.rows.shape)
+    np.multiply(table.wy[:, None], table.wx[None], out=wt.reshape((2,) + table.wx.shape))
+    return wt
 
 
-def _dense_blocks(rows, cw, pixels):
-    """Each head's interpolation matrix of one level, a block of _DENSE_ROWS
-    query rows at a time.  `rows` (4, R, heads, points) are the level's
-    table rows, which read pixel * heads + head, and `cw` their corner
-    weights.  Yields (block, A, idx): A (heads, rows of the block, pixels)
-    adds the block's corner weights in corner order, and idx is the flat
-    index of every corner read into A.  All blocks share one buffer, so A is
-    valid until the next block is drawn and the caller may overwrite it.
+def _level_runs(dense):
+    """The levels in order as (first, stop, dense) runs: each run of
+    consecutive dense levels is one run, each gathered level a run alone."""
+    runs = []
+    for l, d in enumerate(dense):
+        if d and runs and runs[-1][2] and runs[-1][1] == l:
+            runs[-1][1] = l + 1
+        else:
+            runs.append([l, l + 1, d])
+    return runs
+
+
+def _dense_blocks(rows, cw, sizes):
+    """The interpolation matrices of a run of consecutive dense levels, a
+    block of _DENSE_ROWS query rows at a time.  `rows` (4, R, heads, levels
+    of the run, points) are the run's table rows, which read pixel * heads +
+    head of their level, `cw` their corner weights, and level j of the run
+    has sizes[j] pixels.  Yields (block, A, idx, cols): A (heads, rows of the
+    block, sum of sizes) holds each head's matrix of every level of the run
+    side by side, level j in columns cols[j], and adds the block's corner
+    weights in corner order; idx is the flat index of every corner read
+    into A, in the order of rows[:, block].  One index build, one fill and
+    one `np.add.at` cover the whole run.  All blocks share one buffer, so A
+    is valid until the next block is drawn and the caller may overwrite it.
     (A fresh array per block, as `np.bincount` returns, measured up to
     twice as slow in a 16 x 16 level's backward.)"""
     r, heads = rows.shape[1:3]
-    buf = np.empty(heads * min(r, _DENSE_ROWS) * pixels)
+    width = sum(sizes)
+    first = np.cumsum([0] + sizes[:-1])
+    cols = [slice(c, c + size) for c, size in zip(first, sizes)]
+    buf = np.empty(heads * min(r, _DENSE_ROWS) * width)
     for r0 in range(0, r, _DENSE_ROWS):
         b = slice(r0, min(r, r0 + _DENSE_ROWS))
         n = b.stop - r0
-        lead = np.arange(heads)[:, None] * n + np.arange(n)[:, None, None]
-        idx = (lead * pixels + rows[:, b] // heads).ravel()
-        a = buf[:heads * n * pixels]
+        lead = np.arange(heads)[:, None, None] * n + np.arange(n)[:, None, None, None]
+        idx = (lead * width + first[:, None] + rows[:, b] // heads).ravel()
+        a = buf[:heads * n * width]
         a.fill(0.0)
         np.add.at(a, idx, cw[:, b].ravel())
-        yield b, a.reshape(heads, n, pixels), idx
+        yield b, a.reshape(heads, n, width), idx, cols
 
 
 def _heads_first(lev):
@@ -271,28 +311,35 @@ def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray, outs, de
     per-point read is kept.
 
     A level of at most `dense_pixels` pixels is read densely, a block of
-    _DENSE_ROWS query rows at a time: one `np.add.at` over the block's
-    corners builds each head's (rows, h * w) interpolation matrix A, and the
-    block adds A @ V, one batched matmul holding one GEMM per head.  With
-    the images folded into the head axis each GEMM has one image's shape,
-    so a chunk of images gets each image's bits.  Any other level is
-    gathered, a corner at a time in corner order.
+    _DENSE_ROWS query rows at a time.  A run of consecutive dense levels
+    shares one matrix per block: one `np.add.at` over the block's corners
+    builds each head's (rows, pixels of the run) interpolation matrix A,
+    and each level of the run adds A's columns of that level @ V, one
+    batched matmul holding one GEMM per head, into its own output in level
+    order.  With the images folded into the head axis each GEMM has one
+    image's shape, so a chunk of images gets each image's bits.  Any other
+    level is gathered, a corner at a time in corner order.
     """
     locs = np.asarray(locs, dtype=np.float64)
     table = _corner_table(levels, locs, dense_pixels)
-    _, cw = _corner_weights(table, weights)
-    for l, (lev, out) in enumerate(zip(levels, outs)):
-        pixels, d = lev.shape[0] * lev.shape[1], lev.shape[-1]
-        if table.dense[l]:
-            v = _heads_first(lev)
-            for b, a, _ in _dense_blocks(table.rows[:, :, :, l], cw[:, :, :, l], pixels):
-                out[b] += np.matmul(a, v).transpose(1, 0, 2)
+    cw = _bilinear_weights(table)
+    cw *= weights
+    for first, stop, dense in _level_runs(table.dense):
+        run = range(first, stop)
+        if dense:
+            sizes = [levels[l].shape[0] * levels[l].shape[1] for l in run]
+            vs = [_heads_first(levels[l]) for l in run]
+            lev_rows, lev_cw = table.rows[:, :, :, first:stop], cw[:, :, :, first:stop]
+            for b, a, _, cols in _dense_blocks(lev_rows, lev_cw, sizes):
+                for l, v, c in zip(run, vs, cols):
+                    outs[l][b] += np.matmul(a[:, :, c], v).transpose(1, 0, 2)
             continue
-        flat = lev.reshape(-1, d)
-        for b in _row_blocks(weights.shape, d):
+        lev, out = levels[first], outs[first]
+        flat = lev.reshape(-1, lev.shape[-1])
+        for b in _row_blocks(weights.shape, lev.shape[-1]):
             for k in range(4):
-                vals = flat.take(table.rows[k, b, :, l], axis=0)
-                out[b] += np.einsum("rhpc,rhp->rhc", vals, cw[k, b, :, l])
+                vals = flat.take(table.rows[k, b, :, first], axis=0)
+                out[b] += np.einsum("rhpc,rhp->rhc", vals, cw[k, b, :, first])
     return table
 
 
@@ -319,10 +366,12 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, douts, dl
     channel c's rows are offset by c * (rows of the level), so the channels'
     bins stay apart.  `bincount` adds its weights in input order, so every
     map entry receives its terms in the same order as an unbuffered
-    scatter-add (`ufunc.at`) run corner by corner would.  A dense level
-    rebuilds each block's A: dA = dout @ V^T, read at the block's corners,
-    gives `contrib`, and the map gradient adds A^T @ dout block by block.
-    Each level is read the way the forward read it, as the table records.
+    scatter-add (`ufunc.at`) run corner by corner would.  A run of dense
+    levels rebuilds each block's matrix A: each level's map gradient adds
+    its columns' A^T @ dout, then each level's dA = dout @ V^T is written
+    over its columns, and one read of A at the block's corners gives
+    `contrib` for the whole run.  Each level is read the way the forward
+    read it, as the table records.
 
     A dense level's map gradient is added into dlevels[l] one block of
     _DENSE_ROWS query rows at a time, so handing it an array that already
@@ -331,33 +380,45 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, douts, dl
     block's product in turn.  A gathered level adds its whole result once.
     """
     rows = table.rows
-    wt, cw = _corner_weights(table, weights)
+    wt = _bilinear_weights(table)
+    cw = wt * weights
     contrib = np.empty(rows.shape)  # v . dout of every corner read
-    for l, (lev, dlev) in enumerate(zip(levels, dlevels)):
-        pixels, d = lev.shape[0] * lev.shape[1], lev.shape[-1]
-        if l == 0 or douts[l] is not douts[l - 1]:
-            dout = np.ascontiguousarray(douts[l])
-            dout_t = np.ascontiguousarray(dout.transpose(2, 0, 1)).reshape(d, -1)
-        if table.dense[l]:
-            v, dv = _heads_first(lev), _heads_first(dlev)
-            for b, a, idx in _dense_blocks(rows[:, :, :, l], cw[:, :, :, l], pixels):
-                dout_h = dout[b].transpose(1, 0, 2)
-                dv += np.matmul(a.transpose(0, 2, 1), dout_h)
-                da = np.matmul(dout_h, v.transpose(0, 2, 1), out=a)  # A is spent
-                contrib[:, b, :, l] = da.take(idx).reshape(contrib[:, b, :, l].shape)
+    dout = []
+    for l, g in enumerate(douts):
+        dout.append(dout[-1] if l and g is douts[l - 1] else np.ascontiguousarray(g))
+    dout_t = None, None  # (source, channels-first copy) of the last gathered level
+    for first, stop, dense in _level_runs(table.dense):
+        run = range(first, stop)
+        if dense:
+            sizes = [levels[l].shape[0] * levels[l].shape[1] for l in run]
+            vs = [_heads_first(levels[l]) for l in run]
+            dvs = [_heads_first(dlevels[l]) for l in run]
+            lev_rows, lev_cw = rows[:, :, :, first:stop], cw[:, :, :, first:stop]
+            for b, a, idx, cols in _dense_blocks(lev_rows, lev_cw, sizes):
+                dout_h = [dout[l][b].transpose(1, 0, 2) for l in run]
+                for dv, dh, c in zip(dvs, dout_h, cols):
+                    dv += np.matmul(a[:, :, c].transpose(0, 2, 1), dh)
+                for v, dh, c in zip(vs, dout_h, cols):  # A is spent: dA over it
+                    np.matmul(dh, v.transpose(0, 2, 1), out=a[:, :, c])
+                part = contrib[:, b, :, first:stop]
+                part[...] = a.take(idx).reshape(part.shape)
             continue
+        l, lev, dlev = first, levels[first], dlevels[first]
+        d = lev.shape[-1]
+        if dout_t[0] is not dout[l]:
+            dout_t = dout[l], np.ascontiguousarray(dout[l].transpose(2, 0, 1)).reshape(d, -1)
         flat = lev.reshape(-1, d)
         for b in _row_blocks(weights.shape, d):
             for k in range(4):
                 vals = flat.take(rows[k, b, :, l], axis=0)
                 # both operands have contiguous channel rows, so the dot
                 # product sums in the same order as on one (points, d) read
-                contrib[k, b, :, l] = np.einsum("rhpc,rhc->rhp", vals, dout[b])
+                contrib[k, b, :, l] = np.einsum("rhpc,rhc->rhp", vals, dout[l][b])
         # corners in (corner, point, row, head) order, so that each channel's
         # bincount weights are a contiguous product with dout_t[c]
         idx = rows[:, :, :, l].transpose(0, 3, 1, 2).ravel()
         cl = np.ascontiguousarray(cw[:, :, :, l].transpose(0, 3, 1, 2))
-        cl = cl.reshape(4, -1, dout_t.shape[1])
+        cl = cl.reshape(4, -1, dout_t[1].shape[1])
         n = flat.shape[0]
         # one bincount per block of about _BLOCK weights: channel c of a
         # block adds into bins c * n + row, each bin in corner order.  The
@@ -370,26 +431,35 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, douts, dl
             k = min(step, d - c0)
             dflat[c0:c0 + k] = np.bincount(
                 idx_block[:k * idx.size],
-                (cl * dout_t[c0:c0 + k, None, None]).ravel(), k * n).reshape(k, n)
+                (cl * dout_t[1][c0:c0 + k, None, None]).ravel(), k * n).reshape(k, n)
         dlev += dflat.T.reshape(lev.shape)
     return _point_grads(levels, table, weights, wt, contrib)
 
 
 def _point_grads(levels, table: CornerTable, weights, wt, contrib):
     """dlocs and dweights from `contrib`, each corner read's row dotted with
-    the point's upstream gradient; `contrib` is overwritten."""
+    the point's upstream gradient; `contrib` is overwritten.  Each term is
+    formed in one scratch array, in the order of the products it stands
+    for."""
+    tmp = np.empty(weights.shape)
     dweights = np.zeros(weights.shape)
     for k in range(4):
-        dweights += wt[k] * contrib[k]
+        dweights += np.multiply(wt[k], contrib[k], out=tmp)
     contrib *= weights  # now point weight * v . dout, the dlocs terms
     dgx = np.zeros(weights.shape)
     dgy = np.zeros(weights.shape)
     for k, (dy, dx) in enumerate(_CORNERS):
         # d(wy * wx)/dtx = +-wy and d(wy * wx)/dty = +-wx; the sign is exact
-        dgx += (2 * dx - 1) * table.wy[dy] * table.okx[dx] * contrib[k]
-        dgy += (2 * dy - 1) * table.wx[dx] * table.oky[dy] * contrib[k]
-    hw = np.array([lev.shape[:2] for lev in levels], dtype=np.float64)
-    return np.stack([dgx * hw[:, 1:], dgy * hw[:, :1]], axis=-1), dweights
+        for dg, sign, wgt, ok in ((dgx, 2 * dx - 1, table.wy[dy], table.okx[dx]),
+                                  (dgy, 2 * dy - 1, table.wx[dx], table.oky[dy])):
+            np.multiply(sign, wgt, out=tmp)
+            np.multiply(tmp, ok, out=tmp)
+            dg += np.multiply(tmp, contrib[k], out=tmp)
+    h, w = _level_extents(levels, weights.shape[1:], np.float64)
+    dlocs = np.empty(weights.shape + (2,))
+    np.multiply(dgx, w, out=dlocs[..., 0])
+    np.multiply(dgy, h, out=dlocs[..., 1])
+    return dlocs, dweights
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,17 @@ runs the next chunk's forward and then that backward's weight-gradient
 products (`attention.add_weight_grad`), so a batch of several chunks keeps
 a second core busy.  The worker runs its tasks in the order they were
 queued: chunk i + 1's forward, then chunk i's weight products in the
-backward's order.  The forward only reads the parameters; each gradient
+backward's order; in `train`, the last chunk's backward also queues each
+layer's Adam update once that layer's backward has returned, behind the
+layer's weight products, the last adds into its gradient.  The forward
+only reads the parameters, and a layer's update writes only that layer's
+parameters, which no later part of the backward reads; each gradient
 entry is added either only on the calling thread or only on the worker,
 in chunk order either way.  So losses, gradients and checkpoints keep the
-bits of a serial loop.  Only products that land directly in the flat
-gradient buffer go through that helper, so only they run on the worker:
-one into a per-image intermediate that the backward reads later would race
-with that read.
+bits of a serial loop followed by one Adam step.  Only products that land
+directly in the flat gradient buffer go through that helper, so only they
+run on the worker: one into a per-image intermediate that the backward
+reads later would race with that read.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import WEIGHT_GRADS
-from .decoder import DecoderState, ModelConfig, backward, chunk_slices, forward
+from .decoder import LAYER_DONE, DecoderState, ModelConfig, backward, chunk_slices, forward
 from .errors import ConfigError, NumericError
 from .geometry import bilinear_sample_many
 from .params import Params, flat_views
@@ -65,13 +69,19 @@ def landmark_loss(outputs, gt):
     return loss, dys
 
 
+# The function that updates layer t's parameters from its finished gradient,
+# which `train` sets around each `batch_loss_and_grads` call.
+LAYER_UPDATE = contextvars.ContextVar("LAYER_UPDATE", default=None)
+
+
 def batch_loss_and_grads(params: Params, cfg: ModelConfig, images, targets,
                          buffer=None):
     """Mean loss and mean parameter gradients over a batch of images
     (B, 3, side, side) and targets (B, N, 2): (loss, flat gradient vector,
     its {path: view} dict), laid out by `flat_views`.  The gradients go
     into `buffer`, a (vector, views) pair from `flat_views`, if given, else
-    into a new one; either is zero-filled first.
+    into a new one; either is zero-filled first, while chunk 0's forward
+    runs.
 
     A batch of several chunks runs every chunk's forward on one worker
     thread, chunk i + 1's while this thread runs chunk i's loss and
@@ -80,12 +90,15 @@ def batch_loss_and_grads(params: Params, cfg: ModelConfig, images, targets,
     context, so `np.errstate` holds there too.  The worker lives only for
     the call, which returns once every task has finished: an error from
     either thread is raised as it is, after the task in flight has
-    finished and the queued ones have been cancelled."""
+    finished and the queued ones have been cancelled.
+
+    While `LAYER_UPDATE` is set (`train` sets it), a batch of several
+    chunks also queues LAYER_UPDATE's function for each layer t in the
+    last chunk's backward, once layer t's backward has returned."""
     images, targets = np.asarray(images), np.asarray(targets)
     scale = 1.0 / len(images)
     total = 0.0
     flat, grads = buffer or flat_views({k: v.shape for k, v in params.items()})
-    flat.fill(0.0)
     slices = chunk_slices(len(images), cfg)
     pool = ThreadPoolExecutor(max_workers=1)  # its thread starts at the first submit
     products = []  # the weight products' futures, not the forwards': those hold caches
@@ -100,23 +113,29 @@ def batch_loss_and_grads(params: Params, cfg: ModelConfig, images, targets,
         products.append(submit(product, *args))
 
     # a batch of one chunk runs inline: no thread, no hook
-    hook = WEIGHT_GRADS.set(defer) if len(slices) > 1 else None
+    hooks = [WEIGHT_GRADS.set(defer)] if len(slices) > 1 else []
+    update = LAYER_UPDATE.get() if hooks else None
     try:
         # chunk 0's forward runs on the worker too: a cache built here would
         # sit in this thread's malloc arena, which the worker's forwards do
-        # not reuse (64 px parallel peaked 28 MB higher)
-        pending = ahead(0) if hook is not None else None
+        # not reuse (64 px parallel peaked 28 MB higher).  The buffer is
+        # zeroed meanwhile.
+        pending = ahead(0) if hooks else None
+        flat.fill(0.0)
         for i, sl in enumerate(slices):
             ys, cache = forward(params, images[sl], cfg) if pending is None else pending.result()
             pending = ahead(i + 1)
             loss, dys = landmark_loss(ys, targets[sl])
             total += loss
+            if update is not None and i == len(slices) - 1:
+                # each layer's update queues behind its last weight products
+                hooks.append(LAYER_DONE.set(lambda t: defer(update, t)))
             backward([dy * scale for dy in dys], params, cfg, cache, grads)
         for product in products:
             product.result()
     finally:
-        if hook is not None:
-            WEIGHT_GRADS.reset(hook)
+        for token in reversed(hooks):
+            token.var.reset(token)
         pool.shutdown(cancel_futures=True)
     return total / len(images), flat, grads
 
@@ -141,16 +160,28 @@ class Adam:
         self.groups = ((0, slow, slow_scale), (slow, size, 1.0))
         self.t = 0
 
-    def step(self, p: np.ndarray, g: np.ndarray, lr: float):
-        """m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
-        p -= (lr scale) (m / c1) / (sqrt(v / c2) + eps), rounded in that order."""
+    def step(self, p: np.ndarray, g: np.ndarray, lr: float, done=()):
+        """Count a step and update every element of p that `done`, a list
+        of (start, stop) ranges that `update` has already moved at this
+        step's count, leaves out."""
         self.t += 1
+        start = 0
+        for lo, hi in sorted(done) + [(len(p), len(p))]:
+            self.update(p, g, lr, start, lo, self.t)
+            start = hi
+
+    def update(self, p: np.ndarray, g: np.ndarray, lr: float, start: int, stop: int, t: int):
+        """Step t's update of p[start:stop], a block at a time:
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+        p -= (lr scale) (m / c1) / (sqrt(v / c2) + eps), rounded in that order.
+        Every operation is elementwise, so the blocks' bounds move no bit."""
         b1, b2 = self.beta1, self.beta2
-        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
         t1, t2 = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
-        for start, stop, scale in self.groups:
-            for i in range(start, stop, ADAM_BLOCK):
-                sl = slice(i, min(i + ADAM_BLOCK, stop))
+        for first, last, scale in self.groups:
+            end = min(stop, last)
+            for i in range(max(start, first), end, ADAM_BLOCK):
+                sl = slice(i, min(i + ADAM_BLOCK, end))
                 gb, m, v, pb = g[sl], self.m[sl], self.v[sl], p[sl]
                 a, b = t1[:len(gb)], t2[:len(gb)]
                 m *= b1
@@ -417,9 +448,22 @@ class TrainConfig:
         if self.lr_drop_step < 0:
             raise ConfigError(f"train.lr_drop_step must be >= 0, got {self.lr_drop_step}")
         if self.lr_drop_step > self.steps:
-            raise ConfigError("lr_drop_step past the end of the schedule")
+            raise ConfigError(f"train.lr_drop_step {self.lr_drop_step} is past the end of the "
+                              f"schedule: train.steps is {self.steps}")
         if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
+            raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
+
+
+def _layer_ranges(flat, views: Params, num_layers: int):
+    """(start, stop) of each layer's layers.{t}.* views in `flat`, whose
+    `flat_views` lays the paths out in sorted order: the paths that share a
+    prefix sort next to each other, so each layer is one range."""
+    ranges = []
+    for t in range(num_layers):
+        spans = [((v.ctypes.data - flat.ctypes.data) // flat.itemsize, v.size)
+                 for k, v in views.items() if k.startswith(f"layers.{t}.")]
+        ranges.append((min(lo for lo, _ in spans), max(lo + n for lo, n in spans)))
+    return ranges
 
 
 def train(state: DecoderState, dataset, cfg: TrainConfig, log=None):
@@ -438,6 +482,7 @@ def train(state: DecoderState, dataset, cfg: TrainConfig, log=None):
     # every backbone.* path sorts first, so the backbone is a leading slice
     slow = sum(v.size for k, v in params.items() if k.startswith("backbone."))
     opt = Adam(flat.size, slow, cfg.lr_backbone_scale)
+    layers = _layer_ranges(flat, params, mcfg.num_layers)
     rng_batch = np.random.default_rng((cfg.seed, 1))
 
     losses = []
@@ -454,8 +499,26 @@ def train(state: DecoderState, dataset, cfg: TrainConfig, log=None):
                 img, lm = augment(img, lm, rng_aug, cfg.augment)
             images.append(img)
             targets.append(lm)
-        loss, gflat, grads = batch_loss_and_grads(params, mcfg, images, targets,
-                                                  grad_buffer)
+        lr = cfg.lr * (0.1 if step > cfg.lr_drop_step else 1.0)
+        done = []  # the ranges of flat that the worker moved at this step
+
+        def update_layer(t):
+            # on the worker, behind layer t's last gradient add; a layer whose
+            # gradient is not finite keeps its parameters, and the checks
+            # below then end the run
+            lo, hi = layers[t]
+            with np.errstate(invalid="ignore", over="ignore"):
+                finite = math.isfinite(grad_buffer[0][lo:hi].sum())
+            if finite:
+                opt.update(flat, grad_buffer[0], lr, lo, hi, opt.t + 1)
+                done.append((lo, hi))
+
+        token = LAYER_UPDATE.set(update_layer)
+        try:
+            loss, gflat, grads = batch_loss_and_grads(params, mcfg, images, targets,
+                                                      grad_buffer)
+        finally:
+            LAYER_UPDATE.reset(token)
         if not np.isfinite(loss):
             raise NumericError(f"training diverged at step {step}: loss={loss}")
         # one check over every entry: a sum is finite iff all its terms are,
@@ -467,8 +530,7 @@ def train(state: DecoderState, dataset, cfg: TrainConfig, log=None):
             bad = next((k for k, g in grads.items() if not np.isfinite(g).all()),
                        "the sum over all parameters")
             raise NumericError(f"training diverged at step {step}: non-finite gradient in {bad}")
-        lr = cfg.lr * (0.1 if step > cfg.lr_drop_step else 1.0)
-        opt.step(flat, gflat, lr)
+        opt.step(flat, gflat, lr, done)
         losses.append(loss)
         if log is not None and (step % 100 == 0 or step == 1):
             log(f"step {step:5d}  loss {loss:.6f}  lr {lr:g}")

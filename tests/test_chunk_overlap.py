@@ -17,6 +17,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 import weakref
 
 import numpy as np
@@ -25,7 +26,7 @@ import pytest
 from facemark import attention, backbone, training
 from facemark.decoder import (TINY, DecoderState, ModelConfig, backward, chunk_slices, forward,
                               images_per_chunk)
-from facemark.errors import ConfigError
+from facemark.errors import ConfigError, NumericError
 from facemark.params import flat_views
 from facemark.training import (
     SyntheticFaceSpec,
@@ -331,3 +332,149 @@ def test_a_step_only_reads_the_parameters(flavor):
     assert len(chunk_slices(len(images), cfg)) >= 2
     loss, flat, _ = batch_loss_and_grads(_read_only(params), cfg, images, targets)
     assert np.isfinite(loss) and np.isfinite(flat).all()
+
+
+def _trained_by_hand(state, faces, cfg):
+    """`train` without augmentation on a batch of the whole dataset, as
+    `batch_loss_and_grads` followed by `Adam.step` on this thread."""
+    shapes = {k: v.shape for k, v in state.params.items()}
+    flat, params = flat_views(shapes)
+    np.concatenate([state.params[k].ravel() for k in params], out=flat)
+    slow = sum(v.size for k, v in params.items() if k.startswith("backbone."))
+    opt = training.Adam(flat.size, slow, cfg.lr_backbone_scale)
+    images = np.stack([f.image for f in faces])
+    targets = np.stack([f.landmarks for f in faces])
+    for step in range(1, cfg.steps + 1):
+        _, gflat, _ = batch_loss_and_grads(params, state.config, images, targets)
+        opt.step(flat, gflat, cfg.lr * (0.1 if step > cfg.lr_drop_step else 1.0))
+    return flat
+
+
+def _flat_digest(params):
+    return hashlib.sha256(b"".join(params[k].tobytes() for k in sorted(params))).hexdigest()
+
+
+def test_layer_updates_behind_the_last_backward_keep_the_bits_of_a_step_after_it():
+    # a 64 px default-width parallel batch of two runs as two chunks; in the
+    # second, each layer's Adam update runs on the worker behind its weight
+    # products, the other parameters' after the backward
+    params, cfg, _, _ = _case("parallel-64")
+    faces = gen_synthetic(_CASES["parallel-64"][1], 2, 3)
+    assert len(chunk_slices(len(faces), cfg)) == 2
+    state = DecoderState(cfg, params)
+    tcfg = TrainConfig(lr=1e-3, steps=2, lr_drop_step=1, batch_size=2)
+    trained, _ = train(state, faces, tcfg)
+    by_hand = _trained_by_hand(state, faces, tcfg)
+    assert _flat_digest(trained.params) == hashlib.sha256(by_hand.tobytes()).hexdigest()
+
+
+def test_each_layers_update_runs_on_the_worker_after_its_last_gradient_add(monkeypatch):
+    # one log, in the order things happen: each weight product as it
+    # returns (the gradient entry it added into), each Adam update as it
+    # starts and each step's end on this thread
+    log = []
+
+    def wrap(product):
+        def recording(gw, *args):
+            product(gw, *args)
+            log.append(("product", gw.ctypes.data))
+        return recording
+
+    real_update, real_step = training.Adam.update, training.Adam.step
+
+    def update(self, p, g, lr, start, stop, t):
+        if start < stop:
+            log.append(("update", threading.current_thread(), g.ctypes.data, start, stop))
+        return real_update(self, p, g, lr, start, stop, t)
+
+    def step(self, *args):
+        real_step(self, *args)
+        log.append(("step",))
+
+    monkeypatch.setattr(attention, "_linear_weight_grad", wrap(attention._linear_weight_grad))
+    monkeypatch.setattr(backbone, "_conv_weight_grad", wrap(backbone._conv_weight_grad))
+    monkeypatch.setattr(training.Adam, "update", update)
+    monkeypatch.setattr(training.Adam, "step", step)
+    state = jitter_params(DecoderState.init(TINY_PARALLEL, 0))
+    faces = gen_synthetic(TINY_SPEC, 8, 7)
+    assert len(chunk_slices(len(faces), TINY_PARALLEL)) == 3
+    train(state, faces, TrainConfig(steps=2, lr_drop_step=2, batch_size=8))
+    main, size = threading.current_thread(), sum(v.size for v in state.params.values())
+    ends = [i for i, entry in enumerate(log) if entry == ("step",)]
+    assert len(ends) == 2
+    for first, stop in zip([0] + ends, ends):
+        steps_log = log[first:stop]
+        updates = [(i, e) for i, e in enumerate(steps_log) if e[0] == "update"]
+        on_worker = [(i, e) for i, e in updates if e[1] is not main]
+        # the last chunk queues layer 1's update, then layer 0's, each after
+        # every product into that layer's gradient
+        assert len(on_worker) == TINY_PARALLEL.num_layers
+        assert on_worker[0][1][3] > on_worker[1][1][3]
+        for i, (_, _, base, lo, hi) in on_worker:
+            later = [e[1] for e in steps_log[i:] if e[0] == "product"]
+            assert not any(base + 8 * lo <= address < base + 8 * hi for address in later)
+        # this thread updates the rest after the backward: every element once
+        covered = sorted((e[3], e[4]) for _, e in updates)
+        assert covered[0][0] == 0 and covered[-1][1] == size
+        assert all(a[1] == b[0] for a, b in zip(covered, covered[1:]))
+
+
+def test_a_nan_target_in_a_multi_chunk_batch_stops_training_as_before():
+    # the loss is NaN, and so is every layer's gradient: no layer is updated
+    # on the worker, train raises the loss error with no numpy warning, and
+    # the caller's parameters and threads are as they were
+    params, cfg, _, _ = _case("parallel-64")
+    faces = gen_synthetic(_CASES["parallel-64"][1], 2, 3)
+    faces[1] = faces[1]._replace(landmarks=faces[1].landmarks.copy())
+    faces[1].landmarks[2, 0] = np.nan
+    state = DecoderState(cfg, params)
+    before = {k: v.copy() for k, v in params.items()}
+    threads = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as e:
+            train(state, faces, TrainConfig(lr=1e-3, steps=2, lr_drop_step=1, batch_size=2))
+    assert str(e.value) == "training diverged at step 1: loss=nan"
+    assert all(state.params[k].tobytes() == before[k].tobytes() for k in before)
+    assert threading.active_count() == threads
+
+
+def test_only_the_forward_runs_traced_functions_on_the_worker(monkeypatch):
+    # perfbench's tracer keeps one span stack for all threads: of the
+    # functions it wraps, only a chunk's forward and what it calls may run
+    # on the training worker, and Adam.step runs on this thread
+    from test_perfbench_interface import _load_tracing
+
+    main, local = threading.current_thread(), threading.local()
+    strays, ran_on = [], {}
+    modules = [m for name, m in sys.modules.items() if name.startswith("facemark.")]
+    for mod_name, attr in _load_tracing().TRACED:
+        home = sys.modules.get(f"facemark.{mod_name}")
+        owner, _, name = attr.rpartition(".")
+        original = getattr(getattr(home, owner) if owner else home, name, None)
+        if original is None:
+            continue
+        label = f"{mod_name}.{attr}"
+
+        def record(*args, fn=original, label=label, **kwargs):
+            in_forward = getattr(local, "forward", 0)
+            ran_on.setdefault(label, set()).add(threading.current_thread())
+            if threading.current_thread() is not main and not in_forward \
+                    and label != "decoder.forward":
+                strays.append(label)
+            local.forward = in_forward + (label == "decoder.forward")
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                local.forward = in_forward
+
+        if owner:
+            monkeypatch.setattr(getattr(home, owner), name, record)
+        for mod in modules:
+            for key, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, key, record)
+    state = jitter_params(DecoderState.init(TINY_PARALLEL, 0))
+    train(state, gen_synthetic(TINY_SPEC, 8, 7), TrainConfig(steps=2, lr_drop_step=2))
+    assert strays == []
+    assert ran_on["decoder.forward"] - {main} and ran_on["training.Adam.step"] == {main}

@@ -94,6 +94,34 @@ def test_face_spec_values_checked_at_load(override, key):
         load_run_config(overrides=(override,))
 
 
+@pytest.mark.parametrize("override, message", [
+    ("train.batch_size=0", "train.batch_size must be >= 1, got 0"),
+    ("train.lr_drop_step=5000", "train.lr_drop_step 5000 is past the end of the schedule: "
+                                "train.steps is 2000"),
+    ("model.points=0", "model.points must be >= 1, got 0"),
+    ("model.num_layers=0", "model.num_layers must be >= 1, got 0"),
+    ("model.heads=3", "model.dim 16 not divisible by heads 3: model.heads must divide model.dim"),
+    ("model.stage_channels=8", "model.stage_channels has 1 entries but model.levels is 2"),
+])
+def test_model_and_train_values_checked_at_load_name_their_key(override, message):
+    tiny = os.path.join(REPO, "configs", "tiny.cfg")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_run_config(tiny, overrides=(override,))
+
+
+def test_a_checkpoints_config_error_names_the_file_and_the_key(tmp_path):
+    from facemark.decoder import TINY, DecoderState
+
+    path = tmp_path / "model.ckpt"
+    DecoderState.init(TINY).save(path)
+    blob = path.read_bytes()
+    assert b"meta points 2\n" in blob
+    path.write_bytes(blob.replace(b"meta points 2\n", b"meta points 0\n"))
+    with pytest.raises(ConfigError) as err:
+        DecoderState.load(path)
+    assert str(err.value) == f"{path}: model.points must be >= 1, got 0"
+
+
 def test_flip_without_table_rejected_at_load():
     with pytest.raises(ConfigError, match="train.flip_table"):
         load_run_config(overrides=("train.flip=true",))

@@ -643,3 +643,26 @@ def test_loaded_state_preserves_flavor(tmp_path, tiny_batch):
     loaded, _ = DecoderState.load(path)
     assert loaded.config.parallel
     assert not loaded.config.self_attention
+
+
+def test_the_memory_rows_fixed_inputs_are_built_once_per_layout(monkeypatch):
+    # the parallel read's pixel centers, positions and row levels depend on
+    # the layout and width alone: repeated forwards share one read-only set
+    from facemark.geometry import build_pixel_positions, level_of_row, pixel_centers
+
+    calls = []
+    monkeypatch.setattr(decoder, "build_pixel_positions",
+                        lambda *args: calls.append(args) or build_pixel_positions(*args))
+    decoder._memory_rows.cache_clear()
+    cfg = dataclasses.replace(TINY, parallel=True)
+    state = jitter_params(DecoderState.init(cfg, 0))
+    images = np.stack([f.image for f in gen_synthetic(TINY_SPEC, 2, 3)])
+    first = state.predict(images)
+    second = state.predict(images)
+    assert len(calls) == 1
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+    arrays = decoder._memory_rows(cfg.layout, cfg.dim)
+    want = (pixel_centers(cfg.layout), build_pixel_positions(cfg.layout, cfg.dim),
+            level_of_row(cfg.layout))
+    assert all(a.tobytes() == b.tobytes() and not a.flags.writeable
+               for a, b in zip(arrays, want))

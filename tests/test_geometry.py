@@ -397,24 +397,30 @@ def _fused(levels, locs, weights, dout, dense_pixels=0):
 
 def test_bilinear_multi_level_call_equals_per_level_calls():
     # a multi-level call is the sum of per-level calls; each level's
-    # gradients see only that level, so they match bit for bit
+    # gradients see only that level, so they match bit for bit.  Levels are
+    # gathered, all dense (one run sharing one interpolation matrix), or
+    # dense around a gathered one (two runs of one level)
     rng = np.random.default_rng(13)
     heads, d, n_points, r = 3, 4, 2, 5
-    levels = [rng.normal(size=(h, w, heads, d)) for h, w in [(6, 5), (3, 3), (1, 2)]]
-    locs = rng.uniform(-0.3, 1.3, (r, heads, len(levels), n_points, 2))
-    locs[0, 0, :, 0] = [-1e3, 1.0]  # far outside and on an edge, on every level
-    weights = rng.uniform(0.1, 1.0, (r, heads, len(levels), n_points))
-    dout = rng.normal(size=(r, heads, d))
-    out, dlevels, dlocs, dweights = _fused(levels, locs, weights, dout)
-    total = np.zeros_like(out)
-    for l, lev in enumerate(levels):
-        sl = slice(l, l + 1)
-        out_l, dlev, dloc, dwgt = _fused([lev], locs[:, :, sl], weights[:, :, sl], dout)
-        total += out_l
-        npt.assert_array_equal(dlevels[l], dlev[0])
-        npt.assert_array_equal(dlocs[:, :, sl], dloc)
-        npt.assert_array_equal(dweights[:, :, sl], dwgt)
-    assert np.abs(out - total).max() <= 1e-12 * np.abs(total).max()
+    for shapes, dense_pixels in [([(6, 5), (3, 3), (1, 2)], 0),
+                                 ([(6, 5), (3, 3), (1, 2)], DENSE_PIXELS),
+                                 ([(1, 2), (6, 5), (3, 3)], 9)]:
+        levels = [rng.normal(size=(h, w, heads, d)) for h, w in shapes]
+        locs = rng.uniform(-0.3, 1.3, (r, heads, len(levels), n_points, 2))
+        locs[0, 0, :, 0] = [-1e3, 1.0]  # far outside and on an edge, on every level
+        weights = rng.uniform(0.1, 1.0, (r, heads, len(levels), n_points))
+        dout = rng.normal(size=(r, heads, d))
+        out, dlevels, dlocs, dweights = _fused(levels, locs, weights, dout, dense_pixels)
+        total = np.zeros_like(out)
+        for l, lev in enumerate(levels):
+            sl = slice(l, l + 1)
+            out_l, dlev, dloc, dwgt = _fused([lev], locs[:, :, sl], weights[:, :, sl], dout,
+                                             dense_pixels)
+            total += out_l
+            assert dlevels[l].tobytes() == dlev[0].tobytes()
+            assert dlocs[:, :, sl].tobytes() == dloc.tobytes()
+            assert dweights[:, :, sl].tobytes() == dwgt.tobytes()
+        assert np.abs(out - total).max() <= 1e-12 * np.abs(total).max()
 
 
 def _unfused_reference(levels, locs, weights, dout):
