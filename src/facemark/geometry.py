@@ -180,10 +180,10 @@ def _corner_table(levels, locs, dense_pixels):
     heads = shape[1]
     h, w = _level_extents(levels, shape[1:], np.int64)
     rows = np.empty((4,) + shape, dtype=np.int64)
-    corner = [np.empty((2,) + shape, dtype=np.int64) for _ in range(2)]  # ys, xs
+    ys, xs = (np.empty((2,) + shape, dtype=np.int64) for _ in range(2))
     wy, wx = np.empty((2,) + shape), np.empty((2,) + shape)
     flags = []
-    for axis, size, ind, wgt in ((1, h, corner[0], wy), (0, w, corner[1], wx)):
+    for axis, size, ind, wgt in ((1, h, ys, wy), (0, w, xs, wx)):
         g = np.multiply(locs[..., axis], size.astype(np.float64))
         g -= 0.5
         g0 = np.floor(g)
@@ -198,7 +198,6 @@ def _corner_table(levels, locs, dense_pixels):
         np.maximum(ind, 0, out=ind)  # np.clip, without its wrappers
         np.minimum(ind, size - 1, out=ind)
         flags.append(ok)
-    ys, xs = corner
     # row (y * w + x) * heads + head, in exact integer arithmetic
     ys *= w * heads
     ys += np.arange(heads)[:, None, None] + np.zeros_like(w)

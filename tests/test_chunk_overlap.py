@@ -354,16 +354,24 @@ def _flat_digest(params):
     return hashlib.sha256(b"".join(params[k].tobytes() for k in sorted(params))).hexdigest()
 
 
-def test_layer_updates_behind_the_last_backward_keep_the_bits_of_a_step_after_it():
-    # a 64 px default-width parallel batch of two runs as two chunks; in the
-    # second, each layer's Adam update runs on the worker behind its weight
-    # products, the other parameters' after the backward
-    params, cfg, _, _ = _case("parallel-64")
-    faces = gen_synthetic(_CASES["parallel-64"][1], 2, 3)
-    assert len(chunk_slices(len(faces), cfg)) == 2
+@pytest.mark.parametrize("name, count", [("parallel-64", 2), ("tiny-parallel", 8)])
+def test_layer_updates_behind_the_last_backward_keep_the_bits_of_a_step_after_it(name, count):
+    # a 64 px default-width parallel batch of two runs as two chunks, TINY's
+    # batch of eight as three; in the last, each layer's Adam update runs on
+    # the worker behind its weight products, the other parameters' after the
+    # backward.  The two threads hand the interpreter lock over every
+    # microsecond
+    params, cfg, _, _ = _case(name)
+    faces = gen_synthetic(_CASES[name][1], count, 3)
+    assert len(chunk_slices(len(faces), cfg)) == {"parallel-64": 2, "tiny-parallel": 3}[name]
     state = DecoderState(cfg, params)
-    tcfg = TrainConfig(lr=1e-3, steps=2, lr_drop_step=1, batch_size=2)
-    trained, _ = train(state, faces, tcfg)
+    tcfg = TrainConfig(lr=1e-3, steps=3, lr_drop_step=2, batch_size=count)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        trained, _ = train(state, faces, tcfg)
+    finally:
+        sys.setswitchinterval(interval)
     by_hand = _trained_by_hand(state, faces, tcfg)
     assert _flat_digest(trained.params) == hashlib.sha256(by_hand.tobytes()).hexdigest()
 
