@@ -258,14 +258,14 @@ def _level_runs(dense):
     return runs
 
 
-def _dense_blocks(rows, cw, sizes):
-    """The interpolation matrices of a run of consecutive dense levels, a
-    block of _DENSE_ROWS query rows at a time.  `rows` (4, R, heads, levels
-    of the run, points) are the run's table rows, which read pixel * heads +
-    head of their level, `cw` their corner weights, and level j of the run
-    has sizes[j] pixels.  Yields (block, A, idx, cols): A (heads, rows of the
-    block, sum of sizes) holds each head's matrix of every level of the run
-    side by side, level j in columns cols[j], and adds the block's corner
+def _dense_blocks(levels, rows, cw):
+    """The interpolation matrices of `levels`, a run of consecutive dense
+    levels, a block of _DENSE_ROWS query rows at a time.  `rows` (4, R,
+    heads, levels of the run, points) are the run's table rows, which read
+    pixel * heads + head of their level, and `cw` their corner weights.
+    Yields (block, A, idx, cols): A (heads, rows of the
+    block, pixels of the run) holds each head's matrix of every level of
+    the run side by side, level j in columns cols[j], and adds the block's corner
     weights in corner order; idx is the flat index of every corner read
     into A, in the order of rows[:, block].  One index build, one fill and
     one `np.add.at` cover the whole run.  All blocks share one buffer, so A
@@ -273,6 +273,7 @@ def _dense_blocks(rows, cw, sizes):
     (A fresh array per block, as `np.bincount` returns, measured up to
     twice as slow in a 16 x 16 level's backward.)"""
     r, heads = rows.shape[1:3]
+    sizes = [lev.shape[0] * lev.shape[1] for lev in levels]
     width = sum(sizes)
     first = np.cumsum([0] + sizes[:-1])
     cols = [slice(c, c + size) for c, size in zip(first, sizes)]
@@ -326,10 +327,9 @@ def bilinear_sample_many(levels, locs: np.ndarray, weights: np.ndarray, outs, de
     for first, stop, dense in _level_runs(table.dense):
         run = range(first, stop)
         if dense:
-            sizes = [levels[l].shape[0] * levels[l].shape[1] for l in run]
             vs = [_heads_first(levels[l]) for l in run]
-            lev_rows, lev_cw = table.rows[:, :, :, first:stop], cw[:, :, :, first:stop]
-            for b, a, _, cols in _dense_blocks(lev_rows, lev_cw, sizes):
+            for b, a, _, cols in _dense_blocks(levels[first:stop], table.rows[:, :, :, first:stop],
+                                               cw[:, :, :, first:stop]):
                 for l, v, c in zip(run, vs, cols):
                     outs[l][b] += np.matmul(a[:, :, c], v).transpose(1, 0, 2)
             continue
@@ -389,11 +389,10 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, douts, dl
     for first, stop, dense in _level_runs(table.dense):
         run = range(first, stop)
         if dense:
-            sizes = [levels[l].shape[0] * levels[l].shape[1] for l in run]
             vs = [_heads_first(levels[l]) for l in run]
             dvs = [_heads_first(dlevels[l]) for l in run]
-            lev_rows, lev_cw = rows[:, :, :, first:stop], cw[:, :, :, first:stop]
-            for b, a, idx, cols in _dense_blocks(lev_rows, lev_cw, sizes):
+            for b, a, idx, cols in _dense_blocks(levels[first:stop], rows[:, :, :, first:stop],
+                                                 cw[:, :, :, first:stop]):
                 dout_h = [dout[l][b].transpose(1, 0, 2) for l in run]
                 for dv, dh, c in zip(dvs, dout_h, cols):
                     dv += np.matmul(a[:, :, c].transpose(0, 2, 1), dh)
