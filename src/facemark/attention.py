@@ -53,14 +53,14 @@ parallel decoder projects every memory row first (`project_value`, then
 copy, as (h_l, w_l, B * heads, head_dim) (`level_views`): image b's head k
 is head b * heads + k, and the sampling locations (R, B * heads, levels,
 points, 2) follow the same fold.  Every level adds into one shared output,
-and its gradient into the level views of one value gradient.  This read
-asks the kernel for dense reads of the levels of at most DENSE_PIXELS
-pixels (one GEMM per image and head instead of a gather/scatter).  The
-basic decoder's read (`_sample_project_fwd`) keeps the gather on every
-level and builds no memory: it samples each level's ch_l-wide backbone
-features into that level's own output (and back into their gradient),
-and maps what its queries read through the level projection composed with
-the value projection; see the comment above `_bias_mass`.
+and its gradient into the level views of one value gradient.  The basic
+decoder's read (`_sample_project_fwd`) builds no memory: it samples each
+level's ch_l-wide backbone features into that level's own output (and back
+into their gradient), and maps what its queries read through the level
+projection composed with the value projection; see the comment above
+`_bias_mass`.  Both reads follow one rule: the kernel reads the levels of
+at most DENSE_PIXELS pixels densely (one GEMM per image and head instead
+of a gather/scatter) and gathers the larger ones.
 """
 
 from __future__ import annotations
@@ -480,7 +480,8 @@ def deform_project_bwd(dout, cache: DeformCache, g, dlevels):
 # its value is one GEMM per image and head.  The kernel reads level l as
 # (h, w, B, ch_l), without a copy: its head b is image b, its query rows are
 # the (query, head) pairs, (N * heads, B, ...), and each level adds into its
-# own output, which the row joins.
+# own output, which the row joins.  As in the parallel read, levels of at
+# most DENSE_PIXELS pixels are read by GEMM and larger ones gathered.
 
 def _bias_mass(table, weights):
     """Per kernel row, head and level, the sum over the level's points of
@@ -520,7 +521,7 @@ def _sample_project_fwd(x, refs, feats, proj, p, cfg: ModelConfig):
     # what each (query, head) read, in the order of the stacked rows: every
     # level's features side by side, then each level's mass
     outs = [np.zeros(locs.shape[:2] + f.shape[-1:]) for f in feats]
-    cc = deform_core_fwd(feats, locs, weights, outs)
+    cc = deform_core_fwd(feats, locs, weights, outs, DENSE_PIXELS)
     agg = np.concatenate(outs + [_bias_mass(cc.table, weights)], axis=-1)
     # (B, heads, N, rows) view: one GEMM per image and head
     agg = agg.reshape(n, heads, bsz, -1).transpose(2, 1, 0, 3)

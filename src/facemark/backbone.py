@@ -108,13 +108,12 @@ def conv2d_bwd(dout, cache: ConvCache, gw, gb, input_grad=True):
         return None
     dcols = np.matmul(dout3.transpose(0, 2, 1), w.reshape(cout, -1))
     dcols = dcols.reshape(bsz, ho, wo, cin, 3, 3)
-    dxp = np.zeros((bsz, cin, hi + 2, wi + 2))
+    # channels-last, so that each tap adds runs of whole pixels
+    dxp = np.zeros((bsz, hi + 2, wi + 2, cin))
     for ky in range(3):
         for kx in range(3):
-            dxp[:, :, ky:ky + ho * stride:stride, kx:kx + wo * stride:stride] += (
-                dcols[..., ky, kx].transpose(0, 3, 1, 2)
-            )
-    return dxp[:, :, 1:-1, 1:-1]
+            dxp[:, ky:ky + ho * stride:stride, kx:kx + wo * stride:stride] += dcols[..., ky, kx]
+    return np.ascontiguousarray(dxp[:, 1:-1, 1:-1].transpose(0, 3, 1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ forward gathers corner rows, and the backward scatters with one
 `np.bincount` per block of channels, in corner order.  With one point of
 weight 1 per row (rotation), both keep the summation order of a masked
 kernel with a corner-by-corner scatter-add, so their bits match it.  A
-level of at most `dense_pixels` pixels, a forward argument that only the
-parallel decoder sets (to DENSE_PIXELS = 256), is read by GEMM instead:
+level of at most `dense_pixels` pixels, a forward argument that both
+deformable reads set to DENSE_PIXELS = 256 (rotation leaves it at 0), is
+read by GEMM instead:
 each block of 64 query rows builds one interpolation matrix per run of
 consecutive dense levels from the corner table, each level in its own
 columns; the forward adds each level's A @ V and the backward adds
@@ -213,14 +214,19 @@ def _corner_table(levels, locs, dense_pixels):
 _BLOCK = 1 << 15
 
 # A level of at most this many pixels is read by GEMM when the caller asks
-# for dense reads; larger levels are gathered.  Set from crossovers measured
-# at default width (8 heads, head_dim 32, 4 points, 408 query rows, one level
-# per call, forward / backward): 8 x 8 and smaller levels took 1.4-2.1 /
-# 1.5-1.9 ms dense against 2.9-4.0 / 7.1-9.4 ms gathered, 16 x 16 took
-# 2.9-3.1 / 5.6-5.7 against 2.9-3.7 / 7.7-9.2 ms, and 32 x 32 took 11 / 19-20
-# against 3.3-4.3 / 7.9-9.9 ms.  So at 64 px every level of the parallel
-# decoder is dense, and at 256 px the 64 x 64 and 32 x 32 levels are
-# gathered.
+# for dense reads; larger levels are gathered.  Both deformable reads ask.
+# Set from crossovers measured at default width (8 heads, head_dim 32, 4
+# points, 408 query rows, one level per call, forward / backward): 8 x 8 and
+# smaller levels took 1.4-2.1 / 1.5-1.9 ms dense against 2.9-4.0 / 7.1-9.4 ms
+# gathered, 16 x 16 took 2.9-3.1 / 5.6-5.7 against 2.9-3.7 / 7.7-9.2 ms, and
+# 32 x 32 took 11 / 19-20 against 3.3-4.3 / 7.9-9.9 ms.  So at 64 px every
+# level of the parallel decoder is dense, and at 256 px the 64 x 64 and
+# 32 x 32 levels are gathered.  The basic read's crossover is the same: on
+# one 3-image chunk of the default basic decoder (2-core x86, one BLAS
+# thread; levels 64 x 64 .. 8 x 8 of 16-128 channels; every layer's pass
+# summed, forward / backward) all levels gathered took 40 / 107 ms, dense up
+# to 8 x 8 32 / 80 ms, up to 16 x 16 35 / 64 ms and up to 32 x 32
+# 49 / 99 ms.  TINY's levels (8 x 8, 4 x 4) are all dense.
 DENSE_PIXELS = 256
 
 # Query rows per block of a dense read.  Each block builds its own
@@ -377,6 +383,9 @@ def bilinear_sample_many_backward(levels, weights, table: CornerTable, douts, dl
     holds values does not give the bits of adding a fresh call's result to
     that array: over more than _DENSE_ROWS rows the running sum takes each
     block's product in turn.  A gathered level adds its whole result once.
+    The parallel read hands each layer a zeroed array, but the basic read
+    hands every layer the same feature gradients `dfeats`, so there each
+    layer's dense blocks add into the sum of the layers after it.
     """
     rows = table.rows
     wt = _bilinear_weights(table)

@@ -326,16 +326,15 @@ class SyntheticFaceSpec:
             raise ConfigError("need at least one landmark")
         if self.image_side < 4:
             raise ConfigError("image side too small")
-        if not self.blob_sigma > 0.0:
-            raise ConfigError(f"data.blob_sigma must be > 0, got {self.blob_sigma}")
-        # render_face divides squared pixel distances, up to about 2 * side^2
-        # at the far corner, by 2 sigma^2 (sigma in pixels); both must stay
-        # finite and non-zero, or the blobs vanish or fill the image
-        sigma = self.blob_sigma * self.image_side
-        two_s2 = 2.0 * sigma * sigma
-        if not (0.0 < two_s2 < math.inf and 0.0 < 2.0 * self.image_side ** 2 / two_s2 < math.inf):
+        # a blob narrower than a quarter pixel falls between the pixel
+        # centres (noise only), one wider than the image fills it (all white);
+        # in between, render_face's squared distances over 2 sigma^2 (sigma in
+        # pixels) stay finite and non-zero
+        if not (0.25 <= self.blob_sigma * self.image_side and self.blob_sigma <= 1.0):
             raise ConfigError(f"data.blob_sigma = {self.blob_sigma} cannot be drawn at "
-                              f"image side {self.image_side}")
+                              f"image side {self.image_side}: it must lie in "
+                              f"[{0.25 / self.image_side:.3g}, 1], a quarter pixel to the "
+                              "whole side")
         if not self.noise_level >= 0.0:
             raise ConfigError(f"data.noise_level must be >= 0, got {self.noise_level}")
         if not self.bbox_enlarge > -1.0:  # else the box's sides turn negative

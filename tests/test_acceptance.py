@@ -20,6 +20,7 @@ import pytest
 from facemark.cli import main
 from facemark.config import ENV_CONFIG
 from facemark.decoder import TINY, DecoderState, ModelConfig, init_params
+from facemark.geometry import DENSE_PIXELS
 from facemark.metrics import auc, evaluate, failure_rate, nme, resolve_normalizer
 from facemark.params import count_parameters
 from facemark.training import (
@@ -82,6 +83,16 @@ def test_01_gradients_match_finite_differences(tiny_batch):
         for label, r in reports.items()
     )
     assert _verdict(1, "gradient integrity", ok, f"{detail}, {elapsed:.1f}s")
+
+
+def test_01_gathered_read_gradients_match_finite_differences():
+    # TINY's basic read is dense on both levels at 32 px; at 128 px its
+    # 32 x 32 level is gathered and its 16 x 16 level dense
+    cfg = dataclasses.replace(TINY, image_side=128)
+    assert [h * w > DENSE_PIXELS for h, w in cfg.layout.levels] == [True, False]
+    batch = gen_synthetic(dataclasses.replace(TINY_SPEC, image_side=128), 2, 7)
+    report = grad_check(jitter_params(DecoderState.init(cfg, seed=0)), batch, threshold=1e-4)
+    assert report.ok, f"{len(report.entries)} paths, worst rel {report.worst.max_rel:.2e}"
 
 
 def test_02_overfits_eight_faces(overfit_run):

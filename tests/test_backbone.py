@@ -10,7 +10,7 @@ from facemark.backbone import (
     extract_memory,
     extract_memory_bwd,
 )
-from facemark.decoder import ModelConfig
+from facemark.decoder import TINY, ModelConfig
 from facemark.errors import ConfigError
 
 from conftest import backbone_params
@@ -137,6 +137,44 @@ def test_conv_backward_without_input_grad_keeps_param_grads():
     assert dx is None
     for k in ("w", "b"):
         npt.assert_array_equal(grads[k], full[k])
+
+
+def _col2im_channels_first(dout, cache):
+    """The input gradient as nine channels-first tap adds, in (ky, kx)
+    order, over the padded input."""
+    cols, w, stride, (bsz, cin, hi, wi), (ho, wo) = cache
+    cout = w.shape[0]
+    dcols = np.matmul(dout.reshape(bsz, cout, ho * wo).transpose(0, 2, 1), w.reshape(cout, -1))
+    dcols = dcols.reshape(bsz, ho, wo, cin, 3, 3)
+    dxp = np.zeros((bsz, cin, hi + 2, wi + 2))
+    for ky in range(3):
+        for kx in range(3):
+            dxp[:, :, ky:ky + ho * stride:stride, kx:kx + wo * stride:stride] += (
+                dcols[..., ky, kx].transpose(0, 3, 1, 2))
+    return dxp[:, :, 1:-1, 1:-1]
+
+
+@pytest.mark.parametrize("cfg", [TINY, ModelConfig()], ids=["tiny", "default"])
+def test_conv_input_grad_matches_channels_first_col2im_bit_for_bit(cfg):
+    # every conv of the backbone, at its input side and stride: the
+    # channels-last col2im adds the same terms in the same order
+    rng = np.random.default_rng(8)
+    cin, side = 3, cfg.image_side
+    for i, cout in enumerate(cfg.stage_channels):
+        for conv_in, stride in ((cin, 2), (cout, 2 if i == 0 else 1)):
+            x = rng.normal(size=(2, conv_in, side, side))
+            w = rng.normal(size=(cout, conv_in, 3, 3))
+            out, cache = conv2d_fwd(x, w, np.zeros(cout), stride)
+            bsz, _, ho, wo = out.shape
+            # plain, and laid out channels-last as the backward hands it on
+            for dout in (rng.normal(size=out.shape),
+                         rng.normal(size=(bsz, ho, wo, cout)).transpose(0, 3, 1, 2)):
+                dx = conv2d_bwd(dout, cache, np.zeros_like(w), np.zeros(cout))
+                assert dx.shape == x.shape and dx.flags.c_contiguous
+                assert dx.tobytes() == np.ascontiguousarray(
+                    _col2im_channels_first(dout, cache)).tobytes()
+            side = out.shape[-1]
+        cin = cout
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,10 @@ def test_bad_value_and_bad_override_shape():
     ("data.blob_sigma=0", "data.blob_sigma"),
     ("data.blob_sigma=1e-300", "data.blob_sigma"),  # 2 sigma^2 is zero
     ("data.blob_sigma=1e300", "data.blob_sigma"),  # 2 sigma^2 overflows
+    # a blob narrower than a quarter pixel (noise only), one wider than the
+    # image (all white)
+    ("data.blob_sigma=0.0009", "data.blob_sigma = 0.0009 cannot be drawn at image side 256"),
+    ("data.blob_sigma=1.5", "data.blob_sigma = 1.5 cannot be drawn at image side 256"),
     ("data.noise_level=-3", "data.noise_level"),
     ("data.bbox_enlarge=-5", "data.bbox_enlarge"),
     ("data.bbox_enlarge=-1", "data.bbox_enlarge"),
