@@ -23,22 +23,20 @@ Self-attention mixes the N queries of each image only.  The deformable
 functions take the decoder's `ModelConfig` for their head, level and point
 counts.
 
-A weight gradient that lands directly in the flat gradient buffer goes
-through `add_weight_grad` (`linear_bwd`'s, and `backbone.conv2d_bwd`'s).
-Nothing later in the backward reads it, so while `WEIGHT_GRADS` is set the
-product runs as a task on the training worker (`training`), off the
-backward's critical path; unset, the same helper runs inline.  The worker
-runs its tasks in the order they were queued, so each parameter receives
-its adds in the order of a serial loop.  `linear_bwd` takes no other kind
-of view, so every product it forms is deferrable; a product into a
-per-image intermediate that the backward reads later, such as the level
-projections' in `backbone.extract_memory_bwd`, is formed where it is read,
-inline.
-
-While `REQUEST_WORKER` is set, which `cli` does for a predict or eval
-request only, `linear_fwd`, `backbone.conv2d_fwd` and the basic read's
-value map hand the upper half of a large product's rows to that request's
-worker (`split_rows`); every output row keeps its bits.
+One worker serves training and requests: `worker()` holds one thread for
+a block and publishes it as `WORKER`.  While it is set, `defer(fn, *args)`
+queues fn on it, and `split_rows` hands it the upper half of a forward
+product of at least SPLIT_MACS multiply-adds; unset, both run inline.
+`linear_bwd` and `backbone.conv2d_bwd` defer their weight gradients, which
+land directly in the flat gradient buffer and which nothing later in the
+backward reads, so in a multi-chunk training batch they run off the
+backward's critical path (`training`), in the order they were queued: each
+parameter receives its adds in the order of a serial loop.  `linear_bwd`
+takes no other kind of view, so every product it forms may be deferred; a
+product into a per-image intermediate that the backward reads later, such
+as the level projections' in `backbone.extract_memory_bwd`, is formed where
+it is read, inline.  `cli` holds the worker for a predict or eval request,
+whose large products then split; each output row keeps its bits.
 
 The deformable core (bilinear reads weighted by the softmaxed attention
 weights, summed per head) is the fused `geometry.bilinear_sample_many` and
@@ -65,6 +63,7 @@ of a gather/scatter) and gathers the larger ones.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 from collections import namedtuple
 from concurrent import futures
@@ -115,29 +114,63 @@ def _matmul_rows(a, b):
     return out
 
 
-# The function that queues a task on the training worker, while
-# `training.batch_loss_and_grads` runs one beside its backward.
-WEIGHT_GRADS = contextvars.ContextVar("WEIGHT_GRADS", default=None)
+# The worker of the innermost `worker()` block; unset on the worker itself.
+WORKER = contextvars.ContextVar("WORKER", default=None)
 
 
-def add_weight_grad(product, gw, *args):
-    """Run product(gw, *args), which adds a weight gradient into gw, a view
-    of the flat gradient buffer: here, or queued on the training worker
-    while `WEIGHT_GRADS` is set.  The arrays in args must not change
-    afterwards."""
-    submit = WEIGHT_GRADS.get()
-    if submit is None:
-        product(gw, *args)
+class _Worker:
+    """One thread that runs tasks first in, first out, each in a copy of
+    its submitter's context with WORKER unset: `np.errstate` holds there,
+    and a task never waits on its own thread.  Only the submitter holds a
+    task's future, so a finished task's result (a forward's cache, a split
+    half) lives no longer than the submitter keeps it."""
+
+    def __init__(self):
+        self.pool = futures.ThreadPoolExecutor(max_workers=1)  # starts at the first task
+        self.errors = []  # the deferred tasks' errors, in queue order
+
+    def submit(self, fn, *args):
+        context = contextvars.copy_context()
+        context.run(WORKER.set, None)
+        return self.pool.submit(context.run, fn, *args)
+
+    def _deferred_done(self, future):
+        if not future.cancelled() and future.exception() is not None:
+            self.errors.append(future.exception())
+
+
+@contextlib.contextmanager
+def worker():
+    """Hold one worker thread for the block and publish it as `WORKER`.  On
+    exit the thread is joined: after every task has run, and the first
+    deferred task's error is then raised as it is; when the block raises,
+    after the task in flight, the queued ones cancelled."""
+    lane = _Worker()
+    token = WORKER.set(lane)
+    try:
+        yield lane
+    except BaseException:
+        lane.pool.shutdown(cancel_futures=True)
+        raise
+    finally:
+        WORKER.reset(token)
+    lane.pool.shutdown()
+    if lane.errors:
+        raise lane.errors[0]
+
+
+def defer(fn, *args):
+    """Run fn(*args): here, or queued on the worker while `WORKER` is set.
+    The arrays in args must not change afterwards."""
+    lane = WORKER.get()
+    if lane is None:
+        fn(*args)
     else:
-        submit(product, gw, *args)
+        lane.submit(fn, *args).add_done_callback(lane._deferred_done)
 
-
-# The function that runs a task on the request's worker thread and returns
-# its future, while `cli` serves a predict or eval request.
-REQUEST_WORKER = contextvars.ContextVar("REQUEST_WORKER", default=None)
 
 # A forward product of at least this many multiply-adds computes the upper
-# half of its rows on the request worker.  Each output row is its own dot
+# half of its rows on the worker.  Each output row is its own dot
 # products, so a row half holds the bits of the whole product: on the
 # SkylakeX kernel the halves of every default-scale product gave the bits of
 # the whole.  Set from a measurement at default scale, one BLAS thread, on a
@@ -163,13 +196,13 @@ def both_halves(submit, task, n):
 
 def split_rows(task, rows, macs):
     """Run task(sl), which fills rows sl of a product's output, over all
-    `rows` rows: here, or, while `REQUEST_WORKER` is set and the product
-    has at least SPLIT_MACS multiply-adds, half of them on the worker."""
-    submit = REQUEST_WORKER.get()
-    if submit is None or macs < SPLIT_MACS:
+    `rows` rows: here, or, while `WORKER` is set and the product has at
+    least SPLIT_MACS multiply-adds, half of them on the worker."""
+    lane = WORKER.get()
+    if lane is None or macs < SPLIT_MACS:
         task(slice(0, rows))
     else:
-        both_halves(submit, task, rows)
+        both_halves(lane.submit, task, rows)
 
 
 def _linear_weight_grad(gw, x3, dout_b):
@@ -197,11 +230,11 @@ def linear_fwd(x, w, b, out=None):
 
 def linear_bwd(dout, cache, gw, gb):
     """The input gradient; adds the weight and bias gradients, summed over
-    the images, into gw (through `add_weight_grad`) and gb."""
+    the images, into gw (through `defer`) and gb."""
     x3, w = cache
     dout_b = dout.reshape(x3.shape[:2] + w.shape[1:]).transpose(1, 0, 2)
     dx = np.matmul(dout_b, w.T).transpose(1, 0, 2)
-    add_weight_grad(_linear_weight_grad, gw, x3, dout_b)
+    defer(_linear_weight_grad, gw, x3, dout_b)
     gb += _sum_rows(dout)
     return dx.reshape(dout.shape[:-1] + w.shape[:1])
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .attention import _matmul_rows, add_weight_grad, linear_fwd, relu_fwd, split_rows
+from .attention import _matmul_rows, defer, linear_fwd, relu_fwd, split_rows
 from .errors import ConfigError
 from .params import Params, Row
 
@@ -96,13 +96,13 @@ def _conv_weight_grad(gw, dout3, cols):
 def conv2d_bwd(dout, cache: ConvCache, gw, gb, input_grad=True):
     """The input gradient; the parameter gradients, which sum each image's
     positions and then the images in order, are added into gw (through
-    `attention.add_weight_grad`) and gb.
+    `attention.defer`) and gb.
     With input_grad=False the input gradient is not computed and comes
     back as None."""
     cols, w, stride, (bsz, cin, hi, wi), (ho, wo) = cache
     cout = w.shape[0]
     dout3 = dout.reshape(bsz, cout, ho * wo)
-    add_weight_grad(_conv_weight_grad, gw, dout3, cols)
+    defer(_conv_weight_grad, gw, dout3, cols)
     gb += np.add.reduce(np.add.reduce(dout3, axis=2), axis=0)
     if not input_grad:
         return None

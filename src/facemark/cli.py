@@ -9,18 +9,15 @@ runtime or numeric failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import contextvars
 import dataclasses
 import functools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import io as fio
-from .attention import REQUEST_WORKER
+from .attention import worker
 from .config import ENV_CONFIG, load_run_config, model_hash
 from .decoder import DecoderState, param_shapes
 from .errors import ConfigError, NumericError
@@ -127,23 +124,9 @@ def cmd_train(args):
     return 0
 
 
-@contextlib.contextmanager
-def request_worker():
-    """Hold one worker thread for an inference request and publish it as
-    `attention.REQUEST_WORKER`: the checkpoint read and the large forward
-    products hand it half their work.  Its tasks run in a copy of the
-    caller's context, so `np.errstate` holds there too, and never submit
-    to it.  The thread starts at the first task and is joined on exit."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        token = REQUEST_WORKER.set(
-            lambda fn, *args: pool.submit(contextvars.copy_context().run, fn, *args))
-        try:
-            yield
-        finally:
-            REQUEST_WORKER.reset(token)
-
-
-@request_worker()
+# each inference verb holds the worker for its request: the checkpoint read
+# and the large forward products hand it half their work
+@worker()
 def cmd_eval(args):
     rc = load_run_config(args.config, args.overrides)
     state, _ = DecoderState.load(args.ckpt)
@@ -170,7 +153,7 @@ def cmd_eval(args):
     return 0
 
 
-@request_worker()
+@worker()
 def cmd_predict(args):
     state, extra = DecoderState.load(args.ckpt)
     image = fio.read_ppm(args.image)

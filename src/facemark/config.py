@@ -33,6 +33,10 @@ class _ModelKeys:
 
     seed: int = 0  # parameter init seed
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"model.seed must be >= 0, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class _DataKeys:
@@ -43,7 +47,9 @@ class _DataKeys:
 
     def __post_init__(self):
         if self.count < 1:
-            raise ConfigError("data.count must be >= 1")
+            raise ConfigError(f"data.count must be >= 1, got {self.count}")
+        if self.seed < 0:
+            raise ConfigError(f"data.seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,11 @@ parameter gradients add the images in order, so a chunk gives the bits of
 a loop over its images.  Callers split a larger stack into chunks of
 `images_per_chunk` images, so that a deformable pass holds about
 CHUNK_ROWS query rows.  `forward` and `backward` write into no parameter,
-so training runs the next chunk's forward on a worker thread beside this
-chunk's backward; each backward still adds into the gradients on one
-thread, in chunk order, so the overlap moves no bit.
+so training runs the next chunk's forward on the worker beside this
+chunk's backward (`training`); each gradient entry is still added in chunk
+order, so the overlap moves no bit.  `backward` calls its `layer_done`
+argument once each layer is finished, which lets `train` queue that
+layer's Adam update.
 
 `ModelConfig` is the one model config: the attention and backbone
 functions read their geometry from it, and it is validated in one place.
@@ -47,7 +49,6 @@ their shapes.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -441,21 +442,16 @@ def forward(params: Params, images, cfg: ModelConfig, keep_cache=True):
     return [y.transpose(1, 0, 2) for y in ys], cache if keep_cache else None
 
 
-# The function that `backward` calls with t once layer t's backward has
-# returned: after that the calling thread adds nothing more into the
-# layers.{t}.* gradients.  `training.batch_loss_and_grads` sets it for the
-# last chunk of a batch that `training.train` runs.
-LAYER_DONE = contextvars.ContextVar("LAYER_DONE", default=None)
-
-
-def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache, grads: Params):
+def backward(dys, params: Params, cfg: ModelConfig, cache: ForwardCache, grads: Params,
+             layer_done=None):
     """Backpropagate per-stage landmark gradients dys (same layout as ys).
 
     Adds the parameter gradients, summed over the chunk's images, into the
-    caller's buffer `grads`, which holds every parameter path.  While
-    `LAYER_DONE` is set, calls it with t after layer t's backward.
+    caller's buffer `grads`, which holds every parameter path.  Calls
+    `layer_done`, if given, with t once layer t's backward has returned:
+    after that this thread adds nothing more into the layers.{t}.*
+    gradients.
     """
-    layer_done = LAYER_DONE.get()
     ys = cache.ys
     dys = [dy.transpose(1, 0, 2) for dy in dys]
     # the reference points of layer t are stage t's estimate

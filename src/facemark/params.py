@@ -19,7 +19,7 @@ import typing
 
 import numpy as np
 
-from .attention import REQUEST_WORKER, both_halves
+from .attention import WORKER, both_halves
 from .errors import ConfigError
 
 Params = dict[str, np.ndarray]
@@ -163,7 +163,7 @@ def _read_payload(fd: int, buf: np.ndarray, offset: int, blocks: list[slice]):
 def load_checkpoint(path: str) -> tuple[Params, dict[str, str]]:
     """(params, meta) of a checkpoint.  The payload is read once, block by
     block, into the vector of `flat_views`; every parameter is a writable
-    view of it.  While `attention.REQUEST_WORKER` is set, the worker reads
+    view of it.  While `attention.WORKER` is set, the worker reads
     and checks the upper half of the blocks.  A payload with a non-finite
     value is a ConfigError naming the first such parameter in sorted
     order."""
@@ -200,11 +200,11 @@ def load_checkpoint(path: str) -> tuple[Params, dict[str, str]]:
         def read(sl):
             return _read_payload(fd, buf, offset, blocks[sl])
 
-        submit = REQUEST_WORKER.get()
-        if submit is None or len(blocks) < 2:
+        lane = WORKER.get()
+        if lane is None or len(blocks) < 2:
             parts = [read(slice(None))]
         else:
-            parts = both_halves(submit, read, len(blocks))
+            parts = both_halves(lane.submit, read, len(blocks))
     whole, finite = (all(flags) for flags in zip(*parts))
     if not whole:
         raise ConfigError(f"checkpoint payload of {path} changed while reading")

@@ -6,39 +6,34 @@ Sizes here are desk scale: datasets are lists of Sample tuples held in
 memory, batches are plain index lists, and the schedule is counted in
 optimizer steps (a step over the full batch stands in for an epoch).  A
 batch runs through the model one chunk of images at a time
-(`decoder.chunk_slices`), one forward and one backward per chunk.  While
-the calling thread runs a chunk's loss and backward, one worker thread
-runs the next chunk's forward and then that backward's weight-gradient
-products (`attention.add_weight_grad`), so a batch of several chunks keeps
-a second core busy.  The worker runs its tasks in the order they were
-queued: chunk i + 1's forward, then chunk i's weight products in the
-backward's order; in `train`, the last chunk's backward also queues each
-layer's Adam update once that layer's backward has returned, behind the
-layer's weight products, the last adds into its gradient.  The forward
-only reads the parameters, and a layer's update writes only that layer's
+(`decoder.chunk_slices`), one forward and one backward per chunk.  A batch
+of several chunks holds the package's one worker (`attention.worker`):
+while the calling thread runs a chunk's loss and backward, the worker runs
+the next chunk's forward and then the tasks that backward defers
+(`attention.defer`): its weight-gradient products and, in `train`'s last
+chunk, each layer's Adam update once that layer's backward has returned,
+behind the layer's weight products, the last adds into its gradient.  The
+worker runs its tasks in the order they were queued.  The forward only
+reads the parameters, and a layer's update writes only that layer's
 parameters, which no later part of the backward reads; each gradient
 entry is added either only on the calling thread or only on the worker,
 in chunk order either way.  So losses, gradients and checkpoints keep the
-bits of a serial loop followed by one Adam step.  Only products that land
-directly in the flat gradient buffer go through that helper, so only they
-run on the worker: one into a per-image intermediate that the backward
-reads later would race with that read.
+bits of a serial loop followed by one Adam step.
 """
 
 from __future__ import annotations
 
-import contextvars
+import contextlib
 import dataclasses
 import functools
 import math
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import WEIGHT_GRADS
-from .decoder import LAYER_DONE, DecoderState, ModelConfig, backward, chunk_slices, forward
+from .attention import defer, worker
+from .decoder import DecoderState, ModelConfig, backward, chunk_slices, forward
 from .errors import ConfigError, NumericError
 from .geometry import bilinear_sample_many
 from .params import Params, flat_views
@@ -69,13 +64,8 @@ def landmark_loss(outputs, gt):
     return loss, dys
 
 
-# The function that updates layer t's parameters from its finished gradient,
-# which `train` sets around each `batch_loss_and_grads` call.
-LAYER_UPDATE = contextvars.ContextVar("LAYER_UPDATE", default=None)
-
-
 def batch_loss_and_grads(params: Params, cfg: ModelConfig, images, targets,
-                         buffer=None):
+                         buffer=None, layer_update=None):
     """Mean loss and mean parameter gradients over a batch of images
     (B, 3, side, side) and targets (B, N, 2): (loss, flat gradient vector,
     its {path: view} dict), laid out by `flat_views`.  The gradients go
@@ -83,60 +73,39 @@ def batch_loss_and_grads(params: Params, cfg: ModelConfig, images, targets,
     into a new one; either is zero-filled first, while chunk 0's forward
     runs.
 
-    A batch of several chunks runs every chunk's forward on one worker
-    thread, chunk i + 1's while this thread runs chunk i's loss and
-    backward, and queues that backward's weight-gradient products behind it
-    (module docstring).  Every task runs in a copy of this thread's
-    context, so `np.errstate` holds there too.  The worker lives only for
-    the call, which returns once every task has finished: an error from
-    either thread is raised as it is, after the task in flight has
-    finished and the queued ones have been cancelled.
-
-    While `LAYER_UPDATE` is set (`train` sets it), a batch of several
-    chunks also queues LAYER_UPDATE's function for each layer t in the
-    last chunk's backward, once layer t's backward has returned."""
+    A batch of several chunks runs inside one `attention.worker()` block:
+    every chunk's forward runs on the worker, chunk i + 1's while this
+    thread runs chunk i's loss and backward, whose weight-gradient products
+    queue behind it (module docstring).  The call returns once every task
+    has finished, and an error from either thread is raised as it is.  In
+    such a batch, `layer_update` (`train` passes it), if given, is queued
+    with each layer t in the last chunk's backward, once layer t's backward
+    has returned.  A batch of one chunk runs here, with no thread."""
     images, targets = np.asarray(images), np.asarray(targets)
     scale = 1.0 / len(images)
     total = 0.0
     flat, grads = buffer or flat_views({k: v.shape for k, v in params.items()})
     slices = chunk_slices(len(images), cfg)
-    pool = ThreadPoolExecutor(max_workers=1)  # its thread starts at the first submit
-    products = []  # the weight products' futures, not the forwards': those hold caches
+    # in the last chunk, each layer's update queues behind its last weight products
+    update = functools.partial(defer, layer_update) if layer_update and len(slices) > 1 else None
+    with worker() if len(slices) > 1 else contextlib.nullcontext() as lane:
 
-    def submit(fn, *args):
-        return pool.submit(contextvars.copy_context().run, fn, *args)
+        def ahead(i):
+            return lane.submit(forward, params, images[slices[i]], cfg) if i < len(slices) else None
 
-    def ahead(i):
-        return submit(forward, params, images[slices[i]], cfg) if i < len(slices) else None
-
-    def defer(product, *args):
-        products.append(submit(product, *args))
-
-    # a batch of one chunk runs inline: no thread, no hook
-    hooks = [WEIGHT_GRADS.set(defer)] if len(slices) > 1 else []
-    update = LAYER_UPDATE.get() if hooks else None
-    try:
         # chunk 0's forward runs on the worker too: a cache built here would
         # sit in this thread's malloc arena, which the worker's forwards do
         # not reuse (64 px parallel peaked 28 MB higher).  The buffer is
         # zeroed meanwhile.
-        pending = ahead(0) if hooks else None
+        pending = ahead(0) if lane else None
         flat.fill(0.0)
         for i, sl in enumerate(slices):
             ys, cache = forward(params, images[sl], cfg) if pending is None else pending.result()
             pending = ahead(i + 1)
             loss, dys = landmark_loss(ys, targets[sl])
             total += loss
-            if update is not None and i == len(slices) - 1:
-                # each layer's update queues behind its last weight products
-                hooks.append(LAYER_DONE.set(lambda t: defer(update, t)))
-            backward([dy * scale for dy in dys], params, cfg, cache, grads)
-        for product in products:
-            product.result()
-    finally:
-        for token in reversed(hooks):
-            token.var.reset(token)
-        pool.shutdown(cancel_futures=True)
+            backward([dy * scale for dy in dys], params, cfg, cache, grads,
+                     update if i == len(slices) - 1 else None)
     return total / len(images), flat, grads
 
 
@@ -451,6 +420,8 @@ class TrainConfig:
                               f"schedule: train.steps is {self.steps}")
         if self.batch_size < 1:
             raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
 
 
 def _layer_ranges(flat, views: Params, num_layers: int):
@@ -512,12 +483,8 @@ def train(state: DecoderState, dataset, cfg: TrainConfig, log=None):
                 opt.update(flat, grad_buffer[0], lr, lo, hi, opt.t + 1)
                 done.append((lo, hi))
 
-        token = LAYER_UPDATE.set(update_layer)
-        try:
-            loss, gflat, grads = batch_loss_and_grads(params, mcfg, images, targets,
-                                                      grad_buffer)
-        finally:
-            LAYER_UPDATE.reset(token)
+        loss, gflat, grads = batch_loss_and_grads(params, mcfg, images, targets,
+                                                  grad_buffer, update_layer)
         if not np.isfinite(loss):
             raise NumericError(f"training diverged at step {step}: loss={loss}")
         # one check over every entry: a sum is finite iff all its terms are,

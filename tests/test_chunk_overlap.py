@@ -1,8 +1,10 @@
 """`training.batch_loss_and_grads` against the plain chunk loop it replaced.
 
-A batch of several chunks runs chunk i + 1's forward on a worker thread
-while the calling thread runs chunk i's loss and backward; the worker then
-runs that backward's weight-gradient products (`attention.add_weight_grad`).
+A batch of several chunks holds the package's one worker
+(`attention.worker`): it runs chunk i + 1's forward while the calling
+thread runs chunk i's loss and backward, then the tasks that backward
+defers (`attention.defer`): its weight-gradient products and, in `train`,
+each layer's Adam update.
 The loop that ran every chunk's forward and backward in turn on one thread
 lives here only, as a reference (`_serial_loss_and_grads`): the loss and
 the flat gradient vector must keep its bits.  The other tests pin what the
@@ -160,7 +162,7 @@ def _recording_weight_grads(monkeypatch, on_call=None):
         def recording(gw, *args):
             i = len(calls)
             calls.append({"thread": threading.current_thread(),
-                          "hook": attention.WEIGHT_GRADS.get(), "errstate": np.geterr(),
+                          "hook": attention.WORKER.get(), "errstate": np.geterr(),
                           "address": gw.__array_interface__["data"][0]})
             if on_call is not None:
                 on_call(i)
@@ -181,7 +183,7 @@ def test_weight_products_run_on_the_worker_in_the_callers_error_state(monkeypatc
         batch_loss_and_grads(params, cfg, images, targets)
     assert calls and all(c["thread"] is not threading.current_thread() for c in calls)
     assert all(c["errstate"] == expected for c in calls)
-    assert attention.WEIGHT_GRADS.get() is None
+    assert attention.WORKER.get() is None
 
 
 def test_the_worker_adds_the_weight_gradients_in_the_serial_loops_order(monkeypatch):
@@ -212,7 +214,7 @@ def test_an_error_in_a_weight_product_is_raised_and_no_thread_is_left(monkeypatc
         batch_loss_and_grads(params, cfg, images, targets)
     assert calls[5]["thread"] is not threading.current_thread()
     assert threading.active_count() == before
-    assert attention.WEIGHT_GRADS.get() is None
+    assert attention.WORKER.get() is None
 
 
 def test_a_single_chunk_batch_starts_no_thread(monkeypatch):
@@ -239,6 +241,31 @@ def test_the_worker_keeps_the_callers_numpy_error_state():
             run(params, cfg, images, targets)
         errors.append(str(e.value))
     assert errors == ["invalid value encountered in cast"] * 2
+
+
+def test_a_forward_on_the_worker_splits_no_product(monkeypatch):
+    # the worker runs its tasks with `WORKER` unset: a forward there that
+    # handed half a product to its own thread would wait for itself.  Here
+    # a split runs both halves on the thread that asks for it, so such a
+    # regression fails this test instead of hanging it
+    params, cfg, images, targets = _case("parallel-64")
+    images, targets = images[:2], targets[:2]
+    splits = []
+
+    def inline(submit, task, n):
+        splits.append(threading.current_thread())
+        return task(slice(0, n // 2)), task(slice(n // 2, n))
+
+    monkeypatch.setattr(attention, "both_halves", inline)
+    with attention.worker():  # the forward does split where `WORKER` is set
+        forward(params, images[:1], cfg, keep_cache=False)
+    assert splits and set(splits) == {threading.current_thread()}
+    splits.clear()
+    calls = _recording_forward(monkeypatch)
+    loss, flat, _ = batch_loss_and_grads(params, cfg, images, targets)
+    assert len(calls) == 2 and all(c["thread"] is not threading.current_thread() for c in calls)
+    assert splits == []
+    assert np.isfinite(loss) and np.isfinite(flat).all()
 
 
 def test_an_error_in_the_workers_forward_is_raised_as_it_is(monkeypatch):

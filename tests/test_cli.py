@@ -288,6 +288,21 @@ def test_gen_data_rejects_a_blob_sigma_it_cannot_draw(tmp_path, sigma):
     assert not data.exists()
 
 
+@pytest.mark.parametrize("verb, key", [("gen-data", "data.seed"), ("train", "train.seed"),
+                                      ("train", "model.seed"), ("gradcheck", "model.seed")])
+def test_a_negative_seed_is_a_config_error_naming_its_key(tmp_path, verb, key):
+    # once: "error: expected non-negative integer" from numpy's generator
+    out = tmp_path / "out"
+    args = {"gen-data": ["--out", str(out)],
+            "train": ["--data", str(tmp_path / "ds"), "--out", str(out)],
+            "gradcheck": ["--out", str(out)]}[verb]
+    proc = _run_facemark(verb, *args, *TINY_MODEL, "--set", f"{key}=-1")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"{key} must be >= 0, got -1" in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, value", [("layers.0.deform.b_off", np.inf),
                                          ("layers.0.head.w3", np.nan)],
                          ids=["inf_offset_bias", "nan_head_weight"])

@@ -106,6 +106,10 @@ def test_face_spec_values_checked_at_load(override, key):
     ("model.num_layers=0", "model.num_layers must be >= 1, got 0"),
     ("model.heads=3", "model.dim 16 not divisible by heads 3: model.heads must divide model.dim"),
     ("model.stage_channels=8", "model.stage_channels has 1 entries but model.levels is 2"),
+    ("model.seed=-1", "model.seed must be >= 0, got -1"),
+    ("train.seed=-1", "train.seed must be >= 0, got -1"),
+    ("data.seed=-1", "data.seed must be >= 0, got -1"),
+    ("data.count=0", "data.count must be >= 1, got 0"),
 ])
 def test_model_and_train_values_checked_at_load_name_their_key(override, message):
     tiny = os.path.join(REPO, "configs", "tiny.cfg")

@@ -289,9 +289,17 @@ def test_backward_covers_every_path(tiny_batch):
         flat, grads = flat_views({k: v.shape for k, v in state.params.items()})
         flat[:] = np.random.default_rng(1).normal(size=flat.size)
         start = {k: v.copy() for k, v in grads.items()}
-        backward(dys, state.params, flavor, cache, grads)
+        # layer_done gets T-1, ..., 0, each once layer t's gradients are final
+        done = []
+        backward(dys, state.params, flavor, cache, grads,
+                 lambda t: done.append((t, {k: g.copy() for k, g in grads.items()
+                                            if k.startswith(f"layers.{t}.")})))
         for k, g in grads.items():
             npt.assert_array_equal(g, start[k] + fresh[k], err_msg=k)
+        assert [t for t, _ in done] == list(range(flavor.num_layers - 1, -1, -1))
+        for _, seen in done:
+            for k, g in seen.items():
+                npt.assert_array_equal(g, grads[k], err_msg=k)
 
 
 def test_basic_mode_leaves_level_embedding_untouched(tiny_batch):

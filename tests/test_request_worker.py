@@ -1,8 +1,12 @@
-"""The inference verbs' request worker: `cli.request_worker` holds one
-thread for a `predict` or `eval` request, which reads half the checkpoint
-payload and computes half the rows of every large forward product.  Every
-output keeps the bits of the serial path, the payload checks hold in either
-half, and the thread is gone when the request returns."""
+"""The package's one worker (`attention.worker`) and the inference verbs
+that hold it: a `predict` or `eval` request runs in one `worker()` block,
+whose thread reads half the checkpoint payload and computes half the rows
+of every large forward product.  Every output keeps the bits of the serial
+path, the payload checks hold in either half, and the thread is gone when
+the request returns.  The first tests pin the helper's contract, which
+training relies on too: tasks run first in, first out with `WORKER` unset,
+no finished task's future is kept, and a deferred task's error is raised
+when the block ends."""
 
 import contextlib
 import dataclasses
@@ -10,12 +14,13 @@ import hashlib
 import os
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from facemark import attention, backbone, cli, decoder, params
-from facemark.cli import build_parser, main, request_worker
+from facemark.cli import build_parser, main
 from facemark.config import ENV_CONFIG
 from facemark.decoder import TINY, DecoderState, ModelConfig, forward
 from facemark.errors import ConfigError
@@ -60,6 +65,69 @@ def _digest(arrays):
 
 
 # ---------------------------------------------------------------------------
+# The helper's contract
+# ---------------------------------------------------------------------------
+
+def test_a_task_runs_in_the_submitters_context_with_the_worker_unset():
+    seen = []
+    with np.errstate(over="raise", under="warn"), attention.worker() as lane:
+        expected = np.geterr()
+        lane.submit(lambda: seen.append((attention.WORKER.get(), np.geterr()))).result()
+        assert attention.WORKER.get() is lane
+    assert seen == [(None, expected)]
+    assert attention.WORKER.get() is None
+
+
+def test_the_worker_keeps_no_finished_tasks_future(monkeypatch):
+    # a future holds its task's result, a forward's its cache: an eval over
+    # many chunks must not pile up its split halves' futures
+    refs, out = [], np.zeros(8)
+    with attention.worker() as lane:
+        submit = lane.submit
+
+        def recording(fn, *args):
+            future = submit(fn, *args)
+            refs.append(weakref.ref(future))
+            return future
+
+        monkeypatch.setattr(lane, "submit", recording)
+        attention.split_rows(lambda sl: out.__setitem__(sl, 1.0), len(out), attention.SPLIT_MACS)
+        attention.defer(out.__setitem__, 0, 2.0)
+        # once a task queued behind both has run, the worker holds neither
+        submit(lambda: None).result()
+        assert len(refs) == 2 and [ref() for ref in refs] == [None, None]
+    assert out.tolist() == [2.0] + [1.0] * 7
+
+
+def test_a_deferred_error_is_raised_as_it_is_once_every_task_has_run():
+    ran = []
+
+    def fail(message):
+        raise FloatingPointError(message)
+
+    with pytest.raises(FloatingPointError, match="^first$"):
+        with attention.worker():
+            attention.defer(fail, "first")
+            attention.defer(ran.append, "after")
+            attention.defer(fail, "second")
+    assert ran == ["after"]
+
+
+def test_a_block_that_raises_cancels_the_queued_tasks():
+    # the task in flight waits until the queued one is cancelled
+    cancelled = threading.Event()
+    before = threading.active_count()
+    with pytest.raises(KeyError):
+        with attention.worker() as lane:
+            lane.submit(cancelled.wait, 10)
+            queued = lane.submit(list)
+            queued.add_done_callback(lambda f: cancelled.set())
+            raise KeyError("block")
+    assert queued.cancelled()
+    assert threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
 # The checkpoint read
 # ---------------------------------------------------------------------------
 
@@ -77,7 +145,7 @@ def test_the_worker_reads_the_upper_half_of_the_blocks(tmp_path, monkeypatch):
     serial, _ = load_checkpoint(path)
     (_, every), = readers
     readers.clear()
-    with request_worker():
+    with attention.worker():
         split, _ = load_checkpoint(path)
     assert all(split[k].tobytes() == serial[k].tobytes() for k in serial)
     by_thread = dict(readers)
@@ -127,7 +195,7 @@ def test_a_payload_that_shrinks_while_read_changed_while_reading(tmp_path, monke
     real = os.fstat
     monkeypatch.setattr(params.os, "fstat",
                         lambda fd: os.stat_result((*real(fd)[:6], size, *real(fd)[7:])))
-    with request_worker() if worker else contextlib.nullcontext():
+    with attention.worker() if worker else contextlib.nullcontext():
         with pytest.raises(ConfigError, match=f"payload of {path} changed while reading"):
             load_checkpoint(path)
 
@@ -184,7 +252,7 @@ def test_the_forward_stages_keep_their_bits(cfg):
     for count in (1, 3):
         images = np.stack([s.image for s in gen_synthetic(spec, count, 5)])
         serial = forward(state.params, images, cfg, keep_cache=False)[0]
-        with request_worker():
+        with attention.worker():
             split = forward(state.params, images, cfg, keep_cache=False)[0]
         assert [_digest([y]) for y in split] == [_digest([y]) for y in serial]
 
@@ -222,7 +290,7 @@ def test_every_split_product_keeps_its_bits(monkeypatch):
     for fn, keep, args in calls:
         serial = _digest(keep(fn(*args)))
         before = len(splits)
-        with request_worker():
+        with attention.worker():
             assert _digest(keep(fn(*args))) == serial, (fn.__name__, [a.shape for a in args
                                                                      if hasattr(a, "shape")])
         if len(splits) > before:
@@ -256,7 +324,7 @@ def test_a_request_leaves_no_thread_behind(tmp_path, monkeypatch, verb, bad):
     assert main(argv) == (1 if bad else 0)
     assert threading.active_count() == before
     assert len(readers) == 2  # the worker did start
-    assert attention.REQUEST_WORKER.get() is None
+    assert attention.WORKER.get() is None
 
 
 def test_no_traced_function_runs_on_the_worker(tmp_path, monkeypatch, default_request):

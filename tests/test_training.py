@@ -160,7 +160,7 @@ def test_blocked_adam_matches_the_elementwise_formula_bit_for_bit():
 def test_train_aborts_on_a_non_finite_gradient(tiny_state, tiny_batch, monkeypatch):
     import facemark.training as training
 
-    def finite_loss_inf_grad(params, cfg, images, targets, buffer):
+    def finite_loss_inf_grad(params, cfg, images, targets, buffer, layer_update=None):
         flat, grads = flat_views({k: v.shape for k, v in params.items()})
         flat.fill(0.0)
         grads["layers.1.ffn.w2"][3, 1] = np.inf
@@ -189,7 +189,7 @@ def test_train_aborts_on_a_nan_or_overflowing_gradient_sum_without_a_warning(
     # numpy would warn about inf - inf or an overflowing sum before train raises
     import facemark.training as training
 
-    def stub(params, cfg, images, targets, buffer):
+    def stub(params, cfg, images, targets, buffer, layer_update=None):
         flat, grads = flat_views({k: v.shape for k, v in params.items()})
         flat.fill(0.0)
         fill(grads)
